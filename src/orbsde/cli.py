@@ -24,7 +24,13 @@ from .errors import (
     InvalidTreeError,
     NonMonotoneSweepError,
 )
-from .oblique import picard_solve, validate_problem, verify_minimality
+from .oblique import (
+    mode_view,
+    obstacle_rows,
+    picard_solve,
+    validate_problem,
+    verify_minimality,
+)
 from .reporting import (
     fmt,
     load_solution_csv,
@@ -49,7 +55,7 @@ from .switching import (
     unconstrained_start_value,
     worst_case_switching_cost,
 )
-from .tree import AdaptedProcess, Node
+from .tree import AdaptedProcess
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -162,21 +168,18 @@ def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
     return EXIT_OK
 
 
-def _scalar_view(problem, solution, j) -> tuple[ScalarRBSDEProblem, ScalarSolution, list[float]]:
-    """Mode j of a system solution as a scalar problem with frozen drifts."""
+def _scalar_view(
+    problem, solution, rows, h_rows, j
+) -> tuple[ScalarRBSDEProblem, ScalarSolution, list[float]]:
+    """Mode j of a system solution as a scalar problem with frozen drifts;
+    ``rows`` is ``solution.rows()`` and ``h_rows`` the obstacle along it."""
     tree = problem.tree
-    lower = AdaptedProcess(
-        tree,
-        tuple(
-            problem.H(n.t, solution.y_vector(n.index))[j] for n in tree.nodes
-        ),
-    )
     shell = ScalarRBSDEProblem(
         tree=tree,
         terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
         generator=lambda t, y: 0.0,
         v_increments=problem.v[j],
-        lower=lower,
+        lower=AdaptedProcess(tree, tuple(h[j] for h in h_rows)),
         upper=problem.upper[j],
     )
     scalar_solution = ScalarSolution(
@@ -185,10 +188,7 @@ def _scalar_view(problem, solution, j) -> tuple[ScalarRBSDEProblem, ScalarSoluti
         k=solution.k[j],
         a=solution.a[j],
     )
-    rates = [
-        problem.generators[j](n.t, solution.y_vector(n.index))
-        for n in tree.nodes
-    ]
+    rates = [problem.generators[j](n.t, rows[n.index]) for n in tree.nodes]
     return shell, scalar_solution, rates
 
 
@@ -221,8 +221,12 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
     count_cap = scenario.solver["stopping_count_cap"]
     try:
         worst_gap = 0.0
+        rows = solution.rows()
+        h_rows = obstacle_rows(problem, rows)
         for j in range(d):
-            shell, scalar_solution, rates = _scalar_view(problem, solution, j)
+            shell, scalar_solution, rates = _scalar_view(
+                problem, solution, rows, h_rows, j
+            )
             gap = verify_snell_representation(
                 shell, scalar_solution, depth_cap, count_cap, drift_rates=rates
             )
@@ -309,21 +313,11 @@ def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
     tree = problem.tree
     root = tree.root
     lines = ["p,q,mode,root_y,projected_root_y\n"]
+    rows = solution.rows()
+    h_rows = obstacle_rows(problem, rows)
     for j in range(problem.d):
-        lower = AdaptedProcess(
-            tree,
-            tuple(
-                problem.H(n.t, solution.y_vector(n.index))[j] for n in tree.nodes
-            ),
-        )
-        f = problem.generators[j]
-        frozen = [solution.y_vector(u) for u in range(tree.n_nodes)]
-
-        def gen(node: Node, c: float, _f=f, _j=j):
-            row = frozen[node.index]
-            return _f(node.t, row[:_j] + (c,) + row[_j + 1:])
-
-        terminal = {leaf: problem.terminal[leaf][j] for leaf in tree.leaves}
+        lower = AdaptedProcess(tree, tuple(h[j] for h in h_rows))
+        terminal, gen = mode_view(problem, rows, j)
         projected = solution.y[j].values[root]
         for p in PENALTY_LADDER:
             for q in PENALTY_LADDER:

@@ -22,6 +22,7 @@ margin is scaled up tenfold and the solve restarts (at most three times).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -33,7 +34,7 @@ from .errors import (
     ConvergenceError,
     Violation,
 )
-from .scalar import ScalarSolution, _backward_solve
+from .scalar import NodeGeneratorFn, ScalarSolution, _backward_solve
 from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "MokobodzkiWitness",
     "MinimalityReport",
     "evaluate_H",
+    "obstacle_rows",
+    "mode_view",
     "validate_problem",
     "build_subsolution",
     "picard_solve",
@@ -83,19 +86,14 @@ class CostMatrix:
         base = np.asarray(costs, dtype=float)
         return cls(np.repeat(base[None, :, :], n_steps + 1, axis=0))
 
-    @classmethod
-    def from_function(
-        cls, n_steps: int, d: int, fn: Callable[[int, int, int], float]
-    ) -> "CostMatrix":
-        arr = np.zeros((n_steps + 1, d, d))
-        for t in range(n_steps + 1):
-            for j in range(d):
-                for k in range(d):
-                    if j != k:
-                        arr[t, j, k] = fn(t, j, k)
-        return cls(arr)
-
     def validate(self) -> list[Violation]:
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            return [
+                Violation("non-finite", f"c[{j}][{k}] = {self.values[t, j, k]}",
+                          time_index=int(t), mode=int(j))
+                for t, j, k in bad
+            ]
         out: list[Violation] = []
         T, d, _ = self.values.shape
         for t in range(T):
@@ -176,6 +174,33 @@ class ObliqueProblem:
         return self.terminal[leaf][j]
 
 
+Row = tuple[float, ...]
+
+
+def obstacle_rows(problem: ObliqueProblem, rows: Sequence[Row]) -> list[Row]:
+    """The obstacle vector H(t_u, rows[u]) at every node u, evaluated once
+    per node; column j is the lower barrier of mode j."""
+    return [problem.H(n.t, rows[n.index]) for n in problem.tree.nodes]
+
+
+def mode_view(
+    problem: ObliqueProblem, rows: Sequence[Row], j: int
+) -> tuple[dict[int, float], NodeGeneratorFn]:
+    """Mode j of the system with the other components frozen at ``rows``.
+
+    Returns the terminal column j and the scalar node generator
+    ``c -> f^j(t_u, rows[u] with c in slot j)``.
+    """
+    f = problem.generators[j]
+    terminal = {leaf: problem.terminal[leaf][j] for leaf in problem.tree.leaves}
+
+    def gen(node: Node, c: float) -> float:
+        row = rows[node.index]
+        return f(node.t, row[:j] + (c,) + row[j + 1:])
+
+    return terminal, gen
+
+
 @dataclass(frozen=True)
 class MokobodzkiWitness:
     """Adapted vector process squeezed between H(U) and U.
@@ -230,14 +255,41 @@ def _probe_box(problem: ObliqueProblem) -> list[float]:
     return [lo - pad, lo, 0.5 * (lo + hi), hi, hi + pad]
 
 
+def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
+    """Upper barriers, terminal entries and v increments that are NaN or
+    infinite; a v increment is reported at the node that decides it."""
+    columns = [*(u.values for u in problem.upper), *(v.values for v in problem.v),
+               *problem.terminal.values()]
+    if all(all(map(math.isfinite, col)) for col in columns):
+        return []
+    out: list[Violation] = []
+    for n in problem.tree.nodes:
+        xi = problem.terminal.get(n.index, ()) if n.is_leaf else ()
+        for j in range(problem.d):
+            data = [("U", problem.upper[j].values[n.index])]
+            if n.children:
+                data.append(("dV", problem.v[j].out_of(n.index)))
+            if j < len(xi):
+                data.append(("xi", xi[j]))
+            out.extend(
+                Violation("non-finite", f"{name}^{j} = {val}", n.node_id, n.t, j)
+                for name, val in data
+                if not math.isfinite(val)
+            )
+    return out
+
+
 def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     """All structural hypotheses, reported with node/time coordinates.
 
-    Checks cost positivity and the triangle condition, the Mokobodzki
+    Checks that costs, upper barriers, terminals and v increments are
+    finite, cost positivity and the triangle condition, the Mokobodzki
     inequality H(U) <= U at every node, the terminal sandwich
     H_T(xi) <= xi <= U_T at every leaf, and finite-difference spot-checks
     of the generator monotonicity directions (decreasing in the own
-    component, nondecreasing in the others) and continuity.
+    component, nondecreasing in the others) and continuity.  Non-finite
+    data stop the report before the Mokobodzki check, whose comparisons
+    NaN would silently pass.
     """
     out: list[Violation] = []
     tree = problem.tree
@@ -257,6 +309,9 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
             return out
         out.extend(problem.costs.validate())
 
+    out.extend(_non_finite_data(problem))
+    if any(v.code == "non-finite" for v in out):
+        return out
     out.extend(default_witness(problem).violations(problem))
 
     for leaf in tree.leaves:
@@ -339,14 +394,12 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
 
 def _corner(problem: ObliqueProblem, margin: float) -> tuple[float, ...]:
     """Low corner of the state box: below xi, H(U) and U by the margin."""
-    tree = problem.tree
+    h_u = obstacle_rows(problem, list(zip(*(u.values for u in problem.upper))))
     lows = []
     for j in range(problem.d):
         vals = [vec[j] for vec in problem.terminal.values()]
         vals.extend(problem.upper[j].values)
-        for n in tree.nodes:
-            u_vec = tuple(problem.upper[i].values[n.index] for i in range(problem.d))
-            vals.append(problem.H(n.t, u_vec)[j])
+        vals.extend(h[j] for h in h_u)
         lows.append(min(vals) - margin)
     return tuple(lows)
 
@@ -364,31 +417,13 @@ def build_subsolution(
     if margin is None:
         margin = 1.0 + problem.subsolution_slack
     corner = _corner(problem, margin)
-    tree = problem.tree
+    rows = [corner] * problem.tree.n_nodes
     parts: list[ScalarSolution] = []
     for j in range(problem.d):
-        f = problem.generators[j]
-
-        def gen(node: Node, c: float, _f=f, _j=j) -> float:
-            vec = list(corner)
-            vec[_j] = c
-            return _f(node.t, vec)
-
-        terminal = {leaf: problem.terminal[leaf][j] for leaf in tree.leaves}
-        flipped = _backward_solve(
-            tree,
-            {leaf: -v for leaf, v in terminal.items()},
-            lambda node, yy, _g=gen: -_g(node, -yy),
-            PredictableIncrements(tree, tuple(-v for v in problem.v[j].values)),
-            AdaptedProcess(tree, tuple(-v for v in problem.upper[j].values)),
-            None,
-        )
+        terminal, gen = mode_view(problem, rows, j)
         parts.append(
-            ScalarSolution(
-                y=AdaptedProcess(tree, tuple(-v for v in flipped.y.values)),
-                m_increments=tuple(-v for v in flipped.m_increments),
-                k=PredictableIncrements.zero(tree),
-                a=flipped.k,
+            _backward_solve(
+                problem.tree, terminal, gen, problem.v[j], None, problem.upper[j]
             )
         )
     return corner, parts
@@ -409,6 +444,10 @@ class SystemSolution:
 
     def y_vector(self, u: int) -> tuple[float, ...]:
         return tuple(yj.values[u] for yj in self.y)
+
+    def rows(self) -> list[Row]:
+        """The vector Y_u at every node u, in index order."""
+        return list(zip(*(yj.values for yj in self.y)))
 
 
 def picard_solve(
@@ -459,25 +498,12 @@ def _picard_attempt(
     history: list[tuple] = []
     solutions = parts
     for sweep in range(1, max_sweeps + 1):
-        prev_rows = [
-            tuple(prev[j][u] for j in range(d)) for u in range(tree.n_nodes)
-        ]
+        prev_rows = list(zip(*prev))
+        h_rows = obstacle_rows(problem, prev_rows)
         new_solutions: list[ScalarSolution] = []
         for j in range(d):
-            f = problem.generators[j]
-
-            def gen(node: Node, c: float, _f=f, _j=j) -> float:
-                row = prev_rows[node.index]
-                vec = row[:_j] + (c,) + row[_j + 1:]
-                return _f(node.t, vec)
-
-            lower = AdaptedProcess(
-                tree,
-                tuple(
-                    problem.H(n.t, prev_rows[n.index])[j] for n in tree.nodes
-                ),
-            )
-            terminal = {leaf: problem.terminal[leaf][j] for leaf in tree.leaves}
+            terminal, gen = mode_view(problem, prev_rows, j)
+            lower = AdaptedProcess(tree, tuple(h[j] for h in h_rows))
             new_solutions.append(
                 _backward_solve(
                     tree, terminal, gen, problem.v[j], lower, problem.upper[j]

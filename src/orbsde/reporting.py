@@ -9,6 +9,7 @@ regardless of platform.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -62,13 +63,17 @@ def write_solution_csv(
 
 
 def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
-    """Rebuild a SystemSolution from a solve-emitted CSV (round-trip exact)."""
+    """Rebuild a SystemSolution from a solve-emitted CSV (round-trip exact).
+
+    Strict: every (node, mode) pair must appear exactly once, with a mode in
+    range(d) and finite y, dk, da and dm.  Anything else raises ValueError
+    naming the node id and the mode.
+    """
     tree = problem.tree
     d = problem.d
-    y = [[0.0] * tree.n_nodes for _ in range(d)]
-    k = [[0.0] * tree.n_nodes for _ in range(d)]
-    a = [[0.0] * tree.n_nodes for _ in range(d)]
-    m = [[0.0] * tree.n_nodes for _ in range(d)]
+    cells: list[list[tuple[float, ...] | None]] = [
+        [None] * d for _ in range(tree.n_nodes)
+    ]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != CSV_HEADER.strip():
@@ -76,18 +81,38 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
         for line in fh:
             if not line.strip():
                 continue
-            node_id, _t, _time, mode, yv, dk, da, dm = line.rstrip("\n").split(",")
-            i = tree.index_of(node_id)
-            j = int(mode)
-            y[j][i] = float(yv)
-            k[j][i] = float(dk)
-            a[j][i] = float(da)
-            m[j][i] = float(dm)
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != 8:
+                raise ValueError(f"expected 8 fields, got {len(fields)}: {line!r}")
+            node_id, _t, _time, mode = fields[:4]
+            where = f"node {node_id!r} mode {mode}"
+            if not tree.has_node(node_id):
+                raise ValueError(f"{where}: unknown node id")
+            try:
+                j = int(mode)
+                values = tuple(float(v) for v in fields[4:])
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            if not 0 <= j < d:
+                raise ValueError(f"{where}: mode outside range({d})")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{where}: non-finite value in {fields[4:]}")
+            row = cells[tree.index_of(node_id)]
+            if row[j] is not None:
+                raise ValueError(f"{where}: duplicate row")
+            row[j] = values
+    for n in tree.nodes:
+        for j in range(d):
+            if cells[n.index][j] is None:
+                raise ValueError(f"node {n.node_id!r} mode {j}: missing row")
+    y, k, a, m = (
+        [tuple(row[j][col] for row in cells) for j in range(d)] for col in range(4)
+    )
     return SystemSolution(
-        y=tuple(AdaptedProcess(tree, tuple(col)) for col in y),
-        m_increments=tuple(tuple(col) for col in m),
-        k=tuple(PredictableIncrements(tree, tuple(col)) for col in k),
-        a=tuple(PredictableIncrements(tree, tuple(col)) for col in a),
+        y=tuple(AdaptedProcess(tree, vals) for vals in y),
+        m_increments=tuple(m),
+        k=tuple(PredictableIncrements(tree, vals) for vals in k),
+        a=tuple(PredictableIncrements(tree, vals) for vals in a),
         sweeps=0,
         deltas=(),
     )

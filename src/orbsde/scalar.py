@@ -357,37 +357,21 @@ def solve_lower(problem: ScalarRBSDEProblem) -> ScalarSolution:
 
 
 def solve_upper(problem: ScalarRBSDEProblem) -> ScalarSolution:
-    """Reflect downward off the upper barrier, by sign flip.
+    """Reflect downward off the upper barrier only (K identically zero).
 
-    (Y, M, A) solves the upper problem for (xi, g, V, U) exactly when
-    (-Y, -M, A) solves the lower problem for (-xi, -g(., -.), -V, -U).
+    Mirror identity: (Y, M, A) solves the upper problem for (xi, g, V, U)
+    exactly when (-Y, -M, A) solves the lower problem for
+    (-xi, -g(., -.), -V, -U).  The kernel's root finder is sign-symmetric,
+    so the two solves agree bit for bit; the tests check this.
     """
     if problem.lower is not None:
         raise ValueError("solve_upper expects a problem with no lower barrier")
     if problem.upper is None:
         raise ValueError("solve_upper expects an upper barrier")
     _require_valid(problem)
-    tree = problem.tree
-    g = problem.generator
-    reflected = ScalarRBSDEProblem(
-        tree=tree,
-        terminal={leaf: -v for leaf, v in problem.terminal.items()},
-        generator=lambda t, yy: -g(t, -yy),
-        v_increments=PredictableIncrements(
-            tree, tuple(-v for v in problem.v().values)
-        ),
-        lower=AdaptedProcess(tree, tuple(-v for v in problem.upper.values)),
-        upper=None,
-    )
-    flipped = _backward_solve(
-        tree, reflected.terminal, _node_gen(reflected), reflected.v(),
-        reflected.lower, None,
-    )
-    return ScalarSolution(
-        y=AdaptedProcess(tree, tuple(-v for v in flipped.y.values)),
-        m_increments=tuple(-v for v in flipped.m_increments),
-        k=PredictableIncrements.zero(tree),
-        a=flipped.k,
+    return _backward_solve(
+        problem.tree, problem.terminal, _node_gen(problem), problem.v(),
+        None, problem.upper,
     )
 
 

@@ -292,31 +292,16 @@ class Scenario:
         spec = self.tree_spec
         dt = spec["dt"]
         if spec["kind"] == "chain":
-            steps = spec["steps"]
-            nodes = [{"id": "n0", "t": 0, "parent": None}]
-            nodes += [
-                {"id": f"n{k}", "t": k, "parent": f"n{k-1}", "p": 1.0}
-                for k in range(1, steps + 1)
-            ]
-            tree = EventTree.build(nodes, dt)
-            prices = {n["id"]: spec["x0"] for n in nodes}
-            return tree, prices
+            tree = EventTree.chain(spec["steps"], dt)
+            return tree, {n.node_id: spec["x0"] for n in tree.nodes}
         if spec["kind"] == "binomial":
-            steps, p_up = spec["steps"], spec["p_up"]
-            up, down, x0 = spec["up"], spec["down"], spec["x0"]
-            nodes = [{"id": "r", "t": 0, "parent": None}]
-            prices = {"r": x0}
-            frontier = ["r"]
-            for t in range(1, steps + 1):
-                nxt = []
-                for pid in frontier:
-                    for tag, p, factor in (("d", 1.0 - p_up, down), ("u", p_up, up)):
-                        nid = pid + tag
-                        nodes.append({"id": nid, "t": t, "parent": pid, "p": p})
-                        prices[nid] = prices[pid] * factor
-                        nxt.append(nid)
-                frontier = nxt
-            return EventTree.build(nodes, dt), prices
+            tree = EventTree.binary(spec["steps"], dt, spec["p_up"])
+            up, down = spec["up"], spec["down"]
+            price = [spec["x0"]] * tree.n_nodes
+            for n in tree.nodes[1:]:  # index order: the root, then parents first
+                factor = up if n.node_id[-1] == "u" else down
+                price[n.index] = price[n.parent] * factor
+            return tree, {n.node_id: x for n, x in zip(tree.nodes, price)}
         nodes = spec["nodes"]
         tree = EventTree.build(nodes, dt)
         prices = {n["id"]: n.get("price", 1.0) for n in nodes}

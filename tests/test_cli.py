@@ -8,6 +8,8 @@ Core claims:
       CSV turns verify into exit 4
     - exit codes: 0 ok, 2 validation (with machine-readable diagnostic and
       node coordinates), 3 non-convergence, 4 oracle mismatch
+    - a solution CSV with a duplicated, missing or out-of-range row, or a
+      non-finite value, and a NaN barrier both exit 2 with coordinates
     - the bundled no-solution discretization exits 2 pinpointing every node
       with the obstacle above the barrier; the bundled decoupled scenario's
       roots equal per-mode upper solves; the bundled switching scenario's
@@ -148,6 +150,41 @@ def test_verify_detects_corrupted_solution(scenarios_dir, tmp_path):
     assert diag["error"]["kind"] == "oracle-mismatch"
 
 
+def _with_cell(row: str, col: int, value: str) -> str:
+    cells = row.rstrip("\n").split(",")
+    cells[col] = value
+    return ",".join(cells) + "\n"
+
+
+# each edit gets the data rows (r mode 0 first, ruu mode 1 last) and
+# returns the rows to write back; the error must name this node and mode
+MALFORMED_SOLUTIONS = {
+    "duplicated-row": (lambda rows: rows[:1] + rows, "r", 0),
+    "nan-root-y": (lambda rows: [_with_cell(rows[0], 4, "nan"), *rows[1:]], "r", 0),
+    "missing-row": (lambda rows: rows[:-1], "ruu", 1),
+    "mode-out-of-range": (lambda rows: [_with_cell(rows[0], 3, "5"), *rows[1:]], "r", 5),
+    "negative-mode": (lambda rows: [_with_cell(rows[0], 3, "-1"), *rows[1:]], "r", -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SOLUTIONS))
+def test_verify_rejects_malformed_solution_csv(scenarios_dir, tmp_path, case):
+    edit, node_id, mode = MALFORMED_SOLUTIONS[case]
+    out = tmp_path / "out"
+    assert run("solve", scenarios_dir / "switch2x2.json", "--out", out) == 0
+    csv_path = out / "solution.csv"
+    header, *rows = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text(header + "".join(edit(rows)))
+    code = run(
+        "verify", scenarios_dir / "switch2x2.json",
+        "--solution", csv_path, "--out", tmp_path / "v",
+    )
+    assert code == 2
+    diag = read_json(tmp_path / "v" / "diagnostic.json")
+    assert diag["error"]["kind"] == "solution-file"
+    assert f"node '{node_id}' mode {mode}" in diag["error"]["detail"]
+
+
 # -- exit-code contract -------------------------------------------------------------
 
 
@@ -162,6 +199,25 @@ def test_counterexample_exits_2_with_node_coordinates(scenarios_dir, tmp_path):
         if v["code"] == "mokobodzki"
     }
     assert flagged == {("n0", 0), ("n1", 1), ("n2", 2), ("n3", 3)}
+
+
+def test_nan_barrier_exits_2_with_coordinates(scenarios_dir, tmp_path):
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    spec["barriers"][0] = {"kind": "constant", "value": float("nan")}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out) == 2
+    assert not (out / "solution.csv").exists()
+    diag = read_json(out / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    flagged = {
+        (v["node_id"], v["time_index"], v["mode"])
+        for v in diag["violations"]
+        if v["code"] == "non-finite"
+    }
+    tree = Scenario.from_dict(spec).build_tree()[0]
+    assert flagged == {(n.node_id, n.t, 0) for n in tree.nodes}
 
 
 def test_non_convergence_exits_3(scenarios_dir, tmp_path):

@@ -13,10 +13,14 @@ Core claims:
       upper-reflected solves; symmetric data give identical components
     - triangle costs exclude binding cycles; different valid corners lead
       to the same solution
+    - a solve evaluates the obstacle once per node per sweep; non-finite
+      costs, barriers, terminals and v increments are rejected with
+      coordinates
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -450,6 +454,58 @@ def test_general_obstacle_existence_mode():
         from orbsde import brute_force_value
 
         brute_force_value(problem, tree.root, 0)
+
+
+def test_one_obstacle_evaluation_per_node_per_sweep():
+    base = random_oblique_problem(random.Random(13), d=3, coupling=0.2)
+    calls = 0
+
+    def obstacle(t, y):
+        nonlocal calls
+        calls += 1
+        return evaluate_H(base.costs, t, y)
+
+    problem = dataclasses.replace(base, costs=None, obstacle=obstacle)
+    solution = picard_solve(problem)
+    n_nodes, n_leaves = problem.tree.n_nodes, len(problem.tree.leaves)
+    # validator (Mokobodzki at every node, sandwich at every leaf), then
+    # H(U) for the corner, then one obstacle row per sweep
+    assert calls == (n_nodes + n_leaves) + n_nodes + solution.sweeps * n_nodes
+
+
+def test_non_finite_data_rejected_with_coordinates():
+    base = random_oblique_problem(random.Random(5), d=2, max_depth=2)
+    tree = base.tree
+    leaf = tree.node(tree.leaves[0])
+    parent = tree.node(leaf.parent)
+    nan = float("nan")
+
+    def patched(values, at, value):
+        return tuple(value if i in at else v for i, v in enumerate(values))
+
+    costs = base.costs.values.copy()
+    costs[1, 0, 1] = float("inf")
+    cases = [
+        (dataclasses.replace(base, upper=(
+            AdaptedProcess(tree, patched(base.upper[0].values, {leaf.index}, nan)),
+            base.upper[1],
+        )), (leaf.node_id, leaf.t, 0)),
+        (dataclasses.replace(base, terminal={
+            **base.terminal, leaf.index: (base.terminal[leaf.index][0], nan),
+        }), (leaf.node_id, leaf.t, 1)),
+        (dataclasses.replace(base, v=(
+            base.v[0],
+            PredictableIncrements(tree, patched(
+                base.v[1].values, set(parent.children), float("-inf"))),
+        )), (parent.node_id, parent.t, 1)),
+        (dataclasses.replace(base, costs=CostMatrix(costs)), (None, 1, 0)),
+    ]
+    for problem, where in cases:
+        report = validate_problem(problem)
+        assert [(v.node_id, v.time_index, v.mode) for v in report] == [where]
+        assert report[0].code == "non-finite"
+        with pytest.raises(InvalidProblemError):
+            picard_solve(problem)
 
 
 def test_exactly_one_obstacle_form_required():
