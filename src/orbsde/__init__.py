@@ -8,8 +8,9 @@ The package is organized around the substrate-to-application stack:
   exhaustive stopping-time enumeration;
 * :mod:`orbsde.scalar`: one-dimensional reflected solvers (lower, upper,
   two-barrier, penalized) and the stopped-payoff representation check;
-* :mod:`orbsde.oblique`: validation of the structural hypotheses and the
-  monotone Picard solver for the d-mode system;
+* :mod:`orbsde.oblique`: validation of the structural hypotheses, the
+  single-pass solver for the d-mode system, and the monotone Picard
+  solver that serves as its oracle;
 * :mod:`orbsde.switching`: per-strategy constrained solves, exhaustive
   strategy enumeration (the value oracle), and the greedy optimal strategy;
 * :mod:`orbsde.scenario` / :mod:`orbsde.cli`: the JSON scenario format and
@@ -20,6 +21,7 @@ from .errors import (
     BracketingError,
     ConvergenceError,
     EnumerationCapError,
+    InternalConsistencyError,
     InvalidProblemError,
     InvalidTreeError,
     NonMonotoneSweepError,
@@ -35,6 +37,7 @@ from .oblique import (
     build_subsolution,
     evaluate_H,
     picard_solve,
+    solve_system,
     validate_problem,
     verify_minimality,
 )

@@ -1,9 +1,16 @@
 """Command-line harness: solve, verify, sweep-penalization, brute-force.
 
-Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
-4 oracle mismatch beyond tolerance.  Every nonzero exit writes a
-machine-readable ``diagnostic.json`` into the output directory, with node
-and time coordinates wherever the failure has them.
+Exit codes: 0 success, 2 validation failure, 3 solver non-convergence
+(kind ``solver``) or a failed solver invariant (kind
+``internal-consistency``), 4 oracle mismatch beyond tolerance.  Every
+nonzero exit writes a machine-readable ``diagnostic.json`` into the output
+directory, with node and time coordinates wherever the failure has them.
+
+``solve`` and ``sweep-penalization`` use the single backward pass
+(``solve_system``), where ``--tol`` and ``--max-sweeps`` bound the
+Gauss-Seidel rounds at each node; ``verify`` re-solves with the Picard
+iteration (``picard_solve``), the independent oracle, where they bound the
+global sweeps.
 
 The ``--seed`` flag is accepted for symmetry with the test harness, which
 uses it to generate randomized property-test instances; solver runs are
@@ -20,6 +27,7 @@ from .errors import (
     BracketingError,
     ConvergenceError,
     EnumerationCapError,
+    InternalConsistencyError,
     InvalidProblemError,
     InvalidTreeError,
     NonMonotoneSweepError,
@@ -28,6 +36,7 @@ from .oblique import (
     mode_view,
     obstacle_rows,
     picard_solve,
+    solve_system,
     validate_problem,
     verify_minimality,
 )
@@ -101,8 +110,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
 
-    def fail(code: int, kind: str, detail, violations=None) -> int:
+    def fail(code: int, kind: str, detail, violations=None, node_id=None) -> int:
         payload = {"exit_code": code, "error": {"kind": kind, "detail": detail}}
+        if node_id is not None:
+            payload["error"]["node_id"] = node_id
         if violations:
             payload["violations"] = [v.as_dict() for v in violations]
         write_json(out / "diagnostic.json", payload)
@@ -142,6 +153,9 @@ def main(argv=None) -> int:
         return _cmd_brute_force(scenario, problem, out)
     except (ConvergenceError, NonMonotoneSweepError, BracketingError) as err:
         return fail(EXIT_NO_CONVERGENCE, "solver", str(err))
+    except InternalConsistencyError as err:
+        return fail(EXIT_NO_CONVERGENCE, "internal-consistency", str(err),
+                    node_id=err.node_id)
     except EnumerationCapError as err:
         return fail(EXIT_VALIDATION, "enumeration-cap", str(err))
     except InvalidProblemError as err:
@@ -149,7 +163,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
-    solution = picard_solve(problem, tol=tol, max_sweeps=max_sweeps)
+    solution = solve_system(problem, tol, max_sweeps)
     minimality = verify_minimality(problem, solution)
     root = problem.tree.root
     summary = {
@@ -309,7 +323,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
 
 
 def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
-    solution = picard_solve(problem, tol=tol, max_sweeps=max_sweeps)
+    solution = solve_system(problem, tol, max_sweeps)
     tree = problem.tree
     root = tree.root
     lines = ["p,q,mode,root_y,projected_root_y\n"]

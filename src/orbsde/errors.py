@@ -84,3 +84,13 @@ class NonMonotoneSweepError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """Sweep budget exhausted before the sup-norm delta reached tolerance."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A solver invariant failed that valid data rule out (a binding cycle
+    under triangle costs, a binding obstacle with no attaining mode);
+    ``node_id`` locates it."""
+
+    def __init__(self, message: str, node_id: str | None = None):
+        self.node_id = node_id
+        super().__init__(message)

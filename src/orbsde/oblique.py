@@ -12,16 +12,28 @@ a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
 
-The solver is a monotone Picard iteration: start from a subsolution built
-with each generator frozen at a low corner of the state box, then repeatedly
-solve the d scalar two-barrier problems with the obstacle and the generator
-evaluated along the previous iterate.  Sweeps are nondecreasing; a decrease
-anywhere means the corner was not low enough, in which case the corner
-margin is scaled up tenfold and the solve restarts (at most three times).
+Two solvers share the scalar projection step ``scalar._project``:
+
+* :func:`solve_system` is the production path, the discretely reflected
+  scheme of Chassagneux, Elie & Kharroubi.  Since Y_u depends on the tree
+  only through the conditional expectations of its children, one backward
+  pass suffices: at each parent the d-dimensional fixed point
+  ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` is solved by Gauss-Seidel
+  rounds over the modes, started from a low corner of the state box.
+* :func:`picard_solve` is the independent oracle: a monotone Picard
+  iteration that starts from a subsolution built with each generator frozen
+  at the low corner, then repeatedly solves the d scalar two-barrier
+  problems over the whole tree with the obstacle and the generator
+  evaluated along the previous iterate.  Sweeps are nondecreasing; a
+  decrease anywhere means the corner was not low enough, in which case the
+  corner margin is scaled up tenfold and the solve restarts (at most three
+  times).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -29,13 +41,20 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
+    InternalConsistencyError,
     InvalidProblemError,
     NonMonotoneSweepError,
-    ConvergenceError,
     Violation,
 )
-from .scalar import NodeGeneratorFn, ScalarSolution, _backward_solve
-from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
+from .scalar import NodeGeneratorFn, ScalarSolution, _backward_solve, _project
+from .tree import (
+    AdaptedProcess,
+    EventTree,
+    Node,
+    PredictableIncrements,
+    one_step_expectation,
+)
 
 __all__ = [
     "CostMatrix",
@@ -48,6 +67,7 @@ __all__ = [
     "mode_view",
     "validate_problem",
     "build_subsolution",
+    "solve_system",
     "picard_solve",
     "verify_minimality",
     "binding_graph_cycles",
@@ -57,6 +77,12 @@ VecGeneratorFn = Callable[[int, Sequence[float]], float]
 ObstacleFn = Callable[[int, Sequence[float]], Sequence[float]]
 
 BINDING_TOL = 1e-10
+
+
+def _worse(worst: float, value: float) -> float:
+    """The larger of two residuals, NaN if either is NaN (``max`` would
+    drop a NaN that comes second)."""
+    return value if value > worst or value != value else worst
 
 
 class CostMatrix:
@@ -69,6 +95,14 @@ class CostMatrix:
         arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
+        # per time index and mode j: the (k, c[j][k]) pairs with k != j, as
+        # Python floats, which evaluate_H reads without numpy indexing
+        d = arr.shape[1]
+        self._off_diagonal = tuple(
+            tuple(tuple((k, float(c[j, k])) for k in range(d) if k != j)
+                  for j in range(d))
+            for c in arr
+        )
 
     @property
     def d(self) -> int:
@@ -133,10 +167,8 @@ def evaluate_H(costs: CostMatrix, t: int, y: Sequence[float]) -> tuple[float, ..
 
     Independent of y^j and nondecreasing in every component of y.
     """
-    c = costs.values[t]
-    d = costs.d
     return tuple(
-        max(float(y[k] - c[j, k]) for k in range(d) if k != j) for j in range(d)
+        float(max([y[k] - c for k, c in pairs])) for pairs in costs._off_diagonal[t]
     )
 
 
@@ -256,8 +288,11 @@ def _probe_box(problem: ObliqueProblem) -> list[float]:
 
 
 def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
-    """Upper barriers, terminal entries and v increments that are NaN or
-    infinite; a v increment is reported at the node that decides it."""
+    """The step length, upper barriers, terminal entries and v increments
+    that are NaN or infinite; a v increment is reported at the node that
+    decides it."""
+    if not math.isfinite(problem.tree.dt):
+        return [Violation("non-finite", f"dt = {problem.tree.dt}")]
     columns = [*(u.values for u in problem.upper), *(v.values for v in problem.v),
                *problem.terminal.values()]
     if all(all(map(math.isfinite, col)) for col in columns):
@@ -279,17 +314,37 @@ def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
     return out
 
 
+CONTINUITY_STEP = 1e-7
+
+
+def _generator_probes(
+    f: VecGeneratorFn, t: int, grid: Sequence[float], d: int
+) -> tuple[list[list[float]], list[tuple[float, float]]]:
+    """f at the probe points, each evaluated once: ``moved[k][i]`` at the
+    grid midpoint with component k moved to ``grid[i]``, and ``diagonal[i]``
+    at ``grid[i]`` and ``grid[i] + CONTINUITY_STEP`` in every component."""
+    mid = grid[2]
+    moved = [
+        [f(t, [mid] * k + [g] + [mid] * (d - 1 - k)) for g in grid]
+        for k in range(d)
+    ]
+    diagonal = [(f(t, [y0] * d), f(t, [y0 + CONTINUITY_STEP] * d)) for y0 in grid]
+    return moved, diagonal
+
+
 def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     """All structural hypotheses, reported with node/time coordinates.
 
-    Checks that costs, upper barriers, terminals and v increments are
+    Checks that dt, costs, upper barriers, terminals and v increments are
     finite, cost positivity and the triangle condition, the Mokobodzki
     inequality H(U) <= U at every node, the terminal sandwich
-    H_T(xi) <= xi <= U_T at every leaf, and finite-difference spot-checks
-    of the generator monotonicity directions (decreasing in the own
-    component, nondecreasing in the others) and continuity.  Non-finite
-    data stop the report before the Mokobodzki check, whose comparisons
-    NaN would silently pass.
+    H_T(xi) <= xi <= U_T at every leaf, that the generators are finite at
+    the probe points, and finite-difference spot-checks of the generator
+    monotonicity directions (decreasing in the own component,
+    nondecreasing in the others) and continuity.  Non-finite data stop the
+    report before the Mokobodzki check, and non-finite generator values
+    before the monotonicity probes: NaN would silently pass the
+    comparisons of either.
     """
     out: list[Violation] = []
     tree = problem.tree
@@ -344,51 +399,54 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
 
     grid = _probe_box(problem)
     times = sorted({0, tree.n_steps // 2, max(tree.n_steps - 1, 0)})
-    for j, f in enumerate(problem.generators):
-        for t in times:
-            base = [grid[2]] * d
-            for lo_y in grid:
-                for hi_y in grid:
-                    if lo_y >= hi_y:
-                        continue
-                    y_lo = list(base)
-                    y_hi = list(base)
-                    y_lo[j], y_hi[j] = lo_y, hi_y
-                    if f(t, y_lo) < f(t, y_hi) - 1e-12:
+    probes = {
+        (j, t): _generator_probes(f, t, grid, d)
+        for j, f in enumerate(problem.generators)
+        for t in times
+    }
+    non_finite: list[Violation] = []
+    for (j, t), (moved, diagonal) in probes.items():
+        bad = [v for v in itertools.chain(*moved, *diagonal) if not math.isfinite(v)]
+        if bad:
+            non_finite.append(Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
+                                        time_index=t, mode=j))
+    if non_finite:
+        return out + non_finite
+    for (j, t), (moved, diagonal) in probes.items():
+        for lo, lo_y in enumerate(grid):
+            for hi, hi_y in enumerate(grid):
+                if lo_y >= hi_y:
+                    continue
+                if moved[j][lo] < moved[j][hi] - 1e-12:
+                    out.append(
+                        Violation(
+                            "generator-on-diagonal",
+                            f"f^{j} increases in its own component "
+                            f"between {lo_y} and {hi_y}",
+                            time_index=t, mode=j,
+                        )
+                    )
+                for k in range(d):
+                    if k != j and moved[k][lo] > moved[k][hi] + 1e-12:
                         out.append(
                             Violation(
-                                "generator-on-diagonal",
-                                f"f^{j} increases in its own component "
+                                "generator-off-diagonal",
+                                f"f^{j} decreases in component {k} "
                                 f"between {lo_y} and {hi_y}",
                                 time_index=t, mode=j,
                             )
                         )
-                    for k in range(d):
-                        if k == j:
-                            continue
-                        y_lo = list(base)
-                        y_hi = list(base)
-                        y_lo[k], y_hi[k] = lo_y, hi_y
-                        if f(t, y_lo) > f(t, y_hi) + 1e-12:
-                            out.append(
-                                Violation(
-                                    "generator-off-diagonal",
-                                    f"f^{j} decreases in component {k} "
-                                    f"between {lo_y} and {hi_y}",
-                                    time_index=t, mode=j,
-                                )
-                            )
-            h = 1e-7
-            for y0 in grid:
-                jump = abs(f(t, [y0 + h] * d) - f(t, [y0] * d))
-                if jump > 1.0:
-                    out.append(
-                        Violation(
-                            "generator-continuity",
-                            f"f^{j} jumps by {jump:.3g} over step {h} near {y0}",
-                            time_index=t, mode=j,
-                        )
+        for y0, (at, above) in zip(grid, diagonal):
+            jump = abs(above - at)
+            if jump > 1.0:
+                out.append(
+                    Violation(
+                        "generator-continuity",
+                        f"f^{j} jumps by {jump:.3g} over step "
+                        f"{CONTINUITY_STEP} near {y0}",
+                        time_index=t, mode=j,
                     )
+                )
     return out
 
 
@@ -456,7 +514,8 @@ def picard_solve(
     max_sweeps: int = 200,
     record_history: bool = False,
 ) -> SystemSolution:
-    """Monotone iteration of scalar two-barrier solves.
+    """Monotone iteration of scalar two-barrier solves; the independent
+    oracle for :func:`solve_system`.
 
     Sweep n solves, for each mode j, the scalar problem with lower barrier
     ``H^j(Y_prev)``, upper barrier ``U^j`` and generator
@@ -546,17 +605,107 @@ def _picard_attempt(
                 corner=corner,
                 history=tuple(history) if record_history else None,
             )
-            if problem.costs is not None:
-                cycles = binding_graph_cycles(problem, result)
-                if cycles:
-                    raise RuntimeError(
-                        f"binding cycle among modes at {cycles[0][0]} "
-                        "despite triangle-valid costs"
-                    )
+            _require_acyclic(problem, result)
             return result
     raise ConvergenceError(
         f"delta {deltas[-1]:.3g} > tol {tol:g} after {max_sweeps} sweeps"
     )
+
+
+def solve_system(
+    problem: ObliqueProblem, tol: float = 1e-10, max_rounds: int = 200
+) -> SystemSolution:
+    """One backward pass with a projected fixed point at every parent.
+
+    At a parent u with ``target_j = E[Y^j_{t+1} | u] + dV^j`` the node
+    value solves ``y_j = min(U_j, max(ystar_j(y), H^j(y)))``, where
+    ``ystar_j(y)`` is the implicit root of
+    ``c - f^j(t, y with c in slot j) dt = target_j``.  Gauss-Seidel rounds
+    start from the low corner; each round projects the modes in order, with
+    the obstacle and the generator at the current row.  A node is done when
+    a round changes no component by more than ``tol``; ``ConvergenceError``
+    names the node when ``max_rounds`` rounds are not enough.
+
+    ``sweeps`` is the largest round count over the nodes and ``deltas``
+    holds the largest final-round change; there is no history.
+    """
+    report = validate_problem(problem)
+    if report:
+        raise InvalidProblemError(report)
+    tree = problem.tree
+    d = problem.d
+    dt = tree.dt
+    n = tree.n_nodes
+    corner = _corner(problem, 1.0 + problem.subsolution_slack)
+    y = [[0.0] * n for _ in range(d)]
+    k = [[0.0] * n for _ in range(d)]
+    a = [[0.0] * n for _ in range(d)]
+    m = [[0.0] * n for _ in range(d)]
+    most_rounds = 0
+    final_change = 0.0
+    for i in range(n - 1, -1, -1):
+        node = tree.node(i)
+        if node.is_leaf:
+            for j, xi in enumerate(problem.terminal[i]):
+                y[j][i] = float(xi)
+            continue
+        t = node.t
+        e = [one_step_expectation(tree, y[j], i) for j in range(d)]
+        targets = [e[j] + problem.v[j].out_of(i) for j in range(d)]
+        row = corner
+        pushes = [(0.0, 0.0)] * d
+        change = math.inf
+        for rounds in range(1, max_rounds + 1):
+            change = 0.0
+            for j in range(d):
+                f, target = problem.generators[j], targets[j]
+                head, tail = row[:j], row[j + 1:]
+                phi = lambda c: c - f(t, head + (c,) + tail) * dt - target  # noqa: E731
+                val, dk, da = _project(
+                    phi, target, problem.H(t, row)[j], problem.upper[j].values[i]
+                )
+                change = _worse(change, abs(val - row[j]))
+                row = head + (val,) + tail
+                pushes[j] = (dk, da)
+            if change <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"node {node.node_id} (t={t}): round change {change:.3g} > "
+                f"tol {tol:g} after {max_rounds} rounds"
+            )
+        most_rounds = max(most_rounds, rounds)
+        final_change = _worse(final_change, change)
+        for j in range(d):
+            y[j][i] = row[j]
+            for c in node.children:
+                k[j][c], a[j][c] = pushes[j]
+                m[j][c] = y[j][c] - e[j]
+    result = SystemSolution(
+        y=tuple(AdaptedProcess(tree, tuple(col)) for col in y),
+        m_increments=tuple(tuple(col) for col in m),
+        k=tuple(PredictableIncrements(tree, tuple(col)) for col in k),
+        a=tuple(PredictableIncrements(tree, tuple(col)) for col in a),
+        sweeps=most_rounds,
+        deltas=(final_change,),
+        corner=corner,
+    )
+    _require_acyclic(problem, result)
+    return result
+
+
+def _require_acyclic(problem: ObliqueProblem, solution: SystemSolution) -> None:
+    """Triangle-valid costs rule out binding cycles; one is a solver fault."""
+    if problem.costs is None:
+        return
+    cycles = binding_graph_cycles(problem, solution)
+    if cycles:
+        node_id, modes = cycles[0]
+        raise InternalConsistencyError(
+            f"binding cycle among modes {list(modes)} at node {node_id} "
+            "despite triangle-valid costs",
+            node_id,
+        )
 
 
 def binding_graph_cycles(
@@ -623,7 +772,8 @@ class MinimalityReport:
 
     @property
     def worst_residual(self) -> float:
-        return max(
+        """The largest residual; NaN if any of them is NaN."""
+        return functools.reduce(_worse, (
             self.worst_identity,
             self.worst_martingale,
             self.worst_sandwich_lower,
@@ -631,7 +781,7 @@ class MinimalityReport:
             self.worst_flat_off_lower,
             self.worst_flat_off_upper,
             self.worst_negative_increment,
-        )
+        ))
 
     def ok(self, tol: float = BINDING_TOL) -> bool:
         return self.worst_residual <= tol and not self.binding_cycles
@@ -665,7 +815,8 @@ def verify_minimality(
     generator at the full current vector), the martingale property of dM,
     the obstacle sandwich H(Y) <= Y <= U, both flat-off products, increment
     nonnegativity, and the binding-cycle check.  Works on externally
-    supplied solutions as well as solver output.
+    supplied solutions as well as solver output.  A NaN anywhere makes its
+    residual NaN, which fails every tolerance and is reported.
     """
     tree = problem.tree
     d = problem.d
@@ -677,7 +828,7 @@ def verify_minimality(
     violations: list[Violation] = []
 
     def note(code: str, msg: str, n: Node, j: int, value: float, bound: float):
-        if value > bound:
+        if not value <= bound:
             violations.append(Violation(code, msg, n.node_id, n.t, j))
 
     for n in tree.nodes:
@@ -687,22 +838,22 @@ def verify_minimality(
             yj = solution.y[j].values[n.index]
             sl = h[j] - yj
             su = yj - problem.upper[j].values[n.index]
-            worst_sl = max(worst_sl, sl)
-            worst_su = max(worst_su, su)
+            worst_sl = _worse(worst_sl, sl)
+            worst_su = _worse(worst_su, su)
             note("sandwich-lower", f"H^{j}(Y) - Y^{j} = {sl:.3g}", n, j, sl, tol)
             note("sandwich-upper", f"Y^{j} - U^{j} = {su:.3g}", n, j, su, tol)
             if n.is_leaf:
                 continue
             dk = solution.k[j].out_of(n.index)
             da = solution.a[j].out_of(n.index)
-            neg = max(-dk, -da)
-            worst_neg = max(worst_neg, neg)
+            neg = _worse(-dk, -da)
+            worst_neg = _worse(worst_neg, neg)
             note("increment-sign", f"negative increment {min(dk, da):.3g}",
                  n, j, neg, tol)
             fl = abs(dk * (yj - h[j]))
             fu = abs(da * (problem.upper[j].values[n.index] - yj))
-            worst_fl = max(worst_fl, fl)
-            worst_fu = max(worst_fu, fu)
+            worst_fl = _worse(worst_fl, fl)
+            worst_fu = _worse(worst_fu, fu)
             note("flat-off-lower", f"dK * (Y - H(Y)) = {fl:.3g}", n, j, fl, tol)
             note("flat-off-upper", f"dA * (U - Y) = {fu:.3g}", n, j, fu, tol)
             f_val = problem.generators[j](n.t, yv)
@@ -717,11 +868,11 @@ def verify_minimality(
                     - solution.a[j].values[c]
                     - solution.m_increments[j][c]
                 )
-                worst_id = max(worst_id, abs(resid))
+                worst_id = _worse(worst_id, abs(resid))
                 note("identity", f"backward identity residual {resid:.3g}",
                      child, j, abs(resid), tol)
                 mart += child.prob * solution.m_increments[j][c]
-            worst_mart = max(worst_mart, abs(mart))
+            worst_mart = _worse(worst_mart, abs(mart))
             note("martingale", f"E[dM | parent] = {mart:.3g}", n, j,
                  abs(mart), tol)
 

@@ -286,6 +286,23 @@ class PenalizedSolution:
 NodeGeneratorFn = Callable[[Node, float], float]
 
 
+def _project(
+    phi: Callable[[float], float],
+    target: float,
+    lo: float | None,
+    hi: float | None,
+) -> tuple[float, float, float]:
+    """One node's implicit step projected into [lo, hi] (either side may be
+    absent): returns (Y_u, dK, dA) with the pushes taken as the positive and
+    negative parts of the residual ``phi`` at the projected value."""
+    ystar = _root_find(phi, target, RESIDUAL_TOL)
+    if lo is not None and ystar < lo:
+        return lo, max(0.0, phi(lo)), 0.0
+    if hi is not None and ystar > hi:
+        return hi, 0.0, max(0.0, -phi(hi))
+    return ystar, 0.0, 0.0
+
+
 def _backward_solve(
     tree: EventTree,
     terminal: Mapping[int, float],
@@ -310,16 +327,9 @@ def _backward_solve(
         dv_u = dv.out_of(i)
         target = e + dv_u
         phi = lambda yy: yy - gen(node, yy) * dt - target  # noqa: E731
-        ystar = _root_find(phi, target, RESIDUAL_TOL)
         lo = lower.values[i] if lower is not None else None
         hi = upper.values[i] if upper is not None else None
-        if lo is not None and ystar < lo:
-            val, dk, da = lo, max(0.0, phi(lo)), 0.0
-        elif hi is not None and ystar > hi:
-            val, dk, da = hi, 0.0, max(0.0, -phi(hi))
-        else:
-            val, dk, da = ystar, 0.0, 0.0
-        y[i] = val
+        y[i], dk, da = _project(phi, target, lo, hi)
         for c in node.children:
             k[c] = dk
             a[c] = da

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import EnumerationCapError, Violation
+from .errors import EnumerationCapError, InternalConsistencyError, Violation
 from .oblique import ObliqueProblem, SystemSolution, BINDING_TOL
 from .scalar import _root_find, RESIDUAL_TOL
 from .tree import EventTree
@@ -365,9 +365,10 @@ def construct_optimal_strategy(
                     target = k
                     break
             if target is None:
-                raise RuntimeError(
+                raise InternalConsistencyError(
                     f"obstacle binds at node {n.node_id} in mode {m} but no "
-                    "attaining index found"
+                    "attaining index found",
+                    n.node_id,
                 )
             modes[u] = target
         else:

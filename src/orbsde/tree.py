@@ -359,7 +359,11 @@ class PredictableIncrements:
             if len(cs) > 1:
                 v0 = self.values[cs[0]]
                 for c in cs[1:]:
-                    if self.values[c] != v0:
+                    # a NaN shared by all siblings is decided at the parent;
+                    # the problem validators report it as non-finite data
+                    if self.values[c] != v0 and not (
+                        math.isnan(v0) and math.isnan(self.values[c])
+                    ):
                         raise ValueError(
                             f"increment not parent-measurable at node {n.node_id}"
                         )

@@ -9,7 +9,10 @@ Core claims:
     - exit codes: 0 ok, 2 validation (with machine-readable diagnostic and
       node coordinates), 3 non-convergence, 4 oracle mismatch
     - a solution CSV with a duplicated, missing or out-of-range row, or a
-      non-finite value, and a NaN barrier both exit 2 with coordinates
+      non-finite value, and a NaN barrier, generator coefficient or v
+      increment all exit 2 with coordinates
+    - a failed solver invariant (binding cycle, binding obstacle with no
+      attaining mode) exits 3 with kind internal-consistency and its node
     - the bundled no-solution discretization exits 2 pinpointing every node
       with the obstacle above the barrier; the bundled decoupled scenario's
       roots equal per-mode upper solves; the bundled switching scenario's
@@ -218,6 +221,53 @@ def test_nan_barrier_exits_2_with_coordinates(scenarios_dir, tmp_path):
     }
     tree = Scenario.from_dict(spec).build_tree()[0]
     assert flagged == {(n.node_id, n.t, 0) for n in tree.nodes}
+
+
+@pytest.mark.parametrize("where", ["generator", "v_increment"])
+def test_nan_coefficient_exits_2_with_coordinates(scenarios_dir, tmp_path, where):
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    if where == "generator":
+        spec["generators"][0] = {"family": "constant", "a": float("nan")}
+        expected = {(None, 0, 0), (None, 1, 0)}
+    else:
+        spec["v_increments"][0]["r"] = float("nan")
+        expected = {("r", 0, 0)}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out) == 2
+    diag = read_json(out / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    assert {
+        (v.get("node_id"), v["time_index"], v["mode"])
+        for v in diag["violations"]
+    } == expected
+    assert {v["code"] for v in diag["violations"]} == {"non-finite"}
+
+
+def test_binding_cycle_exits_3_with_node(scenarios_dir, tmp_path, monkeypatch):
+    import orbsde.oblique
+
+    monkeypatch.setattr(orbsde.oblique, "binding_graph_cycles",
+                        lambda problem, solution: [("rd", (0, 1))])
+    out = tmp_path / "out"
+    assert run("solve", scenarios_dir / "switch2x2.json", "--out", out) == 3
+    error = read_json(out / "diagnostic.json")["error"]
+    assert (error["kind"], error["node_id"]) == ("internal-consistency", "rd")
+
+
+def test_missing_attaining_mode_exits_3_with_node(scenarios_dir, tmp_path,
+                                                  monkeypatch):
+    from orbsde.oblique import CostMatrix
+
+    # the greedy strategy's attaining-mode test reads costs 1 above the
+    # obstacle's, so the obstacle binding at rd in mode 0 has no attainer
+    at = CostMatrix.at
+    monkeypatch.setattr(CostMatrix, "at", lambda self, t, j, k: at(self, t, j, k) + 1.0)
+    out = tmp_path / "out"
+    assert run("verify", scenarios_dir / "switch2x2.json", "--out", out) == 3
+    error = read_json(out / "diagnostic.json")["error"]
+    assert (error["kind"], error["node_id"]) == ("internal-consistency", "rd")
 
 
 def test_non_convergence_exits_3(scenarios_dir, tmp_path):

@@ -14,8 +14,14 @@ Core claims:
     - triangle costs exclude binding cycles; different valid corners lead
       to the same solution
     - a solve evaluates the obstacle once per node per sweep; non-finite
-      costs, barriers, terminals and v increments are rejected with
-      coordinates
+      dt, costs, barriers, terminals, v increments and generator values
+      are rejected with coordinates
+    - the single backward pass (solve_system) agrees with Picard at 1e-12
+      on the criterion-5 systems and the bundled scenarios, takes a pinned
+      number of rounds on switch2x2, and names the node whose round budget
+      runs out
+    - a NaN in a solution fails verify_minimality; a binding cycle in a
+      solver's output raises InternalConsistencyError with its node
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ import random
 
 import pytest
 
+import orbsde.oblique
 from orbsde import (
     AdaptedProcess,
     ConvergenceError,
     EventTree,
+    InternalConsistencyError,
     InvalidProblemError,
     ObliqueProblem,
     PredictableIncrements,
@@ -36,11 +44,13 @@ from orbsde import (
     build_subsolution,
     evaluate_H,
     picard_solve,
+    solve_system,
     solve_upper,
     validate_problem,
     verify_minimality,
 )
 from orbsde.oblique import CostMatrix, MokobodzkiWitness, SystemSolution
+from orbsde.scenario import Scenario
 from gen import random_oblique_problem
 
 BIG = 1e6
@@ -531,3 +541,104 @@ def test_no_binding_cycles_on_random_solutions():
         solution = picard_solve(problem, tol=1e-12)
         report = verify_minimality(problem, solution)
         assert report.binding_cycles == ()
+
+
+def test_non_finite_dt_and_generator_values_rejected():
+    base = random_oblique_problem(random.Random(5), d=2, max_depth=2)
+    nan_gen = dataclasses.replace(
+        base, generators=(base.generators[0], lambda t, y: float("nan"))
+    )
+    report = validate_problem(nan_gen)
+    times = sorted({0, base.tree.n_steps // 2, base.tree.n_steps - 1})
+    assert [(v.code, v.time_index, v.mode) for v in report] == [
+        ("non-finite", t, 1) for t in times
+    ]
+    # the step-length check runs first, so the Mokobodzki failures of the
+    # counterexample are not reached
+    infinite_dt = counterexample_problem(dt=float("inf"))
+    assert [v.code for v in validate_problem(infinite_dt)] == ["non-finite"]
+
+
+def test_verify_minimality_fails_on_nan(scenarios_dir):
+    problem = Scenario.from_file(scenarios_dir / "switch2x2.json").build_problem()
+    solution = picard_solve(problem)
+    root = problem.tree.root
+    y0 = list(solution.y[0].values)
+    y0[root] = float("nan")
+    corrupted = dataclasses.replace(
+        solution, y=(AdaptedProcess(problem.tree, tuple(y0)), solution.y[1])
+    )
+    report = verify_minimality(problem, corrupted)
+    assert not report.ok(1e-10)
+    assert report.worst_residual != report.worst_residual  # NaN
+    assert any(v.node_id == "r" and v.mode == 0 for v in report.violations)
+
+
+# -- single backward pass -----------------------------------------------------------
+
+
+def _criterion_5_systems():
+    """The 30 random systems of acceptance criterion 5, in the same order."""
+    rng = random.Random(113)
+    return [
+        random_oblique_problem(
+            rng, d=2 if i % 3 else 3, max_depth=4, max_branching=2,
+            coupling=0.2 if i % 2 else 0.0,
+        )
+        for i in range(30)
+    ]
+
+
+def test_solve_system_agrees_with_picard(scenarios_dir):
+    problems = _criterion_5_systems() + [
+        Scenario.from_file(scenarios_dir / f"{name}.json").build_problem()
+        for name in ("decoupled", "switch2x2")
+    ]
+    for problem in problems:
+        fast = solve_system(problem, tol=1e-12)
+        oracle = picard_solve(problem, tol=1e-12)
+        for j in range(problem.d):
+            for field in ("y", "k", "a"):
+                pairs = zip(getattr(fast, field)[j].values,
+                            getattr(oracle, field)[j].values)
+                assert max(abs(x - z) for x, z in pairs) <= 1e-12
+            pairs = zip(fast.m_increments[j], oracle.m_increments[j])
+            assert max(abs(x - z) for x, z in pairs) <= 1e-12
+        assert verify_minimality(problem, fast).ok(1e-10)
+    counterexample = Scenario.from_file(
+        scenarios_dir / "counterexample.json"
+    ).build_problem()
+    for solver in (solve_system, picard_solve):
+        with pytest.raises(InvalidProblemError):
+            solver(counterexample)
+
+
+def test_solve_system_round_count_on_switch2x2(scenarios_dir):
+    problem = Scenario.from_file(scenarios_dir / "switch2x2.json").build_problem()
+    solution = solve_system(problem)
+    # constant generators: the first round leaves the corner, the second
+    # applies the obstacle, the third changes nothing
+    assert solution.sweeps == 3
+    assert solution.deltas == (0.0,)
+    assert solution.history is None
+
+
+def test_solve_system_round_budget_names_the_node():
+    problem = random_oblique_problem(random.Random(23), d=2, coupling=0.25)
+    first = problem.tree.node(max(
+        n.index for n in problem.tree.nodes if not n.is_leaf
+    ))
+    with pytest.raises(ConvergenceError) as err:
+        solve_system(problem, tol=1e-14, max_rounds=1)
+    assert f"node {first.node_id} (t={first.t})" in str(err.value)
+
+
+def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
+    problem = random_oblique_problem(random.Random(43), d=2)
+    node_id = problem.tree.node(problem.tree.root).node_id
+    monkeypatch.setattr(orbsde.oblique, "binding_graph_cycles",
+                        lambda problem, solution: [(node_id, (0, 1))])
+    for solver in (solve_system, picard_solve):
+        with pytest.raises(InternalConsistencyError) as err:
+            solver(problem)
+        assert err.value.node_id == node_id
