@@ -79,11 +79,13 @@ class BracketingError(RuntimeError):
 
 
 class NonMonotoneSweepError(RuntimeError):
-    """A Picard sweep decreased somewhere even after lowering the corner."""
+    """A Picard sweep, or a Gauss-Seidel round at one node, decreased
+    somewhere even after lowering the corner."""
 
 
 class ConvergenceError(RuntimeError):
-    """Sweep budget exhausted before the sup-norm delta reached tolerance."""
+    """Sweep (or per-node round) budget exhausted before the sup-norm
+    delta reached tolerance."""
 
 
 class InternalConsistencyError(RuntimeError):

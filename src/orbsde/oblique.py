@@ -19,7 +19,8 @@ Two solvers share the scalar projection step ``scalar._project``:
   only through the conditional expectations of its children, one backward
   pass suffices: at each parent the d-dimensional fixed point
   ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` is solved by Gauss-Seidel
-  rounds over the modes, started from a low corner of the state box.
+  rounds over the modes, started from a low corner of the state box that
+  is lowered, node by node, until it lies below the node's solution.
 * :func:`picard_solve` is the independent oracle: a monotone Picard
   iteration that starts from a subsolution built with each generator frozen
   at the low corner, then repeatedly solves the d scalar two-barrier
@@ -95,14 +96,6 @@ class CostMatrix:
         arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
-        # per time index and mode j: the (k, c[j][k]) pairs with k != j, as
-        # Python floats, which evaluate_H reads without numpy indexing
-        d = arr.shape[1]
-        self._off_diagonal = tuple(
-            tuple(tuple((k, float(c[j, k])) for k in range(d) if k != j)
-                  for j in range(d))
-            for c in arr
-        )
 
     @property
     def d(self) -> int:
@@ -167,8 +160,10 @@ def evaluate_H(costs: CostMatrix, t: int, y: Sequence[float]) -> tuple[float, ..
 
     Independent of y^j and nondecreasing in every component of y.
     """
+    c = costs.values[t]
+    d = costs.d
     return tuple(
-        float(max([y[k] - c for k, c in pairs])) for pairs in costs._off_diagonal[t]
+        max(float(y[k] - c[j, k]) for k in range(d) if k != j) for j in range(d)
     )
 
 
@@ -618,12 +613,23 @@ def solve_system(
     """One backward pass with a projected fixed point at every parent.
 
     At a parent u with ``target_j = E[Y^j_{t+1} | u] + dV^j`` the node
-    value solves ``y_j = min(U_j, max(ystar_j(y), H^j(y)))``, where
-    ``ystar_j(y)`` is the implicit root of
-    ``c - f^j(t, y with c in slot j) dt = target_j``.  Gauss-Seidel rounds
-    start from the low corner; each round projects the modes in order, with
-    the obstacle and the generator at the current row.  A node is done when
-    a round changes no component by more than ``tol``; ``ConvergenceError``
+    value is the least solution of ``y_j = min(U_j, max(ystar_j(y), H^j(y)))``,
+    where ``ystar_j(y)`` is the implicit root of
+    ``c - f^j(t, y with c in slot j) dt = target_j``.  The map is
+    nondecreasing in y, so Gauss-Seidel rounds (the modes in order, with the
+    obstacle and the generator at the current row) rise to the least fixed
+    point from a start that is a subsolution of the node's obstacle-free
+    map ``y_j -> min(U_j, ystar_j(y))``: when that map is a contraction (as
+    Lipschitz generators make it for small dt), such a start lies below its
+    fixed point and hence below the solution.  From above, the rounds could
+    stop at a larger fixed point of a zero-cost obstacle cycle or creep
+    down by twice the smallest cost per round.
+
+    The start is the low corner, lowered tenfold (at most seven times) until
+    every mode's upper-only step with the generator frozen at the corner
+    lies at or above it.  A round that still lowers a component, or a node
+    below every corner tried, raises NonMonotoneSweepError naming the node.  A node is done when a
+    round changes no component by more than ``tol``; ``ConvergenceError``
     names the node when ``max_rounds`` rounds are not enough.
 
     ``sweeps`` is the largest round count over the nodes and ``deltas``
@@ -634,9 +640,9 @@ def solve_system(
         raise InvalidProblemError(report)
     tree = problem.tree
     d = problem.d
-    dt = tree.dt
     n = tree.n_nodes
-    corner = _corner(problem, 1.0 + problem.subsolution_slack)
+    margin = 1.0 + problem.subsolution_slack
+    corner = _corner(problem, margin)
     y = [[0.0] * n for _ in range(d)]
     k = [[0.0] * n for _ in range(d)]
     a = [[0.0] * n for _ in range(d)]
@@ -649,31 +655,12 @@ def solve_system(
             for j, xi in enumerate(problem.terminal[i]):
                 y[j][i] = float(xi)
             continue
-        t = node.t
         e = [one_step_expectation(tree, y[j], i) for j in range(d)]
         targets = [e[j] + problem.v[j].out_of(i) for j in range(d)]
-        row = corner
-        pushes = [(0.0, 0.0)] * d
-        change = math.inf
-        for rounds in range(1, max_rounds + 1):
-            change = 0.0
-            for j in range(d):
-                f, target = problem.generators[j], targets[j]
-                head, tail = row[:j], row[j + 1:]
-                phi = lambda c: c - f(t, head + (c,) + tail) * dt - target  # noqa: E731
-                val, dk, da = _project(
-                    phi, target, problem.H(t, row)[j], problem.upper[j].values[i]
-                )
-                change = _worse(change, abs(val - row[j]))
-                row = head + (val,) + tail
-                pushes[j] = (dk, da)
-            if change <= tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"node {node.node_id} (t={t}): round change {change:.3g} > "
-                f"tol {tol:g} after {max_rounds} rounds"
-            )
+        start = _node_start(problem, node, targets, corner, margin)
+        row, pushes, rounds, change = _node_rounds(
+            problem, node, targets, start, tol, max_rounds
+        )
         most_rounds = max(most_rounds, rounds)
         final_change = _worse(final_change, change)
         for j in range(d):
@@ -692,6 +679,89 @@ def solve_system(
     )
     _require_acyclic(problem, result)
     return result
+
+
+def _obstacle_entry(problem: ObliqueProblem, t: int, row: Row, j: int) -> float:
+    """``H^j(t, row)``, the one entry of the obstacle that mode j's step
+    uses; the cost form computes only that entry."""
+    if problem.costs is None:
+        return problem.H(t, row)[j]
+    c = problem.costs.values[t, j]
+    return max(float(row[k] - c[k]) for k in range(problem.d) if k != j)
+
+
+def _residual(
+    problem: ObliqueProblem, t: int, target: float, j: int, row: Row
+) -> Callable[[float], float]:
+    """``c -> c - f^j(t, row with c in slot j) dt - target``."""
+    f, dt = problem.generators[j], problem.tree.dt
+    head, tail = row[:j], row[j + 1:]
+    return lambda c: c - f(t, head + (c,) + tail) * dt - target
+
+
+def _node_start(
+    problem: ObliqueProblem,
+    node: Node,
+    targets: Sequence[float],
+    corner: Row,
+    margin: float,
+) -> Row:
+    """The corner, lowered tenfold until each mode's upper-only step with
+    the generator frozen there lies at or above it (the corner lies below
+    U, so this makes it a subsolution of the node's obstacle-free map)."""
+    for attempt in range(8):
+        drop = margin * (10.0**attempt - 1.0)
+        low = tuple(c - drop for c in corner)
+        if all(
+            _residual(problem, node.t, targets[j], j, low)(low[j]) <= 0.0
+            for j in range(problem.d)
+        ):
+            return low
+    raise NonMonotoneSweepError(
+        f"node {node.node_id} (t={node.t}): below every corner tried "
+        f"(margin up to {margin * 1e7:g})"
+    )
+
+
+def _node_rounds(
+    problem: ObliqueProblem,
+    node: Node,
+    targets: Sequence[float],
+    row: Row,
+    tol: float,
+    max_rounds: int,
+) -> tuple[Row, list[tuple[float, float]], int, float]:
+    """Gauss-Seidel rounds at one parent from the subsolution ``row``.
+
+    Returns (row, (dK, dA) per mode, rounds, final-round change).
+    """
+    t = node.t
+    upper = [u.values[node.index] for u in problem.upper]
+    pushes = [(0.0, 0.0)] * problem.d
+    change = math.inf
+    for rounds in range(1, max_rounds + 1):
+        change = 0.0
+        for j in range(problem.d):
+            val, dk, da = _project(
+                _residual(problem, t, targets[j], j, row), targets[j],
+                _obstacle_entry(problem, t, row, j), upper[j],
+            )
+            rise = val - row[j]
+            # the slack of picard_solve's monotonicity check
+            if rise < -max(1e-12, 1e-13 * abs(row[j])):
+                raise NonMonotoneSweepError(
+                    f"node {node.node_id} (t={t}): round {rounds} lowered "
+                    f"mode {j} by {-rise:.3g}"
+                )
+            change = _worse(change, abs(rise))
+            row = row[:j] + (val,) + row[j + 1:]
+            pushes[j] = (dk, da)
+        if change <= tol:
+            return row, pushes, rounds, change
+    raise ConvergenceError(
+        f"node {node.node_id} (t={t}): round change {change:.3g} > "
+        f"tol {tol:g} after {max_rounds} rounds"
+    )
 
 
 def _require_acyclic(problem: ObliqueProblem, solution: SystemSolution) -> None:

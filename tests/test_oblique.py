@@ -18,8 +18,9 @@ Core claims:
       are rejected with coordinates
     - the single backward pass (solve_system) agrees with Picard at 1e-12
       on the criterion-5 systems and the bundled scenarios, takes a pinned
-      number of rounds on switch2x2, and names the node whose round budget
-      runs out
+      number of rounds on switch2x2, names the node whose round budget
+      runs out, and starts each node below its solution (deep v shocks,
+      small costs, zero-cost obstacle cycles)
     - a NaN in a solution fails verify_minimality; a binding cycle in a
       solver's output raises InternalConsistencyError with its node
 """
@@ -38,6 +39,7 @@ from orbsde import (
     EventTree,
     InternalConsistencyError,
     InvalidProblemError,
+    NonMonotoneSweepError,
     ObliqueProblem,
     PredictableIncrements,
     ScalarRBSDEProblem,
@@ -631,6 +633,101 @@ def test_solve_system_round_budget_names_the_node():
     with pytest.raises(ConvergenceError) as err:
         solve_system(problem, tol=1e-14, max_rounds=1)
     assert f"node {first.node_id} (t={first.t})" in str(err.value)
+
+
+def _deep_shock_problem(generators, shock=-10.0, **obstacle_form) -> ObliqueProblem:
+    """One step, two leaves at 0, U = 5, and v = shock into both leaves: at
+    the default shock the root sits about 9 below the low corner (-1)."""
+    tree = EventTree.binary(1, 1.0)
+    v = PredictableIncrements(
+        tree, tuple(0.0 if n.parent is None else shock for n in tree.nodes)
+    )
+    return ObliqueProblem(
+        tree=tree,
+        d=2,
+        terminal={leaf: (0.0, 0.0) for leaf in tree.leaves},
+        generators=generators,
+        v=(v, v),
+        upper=(AdaptedProcess.constant(tree, 5.0),) * 2,
+        **obstacle_form,
+    )
+
+
+def _assert_same_solution(problem, fast, oracle, gap=1e-12):
+    for j in range(problem.d):
+        for field in ("y", "k", "a"):
+            pairs = zip(getattr(fast, field)[j].values,
+                        getattr(oracle, field)[j].values)
+            assert max(abs(x - z) for x, z in pairs) <= gap
+    assert verify_minimality(problem, fast).ok(1e-10)
+
+
+SMALL_COSTS = CostMatrix.constant(1, [[0.0, 0.01], [0.01, 0.0]])
+
+
+def test_solve_system_starts_below_a_deep_node():
+    zero = lambda t, y: 0.0  # noqa: E731
+    # small costs: started at the corner, each round could only lower the
+    # row by 2c = 0.02, and the 200-round budget ran out
+    small_costs = _deep_shock_problem((zero, zero), costs=SMALL_COSTS)
+    # a zero-cost cycle H(y) = (y1, y0): every (s, s) with s >= -10 is a
+    # fixed point, and the corner start stopped at (-1, -1)
+    zero_cycle = _deep_shock_problem(
+        (zero, zero), obstacle=lambda t, y: (y[1], y[0])
+    )
+    # both modes lift each other's generator, so the root (-20, -20) lies
+    # below the start min(corner, frozen-corner step) = (-10.5, -10.5)
+    coupled = _deep_shock_problem(
+        (lambda t, y: 0.5 * y[1], lambda t, y: 0.5 * y[0]), costs=SMALL_COSTS
+    )
+    for problem, root in ((small_costs, -10.0), (zero_cycle, -10.0),
+                          (coupled, -20.0)):
+        fast = solve_system(problem, tol=1e-12)
+        oracle = picard_solve(problem, tol=1e-12)
+        _assert_same_solution(problem, fast, oracle)
+        assert fast.y_vector(problem.tree.root) == pytest.approx(
+            (root, root), abs=1e-11
+        )
+
+
+def test_solve_system_finds_the_least_point_of_a_coupled_zero_cost_cycle():
+    # every (s, s) with s >= -10 + s / 2, i.e. s >= -20, is a fixed point at
+    # the root; the solution is the least one
+    problem = _deep_shock_problem(
+        (lambda t, y: 0.5 * y[1], lambda t, y: 0.5 * y[0]),
+        obstacle=lambda t, y: (y[1], y[0]),
+    )
+    fast = solve_system(problem, tol=1e-12)
+    assert fast.y_vector(problem.tree.root) == pytest.approx(
+        (-20.0, -20.0), abs=1e-11
+    )
+    assert verify_minimality(problem, fast).ok(1e-10)
+    # Picard's corner subsolution (-10.5, -10.5) is already a fixed point
+    # here, so no sweep decreases and it stops above the least one
+    oracle = picard_solve(problem, tol=1e-12)
+    assert oracle.y_vector(problem.tree.root) == (-10.5, -10.5)
+
+
+def test_solve_system_names_a_node_below_every_corner():
+    zero = lambda t, y: 0.0  # noqa: E731
+    problem = _deep_shock_problem((zero, zero), shock=-1e9, costs=SMALL_COSTS)
+    with pytest.raises(NonMonotoneSweepError) as err:
+        solve_system(problem)
+    assert "node r (t=0): below every corner tried" in str(err.value)
+
+
+def test_solve_system_names_the_node_where_a_round_decreases(monkeypatch):
+    problem = random_oblique_problem(random.Random(23), d=2)
+    first = problem.tree.node(max(
+        n.index for n in problem.tree.nodes if not n.is_leaf
+    ))
+    # a start above the solution: the first round lowers it
+    monkeypatch.setattr(orbsde.oblique, "_node_start",
+                        lambda problem, node, targets, corner, margin:
+                        tuple(c + 100.0 for c in corner))
+    with pytest.raises(NonMonotoneSweepError) as err:
+        solve_system(problem)
+    assert f"node {first.node_id} (t={first.t}): round 1 lowered" in str(err.value)
 
 
 def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
