@@ -1,10 +1,11 @@
 """Command-line harness: solve, verify, sweep-penalization, brute-force.
 
-Exit codes: 0 success, 2 validation failure, 3 solver non-convergence
-(kind ``solver``) or a failed solver invariant (kind
-``internal-consistency``), 4 oracle mismatch beyond tolerance.  Every
-nonzero exit writes a machine-readable ``diagnostic.json`` into the output
-directory, with node and time coordinates wherever the failure has them.
+Exit codes: 0 success, 2 validation failure (kind ``usage``: a sweep budget
+below 1 or a tolerance not >= 0), 3 solver non-convergence (kind ``solver``)
+or a failed solver invariant (kind ``internal-consistency``), 4 oracle
+mismatch beyond tolerance.  Every nonzero exit writes a machine-readable
+``diagnostic.json`` into the output directory, with node and time
+coordinates wherever the failure has them.
 
 ``solve`` and ``sweep-penalization`` use the single backward pass
 (``solve_system``), where ``--tol`` and ``--max-sweeps`` bound the
@@ -33,6 +34,7 @@ from .errors import (
     NonMonotoneSweepError,
 )
 from .oblique import (
+    _check_budget,
     mode_view,
     obstacle_rows,
     picard_solve,
@@ -127,6 +129,16 @@ def main(argv=None) -> int:
         violations = getattr(err, "violations", None)
         return fail(EXIT_VALIDATION, "scenario", str(err), violations)
 
+    tol = args.tol if args.tol is not None else scenario.solver["tol"]
+    max_sweeps = (
+        args.max_sweeps if args.max_sweeps is not None
+        else scenario.solver["max_sweeps"]
+    )
+    try:
+        _check_budget(tol, max_sweeps)
+    except ValueError as err:
+        return fail(EXIT_VALIDATION, "usage", str(err))
+
     report = validate_problem(problem)
     if report:
         return fail(
@@ -135,12 +147,6 @@ def main(argv=None) -> int:
             f"{len(report)} violation(s); see diagnostic.json",
             report,
         )
-
-    tol = args.tol if args.tol is not None else scenario.solver["tol"]
-    max_sweeps = (
-        args.max_sweeps if args.max_sweeps is not None
-        else scenario.solver["max_sweeps"]
-    )
 
     try:
         if args.command == "solve":

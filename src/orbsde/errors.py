@@ -79,8 +79,8 @@ class BracketingError(RuntimeError):
 
 
 class NonMonotoneSweepError(RuntimeError):
-    """A Picard sweep, or a Gauss-Seidel round at one node, decreased
-    somewhere even after lowering the corner."""
+    """A Picard sweep or a Gauss-Seidel round decreased from a subsolution,
+    or a node lies below every corner the start rule tries."""
 
 
 class ConvergenceError(RuntimeError):

@@ -12,23 +12,22 @@ a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
 
-Two solvers share the scalar projection step ``scalar._project``:
+Two solvers share the scalar projection step ``scalar._project``, one
+backward walk over the nodes and one start rule (``_node_start``): at each
+parent, the low corner of the state box, lowered tenfold (at most seven
+times) until every mode's upper-only step with the generator frozen there
+lies at or above it.
 
 * :func:`solve_system` is the production path, the discretely reflected
   scheme of Chassagneux, Elie & Kharroubi.  Since Y_u depends on the tree
   only through the conditional expectations of its children, one backward
   pass suffices: at each parent the d-dimensional fixed point
   ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` is solved by Gauss-Seidel
-  rounds over the modes, started from a low corner of the state box that
-  is lowered, node by node, until it lies below the node's solution.
+  rounds over the modes, started from the node's start row.
 * :func:`picard_solve` is the independent oracle: a monotone Picard
-  iteration that starts from a subsolution built with each generator frozen
-  at the low corner, then repeatedly solves the d scalar two-barrier
-  problems over the whole tree with the obstacle and the generator
-  evaluated along the previous iterate.  Sweeps are nondecreasing; a
-  decrease anywhere means the corner was not low enough, in which case the
-  corner margin is scaled up tenfold and the solve restarts (at most three
-  times).
+  iteration over the whole tree, started from those frozen steps.  By
+  off-diagonal monotonicity every sweep rises, to the least solution; a
+  sweep that decreases anywhere is a fault.
 """
 
 from __future__ import annotations
@@ -186,7 +185,6 @@ class ObliqueProblem:
     upper: tuple[AdaptedProcess, ...]
     costs: CostMatrix | None = None
     obstacle: ObstacleFn | None = None
-    subsolution_slack: float = 0.0
 
     def __post_init__(self):
         if (self.costs is None) == (self.obstacle is None):
@@ -309,6 +307,11 @@ def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
     return out
 
 
+def _probe_times(tree: EventTree) -> list[int]:
+    """The time indices at which the generators are probed."""
+    return sorted({0, tree.n_steps // 2, max(tree.n_steps - 1, 0)})
+
+
 CONTINUITY_STEP = 1e-7
 
 
@@ -393,7 +396,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
                 )
 
     grid = _probe_box(problem)
-    times = sorted({0, tree.n_steps // 2, max(tree.n_steps - 1, 0)})
+    times = _probe_times(tree)
     probes = {
         (j, t): _generator_probes(f, t, grid, d)
         for j, f in enumerate(problem.generators)
@@ -445,41 +448,116 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     return out
 
 
-def _corner(problem: ObliqueProblem, margin: float) -> tuple[float, ...]:
-    """Low corner of the state box: below xi, H(U) and U by the margin."""
-    h_u = obstacle_rows(problem, list(zip(*(u.values for u in problem.upper))))
-    lows = []
-    for j in range(problem.d):
-        vals = [vec[j] for vec in problem.terminal.values()]
-        vals.extend(problem.upper[j].values)
-        vals.extend(h[j] for h in h_u)
-        lows.append(min(vals) - margin)
-    return tuple(lows)
+# the start rule: the corner, then lowered tenfold at most seven times
+_CORNER_DROPS = tuple(10.0**attempt - 1.0 for attempt in range(8))
 
 
-def build_subsolution(
-    problem: ObliqueProblem, margin: float | None = None
-) -> tuple[tuple[float, ...], list[ScalarSolution]]:
-    """Per-mode upper-barrier solves with generators frozen at a low corner.
+def _residual(
+    problem: ObliqueProblem, t: int, target: float, j: int, row: Row
+) -> Callable[[float], float]:
+    """``c -> c - f^j(t, row with c in slot j) dt - target``."""
+    f, dt = problem.generators[j], problem.tree.dt
+    head, tail = row[:j], row[j + 1:]
+    return lambda c: c - f(t, head + (c,) + tail) * dt - target
 
-    Off-diagonal monotonicity makes the frozen generator a lower bound for
-    the true one whenever the iterates stay above the corner, which is what
-    makes the result a valid starting subsolution.  Returns (corner, one
-    ScalarSolution per mode with K identically zero).
+
+def _node_start(
+    problem: ObliqueProblem,
+    node: Node,
+    targets: Sequence[float],
+    corner: Row,
+) -> Row:
+    """The first lowered corner at which each mode's upper-only step with
+    the generator frozen there lies at or above it (the corner lies below
+    U, so this makes it a subsolution of the node's obstacle-free map)."""
+    for drop in _CORNER_DROPS:
+        low = tuple(c - drop for c in corner)
+        if all(
+            _residual(problem, node.t, targets[j], j, low)(low[j]) <= 0.0
+            for j in range(problem.d)
+        ):
+            return low
+    raise NonMonotoneSweepError(
+        f"node {node.node_id} (t={node.t}): below every corner tried "
+        f"(lowered by up to {_CORNER_DROPS[-1]:g})"
+    )
+
+
+def _backward_pass(
+    problem: ObliqueProblem, node_step: Callable[[Node, list[float], Row], tuple]
+) -> tuple:
+    """Walk the nodes in reverse index order.  Leaves take their terminal
+    vector; at a parent, with ``targets[j] = E[Y^j_{t+1} | u] + dV^j``,
+    ``node_step(node, targets, start)`` returns the row Y_u, the (dK, dA)
+    pushes per mode and a note, from the :func:`_node_start` row, which
+    starts at the low corner, 1 below xi, H(U) and U.  Returns (the lowest
+    start any node took, the notes, Y, dM, K, A), the last four per mode.
     """
-    if margin is None:
-        margin = 1.0 + problem.subsolution_slack
-    corner = _corner(problem, margin)
-    rows = [corner] * problem.tree.n_nodes
-    parts: list[ScalarSolution] = []
-    for j in range(problem.d):
-        terminal, gen = mode_view(problem, rows, j)
-        parts.append(
-            _backward_solve(
-                problem.tree, terminal, gen, problem.v[j], None, problem.upper[j]
-            )
-        )
-    return corner, parts
+    tree = problem.tree
+    d = problem.d
+    n = tree.n_nodes
+    h_u = obstacle_rows(problem, list(zip(*(u.values for u in problem.upper))))
+    corner = lowest = tuple(
+        min(*(xi[j] for xi in problem.terminal.values()), *problem.upper[j].values,
+            *(h[j] for h in h_u)) - 1.0
+        for j in range(d)
+    )
+    y = [[0.0] * n for _ in range(d)]
+    k = [[0.0] * n for _ in range(d)]
+    a = [[0.0] * n for _ in range(d)]
+    m = [[0.0] * n for _ in range(d)]
+    notes = []
+    for i in range(n - 1, -1, -1):
+        node = tree.node(i)
+        if node.is_leaf:
+            for j, xi in enumerate(problem.terminal[i]):
+                y[j][i] = float(xi)
+            continue
+        e = [one_step_expectation(tree, y[j], i) for j in range(d)]
+        targets = [e[j] + problem.v[j].out_of(i) for j in range(d)]
+        start = _node_start(problem, node, targets, corner)
+        lowest = min(lowest, start)  # every start is the corner less one drop
+        row, pushes, note = node_step(node, targets, start)
+        notes.append(note)
+        for j in range(d):
+            y[j][i] = row[j]
+            for c in node.children:
+                k[j][c], a[j][c] = pushes[j]
+                m[j][c] = y[j][c] - e[j]
+    return (
+        lowest,
+        notes,
+        tuple(AdaptedProcess(tree, tuple(col)) for col in y),
+        tuple(tuple(col) for col in m),
+        tuple(PredictableIncrements(tree, tuple(col)) for col in k),
+        tuple(PredictableIncrements(tree, tuple(col)) for col in a),
+    )
+
+
+def build_subsolution(problem: ObliqueProblem) -> tuple[Row, list[ScalarSolution]]:
+    """Per-mode upper-barrier solves with each generator frozen at the
+    node's :func:`_node_start` row, which the node's value lies at or above:
+    a subsolution from which, by off-diagonal monotonicity, every Picard
+    sweep rises.  Returns (the lowest start row, one ScalarSolution per
+    mode with K identically zero).
+    """
+    def frozen_step(node, targets, start):
+        steps = [
+            _project(_residual(problem, node.t, targets[j], j, start), targets[j],
+                     None, problem.upper[j].values[node.index])
+            for j in range(problem.d)
+        ]
+        return [val for val, _, _ in steps], [(dk, da) for _, dk, da in steps], None
+
+    corner, _, y, m, k, a = _backward_pass(problem, frozen_step)
+    return corner, [ScalarSolution(*mode) for mode in zip(y, m, k, a)]
+
+
+def _check_budget(tol: float, budget: int) -> None:
+    """Reject a budget that runs no sweep and a tolerance never met."""
+    if not budget >= 1 or not tol >= 0.0:
+        raise ValueError(f"the sweep budget must be >= 1 and the tolerance "
+                         f"a number >= 0, got {budget} and {tol}")
 
 
 @dataclass(frozen=True)
@@ -512,45 +590,23 @@ def picard_solve(
     """Monotone iteration of scalar two-barrier solves; the independent
     oracle for :func:`solve_system`.
 
-    Sweep n solves, for each mode j, the scalar problem with lower barrier
-    ``H^j(Y_prev)``, upper barrier ``U^j`` and generator
-    ``c -> f^j(t, Y_prev; c)``.  Stops when the sup-norm delta over nodes
-    and modes drops to ``tol``.  Raises NonMonotoneSweepError if a sweep
-    decreases somewhere even after three corner restarts, ConvergenceError
-    if the sweep budget runs out.
+    Starts from :func:`build_subsolution`.  Sweep n solves, for each mode
+    j, the scalar problem with lower barrier ``H^j(Y_prev)``, upper barrier
+    ``U^j`` and generator ``c -> f^j(t, Y_prev; c)``.  Stops when the
+    sup-norm delta over nodes and modes drops to ``tol``.  Raises
+    NonMonotoneSweepError if a node is below every corner or a sweep
+    decreases somewhere, ConvergenceError if the sweep budget runs out.
     """
+    _check_budget(tol, max_sweeps)
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
     tree = problem.tree
     d = problem.d
-    base_margin = 1.0 + problem.subsolution_slack
-    last_error: NonMonotoneSweepError | None = None
-    for attempt in range(4):
-        margin = base_margin * (10.0**attempt)
-        try:
-            return _picard_attempt(
-                problem, tree, d, margin, tol, max_sweeps, record_history
-            )
-        except NonMonotoneSweepError as err:
-            last_error = err
-    raise last_error
-
-
-def _picard_attempt(
-    problem: ObliqueProblem,
-    tree: EventTree,
-    d: int,
-    margin: float,
-    tol: float,
-    max_sweeps: int,
-    record_history: bool,
-) -> SystemSolution:
-    corner, parts = build_subsolution(problem, margin)
+    corner, parts = build_subsolution(problem)
     prev = [tuple(p.y.values) for p in parts]
     deltas: list[float] = []
     history: list[tuple] = []
-    solutions = parts
     for sweep in range(1, max_sweeps + 1):
         prev_rows = list(zip(*prev))
         h_rows = obstacle_rows(problem, prev_rows)
@@ -576,8 +632,7 @@ def _picard_attempt(
         # root-finder ulp noise when a deep corner inflates the iterates
         if rise_floor < -max(1e-12, 1e-13 * scale):
             raise NonMonotoneSweepError(
-                f"sweep {sweep} decreased by {-rise_floor:.3g} "
-                f"(corner margin {margin:g} too small)"
+                f"sweep {sweep} decreased by {-rise_floor:.3g}"
             )
         deltas.append(delta)
         if record_history:
@@ -625,56 +680,27 @@ def solve_system(
     stop at a larger fixed point of a zero-cost obstacle cycle or creep
     down by twice the smallest cost per round.
 
-    The start is the low corner, lowered tenfold (at most seven times) until
-    every mode's upper-only step with the generator frozen at the corner
-    lies at or above it.  A round that still lowers a component, or a node
-    below every corner tried, raises NonMonotoneSweepError naming the node.  A node is done when a
-    round changes no component by more than ``tol``; ``ConvergenceError``
-    names the node when ``max_rounds`` rounds are not enough.
+    The start is the :func:`_node_start` row.  A round that still lowers a
+    component, or a node below every corner tried, raises
+    NonMonotoneSweepError naming the node.  A node is done when a round
+    changes no component by more than ``tol``; ``ConvergenceError`` names
+    the node when ``max_rounds`` rounds are not enough.
 
     ``sweeps`` is the largest round count over the nodes and ``deltas``
     holds the largest final-round change; there is no history.
     """
+    _check_budget(tol, max_rounds)
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
-    tree = problem.tree
-    d = problem.d
-    n = tree.n_nodes
-    margin = 1.0 + problem.subsolution_slack
-    corner = _corner(problem, margin)
-    y = [[0.0] * n for _ in range(d)]
-    k = [[0.0] * n for _ in range(d)]
-    a = [[0.0] * n for _ in range(d)]
-    m = [[0.0] * n for _ in range(d)]
-    most_rounds = 0
-    final_change = 0.0
-    for i in range(n - 1, -1, -1):
-        node = tree.node(i)
-        if node.is_leaf:
-            for j, xi in enumerate(problem.terminal[i]):
-                y[j][i] = float(xi)
-            continue
-        e = [one_step_expectation(tree, y[j], i) for j in range(d)]
-        targets = [e[j] + problem.v[j].out_of(i) for j in range(d)]
-        start = _node_start(problem, node, targets, corner, margin)
-        row, pushes, rounds, change = _node_rounds(
-            problem, node, targets, start, tol, max_rounds
-        )
-        most_rounds = max(most_rounds, rounds)
-        final_change = _worse(final_change, change)
-        for j in range(d):
-            y[j][i] = row[j]
-            for c in node.children:
-                k[j][c], a[j][c] = pushes[j]
-                m[j][c] = y[j][c] - e[j]
+    corner, stats, y, m, k, a = _backward_pass(
+        problem, lambda node, targets, start:
+        _node_rounds(problem, node, targets, start, tol, max_rounds)
+    )
     result = SystemSolution(
-        y=tuple(AdaptedProcess(tree, tuple(col)) for col in y),
-        m_increments=tuple(tuple(col) for col in m),
-        k=tuple(PredictableIncrements(tree, tuple(col)) for col in k),
-        a=tuple(PredictableIncrements(tree, tuple(col)) for col in a),
-        sweeps=most_rounds,
-        deltas=(final_change,),
+        y=y, m_increments=m, k=k, a=a,
+        sweeps=max((rounds for rounds, _ in stats), default=0),
+        deltas=(functools.reduce(_worse, (change for _, change in stats), 0.0),),
         corner=corner,
     )
     _require_acyclic(problem, result)
@@ -690,39 +716,6 @@ def _obstacle_entry(problem: ObliqueProblem, t: int, row: Row, j: int) -> float:
     return max(float(row[k] - c[k]) for k in range(problem.d) if k != j)
 
 
-def _residual(
-    problem: ObliqueProblem, t: int, target: float, j: int, row: Row
-) -> Callable[[float], float]:
-    """``c -> c - f^j(t, row with c in slot j) dt - target``."""
-    f, dt = problem.generators[j], problem.tree.dt
-    head, tail = row[:j], row[j + 1:]
-    return lambda c: c - f(t, head + (c,) + tail) * dt - target
-
-
-def _node_start(
-    problem: ObliqueProblem,
-    node: Node,
-    targets: Sequence[float],
-    corner: Row,
-    margin: float,
-) -> Row:
-    """The corner, lowered tenfold until each mode's upper-only step with
-    the generator frozen there lies at or above it (the corner lies below
-    U, so this makes it a subsolution of the node's obstacle-free map)."""
-    for attempt in range(8):
-        drop = margin * (10.0**attempt - 1.0)
-        low = tuple(c - drop for c in corner)
-        if all(
-            _residual(problem, node.t, targets[j], j, low)(low[j]) <= 0.0
-            for j in range(problem.d)
-        ):
-            return low
-    raise NonMonotoneSweepError(
-        f"node {node.node_id} (t={node.t}): below every corner tried "
-        f"(margin up to {margin * 1e7:g})"
-    )
-
-
 def _node_rounds(
     problem: ObliqueProblem,
     node: Node,
@@ -730,15 +723,14 @@ def _node_rounds(
     row: Row,
     tol: float,
     max_rounds: int,
-) -> tuple[Row, list[tuple[float, float]], int, float]:
+) -> tuple[Row, list[tuple[float, float]], tuple[int, float]]:
     """Gauss-Seidel rounds at one parent from the subsolution ``row``.
 
-    Returns (row, (dK, dA) per mode, rounds, final-round change).
+    Returns (row, (dK, dA) per mode, (rounds, final-round change)).
     """
     t = node.t
     upper = [u.values[node.index] for u in problem.upper]
     pushes = [(0.0, 0.0)] * problem.d
-    change = math.inf
     for rounds in range(1, max_rounds + 1):
         change = 0.0
         for j in range(problem.d):
@@ -757,7 +749,7 @@ def _node_rounds(
             row = row[:j] + (val,) + row[j + 1:]
             pushes[j] = (dk, da)
         if change <= tol:
-            return row, pushes, rounds, change
+            return row, pushes, (rounds, change)
     raise ConvergenceError(
         f"node {node.node_id} (t={t}): round change {change:.3g} > "
         f"tol {tol:g} after {max_rounds} rounds"

@@ -18,12 +18,13 @@ Schema (format 1), fully documented in the README:
     barriers       one upper-barrier spec per mode: constant | linear | table
     terminal       {"kind": "table" | "price-affine", ...}
     v_increments   optional, per mode: {parent node id: edge increment}
-    solver         tolerances, sweep budget, enumeration caps, corner slack
+    solver         tolerance, sweep budget, enumeration caps
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -40,7 +41,6 @@ SOLVER_DEFAULTS = {
     "stopping_depth_cap": 4,
     "stopping_count_cap": 10**6,
     "strategy_cap": 10**6,
-    "subsolution_slack": 0.0,
 }
 
 PENALTY_LADDER = (1.0, 10.0, 100.0, 1000.0, 1e6)
@@ -102,7 +102,7 @@ class Scenario:
         _require(d >= 2, "need at least two modes")
 
         tree_spec = cls._parse_tree(raw["tree"])
-        gens = [cls._parse_generator(g, d) for g in raw["generators"]]
+        gens = [cls._parse_generator(g, d, i) for i, g in enumerate(raw["generators"])]
         _require(len(gens) == d, "one generator spec per mode required")
         costs = raw["costs"]
         _require(
@@ -192,7 +192,7 @@ class Scenario:
         raise ScenarioError(f"unknown tree kind {kind!r}")
 
     @staticmethod
-    def _parse_generator(spec: Mapping, d: int) -> dict:
+    def _parse_generator(spec: Mapping, d: int, index: int) -> dict:
         _require(isinstance(spec, Mapping), "generator must be an object")
         fam = spec.get("family")
         if fam == "constant":
@@ -213,8 +213,12 @@ class Scenario:
             grid = [float(x) for x in spec["grid"]]
             values = [[float(v) for v in row] for row in spec["values"]]
             _require(len(times) >= 1 and len(grid) >= 2, "table too small")
-            _require(sorted(times) == times, "table times must be ascending")
-            _require(sorted(grid) == grid, "table grid must be ascending")
+            for name, knots in (("times", times), ("grid", grid)):
+                _require(
+                    all(map(math.isfinite, knots))
+                    and all(a <= b for a, b in zip(knots, knots[1:])),
+                    f"generator {index}: table {name} must be finite and ascending",
+                )
             _require(len(values) == len(times), "one value row per time")
             for i, row in enumerate(values):
                 _require(len(row) == len(grid), "row length must match grid")
@@ -361,7 +365,6 @@ class Scenario:
             v=tuple(v),
             upper=upper,
             costs=costs,
-            subsolution_slack=self.solver["subsolution_slack"],
         )
 
 

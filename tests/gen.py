@@ -8,6 +8,7 @@ test pins its own seed.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from orbsde import (
@@ -150,6 +151,7 @@ def random_oblique_problem(
     coupling: float = 0.0,
     drift_scale: float = 0.5,
     cost_band: tuple[float, float] = (0.8, 1.2),
+    v_scale: float = 0.15,
 ) -> ObliqueProblem:
     """Random system satisfying every structural hypothesis by construction.
 
@@ -201,7 +203,7 @@ def random_oblique_problem(
             gens.append(gen)
         else:
             gens.append(lambda t, y, _a=a, _b=b, _j=j: _a - _b * y[_j])
-    v = tuple(random_v(rng, tree, scale=0.15) for _ in range(d))
+    v = tuple(random_v(rng, tree, scale=v_scale) for _ in range(d))
     return ObliqueProblem(
         tree=tree,
         d=d,
@@ -210,4 +212,29 @@ def random_oblique_problem(
         v=v,
         upper=upper,
         costs=costs,
+    )
+
+
+def zero_cost_cycle(problem: ObliqueProblem) -> ObliqueProblem:
+    """Mode 0's data in every mode under the general obstacle
+    H^j(y) = y^(j+1 mod d), a zero-cost cycle through every mode.
+
+    Mode j's generator is mode 0's with the components rotated so that y^j
+    takes the place of y^0.  The system is then symmetric under the
+    rotation, H(U) <= U and the terminal sandwich hold with equality, and
+    every (s, ..., s) above the least solution's root can be a fixed point
+    there: the case where a solver started too high stops too high.
+    """
+    d = problem.d
+    f = problem.generators[0]
+    return dataclasses.replace(
+        problem,
+        costs=None,
+        obstacle=lambda t, y: tuple(y[(j + 1) % d] for j in range(d)),
+        generators=tuple(
+            lambda t, y, _j=j: f(t, tuple(y[_j:]) + tuple(y[:_j])) for j in range(d)
+        ),
+        v=(problem.v[0],) * d,
+        upper=(problem.upper[0],) * d,
+        terminal={leaf: (xi[0],) * d for leaf, xi in problem.terminal.items()},
     )

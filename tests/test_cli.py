@@ -13,6 +13,10 @@ Core claims:
       increment all exit 2 with coordinates
     - a failed solver invariant (binding cycle, binding obstacle with no
       attaining mode) exits 3 with kind internal-consistency and its node
+    - a sweep budget below 1 or a NaN or negative tolerance, from a flag
+      or the scenario, exits 2 with kind usage; the removed solver option
+      subsolution_slack exits 2 as unknown; a NaN, infinite or descending
+      table knot exits 2 naming the generator
     - the bundled no-solution discretization exits 2 pinpointing every node
       with the obstacle above the barrier; the bundled decoupled scenario's
       roots equal per-mode upper solves; the bundled switching scenario's
@@ -280,6 +284,42 @@ def test_non_convergence_exits_3(scenarios_dir, tmp_path):
     assert read_json(out / "diagnostic.json")["error"]["kind"] == "solver"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep-penalization"])
+@pytest.mark.parametrize("flags, solver", [
+    (["--max-sweeps", 0], None),
+    (["--max-sweeps", -2], None),
+    (["--tol", "nan"], None),
+    (["--tol=-1e-10"], None),
+    ([], {"max_sweeps": 0}),
+    ([], {"tol": float("nan")}),
+])
+def test_bad_budget_or_tolerance_exits_2(scenarios_dir, tmp_path, command,
+                                         flags, solver):
+    # these ended in an IndexError traceback (verify) or exit 3 (solve)
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    if solver is not None:
+        spec["solver"] = solver
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run(command, path, "--out", out, *flags) == 2
+    error = read_json(out / "diagnostic.json")["error"]
+    assert error["kind"] == "usage"
+    assert "sweep budget must be >= 1" in error["detail"]
+
+
+def test_removed_subsolution_slack_option_exits_2(scenarios_dir, tmp_path):
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    spec["solver"] = {"subsolution_slack": 5.0}
+    path = tmp_path / "slack.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out) == 2
+    error = read_json(out / "diagnostic.json")["error"]
+    assert error["kind"] == "scenario"
+    assert "unknown solver option 'subsolution_slack'" in error["detail"]
+
+
 def test_brute_force_cap_exits_2(tmp_path):
     spec = {
         "format": 1,
@@ -407,6 +447,31 @@ def test_explicit_tree_and_table_specs(tmp_path):
     spec["generators"][0]["values"][0] = [0.1, 0.5, -0.4]
     path.write_text(json.dumps(spec))
     assert run("solve", path, "--out", out) == 2
+
+
+@pytest.mark.parametrize("field, knots", [
+    ("times", [0.0, float("nan")]),
+    ("times", [float("-inf"), 0.0]),
+    ("grid", [-1.0, float("nan")]),
+    ("grid", [float("nan"), 1.0]),
+    ("grid", [-1.0, float("inf")]),
+    ("grid", [1.0, -1.0]),
+])
+def test_non_finite_or_descending_table_knots_exit_2(scenarios_dir, tmp_path,
+                                                     field, knots):
+    # a NaN knot passed the old sorted(...) == ... check, and solve exited 0
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    table = {"family": "table", "times": [0.0, 1.0], "grid": [-1.0, 1.0],
+             "values": [[0.1, 0.0], [0.1, 0.0]]}
+    table[field] = knots
+    spec["generators"][1] = table
+    path = tmp_path / "knots.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out) == 2
+    error = read_json(out / "diagnostic.json")["error"]
+    assert error["kind"] == "scenario"
+    assert f"generator 1: table {field} must be finite and ascending" in error["detail"]
 
 
 def test_brute_force_dump_matches_library(scenarios_dir, tmp_path):

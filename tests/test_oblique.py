@@ -17,10 +17,13 @@ Core claims:
       dt, costs, barriers, terminals, v increments and generator values
       are rejected with coordinates
     - the single backward pass (solve_system) agrees with Picard at 1e-12
-      on the criterion-5 systems and the bundled scenarios, takes a pinned
-      number of rounds on switch2x2, names the node whose round budget
-      runs out, and starts each node below its solution (deep v shocks,
-      small costs, zero-cost obstacle cycles)
+      on the criterion-5 systems, the bundled scenarios and random systems
+      (coupled generators, deep v shocks, zero-cost obstacle cycles), or
+      both raise the same error; it takes a pinned number of rounds on
+      switch2x2, names the node whose round budget runs out, and both
+      solvers start each node below its solution, so both find the least
+      point of a coupled zero-cost cycle
+    - a sweep budget below 1 or a NaN or negative tolerance is a ValueError
     - a NaN in a solution fails verify_minimality; a binding cycle in a
       solver's output raises InternalConsistencyError with its node
 """
@@ -31,10 +34,13 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbsde.oblique
 from orbsde import (
     AdaptedProcess,
+    BracketingError,
     ConvergenceError,
     EventTree,
     InternalConsistencyError,
@@ -53,7 +59,7 @@ from orbsde import (
 )
 from orbsde.oblique import CostMatrix, MokobodzkiWitness, SystemSolution
 from orbsde.scenario import Scenario
-from gen import random_oblique_problem
+from gen import random_oblique_problem, zero_cost_cycle
 
 BIG = 1e6
 
@@ -314,10 +320,10 @@ def test_sweep_budget_exhaustion_raises():
         picard_solve(problem, tol=1e-14, max_sweeps=1)
 
 
-def test_corner_restart_recovers_from_shallow_subsolution():
+def test_corner_lowered_below_a_shallow_subsolution():
     # strong negative drift with mild coupling: the first corners are too
-    # shallow (the frozen-corner solve dives below them, making a sweep
-    # decrease), and the x10 margin restarts recover
+    # shallow (the frozen-corner solve dives below them, and a sweep from
+    # there would decrease), so build_subsolution lowers the corner
     tree = EventTree.chain(2, 1.0)
     problem = ObliqueProblem(
         tree=tree,
@@ -335,26 +341,18 @@ def test_corner_restart_recovers_from_shallow_subsolution():
         costs=CostMatrix.constant(tree.n_steps, [[0.0, 0.5], [0.5, 0.0]]),
     )
     solution = picard_solve(problem, tol=1e-10)
-    assert min(solution.corner) <= -50.0  # a restarted margin was needed
+    assert min(solution.corner) <= -50.0  # a lowered corner was needed
     report = verify_minimality(problem, solution)
     assert report.ok(1e-10)
 
 
-def test_two_different_corners_same_limit():
+def test_two_different_corners_same_limit(monkeypatch):
     rng = random.Random(29)
     problem = random_oblique_problem(rng, d=2, coupling=0.0)
-    deeper = ObliqueProblem(
-        tree=problem.tree,
-        d=2,
-        terminal=problem.terminal,
-        generators=problem.generators,
-        v=problem.v,
-        upper=problem.upper,
-        costs=problem.costs,
-        subsolution_slack=5.0,
-    )
     s1 = picard_solve(problem, tol=1e-12)
-    s2 = picard_solve(deeper, tol=1e-12)
+    # start from a corner 5 deeper than the first one tried
+    monkeypatch.setattr(orbsde.oblique, "_CORNER_DROPS", (5.0,))
+    s2 = picard_solve(problem, tol=1e-12)
     assert s1.corner != s2.corner
     for j in range(2):
         gap = max(
@@ -702,10 +700,55 @@ def test_solve_system_finds_the_least_point_of_a_coupled_zero_cost_cycle():
         (-20.0, -20.0), abs=1e-11
     )
     assert verify_minimality(problem, fast).ok(1e-10)
-    # Picard's corner subsolution (-10.5, -10.5) is already a fixed point
-    # here, so no sweep decreases and it stops above the least one
+    # Picard's start lies at or above each node's start row, hence below
+    # the least fixed point, and the sweeps rise to it
     oracle = picard_solve(problem, tol=1e-12)
-    assert oracle.y_vector(problem.tree.root) == (-10.5, -10.5)
+    assert oracle.y_vector(problem.tree.root) == pytest.approx(
+        (-20.0, -20.0), abs=1e-11
+    )
+    _assert_same_solution(problem, fast, oracle)
+
+
+SOLVER_ERRORS = (ConvergenceError, NonMonotoneSweepError, BracketingError,
+                 InvalidProblemError, InternalConsistencyError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 3),
+    coupling=st.sampled_from([0.0, 0.3, 0.9]),
+    v_scale=st.sampled_from([0.15, 3.0, 20.0]),
+    cycle=st.booleans(),
+)
+def test_solvers_agree_on_random_systems(seed, d, coupling, v_scale, cycle):
+    # with deep v shocks and a coupled zero-cost cycle, a start above the
+    # least solution can be a fixed point: no sweep or round falls from it
+    problem = random_oblique_problem(
+        random.Random(seed), d=d, coupling=coupling, v_scale=v_scale
+    )
+    if cycle:
+        problem = zero_cost_cycle(problem)
+    outcomes = []
+    for solver in (solve_system, picard_solve):
+        try:
+            outcomes.append(solver(problem, tol=1e-13))
+        except SOLVER_ERRORS as err:
+            outcomes.append(type(err))
+    fast, oracle = outcomes
+    if isinstance(fast, type) or isinstance(oracle, type):
+        assert fast == oracle
+    else:
+        _assert_same_solution(problem, fast, oracle)
+
+
+def test_solvers_reject_a_budget_below_one_or_a_nan_tolerance():
+    problem = random_oblique_problem(random.Random(23), d=2)
+    for solver in (solve_system, picard_solve):
+        for tol, budget in ((1e-10, 0), (1e-10, -3), (float("nan"), 200),
+                            (-1.0, 200)):
+            with pytest.raises(ValueError, match="sweep budget must be >= 1"):
+                solver(problem, tol, budget)
 
 
 def test_solve_system_names_a_node_below_every_corner():
@@ -716,6 +759,14 @@ def test_solve_system_names_a_node_below_every_corner():
     assert "node r (t=0): below every corner tried" in str(err.value)
 
 
+def test_picard_names_a_node_below_every_corner():
+    zero = lambda t, y: 0.0  # noqa: E731
+    problem = _deep_shock_problem((zero, zero), shock=-1e9, costs=SMALL_COSTS)
+    with pytest.raises(NonMonotoneSweepError) as err:
+        picard_solve(problem)
+    assert "node r (t=0): below every corner tried" in str(err.value)
+
+
 def test_solve_system_names_the_node_where_a_round_decreases(monkeypatch):
     problem = random_oblique_problem(random.Random(23), d=2)
     first = problem.tree.node(max(
@@ -723,7 +774,7 @@ def test_solve_system_names_the_node_where_a_round_decreases(monkeypatch):
     ))
     # a start above the solution: the first round lowers it
     monkeypatch.setattr(orbsde.oblique, "_node_start",
-                        lambda problem, node, targets, corner, margin:
+                        lambda problem, node, targets, corner:
                         tuple(c + 100.0 for c in corner))
     with pytest.raises(NonMonotoneSweepError) as err:
         solve_system(problem)

@@ -11,6 +11,8 @@ Core claims:
     - the one discrete boundary case: a K-push at the start node is worth
       exactly the push, and strategies pinned to the start mode miss it
     - dominance, cost monotonicity, no immediate return switches
+    - a generator is coupled when a moved-component row of the validator's
+      probe table is not constant, NaN included
 """
 
 from __future__ import annotations
@@ -178,6 +180,30 @@ def test_coupled_generators_rejected():
         solve_for_strategy(
             problem, constant_strategy(problem, problem.tree.root, 0)
         )
+
+
+def test_decoupling_verdict_reads_the_validator_probe_table():
+    import dataclasses
+    import math
+
+    from orbsde.switching import decoupling_violations
+
+    problem = small_problem(random.Random(5))
+    assert decoupling_violations(problem) == []
+
+    def with_gen0(f):
+        return dataclasses.replace(
+            problem, generators=(f,) + problem.generators[1:]
+        )
+
+    coupled = with_gen0(lambda t, y: -y[0] + 0.1 * y[1])
+    found = decoupling_violations(coupled)
+    assert found and {v.mode for v in found} == {0}
+    assert found[0].message == "f^0 depends on component 1"
+    # NaN at the top of a moved row counts as coupled (max and min of the
+    # row would skip it and call the row constant)
+    nan_off = with_gen0(lambda t, y: math.nan if y[1] > y[0] else -y[0])
+    assert decoupling_violations(nan_off)
 
 
 # -- enumeration ------------------------------------------------------------------
