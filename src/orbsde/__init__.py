@@ -31,7 +31,6 @@ from .errors import (
 from .oblique import (
     CostMatrix,
     MinimalityReport,
-    MokobodzkiWitness,
     ObliqueProblem,
     SystemSolution,
     build_subsolution,

@@ -12,20 +12,26 @@ a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
 
-Two solvers share the scalar projection step ``scalar._project``, one
-backward walk over the nodes and one start rule (``_node_start``): at each
-parent, the low corner of the state box, lowered tenfold (at most seven
-times) until every mode's upper-only step with the generator frozen there
-lies at or above it.
+Two solvers share the scalar projection step ``scalar._project``, the
+package's one backward walk ``scalar._backward_solve`` over the d modes,
+and one start rule (``_node_start``): at each parent, the low corner of
+the state box, lowered tenfold (at most seven times) until every mode's
+upper-only step with the generator frozen there lies at or above it.
+Each solver is the walk with its own step:
 
 * :func:`solve_system` is the production path, the discretely reflected
   scheme of Chassagneux, Elie & Kharroubi.  Since Y_u depends on the tree
-  only through the conditional expectations of its children, one backward
-  pass suffices: at each parent the d-dimensional fixed point
-  ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` is solved by Gauss-Seidel
-  rounds over the modes, started from the node's start row.
+  only through the conditional expectations of its children, one walk
+  suffices: its step solves the d-dimensional fixed point
+  ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` at each parent by
+  Gauss-Seidel rounds over the modes (``_node_rounds``), started from the
+  node's start row.
 * :func:`picard_solve` is the independent oracle: a monotone Picard
-  iteration over the whole tree, started from those frozen steps.  By
+  iteration over the whole tree.  The subsolution and every sweep are one
+  walk each with the frozen step (``_frozen_step``: every mode projected
+  with the generator frozen at a row), frozen at the node's start row
+  with no lower barrier for the subsolution, and at the previous sweep's
+  row with lower barrier ``H(t, previous row)`` for a sweep.  By
   off-diagonal monotonicity every sweep rises, to the least solution; a
   sweep that decreases anywhere is a fault.
 """
@@ -48,19 +54,12 @@ from .errors import (
     Violation,
 )
 from .scalar import NodeGeneratorFn, ScalarSolution, _backward_solve, _project
-from .tree import (
-    AdaptedProcess,
-    EventTree,
-    Node,
-    PredictableIncrements,
-    one_step_expectation,
-)
+from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
 
 __all__ = [
     "CostMatrix",
     "ObliqueProblem",
     "SystemSolution",
-    "MokobodzkiWitness",
     "MinimalityReport",
     "evaluate_H",
     "obstacle_rows",
@@ -195,9 +194,6 @@ class ObliqueProblem:
             return evaluate_H(self.costs, t, y)
         return tuple(self.obstacle(t, y))
 
-    def xi(self, leaf: int, j: int) -> float:
-        return self.terminal[leaf][j]
-
 
 Row = tuple[float, ...]
 
@@ -224,49 +220,6 @@ def mode_view(
         return f(node.t, row[:j] + (c,) + row[j + 1:])
 
     return terminal, gen
-
-
-@dataclass(frozen=True)
-class MokobodzkiWitness:
-    """Adapted vector process squeezed between H(U) and U.
-
-    On a finite tree any adapted process splits into martingale plus
-    predictable bounded-variation parts, hence is a difference of
-    supermartingales; existence of a witness is therefore equivalent to
-    H(U) <= U pointwise, with X = U itself the canonical witness.
-    """
-
-    x: tuple[AdaptedProcess, ...]
-
-    def violations(self, problem: ObliqueProblem) -> list[Violation]:
-        out: list[Violation] = []
-        tree = problem.tree
-        for n in tree.nodes:
-            u_vec = tuple(problem.upper[j].values[n.index] for j in range(problem.d))
-            h_u = problem.H(n.t, u_vec)
-            for j in range(problem.d):
-                xj = self.x[j].values[n.index]
-                if h_u[j] > xj + 1e-12:
-                    out.append(
-                        Violation(
-                            "mokobodzki",
-                            f"H^{j}(U) = {h_u[j]:.17g} > X^{j} = {xj:.17g}",
-                            n.node_id, n.t, j,
-                        )
-                    )
-                if xj > u_vec[j] + 1e-12:
-                    out.append(
-                        Violation(
-                            "mokobodzki",
-                            f"X^{j} = {xj:.17g} > U^{j} = {u_vec[j]:.17g}",
-                            n.node_id, n.t, j,
-                        )
-                    )
-        return out
-
-
-def default_witness(problem: ObliqueProblem) -> MokobodzkiWitness:
-    return MokobodzkiWitness(x=problem.upper)
 
 
 def _probe_box(problem: ObliqueProblem) -> list[float]:
@@ -365,7 +318,14 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     out.extend(_non_finite_data(problem))
     if any(v.code == "non-finite" for v in out):
         return out
-    out.extend(default_witness(problem).violations(problem))
+    for n in tree.nodes:  # Mokobodzki, with U itself the witness X
+        u_vec = tuple(problem.upper[j].values[n.index] for j in range(d))
+        out.extend(
+            Violation("mokobodzki", f"H^{j}(U) = {h:.17g} > X^{j} = {u:.17g}",
+                      n.node_id, n.t, j)
+            for j, (h, u) in enumerate(zip(problem.H(n.t, u_vec), u_vec))
+            if h > u + 1e-12
+        )
 
     for leaf in tree.leaves:
         if leaf not in problem.terminal:
@@ -483,74 +443,62 @@ def _node_start(
     )
 
 
-def _backward_pass(
-    problem: ObliqueProblem, node_step: Callable[[Node, list[float], Row], tuple]
-) -> tuple:
-    """Walk the nodes in reverse index order.  Leaves take their terminal
-    vector; at a parent, with ``targets[j] = E[Y^j_{t+1} | u] + dV^j``,
-    ``node_step(node, targets, start)`` returns the row Y_u, the (dK, dA)
-    pushes per mode and a note, from the :func:`_node_start` row, which
-    starts at the low corner, 1 below xi, H(U) and U.  Returns (the lowest
-    start any node took, the notes, Y, dM, K, A), the last four per mode.
-    """
-    tree = problem.tree
-    d = problem.d
-    n = tree.n_nodes
+def _frozen_step(
+    problem: ObliqueProblem,
+    node: Node,
+    targets: Sequence[float],
+    row: Row,
+    lower: Row | None,
+) -> tuple[Row, list[tuple[float, float]]]:
+    """Every mode's step with the generator frozen at ``row``, projected
+    into [``lower[j]``, U^j] (no lower barrier when ``lower`` is None).
+    Within the step the modes are independent, as in a Jacobi sweep."""
+    steps = [
+        _project(_residual(problem, node.t, targets[j], j, row), targets[j],
+                 lower[j] if lower is not None else None,
+                 problem.upper[j].values[node.index])
+        for j in range(problem.d)
+    ]
+    return tuple(val for val, _, _ in steps), [(dk, da) for _, dk, da in steps]
+
+
+def _walk_from_starts(
+    problem: ObliqueProblem, step: Callable[[Node, list[float], Row], tuple]
+) -> tuple[Row, tuple[ScalarSolution, ...]]:
+    """The backward walk with the start rule: the corner (1 below xi, H(U)
+    and U) computed once, and at each parent ``step(node, targets, start)``
+    run from the :func:`_node_start` row.  Returns (the lowest start any
+    node took, one ScalarSolution per mode)."""
     h_u = obstacle_rows(problem, list(zip(*(u.values for u in problem.upper))))
-    corner = lowest = tuple(
+    corner = tuple(
         min(*(xi[j] for xi in problem.terminal.values()), *problem.upper[j].values,
             *(h[j] for h in h_u)) - 1.0
-        for j in range(d)
+        for j in range(problem.d)
     )
-    y = [[0.0] * n for _ in range(d)]
-    k = [[0.0] * n for _ in range(d)]
-    a = [[0.0] * n for _ in range(d)]
-    m = [[0.0] * n for _ in range(d)]
-    notes = []
-    for i in range(n - 1, -1, -1):
-        node = tree.node(i)
-        if node.is_leaf:
-            for j, xi in enumerate(problem.terminal[i]):
-                y[j][i] = float(xi)
-            continue
-        e = [one_step_expectation(tree, y[j], i) for j in range(d)]
-        targets = [e[j] + problem.v[j].out_of(i) for j in range(d)]
+    lowest = [corner]
+
+    def started(node: Node, targets: list[float]):
         start = _node_start(problem, node, targets, corner)
-        lowest = min(lowest, start)  # every start is the corner less one drop
-        row, pushes, note = node_step(node, targets, start)
-        notes.append(note)
-        for j in range(d):
-            y[j][i] = row[j]
-            for c in node.children:
-                k[j][c], a[j][c] = pushes[j]
-                m[j][c] = y[j][c] - e[j]
-    return (
-        lowest,
-        notes,
-        tuple(AdaptedProcess(tree, tuple(col)) for col in y),
-        tuple(tuple(col) for col in m),
-        tuple(PredictableIncrements(tree, tuple(col)) for col in k),
-        tuple(PredictableIncrements(tree, tuple(col)) for col in a),
-    )
+        lowest[0] = min(lowest[0], start)  # every start is the corner less one drop
+        return step(node, targets, start)
+
+    parts = _backward_solve(problem.tree, problem.terminal, problem.v, started)
+    return lowest[0], parts
 
 
-def build_subsolution(problem: ObliqueProblem) -> tuple[Row, list[ScalarSolution]]:
+def build_subsolution(
+    problem: ObliqueProblem,
+) -> tuple[Row, tuple[ScalarSolution, ...]]:
     """Per-mode upper-barrier solves with each generator frozen at the
     node's :func:`_node_start` row, which the node's value lies at or above:
     a subsolution from which, by off-diagonal monotonicity, every Picard
     sweep rises.  Returns (the lowest start row, one ScalarSolution per
     mode with K identically zero).
     """
-    def frozen_step(node, targets, start):
-        steps = [
-            _project(_residual(problem, node.t, targets[j], j, start), targets[j],
-                     None, problem.upper[j].values[node.index])
-            for j in range(problem.d)
-        ]
-        return [val for val, _, _ in steps], [(dk, da) for _, dk, da in steps], None
-
-    corner, _, y, m, k, a = _backward_pass(problem, frozen_step)
-    return corner, [ScalarSolution(*mode) for mode in zip(y, m, k, a)]
+    return _walk_from_starts(
+        problem,
+        lambda node, targets, start: _frozen_step(problem, node, targets, start, None),
+    )
 
 
 def _check_budget(tol: float, budget: int) -> None:
@@ -573,6 +521,17 @@ class SystemSolution:
     corner: tuple[float, ...] = ()
     history: tuple | None = None
 
+    @classmethod
+    def from_parts(cls, parts: Sequence[ScalarSolution], **log) -> "SystemSolution":
+        """The system assembled from one ScalarSolution per mode."""
+        return cls(
+            y=tuple(p.y for p in parts),
+            m_increments=tuple(p.m_increments for p in parts),
+            k=tuple(p.k for p in parts),
+            a=tuple(p.a for p in parts),
+            **log,
+        )
+
     def y_vector(self, u: int) -> tuple[float, ...]:
         return tuple(yj.values[u] for yj in self.y)
 
@@ -587,12 +546,13 @@ def picard_solve(
     max_sweeps: int = 200,
     record_history: bool = False,
 ) -> SystemSolution:
-    """Monotone iteration of scalar two-barrier solves; the independent
+    """Monotone iteration of frozen two-barrier walks; the independent
     oracle for :func:`solve_system`.
 
-    Starts from :func:`build_subsolution`.  Sweep n solves, for each mode
-    j, the scalar problem with lower barrier ``H^j(Y_prev)``, upper barrier
-    ``U^j`` and generator ``c -> f^j(t, Y_prev; c)``.  Stops when the
+    Starts from :func:`build_subsolution`.  Sweep n is one backward walk
+    whose step projects every mode j, with generator
+    ``c -> f^j(t, Y_prev; c)``, into [``H^j(t, Y_prev)``, ``U^j``]: the
+    modes stay independent within a sweep (Jacobi).  Stops when the
     sup-norm delta over nodes and modes drops to ``tol``.  Raises
     NonMonotoneSweepError if a node is below every corner or a sweep
     decreases somewhere, ConvergenceError if the sweep budget runs out.
@@ -609,16 +569,12 @@ def picard_solve(
     history: list[tuple] = []
     for sweep in range(1, max_sweeps + 1):
         prev_rows = list(zip(*prev))
-        h_rows = obstacle_rows(problem, prev_rows)
-        new_solutions: list[ScalarSolution] = []
-        for j in range(d):
-            terminal, gen = mode_view(problem, prev_rows, j)
-            lower = AdaptedProcess(tree, tuple(h[j] for h in h_rows))
-            new_solutions.append(
-                _backward_solve(
-                    tree, terminal, gen, problem.v[j], lower, problem.upper[j]
-                )
-            )
+
+        def sweep_step(node: Node, targets: list[float]):
+            row = prev_rows[node.index]
+            return _frozen_step(problem, node, targets, row, problem.H(node.t, row))
+
+        new_solutions = _backward_solve(tree, problem.terminal, problem.v, sweep_step)
         delta = 0.0
         rise_floor = 0.0
         scale = 1.0
@@ -636,20 +592,13 @@ def picard_solve(
             )
         deltas.append(delta)
         if record_history:
-            history.append(
-                (
-                    tuple(tuple(s.y.values) for s in new_solutions),
-                    tuple(tuple(s.a.values) for s in new_solutions),
-                )
-            )
+            history.append((tuple(s.y.values for s in new_solutions),
+                            tuple(s.a.values for s in new_solutions)))
         solutions = new_solutions
         prev = [tuple(s.y.values) for s in solutions]
         if delta <= tol:
-            result = SystemSolution(
-                y=tuple(s.y for s in solutions),
-                m_increments=tuple(s.m_increments for s in solutions),
-                k=tuple(s.k for s in solutions),
-                a=tuple(s.a for s in solutions),
+            result = SystemSolution.from_parts(
+                solutions,
                 sweeps=sweep,
                 deltas=tuple(deltas),
                 corner=corner,
@@ -693,12 +642,16 @@ def solve_system(
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
-    corner, stats, y, m, k, a = _backward_pass(
-        problem, lambda node, targets, start:
-        _node_rounds(problem, node, targets, start, tol, max_rounds)
-    )
-    result = SystemSolution(
-        y=y, m_increments=m, k=k, a=a,
+    stats: list[tuple[int, float]] = []
+
+    def rounds(node: Node, targets: list[float], start: Row):
+        row, pushes, note = _node_rounds(problem, node, targets, start, tol, max_rounds)
+        stats.append(note)
+        return row, pushes
+
+    corner, parts = _walk_from_starts(problem, rounds)
+    result = SystemSolution.from_parts(
+        parts,
         sweeps=max((rounds for rounds, _ in stats), default=0),
         deltas=(functools.reduce(_worse, (change for _, change in stats), 0.0),),
         corner=corner,

@@ -56,12 +56,6 @@ def solution_csv_text(problem: ObliqueProblem, solution: SystemSolution) -> str:
     return "".join(lines)
 
 
-def write_solution_csv(
-    path: Path, problem: ObliqueProblem, solution: SystemSolution
-) -> None:
-    write_text(path, solution_csv_text(problem, solution))
-
-
 def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
     """Rebuild a SystemSolution from a solve-emitted CSV (round-trip exact).
 

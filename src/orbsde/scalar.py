@@ -25,6 +25,14 @@ generators constant in y this coincides with the naive assignment
 (H1)-monotonicity (g decreasing in y) makes phi strictly increasing, which
 is what lets the implicit step run on bracketed bisection with no
 derivative information.
+
+``_backward_solve`` is the package's one backward walk: it carries any
+number of columns, hands each parent's conditional-expectation targets to
+a step function and stores the returned values and pushes.  The solvers
+here walk one column with the ``_project`` step (the penalized scheme
+with no barrier, the penalty in the generator and the penalty integrals
+as its pushes); :mod:`orbsde.oblique` walks all d modes at once with its
+own steps.
 """
 
 from __future__ import annotations
@@ -176,7 +184,7 @@ class ScalarRBSDEProblem:
             else PredictableIncrements.zero(self.tree)
         )
 
-    def validate(self, probe_monotone: bool = True) -> list[Violation]:
+    def validate(self) -> list[Violation]:
         out: list[Violation] = []
         tree = self.tree
         if not tree.dt > 0.0:
@@ -220,24 +228,16 @@ class ScalarRBSDEProblem:
                             n.t,
                         )
                     )
-        if probe_monotone:
-            for t in range(tree.n_steps):
-                for y0 in _MONOTONE_PROBE_YS:
-                    for y1 in _MONOTONE_PROBE_YS:
-                        if (self.generator(t, y0) - self.generator(t, y1)) * (
-                            y0 - y1
-                        ) > 1e-12:
-                            out.append(
-                                Violation(
-                                    "generator-monotone",
-                                    f"generator increases in y near ({y0}, {y1})",
-                                    time_index=t,
-                                )
-                            )
-                            break
-                    else:
-                        continue
-                    break
+        g = self.generator
+        for t in range(tree.n_steps):
+            near = next((
+                (y0, y1) for y0 in _MONOTONE_PROBE_YS for y1 in _MONOTONE_PROBE_YS
+                if (g(t, y0) - g(t, y1)) * (y0 - y1) > 1e-12
+            ), None)
+            if near is not None:
+                out.append(Violation("generator-monotone",
+                                     f"generator increases in y near {near}",
+                                     time_index=t))
         return out
 
 
@@ -305,41 +305,54 @@ def _project(
 
 def _backward_solve(
     tree: EventTree,
-    terminal: Mapping[int, float],
-    gen: NodeGeneratorFn,
-    dv: PredictableIncrements,
-    lower: AdaptedProcess | None,
-    upper: AdaptedProcess | None,
-) -> ScalarSolution:
-    """Shared projection kernel for every barrier combination."""
-    dt = tree.dt
-    n = tree.n_nodes
-    y = [0.0] * n
-    k = [0.0] * n
-    a = [0.0] * n
-    m = [0.0] * n
+    terminal: Mapping[int, Sequence[float]],
+    dv: Sequence[PredictableIncrements],
+    step: Callable[[Node, list[float]], tuple],
+) -> tuple[ScalarSolution, ...]:
+    """The package's one backward walk, over ``len(dv)`` columns.
+
+    Leaves take the row ``terminal[leaf]``.  At a parent u, with
+    ``targets[j] = E[Y^j_{t+1} | u] + dV^j``, ``step(node, targets)``
+    returns the row Y_u and the (dK, dA) push of each column.  Returns one
+    ScalarSolution per column.
+    """
+    d, n = len(dv), tree.n_nodes
+    y, k, a, m = ([[0.0] * n for _ in range(d)] for _ in range(4))
     for i in range(n - 1, -1, -1):
         node = tree.node(i)
         if node.is_leaf:
-            y[i] = float(terminal[i])
+            for j, xi in enumerate(terminal[i]):
+                y[j][i] = float(xi)
             continue
-        e = one_step_expectation(tree, y, i)
-        dv_u = dv.out_of(i)
-        target = e + dv_u
-        phi = lambda yy: yy - gen(node, yy) * dt - target  # noqa: E731
-        lo = lower.values[i] if lower is not None else None
-        hi = upper.values[i] if upper is not None else None
-        y[i], dk, da = _project(phi, target, lo, hi)
-        for c in node.children:
-            k[c] = dk
-            a[c] = da
-            m[c] = y[c] - e
-    return ScalarSolution(
-        y=AdaptedProcess(tree, tuple(y)),
-        m_increments=tuple(m),
-        k=PredictableIncrements(tree, tuple(k)),
-        a=PredictableIncrements(tree, tuple(a)),
+        e = [one_step_expectation(tree, col, i) for col in y]
+        row, pushes = step(node, [e[j] + dv[j].out_of(i) for j in range(d)])
+        for j in range(d):
+            y[j][i] = row[j]
+            for c in node.children:
+                k[j][c], a[j][c] = pushes[j]
+                m[j][c] = y[j][c] - e[j]
+    return tuple(
+        ScalarSolution(AdaptedProcess(tree, tuple(yj)), tuple(mj),
+                       PredictableIncrements(tree, tuple(kj)),
+                       PredictableIncrements(tree, tuple(aj)))
+        for yj, mj, kj, aj in zip(y, m, k, a)
     )
+
+
+def _solve_column(
+    tree: EventTree,
+    terminal: Mapping[int, float],
+    dv: PredictableIncrements,
+    step: Callable[[Node, float], tuple[float, float, float]],
+) -> ScalarSolution:
+    """The walk over one column: ``step(node, target)`` returns
+    (Y_u, dK, dA)."""
+    def column_step(node: Node, targets: list[float]):
+        y, dk, da = step(node, targets[0])
+        return (y,), ((dk, da),)
+
+    rows = {leaf: (terminal[leaf],) for leaf in tree.leaves}
+    return _backward_solve(tree, rows, (dv,), column_step)[0]
 
 
 def _require_valid(problem: ScalarRBSDEProblem) -> None:
@@ -348,9 +361,20 @@ def _require_valid(problem: ScalarRBSDEProblem) -> None:
         raise InvalidProblemError(report)
 
 
-def _node_gen(problem: ScalarRBSDEProblem) -> NodeGeneratorFn:
-    g = problem.generator
-    return lambda node, yy: g(node.t, yy)
+def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
+    """The validated problem with the :func:`_project` step into whichever
+    barriers it has."""
+    _require_valid(problem)
+    g, dt = problem.generator, problem.tree.dt
+    lower, upper = problem.lower, problem.upper
+
+    def step(node: Node, target: float):
+        i = node.index
+        return _project(lambda yy: yy - g(node.t, yy) * dt - target, target,
+                        lower.values[i] if lower is not None else None,
+                        upper.values[i] if upper is not None else None)
+
+    return _solve_column(problem.tree, problem.terminal, problem.v(), step)
 
 
 def solve_lower(problem: ScalarRBSDEProblem) -> ScalarSolution:
@@ -359,11 +383,7 @@ def solve_lower(problem: ScalarRBSDEProblem) -> ScalarSolution:
         raise ValueError("solve_lower expects a problem with no upper barrier")
     if problem.lower is None:
         raise ValueError("solve_lower expects a lower barrier")
-    _require_valid(problem)
-    return _backward_solve(
-        problem.tree, problem.terminal, _node_gen(problem), problem.v(),
-        problem.lower, None,
-    )
+    return _solve_projected(problem)
 
 
 def solve_upper(problem: ScalarRBSDEProblem) -> ScalarSolution:
@@ -378,22 +398,14 @@ def solve_upper(problem: ScalarRBSDEProblem) -> ScalarSolution:
         raise ValueError("solve_upper expects a problem with no lower barrier")
     if problem.upper is None:
         raise ValueError("solve_upper expects an upper barrier")
-    _require_valid(problem)
-    return _backward_solve(
-        problem.tree, problem.terminal, _node_gen(problem), problem.v(),
-        None, problem.upper,
-    )
+    return _solve_projected(problem)
 
 
 def solve_two_barrier(problem: ScalarRBSDEProblem) -> ScalarSolution:
     """Project each implicit step into [L, U]; pushes split into K and A."""
     if problem.lower is None or problem.upper is None:
         raise ValueError("solve_two_barrier expects both barriers")
-    _require_valid(problem)
-    return _backward_solve(
-        problem.tree, problem.terminal, _node_gen(problem), problem.v(),
-        problem.lower, problem.upper,
-    )
+    return _solve_projected(problem)
 
 
 def solve_penalized(
@@ -411,7 +423,8 @@ def solve_penalized(
         raise ValueError("upper penalty needs an upper barrier")
     _require_valid(problem)
     return _penalized_solve(
-        problem.tree, problem.terminal, _node_gen(problem), problem.v(),
+        problem.tree, problem.terminal,
+        lambda node, yy: problem.generator(node.t, yy), problem.v(),
         problem.lower, problem.upper, params.p, params.q,
     )
 
@@ -434,32 +447,25 @@ def _penalized_solve(
             val -= q * max(0.0, yy - upper.values[node.index])
         return val
 
-    base = _backward_solve(tree, terminal, penalized_gen, dv, None, None)
     dt = tree.dt
-    k = [0.0] * tree.n_nodes
-    a = [0.0] * tree.n_nodes
-    lower_mass = 0.0
-    upper_mass = 0.0
-    for n in tree.nodes:
-        if n.is_leaf:
-            continue
-        yu = base.y.values[n.index]
-        dk = p * max(0.0, lower.values[n.index] - yu) * dt if p > 0 else 0.0
-        da = q * max(0.0, yu - upper.values[n.index]) * dt if q > 0 else 0.0
-        weight = tree.node_probability(n.index)
-        lower_mass += weight * dk
-        upper_mass += weight * da
-        for c in n.children:
-            k[c] = dk
-            a[c] = da
-    return PenalizedSolution(
-        y=base.y,
-        m_increments=base.m_increments,
-        k=PredictableIncrements(tree, tuple(k)),
-        a=PredictableIncrements(tree, tuple(a)),
-        lower_mass=lower_mass,
-        upper_mass=upper_mass,
-    )
+
+    def step(node: Node, target: float):
+        i = node.index
+        yu, _, _ = _project(lambda yy: yy - penalized_gen(node, yy) * dt - target,
+                            target, None, None)
+        dk = p * max(0.0, lower.values[i] - yu) * dt if p > 0 else 0.0
+        da = q * max(0.0, yu - upper.values[i]) * dt if q > 0 else 0.0
+        return yu, dk, da
+
+    base = _solve_column(tree, terminal, dv, step)
+    lower_mass = upper_mass = 0.0
+    for n in tree.nodes:  # index order, the masses' fixed summation order
+        if not n.is_leaf:
+            weight = tree.node_probability(n.index)
+            lower_mass += weight * base.k.out_of(n.index)
+            upper_mass += weight * base.a.out_of(n.index)
+    return PenalizedSolution(base.y, base.m_increments, base.k, base.a,
+                             lower_mass, upper_mass)
 
 
 def verify_snell_representation(

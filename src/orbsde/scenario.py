@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +62,19 @@ def _poly_eval(coeffs: Sequence[float], x: float) -> float:
     return acc
 
 
+class _Keys(dict):
+    """A scenario section that remembers the last key looked up in it."""
+
+    last = None
+
+    def __getitem__(self, key):
+        self.last = key
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 def _cost_entry(entry: Any) -> dict | float:
     if isinstance(entry, (int, float)):
         return float(entry)
@@ -94,17 +107,40 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "Scenario":
+        """Parse a raw scenario.  A missing key or a value of the wrong type
+        raises ScenarioError naming the section and the key."""
         _require(isinstance(raw, Mapping), "scenario must be a JSON object")
+        where: list = []
+
+        def section(name: str, spec: Any) -> Any:
+            where[:] = [name, _Keys(spec) if isinstance(spec, Mapping) else spec]
+            return where[1]
+
+        try:
+            return cls._parse(section("scenario", raw), section)
+        except (KeyError, TypeError, AttributeError) as err:
+            name, spec = where
+            key = getattr(spec, "last", None)
+            detail = (f"missing key {err.args[0]!r}" if isinstance(err, KeyError)
+                      else f"bad value for key {key!r} ({err})" if key is not None
+                      else str(err))
+            raise ScenarioError(f"{name}: {detail}") from err
+
+    @classmethod
+    def _parse(cls, raw: Mapping, section: Callable[[str, Any], Any]) -> "Scenario":
         _require(raw.get("format") == 1, "unsupported or missing format (need 1)")
         for key in ("tree", "modes", "generators", "costs", "barriers", "terminal"):
             _require(key in raw, f"missing field {key!r}")
         d = int(raw["modes"])
         _require(d >= 2, "need at least two modes")
 
-        tree_spec = cls._parse_tree(raw["tree"])
-        gens = [cls._parse_generator(g, d, i) for i, g in enumerate(raw["generators"])]
+        tree_spec = cls._parse_tree(section("tree", raw["tree"]))
+        gens = [
+            cls._parse_generator(section(f"generators[{i}]", g), d, i)
+            for i, g in enumerate(section("generators", raw["generators"]))
+        ]
         _require(len(gens) == d, "one generator spec per mode required")
-        costs = raw["costs"]
+        costs = section("costs", raw["costs"])
         _require(
             isinstance(costs, list) and len(costs) == d
             and all(isinstance(row, list) and len(row) == d for row in costs),
@@ -113,21 +149,27 @@ class Scenario:
         cost_rows = [[_cost_entry(e) for e in row] for row in costs]
         for j in range(d):
             _require(cost_rows[j][j] == 0.0, f"cost diagonal [{j}][{j}] must be 0")
-        barriers = [cls._parse_barrier(b) for b in raw["barriers"]]
+        barriers = [
+            cls._parse_barrier(section(f"barriers[{j}]", b))
+            for j, b in enumerate(section("barriers", raw["barriers"]))
+        ]
         _require(len(barriers) == d, "one barrier spec per mode required")
-        terminal = cls._parse_terminal(raw["terminal"], d)
-        v_raw = raw.get("v_increments") or [{} for _ in range(d)]
+        terminal = cls._parse_terminal(section("terminal", raw["terminal"]), d)
+        v_raw = section("v_increments", raw.get("v_increments")) or [{}] * d
         _require(
             isinstance(v_raw, list) and len(v_raw) == d,
             "v_increments must list one parent->increment map per mode",
         )
         v_increments = [
-            {str(k): float(v) for k, v in (entry or {}).items()} for entry in v_raw
+            {str(k): float(v) for k, v in (section(f"v_increments[{j}]", entry)
+                                           or {}).items()}
+            for j, entry in enumerate(v_raw)
         ]
         solver = dict(SOLVER_DEFAULTS)
-        for k, v in (raw.get("solver") or {}).items():
+        options = section("solver", raw.get("solver")) or {}
+        for k in options:
             _require(k in SOLVER_DEFAULTS, f"unknown solver option {k!r}")
-            solver[k] = type(SOLVER_DEFAULTS[k])(v)
+            solver[k] = type(SOLVER_DEFAULTS[k])(options[k])
         return cls(
             tree_spec=tree_spec,
             modes=d,

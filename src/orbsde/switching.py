@@ -34,7 +34,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, InternalConsistencyError, Violation
+from .errors import (
+    EnumerationCapError,
+    InternalConsistencyError,
+    InvalidProblemError,
+    Violation,
+)
 from .oblique import (
     BINDING_TOL,
     ObliqueProblem,
@@ -78,9 +83,6 @@ class SwitchingStrategy:
             raise ValueError(f"strategy misses nodes {missing}")
         if self.modes[self.start] != self.start_mode:
             raise ValueError("strategy must start in the prescribed mode")
-
-    def mode_at(self, u: int) -> int:
-        return self.modes[u]
 
     def switch_events(self) -> list[tuple[int, int, int, int]]:
         """Edges where the mode changes: (node, t, from_mode, to_mode)."""
@@ -137,10 +139,7 @@ def _require_cost_form(problem: ObliqueProblem) -> None:
         raise ValueError("switching requires the cost-matrix obstacle form")
     coupled = decoupling_violations(problem)
     if coupled:
-        raise ValueError(
-            "switching requires generators depending on the own component "
-            f"only: {coupled[0]}"
-        )
+        raise InvalidProblemError(coupled)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 Core claims:
     - scenario parse -> normalize -> serialize -> parse is the identity on
       the normalized form
-    - identical inputs produce byte-identical CSVs and summaries
+    - identical inputs produce byte-identical CSVs and summaries, and every
+      command's output files on the bundled scenarios keep pinned sha256
+      digests
+    - a scenario missing a key or holding a value of the wrong type exits 2
+      with kind scenario, naming the section and the key
     - verify consumes solve's CSV via --solution and passes; corrupting the
       CSV turns verify into exit 4
     - exit codes: 0 ok, 2 validation (with machine-readable diagnostic and
@@ -16,7 +20,8 @@ Core claims:
     - a sweep budget below 1 or a NaN or negative tolerance, from a flag
       or the scenario, exits 2 with kind usage; the removed solver option
       subsolution_slack exits 2 as unknown; a NaN, infinite or descending
-      table knot exits 2 naming the generator
+      table knot exits 2 naming the generator; brute-force on coupled
+      generators exits 2 with the generator-coupled findings
     - the bundled no-solution discretization exits 2 pinpointing every node
       with the obstacle above the barrier; the bundled decoupled scenario's
       roots equal per-mode upper solves; the bundled switching scenario's
@@ -25,6 +30,7 @@ Core claims:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -93,6 +99,43 @@ def test_missing_scenario_file_exits_2(tmp_path):
     assert (out / "diagnostic.json").exists()
 
 
+def _drop(key):
+    return lambda spec: spec.pop(key)
+
+
+MALFORMED_SCENARIOS = {
+    "generator-missing-b": (
+        lambda spec: spec["generators"].__setitem__(0, {"family": "linear", "a": 0.1}),
+        "generators[0]: missing key 'b'"),
+    "barrier-missing-value": (
+        lambda spec: spec["barriers"].__setitem__(1, {"kind": "constant"}),
+        "barriers[1]: missing key 'value'"),
+    "tree-missing-steps": (
+        lambda spec: _drop("steps")(spec["tree"]), "tree: missing key 'steps'"),
+    "price-affine-missing-b": (
+        lambda spec: _drop("b")(spec["terminal"]), "terminal: missing key 'b'"),
+    "coefficient-is-a-list": (
+        lambda spec: spec["generators"][1].__setitem__("a", [0.1]),
+        "generators[1]: bad value for key 'a'"),
+    "v-increments-entry-is-a-list": (
+        lambda spec: spec["v_increments"].__setitem__(0, [0.1]), "v_increments[0]: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_names_section_and_key(scenarios_dir, tmp_path, case):
+    edit, detail = MALFORMED_SCENARIOS[case]
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    edit(spec)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out) == 2
+    error = read_json(out / "diagnostic.json")["error"]
+    assert error["kind"] == "scenario"
+    assert error["detail"].startswith(detail)
+
+
 # -- determinism ------------------------------------------------------------------
 
 
@@ -103,6 +146,72 @@ def test_solve_outputs_byte_identical(scenarios_dir, tmp_path):
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert b"\r" not in (out1 / "solution.csv").read_bytes()
+
+
+# sha256 of every output file, recorded before the solvers shared one
+# backward walk; a refactor that is meant to keep the bytes must keep these
+PINNED_OUTPUTS = {
+    ("switch2x2", "solve"): {
+        "solution.csv": "a48ac8ca69e22ade0ef9247338dd885683e0463a0ba276890c414726d21b8cee",
+        "summary.json": "4ab48135ab0b3bb892f1a391e850f82ee17af936cddc8afbaa16038955dc06ab",
+        "summary.txt": "d63854cb8f843dfc5e486eeb3c22d6aa936047026cdc61d83f591e51235bccc2",
+    },
+    ("switch2x2", "verify"): {
+        "verification.json": "396899112f02a7dced7d0dc4d652df7603d2b3fc2b8611b875ca01d7fc3e0ad8",
+        "verification.txt": "32648fc300c124958187434970a7f0819f2d6e68c56968e5b0f3dc42ef54fd5e",
+    },
+    ("switch2x2", "verify --solution"): {
+        "verification.json": "396899112f02a7dced7d0dc4d652df7603d2b3fc2b8611b875ca01d7fc3e0ad8",
+        "verification.txt": "32648fc300c124958187434970a7f0819f2d6e68c56968e5b0f3dc42ef54fd5e",
+    },
+    ("switch2x2", "sweep-penalization"): {
+        "penalization.csv": "e72b238b5baf116ba3766f80f153314d91d04d26366c94239bbbd142f94ee288",
+        "summary.json": "f8d32b17562723fc442ca5bf0306e86be79eaed1e2d686d26f437bdaca4d40f5",
+    },
+    ("switch2x2", "brute-force"): {
+        "brute_force.json": "81e5de6d7e6cb4f144d921f4e6f161b0a944b1a20712d005f224aeb3054c16a5",
+    },
+    ("decoupled", "solve"): {
+        "solution.csv": "5f2074566a2bb82151c58caeac9c67056ea0515997c070b24ef352935c1702c1",
+        "summary.json": "4d1d8cd8baee4036408049116d51ae5c4ff1f601dd7d28dd3351e7f106b87ede",
+        "summary.txt": "86bc51795b698a444882a6da9e5999112e1ea8569023c83f9275d754bf5be808",
+    },
+    ("decoupled", "verify"): {
+        "verification.json": "711f0b8a9945e79e10c949b33d4fd3afe80ba0d1d0aa4617e26e101984b0dbe0",
+        "verification.txt": "69f3c76d4739bbf12cb2723228bae912fb7300d37d1a29e19fa2629cb910d8a9",
+    },
+    ("decoupled", "verify --solution"): {
+        "verification.json": "711f0b8a9945e79e10c949b33d4fd3afe80ba0d1d0aa4617e26e101984b0dbe0",
+        "verification.txt": "69f3c76d4739bbf12cb2723228bae912fb7300d37d1a29e19fa2629cb910d8a9",
+    },
+    ("decoupled", "sweep-penalization"): {
+        "penalization.csv": "42d3a28b8c3b2a92e2e594781dccf9dcbd5d853e02346811d6086e3291ddc90e",
+        "summary.json": "d69c76bc3cf3b06b939d81561bddb5ce3c4df9e7b07d0163b4884bae78a742f5",
+    },
+    ("decoupled", "brute-force"): {
+        "brute_force.json": "3e93e92e146ffb99c0085ff2fc9976a8e62a8ac4d8b540b3d7d4bf09eb409809",
+    },
+    ("counterexample", "solve"): {
+        "diagnostic.json": "fcf35027110170e2c4752a4b36f6d11991de66355e92a6ceac5d81b4b92ed80e",
+    },
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(PINNED_OUTPUTS))
+def test_outputs_pinned_across_commits(scenarios_dir, tmp_path, name, command):
+    scenario = scenarios_dir / f"{name}.json"
+    out = tmp_path / "out"
+    if command == "verify --solution":
+        assert run("solve", scenario, "--out", tmp_path / "solved") == 0
+        run("verify", scenario, "--solution", tmp_path / "solved" / "solution.csv",
+            "--out", out)
+    else:
+        run(command, scenario, "--out", out)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert digests == PINNED_OUTPUTS[name, command]
 
 
 def test_seed_flag_accepted_and_inert(scenarios_dir, tmp_path):
@@ -342,6 +451,22 @@ def test_brute_force_cap_exits_2(tmp_path):
     out = tmp_path / "out"
     assert run("brute-force", path, "--out", out) == 2
     assert read_json(out / "diagnostic.json")["error"]["kind"] == "enumeration-cap"
+
+
+def test_brute_force_on_coupled_generators_exits_2(scenarios_dir, tmp_path):
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    spec["generators"][0] = {"family": "affine-coupled", "a": 0.1, "b": 0.1,
+                             "g": [0.0, 0.2]}
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("brute-force", path, "--out", out) == 2
+    diag = read_json(out / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    assert {(v["code"], v["mode"], v["time_index"]) for v in diag["violations"]} == {
+        ("generator-coupled", 0, 0), ("generator-coupled", 0, 1)
+    }
+    assert not (out / "brute_force.json").exists()
 
 
 # -- bundled scenarios ---------------------------------------------------------------
