@@ -1,9 +1,9 @@
 """Command-line harness: solve, verify, sweep-penalization, brute-force.
 
-Exit codes: 0 success, 2 validation failure (kind ``usage``: a sweep budget
-below 1 or a tolerance not >= 0), 3 solver non-convergence (kind ``solver``)
-or a failed solver invariant (kind ``internal-consistency``), 4 oracle
-mismatch beyond tolerance.  Every nonzero exit writes a machine-readable
+Exit codes: 0 success, 2 validation failure (kind ``usage``: arguments
+argparse refuses, a sweep budget below 1 or a tolerance not >= 0), 3 solver
+non-convergence (kind ``solver``) or a failed solver invariant (kind
+``internal-consistency``), 4 oracle mismatch beyond tolerance.  Every nonzero exit writes a machine-readable
 ``diagnostic.json`` into the output directory, with node and time
 coordinates wherever the failure has them.
 
@@ -21,6 +21,7 @@ deterministic and ignore it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -35,8 +36,7 @@ from .errors import (
 )
 from .oblique import (
     _check_budget,
-    mode_view,
-    obstacle_rows,
+    mode_problem,
     picard_solve,
     solve_system,
     validate_problem,
@@ -50,12 +50,7 @@ from .reporting import (
     write_json,
     write_text,
 )
-from .scalar import (
-    ScalarRBSDEProblem,
-    ScalarSolution,
-    _penalized_solve,
-    verify_snell_representation,
-)
+from .scalar import ScalarSolution, _penalized_solve, verify_snell_representation
 from .scenario import PENALTY_LADDER, Scenario, ScenarioError
 from .switching import (
     brute_force_value,
@@ -66,7 +61,6 @@ from .switching import (
     unconstrained_start_value,
     worst_case_switching_cost,
 )
-from .tree import AdaptedProcess
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,8 +73,31 @@ MINIMALITY_TOL = 1e-10
 MARTINGALE_TOL = 1e-12
 
 
+class _UsageError(Exception):
+    """Arguments the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` where argparse would exit 2, so that
+    ``main`` writes a diagnostic."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
+def _named_out(argv: list[str]) -> Path:
+    """The ``--out`` directory named in refused arguments, if any."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--out", default="orbsde_out")
+    try:
+        return Path(probe.parse_known_args(argv)[0].out)
+    except argparse.ArgumentError:
+        return Path("orbsde_out")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbsde",
         description="Constrained switching systems on finite event trees",
     )
@@ -108,19 +125,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out)
+def _fail(out: Path, code: int, kind: str, detail, violations=None,
+          node_id=None) -> int:
+    """Write ``diagnostic.json`` into ``out`` and return the exit code."""
+    payload = {"exit_code": code, "error": {"kind": kind, "detail": detail}}
+    if node_id is not None:
+        payload["error"]["node_id"] = node_id
+    if violations:
+        payload["violations"] = [v.as_dict() for v in violations]
+    write_json(out / "diagnostic.json", payload)
+    sys.stderr.write(f"orbsde: {kind}: {detail}\n")
+    return code
 
-    def fail(code: int, kind: str, detail, violations=None, node_id=None) -> int:
-        payload = {"exit_code": code, "error": {"kind": kind, "detail": detail}}
-        if node_id is not None:
-            payload["error"]["node_id"] = node_id
-        if violations:
-            payload["violations"] = [v.as_dict() for v in violations]
-        write_json(out / "diagnostic.json", payload)
-        sys.stderr.write(f"orbsde: {kind}: {detail}\n")
-        return code
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as err:
+        return _fail(_named_out(argv), EXIT_VALIDATION, "usage", str(err))
+    out = Path(args.out)
+    fail = functools.partial(_fail, out)
 
     try:
         scenario = Scenario.from_file(args.scenario)
@@ -188,30 +213,6 @@ def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
     return EXIT_OK
 
 
-def _scalar_view(
-    problem, solution, rows, h_rows, j
-) -> tuple[ScalarRBSDEProblem, ScalarSolution, list[float]]:
-    """Mode j of a system solution as a scalar problem with frozen drifts;
-    ``rows`` is ``solution.rows()`` and ``h_rows`` the obstacle along it."""
-    tree = problem.tree
-    shell = ScalarRBSDEProblem(
-        tree=tree,
-        terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
-        generator=lambda t, y: 0.0,
-        v_increments=problem.v[j],
-        lower=AdaptedProcess(tree, tuple(h[j] for h in h_rows)),
-        upper=problem.upper[j],
-    )
-    scalar_solution = ScalarSolution(
-        y=solution.y[j],
-        m_increments=solution.m_increments[j],
-        k=solution.k[j],
-        a=solution.a[j],
-    )
-    rates = [problem.generators[j](n.t, rows[n.index]) for n in tree.nodes]
-    return shell, scalar_solution, rates
-
-
 def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
                 solution_path, fail) -> int:
     if solution_path is None:
@@ -241,14 +242,11 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
     count_cap = scenario.solver["stopping_count_cap"]
     try:
         worst_gap = 0.0
-        rows = solution.rows()
-        h_rows = obstacle_rows(problem, rows)
         for j in range(d):
-            shell, scalar_solution, rates = _scalar_view(
-                problem, solution, rows, h_rows, j
-            )
+            column = ScalarSolution(solution.y[j], solution.m_increments[j],
+                                    solution.k[j], solution.a[j])
             gap = verify_snell_representation(
-                shell, scalar_solution, depth_cap, count_cap, drift_rates=rates
+                mode_problem(problem, solution, j), column, depth_cap, count_cap
             )
             worst_gap = max(worst_gap, gap)
         results["checks"]["snell_representation_gap"] = worst_gap
@@ -330,21 +328,14 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
 
 def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
     solution = solve_system(problem, tol, max_sweeps)
-    tree = problem.tree
-    root = tree.root
+    root = problem.tree.root
     lines = ["p,q,mode,root_y,projected_root_y\n"]
-    rows = solution.rows()
-    h_rows = obstacle_rows(problem, rows)
     for j in range(problem.d):
-        lower = AdaptedProcess(tree, tuple(h[j] for h in h_rows))
-        terminal, gen = mode_view(problem, rows, j)
+        mode = mode_problem(problem, solution, j)
         projected = solution.y[j].values[root]
         for p in PENALTY_LADDER:
             for q in PENALTY_LADDER:
-                pen = _penalized_solve(
-                    tree, terminal, gen, problem.v[j], lower, problem.upper[j],
-                    p, q,
-                )
+                pen = _penalized_solve(mode, p, q)
                 lines.append(
                     f"{fmt(p)},{fmt(q)},{j},{fmt(pen.y.values[root])},"
                     f"{fmt(projected)}\n"

@@ -2,7 +2,8 @@
 
 Mode j of the system satisfies the scalar dynamics of :mod:`orbsde.scalar`
 with lower barrier ``H^j(Y)``, a function of the *other* components, and
-upper barrier ``U^j``.  With the switching-cost obstacle
+upper barrier ``U^j`` (:func:`mode_problem` is that scalar problem, the
+other components frozen at a solution).  With the switching-cost obstacle
 
     H^j(t, y) = max over k != j of (y^k - c[j][k](t)),
 
@@ -53,7 +54,7 @@ from .errors import (
     NonMonotoneSweepError,
     Violation,
 )
-from .scalar import NodeGeneratorFn, ScalarSolution, _backward_solve, _project
+from .scalar import ScalarRBSDEProblem, ScalarSolution, _backward_solve, _project
 from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
 
 __all__ = [
@@ -62,8 +63,7 @@ __all__ = [
     "SystemSolution",
     "MinimalityReport",
     "evaluate_H",
-    "obstacle_rows",
-    "mode_view",
+    "mode_problem",
     "validate_problem",
     "build_subsolution",
     "solve_system",
@@ -196,30 +196,6 @@ class ObliqueProblem:
 
 
 Row = tuple[float, ...]
-
-
-def obstacle_rows(problem: ObliqueProblem, rows: Sequence[Row]) -> list[Row]:
-    """The obstacle vector H(t_u, rows[u]) at every node u, evaluated once
-    per node; column j is the lower barrier of mode j."""
-    return [problem.H(n.t, rows[n.index]) for n in problem.tree.nodes]
-
-
-def mode_view(
-    problem: ObliqueProblem, rows: Sequence[Row], j: int
-) -> tuple[dict[int, float], NodeGeneratorFn]:
-    """Mode j of the system with the other components frozen at ``rows``.
-
-    Returns the terminal column j and the scalar node generator
-    ``c -> f^j(t_u, rows[u] with c in slot j)``.
-    """
-    f = problem.generators[j]
-    terminal = {leaf: problem.terminal[leaf][j] for leaf in problem.tree.leaves}
-
-    def gen(node: Node, c: float) -> float:
-        row = rows[node.index]
-        return f(node.t, row[:j] + (c,) + row[j + 1:])
-
-    return terminal, gen
 
 
 def _probe_box(problem: ObliqueProblem) -> list[float]:
@@ -469,7 +445,8 @@ def _walk_from_starts(
     and U) computed once, and at each parent ``step(node, targets, start)``
     run from the :func:`_node_start` row.  Returns (the lowest start any
     node took, one ScalarSolution per mode)."""
-    h_u = obstacle_rows(problem, list(zip(*(u.values for u in problem.upper))))
+    u_rows = zip(*(u.values for u in problem.upper))
+    h_u = [problem.H(n.t, row) for n, row in zip(problem.tree.nodes, u_rows)]
     corner = tuple(
         min(*(xi[j] for xi in problem.terminal.values()), *problem.upper[j].values,
             *(h[j] for h in h_u)) - 1.0
@@ -667,6 +644,33 @@ def _obstacle_entry(problem: ObliqueProblem, t: int, row: Row, j: int) -> float:
         return problem.H(t, row)[j]
     c = problem.costs.values[t, j]
     return max(float(row[k] - c[k]) for k in range(problem.d) if k != j)
+
+
+def mode_problem(
+    problem: ObliqueProblem, solution: SystemSolution, j: int
+) -> ScalarRBSDEProblem:
+    """Mode j of the system as one scalar reflected problem, the other
+    components frozen at ``solution``: terminal column j, the node generator
+    ``c -> f^j(t_u, Y_u with c in slot j)``, drift ``v[j]``, lower barrier
+    ``H^j(t_u, Y_u)`` and upper barrier ``U^j``.  On a solution of the
+    system, its two-barrier solve gives back ``solution.y[j]``.
+    """
+    tree, f = problem.tree, problem.generators[j]
+    rows = solution.rows()
+
+    def generator(node: Node, c: float) -> float:
+        row = rows[node.index]
+        return f(node.t, row[:j] + (c,) + row[j + 1:])
+
+    lower = [_obstacle_entry(problem, n.t, rows[n.index], j) for n in tree.nodes]
+    return ScalarRBSDEProblem(
+        tree=tree,
+        terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
+        generator=generator,
+        v_increments=problem.v[j],
+        lower=AdaptedProcess(tree, tuple(lower)),
+        upper=problem.upper[j],
+    )
 
 
 def _node_rounds(

@@ -3,7 +3,7 @@
 The dynamics solved here, between a parent u at time index t and its
 children, are
 
-    Y_u = E[Y_{t+1} | u] + g(t, Y_u) dt + dV + dK - dA,
+    Y_u = E[Y_{t+1} | u] + g(u, Y_u) dt + dV + dK - dA,
 
 with dV, dK, dA predictable (decided at u, identical across sibling edges)
 and the martingale increment on each edge absorbing the residual
@@ -12,11 +12,12 @@ increasing  process K, an upper barrier U keeps Y <= U via A, and both act
 minimally: an increment is nonzero only at parents where Y sits exactly on
 its barrier (the discrete flat-off condition).
 
-Generator convention: g is evaluated at the parent's time index and at the
+Generator convention: g is the tree's f(t, omega, y): it takes the parent
+node u (its time index and its place in the tree) and is evaluated at the
 post-projection value Y_u.  That makes the displayed identity exact, so the
 reflecting increments are the positive/negative parts of the residual
 
-    phi(y) = y - g(t, y) dt - E[Y_{t+1}|u] - dV
+    phi(y) = y - g(u, y) dt - E[Y_{t+1}|u] - dV
 
 evaluated at the projected value: dK = phi(Y_u)^+, dA = phi(Y_u)^-.  For
 generators constant in y this coincides with the naive assignment
@@ -65,7 +66,7 @@ __all__ = [
     "verify_snell_representation",
 ]
 
-GeneratorFn = Callable[[int, float], float]
+GeneratorFn = Callable[[Node, float], float]
 
 RESIDUAL_TOL = 1e-12
 _MONOTONE_PROBE_YS = (-7.3, -1.0, -0.25, 0.0, 0.5, 2.0, 9.1)
@@ -146,7 +147,7 @@ def _root_find(phi: Callable[[float], float], x0: float, tol: float) -> float:
 
 def implicit_step(
     e_next: float,
-    g: GeneratorFn,
+    g: Callable[[int, float], float],
     t: int,
     dv: float,
     dt: float,
@@ -165,9 +166,12 @@ def implicit_step(
 class ScalarRBSDEProblem:
     """Terminal data, generator, drift increments, and optional barriers.
 
-    ``terminal`` maps leaf index -> value.  ``generator`` takes the parent's
-    time index and a trial value.  Either barrier may be absent; when both
-    are present they must be ordered (L <= U everywhere, L_T <= xi <= U_T).
+    ``terminal`` maps leaf index -> value.  ``generator`` takes the parent
+    node and a trial value (the tree's f(t, omega, y); see
+    :func:`orbsde.oblique.mode_problem`).  Either barrier may be absent; when
+    both are present they must be ordered (L <= U everywhere,
+    L_T <= xi <= U_T).  :meth:`validate` probes the generator's monotonicity
+    in y at the first node of each time index.
     """
 
     tree: EventTree
@@ -230,9 +234,10 @@ class ScalarRBSDEProblem:
                     )
         g = self.generator
         for t in range(tree.n_steps):
+            node = tree.node(tree.level(t)[0])
             near = next((
                 (y0, y1) for y0 in _MONOTONE_PROBE_YS for y1 in _MONOTONE_PROBE_YS
-                if (g(t, y0) - g(t, y1)) * (y0 - y1) > 1e-12
+                if (g(node, y0) - g(node, y1)) * (y0 - y1) > 1e-12
             ), None)
             if near is not None:
                 out.append(Violation("generator-monotone",
@@ -281,9 +286,6 @@ class PenalizedSolution:
     a: PredictableIncrements
     lower_mass: float
     upper_mass: float
-
-
-NodeGeneratorFn = Callable[[Node, float], float]
 
 
 def _project(
@@ -370,7 +372,7 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
 
     def step(node: Node, target: float):
         i = node.index
-        return _project(lambda yy: yy - g(node.t, yy) * dt - target, target,
+        return _project(lambda yy: yy - g(node, yy) * dt - target, target,
                         lower.values[i] if lower is not None else None,
                         upper.values[i] if upper is not None else None)
 
@@ -422,23 +424,16 @@ def solve_penalized(
     if params.q > 0 and problem.upper is None:
         raise ValueError("upper penalty needs an upper barrier")
     _require_valid(problem)
-    return _penalized_solve(
-        problem.tree, problem.terminal,
-        lambda node, yy: problem.generator(node.t, yy), problem.v(),
-        problem.lower, problem.upper, params.p, params.q,
-    )
+    return _penalized_solve(problem, params.p, params.q)
 
 
 def _penalized_solve(
-    tree: EventTree,
-    terminal: Mapping[int, float],
-    gen: NodeGeneratorFn,
-    dv: PredictableIncrements,
-    lower: AdaptedProcess | None,
-    upper: AdaptedProcess | None,
-    p: float,
-    q: float,
+    problem: ScalarRBSDEProblem, p: float, q: float
 ) -> PenalizedSolution:
+    """The penalized scheme on a problem taken as valid."""
+    tree, gen, dt = problem.tree, problem.generator, problem.tree.dt
+    lower, upper = problem.lower, problem.upper
+
     def penalized_gen(node: Node, yy: float) -> float:
         val = gen(node, yy)
         if p > 0:
@@ -446,8 +441,6 @@ def _penalized_solve(
         if q > 0:
             val -= q * max(0.0, yy - upper.values[node.index])
         return val
-
-    dt = tree.dt
 
     def step(node: Node, target: float):
         i = node.index
@@ -457,7 +450,7 @@ def _penalized_solve(
         da = q * max(0.0, yu - upper.values[i]) * dt if q > 0 else 0.0
         return yu, dk, da
 
-    base = _solve_column(tree, terminal, dv, step)
+    base = _solve_column(tree, problem.terminal, problem.v(), step)
     lower_mass = upper_mass = 0.0
     for n in tree.nodes:  # index order, the masses' fixed summation order
         if not n.is_leaf:
@@ -473,7 +466,6 @@ def verify_snell_representation(
     solution: ScalarSolution,
     max_depth: int = 4,
     max_count: int = 10**6,
-    drift_rates: Sequence[float] | None = None,
 ) -> float:
     """Check the optimal-stopping representation of a reflected solution.
 
@@ -485,12 +477,10 @@ def verify_snell_representation(
     where the generator is frozen along the solver's own path values (the
     representation is implicit in Y) and the A-increments are folded into
     the drift when an upper barrier was active.  Returns the largest |gap|
-    over nodes; exact up to roundoff for solver output.
-
-    ``drift_rates`` optionally supplies the frozen per-node values of
-    g(t, Y) directly; this is how one component of a coupled system is
-    checked (its drift along the solved path depends on the node through
-    the other components, not on (t, y) alone).
+    over nodes; exact up to roundoff for solver output.  One mode of a
+    coupled system is checked through its
+    :func:`orbsde.oblique.mode_problem`, whose generator reads the other
+    components at the node.
     """
     if problem.lower is None:
         raise ValueError("representation check needs a lower barrier")
@@ -501,11 +491,7 @@ def verify_snell_representation(
     dv = problem.v()
     da = solution.a
     lower = problem.lower.values
-    rates = (
-        tuple(drift_rates)
-        if drift_rates is not None
-        else tuple(g(n.t, y[n.index]) for n in tree.nodes)
-    )
+    rates = tuple(g(n, y[n.index]) for n in tree.nodes)
 
     def stopped_value(st, u: int) -> float:
         node = tree.node(u)

@@ -108,13 +108,19 @@ class Scenario:
     @classmethod
     def from_dict(cls, raw: Mapping) -> "Scenario":
         """Parse a raw scenario.  A missing key or a value of the wrong type
-        raises ScenarioError naming the section and the key."""
+        raises ScenarioError naming the section and the key, and an error of
+        a section's own parser names the section."""
         _require(isinstance(raw, Mapping), "scenario must be a JSON object")
         where: list = []
 
-        def section(name: str, spec: Any) -> Any:
+        def section(name: str, spec: Any, parse=None, *args) -> Any:
             where[:] = [name, _Keys(spec) if isinstance(spec, Mapping) else spec]
-            return where[1]
+            if parse is None:
+                return where[1]
+            try:
+                return parse(where[1], *args)
+            except ScenarioError as err:
+                raise ScenarioError(f"{name}: {err}") from err
 
         try:
             return cls._parse(section("scenario", raw), section)
@@ -134,9 +140,9 @@ class Scenario:
         d = int(raw["modes"])
         _require(d >= 2, "need at least two modes")
 
-        tree_spec = cls._parse_tree(section("tree", raw["tree"]))
+        tree_spec = section("tree", raw["tree"], cls._parse_tree)
         gens = [
-            cls._parse_generator(section(f"generators[{i}]", g), d, i)
+            section(f"generators[{i}]", g, cls._parse_generator, d)
             for i, g in enumerate(section("generators", raw["generators"]))
         ]
         _require(len(gens) == d, "one generator spec per mode required")
@@ -150,11 +156,11 @@ class Scenario:
         for j in range(d):
             _require(cost_rows[j][j] == 0.0, f"cost diagonal [{j}][{j}] must be 0")
         barriers = [
-            cls._parse_barrier(section(f"barriers[{j}]", b))
+            section(f"barriers[{j}]", b, cls._parse_barrier)
             for j, b in enumerate(section("barriers", raw["barriers"]))
         ]
         _require(len(barriers) == d, "one barrier spec per mode required")
-        terminal = cls._parse_terminal(section("terminal", raw["terminal"]), d)
+        terminal = section("terminal", raw["terminal"], cls._parse_terminal, d)
         v_raw = section("v_increments", raw.get("v_increments")) or [{}] * d
         _require(
             isinstance(v_raw, list) and len(v_raw) == d,
@@ -195,10 +201,10 @@ class Scenario:
 
     @staticmethod
     def _parse_tree(spec: Mapping) -> dict:
-        _require(isinstance(spec, Mapping), "tree must be an object")
+        _require(isinstance(spec, Mapping), "must be an object")
         kind = spec.get("kind")
         dt = float(spec.get("dt", 0.0))
-        _require(dt > 0.0, "tree.dt must be positive")
+        _require(dt > 0.0, "dt must be positive")
         if kind == "chain":
             steps = int(spec["steps"])
             _require(steps >= 1, "chain needs steps >= 1")
@@ -234,8 +240,8 @@ class Scenario:
         raise ScenarioError(f"unknown tree kind {kind!r}")
 
     @staticmethod
-    def _parse_generator(spec: Mapping, d: int, index: int) -> dict:
-        _require(isinstance(spec, Mapping), "generator must be an object")
+    def _parse_generator(spec: Mapping, d: int) -> dict:
+        _require(isinstance(spec, Mapping), "must be an object")
         fam = spec.get("family")
         if fam == "constant":
             return {"family": "constant", "a": float(spec["a"])}
@@ -259,7 +265,7 @@ class Scenario:
                 _require(
                     all(map(math.isfinite, knots))
                     and all(a <= b for a, b in zip(knots, knots[1:])),
-                    f"generator {index}: table {name} must be finite and ascending",
+                    f"table {name} must be finite and ascending",
                 )
             _require(len(values) == len(times), "one value row per time")
             for i, row in enumerate(values):
@@ -275,7 +281,7 @@ class Scenario:
 
     @staticmethod
     def _parse_barrier(spec: Mapping) -> dict:
-        _require(isinstance(spec, Mapping), "barrier must be an object")
+        _require(isinstance(spec, Mapping), "must be an object")
         kind = spec.get("kind")
         if kind == "constant":
             return {"kind": "constant", "value": float(spec["value"])}
@@ -294,7 +300,7 @@ class Scenario:
 
     @staticmethod
     def _parse_terminal(spec: Mapping, d: int) -> dict:
-        _require(isinstance(spec, Mapping), "terminal must be an object")
+        _require(isinstance(spec, Mapping), "must be an object")
         kind = spec.get("kind")
         if kind == "table":
             vals = {}

@@ -58,7 +58,8 @@ def random_walk_process(
 
 
 def random_generator(rng: random.Random, allow_nonlinear: bool = False):
-    """A (t, y) generator decreasing in y, drawn from small families."""
+    """A scalar generator decreasing in y and independent of its node
+    argument, drawn from small families."""
     kind = rng.choice(["zero", "constant", "affine", "affine"])
     if allow_nonlinear and rng.random() < 0.2:
         scale = rng.uniform(0.05, 0.3)

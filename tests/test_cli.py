@@ -7,7 +7,8 @@ Core claims:
       command's output files on the bundled scenarios keep pinned sha256
       digests
     - a scenario missing a key or holding a value of the wrong type exits 2
-      with kind scenario, naming the section and the key
+      with kind scenario, naming the section and the key; a value a section
+      refuses (a negative slope, an unknown kind) names the section
     - verify consumes solve's CSV via --solution and passes; corrupting the
       CSV turns verify into exit 4
     - exit codes: 0 ok, 2 validation (with machine-readable diagnostic and
@@ -22,6 +23,8 @@ Core claims:
       subsolution_slack exits 2 as unknown; a NaN, infinite or descending
       table knot exits 2 naming the generator; brute-force on coupled
       generators exits 2 with the generator-coupled findings
+    - arguments the parser refuses exit 2 with kind usage and a diagnostic
+      in the --out directory they name, or in orbsde_out; -h exits 0
     - the bundled no-solution discretization exits 2 pinpointing every node
       with the obstacle above the barrier; the bundled decoupled scenario's
       roots equal per-mode upper solves; the bundled switching scenario's
@@ -119,6 +122,19 @@ MALFORMED_SCENARIOS = {
         "generators[1]: bad value for key 'a'"),
     "v-increments-entry-is-a-list": (
         lambda spec: spec["v_increments"].__setitem__(0, [0.1]), "v_increments[0]: "),
+    # a value a section's parser refuses names the section
+    "generator-b-negative": (
+        lambda spec: spec["generators"].__setitem__(
+            1, {"family": "linear", "a": 0.1, "b": -1}),
+        "generators[1]: linear generator needs b >= 0"),
+    "barrier-kind-unknown": (
+        lambda spec: spec["barriers"].__setitem__(1, {"kind": "wavy"}),
+        "barriers[1]: unknown barrier kind 'wavy'"),
+    "tree-dt-zero": (
+        lambda spec: spec["tree"].__setitem__("dt", 0.0), "tree: dt must be positive"),
+    "terminal-kind-unknown": (
+        lambda spec: spec["terminal"].__setitem__("kind", "wavy"),
+        "terminal: unknown terminal kind 'wavy'"),
 }
 
 
@@ -417,6 +433,32 @@ def test_bad_budget_or_tolerance_exits_2(scenarios_dir, tmp_path, command,
     assert "sweep budget must be >= 1" in error["detail"]
 
 
+@pytest.mark.parametrize("flags, detail", [
+    # argparse reads a negative number in exponent form as an option
+    (["--tol", "-1e-10"], "argument --tol: expected one argument"),
+    (["--max-sweeps", "1.5"], "argument --max-sweeps: invalid int value: '1.5'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_refused_arguments_exit_2_with_a_diagnostic(scenarios_dir, tmp_path,
+                                                    monkeypatch, flags, detail):
+    # argparse raised SystemExit out of main and wrote no diagnostic
+    scenario = scenarios_dir / "switch2x2.json"
+    out = tmp_path / "out"
+    assert run("solve", scenario, *flags, "--out", out) == 2
+    payload = read_json(out / "diagnostic.json")
+    assert payload == {"exit_code": 2, "error": {"kind": "usage", "detail": detail}}
+    monkeypatch.chdir(tmp_path)
+    assert run("solve", scenario, *flags) == 2
+    assert read_json(tmp_path / "orbsde_out" / "diagnostic.json") == payload
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        run("solve", "-h")
+    assert done.value.code == 0
+    assert "--max-sweeps" in capsys.readouterr().out
+
+
 def test_removed_subsolution_slack_option_exits_2(scenarios_dir, tmp_path):
     spec = read_json(scenarios_dir / "switch2x2.json")
     spec["solver"] = {"subsolution_slack": 5.0}
@@ -492,8 +534,8 @@ def test_decoupled_scenario_roots_equal_upper_solves(scenarios_dir, tmp_path):
                     leaf: problem.terminal[leaf][j]
                     for leaf in problem.tree.leaves
                 },
-                generator=lambda t, y, _j=j: problem.generators[_j](
-                    t, (y, y)
+                generator=lambda node, y, _j=j: problem.generators[_j](
+                    node.t, (y, y)
                 ),
                 v_increments=problem.v[j],
                 upper=problem.upper[j],
@@ -596,7 +638,7 @@ def test_non_finite_or_descending_table_knots_exit_2(scenarios_dir, tmp_path,
     assert run("solve", path, "--out", out) == 2
     error = read_json(out / "diagnostic.json")["error"]
     assert error["kind"] == "scenario"
-    assert f"generator 1: table {field} must be finite and ascending" in error["detail"]
+    assert f"generators[1]: table {field} must be finite and ascending" in error["detail"]
 
 
 def test_brute_force_dump_matches_library(scenarios_dir, tmp_path):

@@ -53,11 +53,12 @@ from orbsde import (
     evaluate_H,
     picard_solve,
     solve_system,
+    solve_two_barrier,
     solve_upper,
     validate_problem,
     verify_minimality,
 )
-from orbsde.oblique import CostMatrix, SystemSolution
+from orbsde.oblique import CostMatrix, SystemSolution, mode_problem
 from orbsde.scenario import Scenario
 from gen import random_oblique_problem, zero_cost_cycle
 
@@ -194,8 +195,8 @@ def test_subsolution_of_decoupled_problem_is_upper_solve():
                 terminal={
                     leaf: problem.terminal[leaf][j] for leaf in problem.tree.leaves
                 },
-                generator=lambda t, y, _j=j: problem.generators[_j](
-                    t, tuple(y if i == _j else 0.0 for i in range(2))
+                generator=lambda node, y, _j=j: problem.generators[_j](
+                    node.t, tuple(y if i == _j else 0.0 for i in range(2))
                 ),
                 v_increments=problem.v[j],
                 upper=problem.upper[j],
@@ -235,8 +236,8 @@ def test_inert_obstacle_degenerates_to_independent_upper_solves():
                         leaf: problem.terminal[leaf][j]
                         for leaf in problem.tree.leaves
                     },
-                    generator=lambda t, y, _j=j, _d=d: problem.generators[_j](
-                        t, tuple(y if i == _j else 0.0 for i in range(_d))
+                    generator=lambda node, y, _j=j, _d=d: problem.generators[_j](
+                        node.t, tuple(y if i == _j else 0.0 for i in range(_d))
                     ),
                     v_increments=problem.v[j],
                     upper=problem.upper[j],
@@ -741,6 +742,26 @@ def test_solvers_agree_on_random_systems(seed, d, coupling, v_scale, cycle):
         assert fast == oracle
     else:
         _assert_same_solution(problem, fast, oracle)
+
+
+def test_mode_problem_reproduces_each_component(scenarios_dir):
+    # the existence proof's reading of a solved system: mode j alone, the
+    # other components frozen, between H^j(Y) and U^j, solves to Y^j
+    rng = random.Random(31)
+    problems = [
+        Scenario.from_file(scenarios_dir / f"{name}.json").build_problem()
+        for name in ("decoupled", "switch2x2")
+    ] + [
+        random_oblique_problem(rng, d=rng.choice((2, 3)), max_branching=3,
+                               coupling=rng.uniform(0.0, 0.9))
+        for _ in range(60)
+    ]
+    for problem in problems:
+        solution = solve_system(problem, tol=1e-13)
+        for j in range(problem.d):
+            column = solve_two_barrier(mode_problem(problem, solution, j))
+            pairs = zip(column.y.values, solution.y[j].values)
+            assert max(abs(x - z) for x, z in pairs) <= 1e-12
 
 
 def test_solvers_reject_a_budget_below_one_or_a_nan_tolerance():

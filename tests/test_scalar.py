@@ -72,7 +72,7 @@ def scalar_residuals(problem: ScalarRBSDEProblem, sol) -> float:
         if n.is_leaf:
             continue
         worst = max(worst, -sol.k.out_of(n.index), -sol.a.out_of(n.index))
-        g_u = problem.generator(n.t, y_u)
+        g_u = problem.generator(n, y_u)
         mart = 0.0
         for c in n.children:
             resid = y_u - (
