@@ -42,6 +42,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import BracketingError, InvalidProblemError, Violation
 from .tree import (
     AdaptedProcess,
@@ -145,6 +147,89 @@ def _root_find(phi: Callable[[float], float], x0: float, tol: float) -> float:
             lo = mid
 
 
+@np.errstate(all="ignore")   # quiet like float arithmetic: overflow gives inf
+def _root_find_batch(
+    phi: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray, tol: float
+) -> np.ndarray:
+    """:func:`_root_find` on every element of the 1-D float64 array ``x0``.
+
+    ``phi(x, idx)`` returns the residuals of the elements ``idx`` (an index
+    array into ``x0``) at the points ``x``.  Each element takes the scalar
+    finder's path, with the same probe, secant step, bracket expansion,
+    bisection and stall guard, so every root equals the scalar root bit for
+    bit; an element leaves the active set as soon as it is done.  Raises
+    BracketingError wherever the scalar finder would raise for some element.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    root = np.empty_like(x0)
+    idx = np.arange(x0.size)
+
+    def tight(x):   # fmin/fmax pass over a NaN, as the scalar min/max do
+        return np.fmin(tol, 4e-15 * np.fmax(1.0, np.abs(x)))
+
+    def retire(done, x, *active):
+        """Store ``x`` as the root of the done elements and return the
+        ``active`` arrays cut to the elements still running."""
+        nonlocal idx
+        root[idx[done]] = x[done]
+        keep = ~done
+        idx = idx[keep]
+        return [a[keep] for a in active]
+
+    f0 = phi(x0, idx)
+    bad = ~np.isfinite(f0)
+    if bad.any():
+        raise BracketingError(f"residual not finite at {float(x0[bad][0])}")
+    x0, f0 = retire(np.abs(f0) <= tight(x0), x0, x0, f0)
+    x1 = x0 - f0
+    f1 = phi(x1, idx)
+    x0, f0, x1, f1 = retire(np.abs(f1) <= tight(x1), x1, x0, f0, x1, f1)
+    x2, f2 = x1.copy(), f1.copy()
+    sec = np.flatnonzero(f1 != f0)
+    x2[sec] = x1[sec] - f1[sec] * (x1[sec] - x0[sec]) / (f1[sec] - f0[sec])
+    f2[sec] = phi(x2[sec], idx[sec])
+    x0, f0, x1, f1, x2, f2 = retire(np.abs(f2) <= tight(x2), x2,
+                                    x0, f0, x1, f1, x2, f2)
+    if not idx.size:
+        return root
+
+    # f0 is finite, so each element has one end of its bracket already
+    lo, hi = np.zeros(x0.size), np.zeros(x0.size)
+    has_lo, has_hi = np.zeros(x0.size, bool), np.zeros(x0.size, bool)
+    for x, f in ((x0, f0), (x1, f1), (x2, f2)):
+        take = (f <= 0.0) & (~has_lo | (x > lo))
+        lo[take], has_lo[take] = x[take], True
+        take = (f >= 0.0) & (~has_hi | (x < hi))
+        hi[take], has_hi[take] = x[take], True
+    step = np.fmax(1.0, np.abs(x0)) * 0.5
+    for expansions in range(65):
+        seek = np.flatnonzero(~(has_lo & has_hi))
+        if not seek.size:
+            break
+        if expansions == 64:
+            raise BracketingError(
+                "no sign change after 64 interval expansions; "
+                "generator is likely not decreasing in y"
+            )
+        down = ~has_lo[seek]
+        probe = np.where(down, hi[seek] - step[seek], lo[seek] + step[seek])
+        f = phi(probe, idx[seek])
+        take = down & (f <= 0.0)
+        lo[seek[take]], has_lo[seek[take]] = probe[take], True
+        take = ~down & (f >= 0.0)
+        hi[seek[take]], has_hi[seek[take]] = probe[take], True
+        step *= 2.0
+
+    while idx.size:
+        mid = 0.5 * (lo + hi)
+        fm = phi(mid, idx)
+        done = (np.abs(fm) <= tight(mid)) | (
+            hi - lo <= 4e-16 * np.fmax(np.fmax(1.0, np.abs(lo)), np.abs(hi)))
+        up = fm > 0.0
+        lo, hi = retire(done, mid, np.where(up, lo, mid), np.where(up, mid, hi))
+    return root
+
+
 def implicit_step(
     e_next: float,
     g: Callable[[int, float], float],
@@ -171,7 +256,7 @@ class ScalarRBSDEProblem:
     :func:`orbsde.oblique.mode_problem`).  Either barrier may be absent; when
     both are present they must be ordered (L <= U everywhere,
     L_T <= xi <= U_T).  :meth:`validate` probes the generator's monotonicity
-    in y at the first node of each time index.
+    in y at every node before the horizon, one finding per time index.
     """
 
     tree: EventTree
@@ -232,18 +317,21 @@ class ScalarRBSDEProblem:
                             n.t,
                         )
                     )
-        g = self.generator
         for t in range(tree.n_steps):
-            node = tree.node(tree.level(t)[0])
-            near = next((
-                (y0, y1) for y0 in _MONOTONE_PROBE_YS for y1 in _MONOTONE_PROBE_YS
-                if (g(node, y0) - g(node, y1)) * (y0 - y1) > 1e-12
-            ), None)
+            near = next(filter(None, map(self._increase, tree.level(t))), None)
             if near is not None:
                 out.append(Violation("generator-monotone",
                                      f"generator increases in y near {near}",
                                      time_index=t))
         return out
+
+    def _increase(self, u: int) -> tuple[float, float] | None:
+        """The first probe pair (y0, y1) where the generator increases in y
+        at node u, or None: one call per probe y, then the pairs."""
+        node = self.tree.node(u)
+        probes = [(y, self.generator(node, y)) for y in _MONOTONE_PROBE_YS]
+        return next(((y0, y1) for y0, g0 in probes for y1, g1 in probes
+                     if (g0 - g1) * (y0 - y1) > 1e-12), None)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -108,8 +109,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, raw: Mapping) -> "Scenario":
         """Parse a raw scenario.  A missing key or a value of the wrong type
-        raises ScenarioError naming the section and the key, and an error of
-        a section's own parser names the section."""
+        (one that ``float()`` or ``int()`` cannot convert included) raises
+        ScenarioError naming the section and the key, and an error of a
+        section's own parser names the section."""
         _require(isinstance(raw, Mapping), "scenario must be a JSON object")
         where: list = []
 
@@ -124,7 +126,10 @@ class Scenario:
 
         try:
             return cls._parse(section("scenario", raw), section)
-        except (KeyError, TypeError, AttributeError) as err:
+        except ScenarioError:   # a ValueError too, with its own message
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError,
+                OverflowError) as err:
             name, spec = where
             key = getattr(spec, "last", None)
             detail = (f"missing key {err.args[0]!r}" if isinstance(err, KeyError)
@@ -270,6 +275,8 @@ class Scenario:
             _require(len(values) == len(times), "one value row per time")
             for i, row in enumerate(values):
                 _require(len(row) == len(grid), "row length must match grid")
+                _require(all(map(math.isfinite, row)),
+                         f"table row {i} must be finite")
                 for a, b2 in zip(row, row[1:]):
                     _require(
                         b2 <= a + 1e-12,
@@ -435,16 +442,23 @@ def _make_generator(spec: dict, mode: int, dt: float):
             return acc
 
         return gen
-    times = np.asarray(spec["times"])
+    times = spec["times"]
     grid = np.asarray(spec["grid"])
     values = np.asarray(spec["values"])
 
     def table_gen(t, y, _m=mode):
+        # np.interp in y, for a float or an array alike; in time, numpy's
+        # own segment and slope formula (its NaN fallback never applies to
+        # a finite table)
+        rows = [np.interp(y[_m], grid, row) for row in values]
         time = t * dt
-        per_row = [float(np.interp(y[_m], grid, row)) for row in values]
-        if len(per_row) == 1:
-            return per_row[0]
-        return float(np.interp(time, times, per_row))
+        j = bisect_right(times, time) - 1
+        if j < 0 or j == len(times) - 1 or times[j] == time:
+            out = rows[max(j, 0)]
+        else:
+            slope = (rows[j + 1] - rows[j]) / (times[j + 1] - times[j])
+            out = slope * (time - times[j]) + rows[j]
+        return out if isinstance(out, np.ndarray) else float(out)
 
     return table_gen
 

@@ -15,6 +15,13 @@ which is the scalar implicit machinery with the switch costs folded into
 the continuation (they are decided at the children, so they sit inside the
 expectation, not in the predictable drift).
 
+Strategies are solved in chunks, as arrays: ``_eval_strategy`` walks a
+chunk's mode matrix backward, groups the chunk by mode at each parent and
+finds each group's roots with one :func:`orbsde.scalar._root_find_batch`,
+which gives the scalar finder's roots bit for bit.  A generator that the
+oracle evaluates is therefore called with a d-tuple of equal float64 arrays
+and must return an array of their shape or a scalar.
+
 Exhaustive strategy enumeration is the value oracle here: the maximal
 start value over all strategies equals the system solution's Y at the start
 node whenever the oblique lower reflection is inactive there (no K-push out
@@ -30,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from .oblique import (
     _probe_box,
     _probe_times,
 )
-from .scalar import _root_find, RESIDUAL_TOL
+from .scalar import RESIDUAL_TOL, _root_find, _root_find_batch
 from .tree import EventTree
 
 __all__ = [
@@ -142,109 +149,102 @@ def _require_cost_form(problem: ObliqueProblem) -> None:
         raise InvalidProblemError(coupled)
 
 
+# Strategies per _eval_strategy call in brute_force_value, set by peak RSS:
+# the oracle's first numpy calls add about 0.35 MB to a process whatever the
+# chunk, and its arrays about 0.15 MB more at 512, 0.4 MB at 1,024 and 2 MB
+# at 4,096, while the per-chunk Python overhead shrinks as chunks grow.
+_CHUNK = 512
+
+
 @dataclass(frozen=True)
 class _SubtreeCtx:
-    """Precomputed arrays for fast per-strategy solves on one subtree."""
+    """One subtree's data as the arrays the chunked strategy solve reads."""
 
-    tree: EventTree
     problem: ObliqueProblem
-    start: int
-    nodes: tuple[int, ...]            # ascending index order
-    pos: Mapping[int, int]
+    nodes: tuple[int, ...]                  # ascending index order
     children: tuple[tuple[int, ...], ...]   # positions
     probs: tuple[tuple[float, ...], ...]
     times: tuple[int, ...]
     is_leaf: tuple[bool, ...]
-    upper: tuple[tuple[float, ...], ...]    # [mode][pos]
-    xi: tuple[tuple[float, ...], ...]       # [mode][pos], 0 for non-leaf
-    dv_out: tuple[tuple[float, ...], ...]   # [mode][pos]
-    costs: tuple                            # [t][j][k] plain floats
+    upper: np.ndarray                       # [mode, pos]
+    xi: np.ndarray                          # [mode, pos], 0 off the leaves
+    dv_out: np.ndarray                      # [mode, pos]
+    costs: np.ndarray                       # [t, from, to], zero diagonal
 
 
 def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
     tree = problem.tree
     nodes = tree.subtree(start)
     pos = {u: i for i, u in enumerate(nodes)}
-    children = tuple(
-        tuple(pos[c] for c in tree.children(u)) for u in nodes
-    )
-    probs = tuple(
-        tuple(tree.node(c).prob for c in tree.children(u)) for u in nodes
-    )
-    times = tuple(tree.node(u).t for u in nodes)
-    is_leaf = tuple(tree.node(u).is_leaf for u in nodes)
     d = problem.d
-    upper = tuple(
-        tuple(problem.upper[j].values[u] for u in nodes) for j in range(d)
-    )
-    xi = tuple(
-        tuple(
-            problem.terminal[u][j] if tree.node(u).is_leaf else 0.0
-            for u in nodes
-        )
-        for j in range(d)
-    )
-    dv_out = tuple(
-        tuple(problem.v[j].out_of(u) for u in nodes) for j in range(d)
-    )
-    costs = tuple(
-        tuple(tuple(float(x) for x in row) for row in slab)
-        for slab in problem.costs.values
-    )
+    costs = np.array(problem.costs.values, dtype=np.float64)
+    costs[:, range(d), range(d)] = 0.0
     return _SubtreeCtx(
-        tree, problem, start, nodes, pos, children, probs, times, is_leaf,
-        upper, xi, dv_out, costs,
+        problem,
+        nodes,
+        tuple(tuple(pos[c] for c in tree.children(u)) for u in nodes),
+        tuple(tuple(tree.node(c).prob for c in tree.children(u)) for u in nodes),
+        tuple(tree.node(u).t for u in nodes),
+        tuple(tree.node(u).is_leaf for u in nodes),
+        np.array([[problem.upper[j].values[u] for u in nodes] for j in range(d)]),
+        np.array([[problem.terminal[u][j] if tree.node(u).is_leaf else 0.0
+                   for u in nodes] for j in range(d)]),
+        np.array([[problem.v[j].out_of(u) for u in nodes] for j in range(d)]),
+        costs,
     )
 
 
 def _eval_strategy(
-    ctx: _SubtreeCtx, modes: Sequence[int]
-) -> tuple[list[float], list[float], list[float]]:
-    """Backward solve of one strategy; returns (r, dm, dd) by position."""
-    problem = ctx.problem
-    dt = ctx.tree.dt
-    costs = ctx.costs
-    gens = problem.generators
-    d = problem.d
-    npos = len(ctx.nodes)
-    r = [0.0] * npos
-    dm = [0.0] * npos
-    dd = [0.0] * npos
-    for i in range(npos - 1, -1, -1):
-        m = modes[i]
+    ctx: _SubtreeCtx, modes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward solve of a chunk of strategies at once.
+
+    ``modes[s, i]`` is strategy s's mode at position i.  At each parent the
+    chunk is grouped by mode; each group's implicit steps are one
+    :func:`_root_find_batch`, whose residual calls the mode's generator once
+    with a d-tuple of equal arrays.  Returns (r, dm, dd), each indexed
+    [strategy, position], equal bit for bit to solving each strategy alone.
+    """
+    gens = ctx.problem.generators
+    d, dt = ctx.problem.d, ctx.problem.tree.dt
+    cols = modes.T
+    r, dm, dd = (np.zeros(cols.shape) for _ in range(3))
+    for i in range(len(ctx.nodes) - 1, -1, -1):
         if ctx.is_leaf[i]:
-            r[i] = ctx.xi[m][i]
+            r[i] = ctx.xi[cols[i], i]
             continue
-        t = ctx.times[i]
-        kids = ctx.children[i]
-        e = 0.0
-        arrivals = []
-        cost_row = costs[t + 1][m]
-        for c, p in zip(kids, ctx.probs[i]):
-            val = r[c]
-            mc = modes[c]
-            if mc != m:
-                val -= cost_row[mc]
-            arrivals.append(val)
-            e += p * val
-        f = gens[m]
-        target = e + ctx.dv_out[m][i]
+        t, kids = ctx.times[i], ctx.children[i]
+        for m in range(d):
+            sel = np.flatnonzero(cols[i] == m)
+            if not sel.size:
+                continue
+            cost = ctx.costs[t + 1, m]
+            arrivals = [r[c, sel] - cost[cols[c, sel]] for c in kids]
+            e = np.zeros(sel.size)
+            for p, arrive in zip(ctx.probs[i], arrivals):
+                e += p * arrive
+            target = e + ctx.dv_out[m, i]
 
-        def phi(y: float) -> float:
-            return y - f(t, (y,) * d) * dt - target
+            def phi(y, idx, f=gens[m]):
+                return y - f(t, (y,) * d) * dt - target[idx]
 
-        ystar = _root_find(phi, target, RESIDUAL_TOL)
-        cap = ctx.upper[m][i]
-        if ystar > cap:
-            r[i] = cap
-            push = max(0.0, -phi(cap))
-        else:
-            r[i] = ystar
-            push = 0.0
-        for c, arrive in zip(kids, arrivals):
-            dd[c] = push
-            dm[c] = arrive - e
-    return r, dm, dd
+            ystar = _root_find_batch(phi, target, RESIDUAL_TOL)
+            cap = ctx.upper[m, i]
+            over = np.flatnonzero(ystar > cap)
+            ystar[over] = cap
+            push = np.zeros(sel.size)
+            if over.size:
+                lack = -phi(np.full(over.size, cap), over)
+                push[over] = np.where(lack > 0.0, lack, 0.0)
+            r[i, sel] = ystar
+            for c, arrive in zip(kids, arrivals):
+                dd[c, sel] = push
+                dm[c, sel] = arrive - e
+    return r.T, dm.T, dd.T
+
+
+def _mode_dtype(d: int) -> np.dtype:
+    return np.min_scalar_type(d - 1)   # uint8 up to 256 modes
 
 
 def solve_for_strategy(
@@ -257,17 +257,14 @@ def solve_for_strategy(
     """
     _require_cost_form(problem)
     ctx = _subtree_ctx(problem, strategy.start)
-    modes = [strategy.modes[u] for u in ctx.nodes]
-    r, dm, dd = _eval_strategy(ctx, modes)
-    to_node = ctx.nodes
+    modes = np.array([[strategy.modes[u] for u in ctx.nodes]],
+                     dtype=_mode_dtype(problem.d))
+    r, dm, dd = (a[0].tolist() for a in _eval_strategy(ctx, modes))
+    later = range(1, len(ctx.nodes))   # position 0 is the start
     return StrategyValue(
-        r={to_node[i]: r[i] for i in range(len(to_node))},
-        m_increments={
-            to_node[i]: dm[i] for i in range(len(to_node)) if to_node[i] != strategy.start
-        },
-        d_increments={
-            to_node[i]: dd[i] for i in range(len(to_node)) if to_node[i] != strategy.start
-        },
+        r=dict(zip(ctx.nodes, r)),
+        m_increments={ctx.nodes[i]: dm[i] for i in later},
+        d_increments={ctx.nodes[i]: dd[i] for i in later},
     )
 
 
@@ -305,25 +302,31 @@ def brute_force_value(
 ) -> tuple[float, SwitchingStrategy]:
     """Max start value over every strategy, by exhaustive enumeration.
 
-    Ties resolve to the lexicographically smallest mode vector (the
-    enumeration order), deterministically.
+    Strategy k of the enumeration order (:func:`iter_strategies`) has the
+    base-d digits of k as the modes of the nodes after the start; chunks of
+    ``_CHUNK`` consecutive strategies are solved at once.  Ties resolve to
+    the first maximum in that order, deterministically, and a NaN start
+    value never wins.
     """
     _require_cost_form(problem)
     nodes = _check_cap(problem, start, cap)
     ctx = _subtree_ctx(problem, start)
-    start_pos = ctx.pos[start]
-    free_pos = [i for i, u in enumerate(nodes) if u != start]
-    modes = [start_mode] * len(nodes)
-    best = -math.inf
-    best_assignment: tuple[int, ...] | None = None
-    for assignment in itertools.product(range(problem.d), repeat=len(free_pos)):
-        for i, m in zip(free_pos, assignment):
-            modes[i] = m
-        r, _, _ = _eval_strategy(ctx, modes)
-        if r[start_pos] > best:
-            best = r[start_pos]
-            best_assignment = assignment
-    mapping = dict(zip([nodes[i] for i in free_pos], best_assignment))
+    d, free = problem.d, len(nodes) - 1
+    total = d ** free
+    place = d ** np.arange(free - 1, -1, -1)   # digit weights, start excluded
+    best, best_k = -math.inf, None
+    for first in range(0, total, _CHUNK):
+        k = np.arange(first, min(first + _CHUNK, total))
+        modes = np.empty((k.size, len(nodes)), dtype=_mode_dtype(d))
+        modes[:, 0] = start_mode
+        modes[:, 1:] = k[:, None] // place % d
+        value = _eval_strategy(ctx, modes)[0][:, 0]
+        top = int(np.argmax(np.where(np.isnan(value), -math.inf, value)))
+        if value[top] > best:
+            best, best_k = float(value[top]), first + top
+    if best_k is None:
+        raise ValueError("no strategy has a start value above -inf")
+    mapping = dict(zip(nodes[1:], (best_k // place % d).tolist()))
     mapping[start] = start_mode
     return best, SwitchingStrategy(problem.tree, start, start_mode, mapping)
 

@@ -4,11 +4,12 @@ Core claims:
     - scenario parse -> normalize -> serialize -> parse is the identity on
       the normalized form
     - identical inputs produce byte-identical CSVs and summaries, and every
-      command's output files on the bundled scenarios keep pinned sha256
-      digests
-    - a scenario missing a key or holding a value of the wrong type exits 2
-      with kind scenario, naming the section and the key; a value a section
-      refuses (a negative slope, an unknown kind) names the section
+      command's output files on the bundled scenarios, and the strategy
+      oracle's on a table-generator scenario, keep pinned sha256 digests
+    - a scenario missing a key or holding a value of the wrong type (one
+      float() or int() cannot convert included) exits 2 with kind scenario,
+      naming the section and the key; a value a section refuses (a negative
+      slope, an unknown kind, a non-finite table value) names the section
     - verify consumes solve's CSV via --solution and passes; corrupting the
       CSV turns verify into exit 4
     - exit codes: 0 ok, 2 validation (with machine-readable diagnostic and
@@ -122,6 +123,13 @@ MALFORMED_SCENARIOS = {
         "generators[1]: bad value for key 'a'"),
     "v-increments-entry-is-a-list": (
         lambda spec: spec["v_increments"].__setitem__(0, [0.1]), "v_increments[0]: "),
+    # a value that float() or int() cannot convert
+    "coefficient-not-a-number": (
+        lambda spec: spec["generators"].__setitem__(1, {"family": "constant", "a": "abc"}),
+        "generators[1]: bad value for key 'a' (could not convert"),
+    "solver-option-not-an-integer": (
+        lambda spec: spec.__setitem__("solver", {"max_sweeps": "x"}),
+        "solver: bad value for key 'max_sweeps' (invalid literal"),
     # a value a section's parser refuses names the section
     "generator-b-negative": (
         lambda spec: spec["generators"].__setitem__(
@@ -213,6 +221,11 @@ PINNED_OUTPUTS = {
 }
 
 
+def _digests(out: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
 @pytest.mark.parametrize("name,command", sorted(PINNED_OUTPUTS))
 def test_outputs_pinned_across_commits(scenarios_dir, tmp_path, name, command):
     scenario = scenarios_dir / f"{name}.json"
@@ -223,11 +236,58 @@ def test_outputs_pinned_across_commits(scenarios_dir, tmp_path, name, command):
             "--out", out)
     else:
         run(command, scenario, "--out", out)
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.iterdir())
+    assert _digests(out) == PINNED_OUTPUTS[name, command]
+
+
+def penalty_table_scenario() -> dict:
+    """The shape of the benchmark's penalty-table workload at two steps:
+    three modes with kinked table generators on a binomial price tree,
+    fixed shocks."""
+    grid = [-4.0 + 0.5 * i for i in range(17)]
+
+    def profile(level):
+        return [level - 0.4 * x - 0.15 * x * abs(x) for x in grid]
+
+    return {
+        "format": 1,
+        "name": "penalty-table-2",
+        "tree": {"kind": "binomial", "steps": 2, "dt": 0.5,
+                 "p_up": 0.5, "x0": 1.0, "up": 1.08, "down": 1.0 / 1.08},
+        "modes": 3,
+        "generators": [
+            {"family": "table", "times": [0.0, 1.0], "grid": grid,
+             "values": [profile(0.1 * j), profile(0.1 * j + 0.2)]}
+            for j in range(3)
+        ],
+        "costs": [[0.0 if j == k else 0.1 for k in range(3)] for j in range(3)],
+        "barriers": [{"kind": "linear", "intercept": 1.4, "slope": 1.1}] * 3,
+        "terminal": {"kind": "price-affine", "a": [0.08, 0.04, 0.0],
+                     "b": [1.0, 1.0, 1.0]},
+        "v_increments": [{"r": -0.1, "rd": -0.1, "ru": 0.1},
+                         {"r": -0.1, "rd": 0.1, "ru": 0.1},
+                         {"r": 0.1, "rd": 0.1, "ru": -0.1}],
     }
-    assert digests == PINNED_OUTPUTS[name, command]
+
+
+# sha256 of the strategy oracle's outputs on table generators, recorded
+# while the oracle still solved one strategy at a time
+PINNED_TABLE_OUTPUTS = {
+    "verify": {
+        "verification.json": "1d63dba9d6ee8d62d3663b0964be4674034393aed38534d53127e18de2c9047e",
+        "verification.txt": "7f51af250d3da9beb9e10a51deca020009b29d3c3417bbad4b232ebe2133ae28",
+    },
+    "brute-force": {
+        "brute_force.json": "5a16a7fb096ce1a866328e68a1dda2b991561de386380c161ae1504cc06c9ce6",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLE_OUTPUTS))
+def test_table_oracle_outputs_pinned(tmp_path, command):
+    path = tmp_path / "penalty-table-2.json"
+    path.write_text(json.dumps(penalty_table_scenario()))
+    assert run(command, path, "--out", tmp_path / "out") == 0
+    assert _digests(tmp_path / "out") == PINNED_TABLE_OUTPUTS[command]
 
 
 def test_seed_flag_accepted_and_inert(scenarios_dir, tmp_path):
@@ -639,6 +699,18 @@ def test_non_finite_or_descending_table_knots_exit_2(scenarios_dir, tmp_path,
     error = read_json(out / "diagnostic.json")["error"]
     assert error["kind"] == "scenario"
     assert f"generators[1]: table {field} must be finite and ascending" in error["detail"]
+
+
+def test_non_finite_table_values_exit_2(scenarios_dir, tmp_path):
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    spec["generators"][1] = {"family": "table", "times": [0.0], "grid": [-1.0, 1.0],
+                             "values": [[float("inf"), 0.0]]}
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out) == 2
+    error = read_json(out / "diagnostic.json")["error"]
+    assert error["detail"] == "generators[1]: table row 0 must be finite"
 
 
 def test_brute_force_dump_matches_library(scenarios_dir, tmp_path):

@@ -12,6 +12,8 @@ Core claims:
       increments edgewise
     - penalized values are monotone in the weights and approach the
       projected solution; p = q = 0 is the unconstrained equation
+    - the batched root finder gives the scalar finder's roots bit for bit,
+      element by element, through every branch, and raises where it raises
     - results are bit-identical under permuted input node order
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +45,7 @@ from orbsde import (
 )
 from gen import random_scalar_problem, random_tree
 from oracles import dynkin_value
+from orbsde.scalar import RESIDUAL_TOL, _root_find, _root_find_batch
 from orbsde.tree import enumerate_stopping_times
 
 
@@ -125,6 +129,113 @@ def test_implicit_step_rejects_increasing_generator():
 def test_implicit_step_affine_closed_form(a, b, e, dv, dt):
     y = implicit_step(e, lambda t, yy: a - b * yy, 0, dv, dt)
     assert y == pytest.approx((e + dv + a * dt) / (1.0 + b * dt), abs=1e-10)
+
+
+# -- the batched root finder ---------------------------------------------------
+
+
+def _residual(y, slope, s, k, c, kink, target, dt):
+    """phi(y) = y - g(y) dt - target with b = (slope - 1) / dt and
+    g(y) = -(b y + s y^3 + k (y - kink)^+ - c (kink - y)^+): constant,
+    affine, cubic, kinked (k stiff up to 1e6), slow (0 < slope < 1) with a
+    steep stretch left of the kink (c > 0, where the secant stops short and
+    the bracket expands), and decreasing (slope < 0).  Floats and arrays
+    alike."""
+    b = (slope - 1.0) / dt
+    return y + dt * (b * y + s * y * y * y + k * np.maximum(0.0, y - kink)
+                     + c * np.minimum(0.0, y - kink)) - target
+
+
+_KINDS = ["constant", "affine", "cubic", "kinked", "stiff", "slow"] * 4 + [
+    "decreasing", "nan"]
+
+
+@st.composite
+def _residual_case(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    dt = draw(st.floats(0.05, 1.0))
+    target = draw(st.floats(-50.0, 50.0))
+    kink = draw(st.floats(-5.0, 5.0))
+    x0 = target + draw(st.sampled_from([0.0, 0.0, -2.5, 0.1, 7.0]))
+    slope, s, k, c = 1.0, 0.0, 0.0, 0.0
+    if kind == "affine":
+        slope = draw(st.floats(1.0, 6.0))
+    if kind == "cubic":
+        s = draw(st.floats(0.0, 3.0))
+    if kind in ("kinked", "stiff"):
+        k = draw(st.floats(0.1, 10.0) if kind == "kinked" else st.floats(1e3, 1e6))
+    if kind == "slow":
+        slope = 10.0 ** draw(st.floats(-5.0, 0.0))
+        c = draw(st.floats(0.0, 10.0))
+        x0 = kink - draw(st.floats(0.0, 5.0))
+    if kind == "decreasing":
+        slope = draw(st.floats(-5.0, -0.01))
+    if kind == "nan":
+        target = math.nan
+    return (slope, s, k, c, kink, target, dt), x0
+
+
+def _scalar_roots(cases):
+    """Each case through the scalar finder: its root, or the error class."""
+    out = []
+    for params, x0 in cases:
+        try:
+            out.append(_root_find(lambda y: _residual(y, *params), x0, RESIDUAL_TOL))
+        except BracketingError as err:
+            out.append(type(err))
+    return out
+
+
+def _batch_roots(cases):
+    columns = np.array([params for params, _ in cases]).T
+
+    def phi(y, idx):
+        return _residual(y, *columns[:, idx])
+
+    x0 = np.array([x0 for _, x0 in cases])
+    return _root_find_batch(phi, x0, RESIDUAL_TOL).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=st.lists(_residual_case(), min_size=1, max_size=24))
+def test_batched_root_finder_equals_the_scalar_one(cases):
+    scalar = _scalar_roots(cases)
+    if BracketingError in scalar:
+        with pytest.raises(BracketingError):
+            _batch_roots(cases)
+    else:
+        assert _batch_roots(cases) == scalar
+
+
+def _branches(params, x0):
+    """The scalar finder's branches for one residual, from its evaluations."""
+    xs = []
+
+    def phi(y):
+        xs.append(y)
+        return _residual(y, *params)
+
+    root = _root_find(phi, x0, RESIDUAL_TOL)
+    out = {{1: "probe", 2: "x1", 3: "secant"}.get(len(xs), "bisection")}
+    if len(xs) > 3 and all(xs[3] != 0.5 * (a + b) for a in xs[:3] for b in xs[:3]):
+        out.add("expansion")   # the first point after the secant is no midpoint
+    if abs(_residual(root, *params)) > min(RESIDUAL_TOL, 4e-15 * max(1.0, abs(root))):
+        out.add("stall guard")
+    return out
+
+
+def test_batched_root_finder_runs_every_branch():
+    cases = [
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5),     # exact first probe
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.5), 0.3),     # exact second probe
+        ((2.4, 0.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5),     # secant
+        ((1.0, 2.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5),     # bisection
+        ((1.0, 0.0, 1e6, 0.0, 0.2, 1.5, 0.5), -30.0),   # stiff kink: stall guard
+        ((1e-4, 0.0, 0.0, 5.0, 0.0, 1.0, 1.0), -3.0),   # 13 bracket expansions
+    ]
+    assert set().union(*(_branches(*case) for case in cases)) == {
+        "probe", "x1", "secant", "bisection", "stall guard", "expansion"}
+    assert _batch_roots(cases) == _scalar_roots(cases)
 
 
 # -- lower barrier -------------------------------------------------------------
@@ -320,6 +431,21 @@ def test_increasing_generator_flagged_by_validation():
         lower=AdaptedProcess.constant(tree, -1.0),
     )
     assert any(v.code == "generator-monotone" for v in problem.validate())
+
+
+def test_validation_probes_every_node_of_a_level():
+    # the generator increases in y at the second node of level 1 only, which
+    # a probe of each level's first node does not see
+    tree = EventTree.binary(2, 0.5)
+    second = tree.level(1)[1]
+    problem = ScalarRBSDEProblem(
+        tree=tree,
+        terminal={leaf: 0.0 for leaf in tree.leaves},
+        generator=lambda node, y: 0.5 * y if node.index == second else -y,
+        lower=AdaptedProcess.constant(tree, -1.0),
+    )
+    assert [(v.code, v.time_index) for v in problem.validate()] == [
+        ("generator-monotone", 1)]
 
 
 # -- solution invariants ---------------------------------------------------------
