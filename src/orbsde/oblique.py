@@ -12,6 +12,8 @@ strictly positive costs satisfying the triangle condition
 a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
+:func:`validate_problem` checks these hypotheses, and probes every
+generator at every time index before the horizon with ``scalar._probe``.
 
 Two solvers share the scalar projection step ``scalar._project``, the
 package's one backward walk ``scalar._backward_solve`` over the d modes,
@@ -40,7 +42,6 @@ Each solver is the walk with its own step:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -54,7 +55,7 @@ from .errors import (
     NonMonotoneSweepError,
     Violation,
 )
-from .scalar import ScalarRBSDEProblem, ScalarSolution, _backward_solve, _project
+from .scalar import ScalarRBSDEProblem, ScalarSolution, _backward_solve, _probe, _project
 from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
 
 __all__ = [
@@ -94,6 +95,7 @@ class CostMatrix:
         arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
+        self._rows = arr.tolist()   # the same costs as floats, for the obstacle
 
     @property
     def d(self) -> int:
@@ -153,16 +155,30 @@ class CostMatrix:
         return out
 
 
+def _cost_entry(costs: CostMatrix, t: int, y: Sequence[float], j: int) -> float:
+    """``H^j(t, y) = max over k != j of (y^k - c[j][k](t))``, the one entry
+    formula of the switching-cost obstacle."""
+    c = costs._rows[t][j]
+    return max(float(y[k] - c[k]) for k in range(len(c)) if k != j)
+
+
 def evaluate_H(costs: CostMatrix, t: int, y: Sequence[float]) -> tuple[float, ...]:
     """Obstacle vector H^j = max over k != j of (y^k - c[j][k](t)).
 
     Independent of y^j and nondecreasing in every component of y.
     """
-    c = costs.values[t]
+    return tuple(_cost_entry(costs, t, y, j) for j in range(costs.d))
+
+
+def _binding_graph(
+    costs: CostMatrix, t: int, y: Sequence[float], tol: float
+) -> list[list[int]]:
+    """Row j lists the modes k != j, ascending, whose switching obstacle
+    binds mode j: ``|y^j - (y^k - c[j][k](t))| <= tol``."""
     d = costs.d
-    return tuple(
-        max(float(y[k] - c[j, k]) for k in range(d) if k != j) for j in range(d)
-    )
+    return [[k for k in range(d)
+             if k != j and abs(y[j] - (y[k] - costs.at(t, j, k))) <= tol]
+            for j in range(d)]
 
 
 @dataclass(frozen=True)
@@ -236,37 +252,35 @@ def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
     return out
 
 
-def _probe_times(tree: EventTree) -> list[int]:
-    """The time indices at which the generators are probed."""
-    return sorted({0, tree.n_steps // 2, max(tree.n_steps - 1, 0)})
-
-
 CONTINUITY_STEP = 1e-7
 
 
 def _generator_probes(
-    f: VecGeneratorFn, t: int, grid: Sequence[float], d: int
-) -> tuple[list[list[float]], list[tuple[float, float]]]:
-    """f at the probe points, each evaluated once: ``moved[k][i]`` at the
-    grid midpoint with component k moved to ``grid[i]``, and ``diagonal[i]``
-    at ``grid[i]`` and ``grid[i] + CONTINUITY_STEP`` in every component."""
+    f: VecGeneratorFn, t: int, grid: Sequence[float], d: int, j: int
+) -> list[tuple]:
+    """The ``scalar._probe`` lines of f = f^j at time t: line k < d moves
+    component k over ``grid`` from the grid midpoint, with the pairs where
+    f rises in y^j or falls in another y^k; line d runs along the diagonal
+    at each grid point and ``CONTINUITY_STEP`` above it."""
     mid = grid[2]
-    moved = [
-        [f(t, [mid] * k + [g] + [mid] * (d - 1 - k)) for g in grid]
+    lines = [
+        _probe(lambda y, k=k: f(t, [mid] * k + [y] + [mid] * (d - 1 - k)), grid,
+               1.0 if k == j else -1.0)
         for k in range(d)
     ]
-    diagonal = [(f(t, [y0] * d), f(t, [y0 + CONTINUITY_STEP] * d)) for y0 in grid]
-    return moved, diagonal
+    steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
+    return lines + [_probe(lambda y: f(t, [y] * d), steps)]
 
 
 def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     """All structural hypotheses, reported with node/time coordinates.
 
-    Checks that dt, costs, upper barriers, terminals and v increments are
-    finite, cost positivity and the triangle condition, the Mokobodzki
-    inequality H(U) <= U at every node, the terminal sandwich
-    H_T(xi) <= xi <= U_T at every leaf, that the generators are finite at
-    the probe points, and finite-difference spot-checks of the generator
+    Checks the dimensions (terminal vectors included), that dt, costs,
+    upper barriers, terminals and v increments are finite, cost positivity
+    and the triangle condition, the Mokobodzki inequality H(U) <= U at
+    every node, the terminal sandwich H_T(xi) <= xi <= U_T at every leaf,
+    and, at every time index before the horizon, that the generators are
+    finite at the probe points, with finite-difference spot-checks of their
     monotonicity directions (decreasing in the own component,
     nondecreasing in the others) and continuity.  Non-finite data stop the
     report before the Mokobodzki check, and non-finite generator values
@@ -281,6 +295,14 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         return out
     if len(problem.generators) != d or len(problem.upper) != d or len(problem.v) != d:
         out.append(Violation("dimension", "per-mode field lengths disagree with d"))
+        return out
+    for leaf in tree.leaves:
+        xi = problem.terminal.get(leaf)
+        if xi is not None and len(xi) != d:
+            out.append(Violation("dimension", f"terminal vector has {len(xi)} "
+                                 f"entries, need {d}", tree.node(leaf).node_id,
+                                 tree.n_steps))
+    if out:
         return out
     if problem.costs is not None:
         if problem.costs.d != d:
@@ -332,55 +354,34 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
                 )
 
     grid = _probe_box(problem)
-    times = _probe_times(tree)
     probes = {
-        (j, t): _generator_probes(f, t, grid, d)
+        (j, t): _generator_probes(f, t, grid, d, j)
         for j, f in enumerate(problem.generators)
-        for t in times
+        for t in range(tree.n_steps)
     }
     non_finite: list[Violation] = []
-    for (j, t), (moved, diagonal) in probes.items():
-        bad = [v for v in itertools.chain(*moved, *diagonal) if not math.isfinite(v)]
+    for (j, t), lines in probes.items():
+        bad = [b for _, b, _ in lines if b is not None]
         if bad:
             non_finite.append(Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
                                         time_index=t, mode=j))
     if non_finite:
         return out + non_finite
-    for (j, t), (moved, diagonal) in probes.items():
-        for lo, lo_y in enumerate(grid):
-            for hi, hi_y in enumerate(grid):
-                if lo_y >= hi_y:
-                    continue
-                if moved[j][lo] < moved[j][hi] - 1e-12:
-                    out.append(
-                        Violation(
-                            "generator-on-diagonal",
-                            f"f^{j} increases in its own component "
-                            f"between {lo_y} and {hi_y}",
-                            time_index=t, mode=j,
-                        )
-                    )
-                for k in range(d):
-                    if k != j and moved[k][lo] > moved[k][hi] + 1e-12:
-                        out.append(
-                            Violation(
-                                "generator-off-diagonal",
-                                f"f^{j} decreases in component {k} "
-                                f"between {lo_y} and {hi_y}",
-                                time_index=t, mode=j,
-                            )
-                        )
-        for y0, (at, above) in zip(grid, diagonal):
-            jump = abs(above - at)
-            if jump > 1.0:
-                out.append(
-                    Violation(
-                        "generator-continuity",
-                        f"f^{j} jumps by {jump:.3g} over step "
-                        f"{CONTINUITY_STEP} near {y0}",
-                        time_index=t, mode=j,
-                    )
-                )
+    for (j, t), (*moved, (diagonal, _, _)) in probes.items():
+        for k, (_, _, against) in enumerate(moved):
+            code, how = (
+                ("generator-on-diagonal", "increases in its own component")
+                if k == j else
+                ("generator-off-diagonal", f"decreases in component {k}")
+            )
+            out.extend(Violation(code, f"f^{j} {how} between {lo_y} and {hi_y}",
+                                 time_index=t, mode=j) for lo_y, hi_y in against)
+        out.extend(
+            Violation("generator-continuity", f"f^{j} jumps by {abs(above - at):.3g} "
+                      f"over step {CONTINUITY_STEP} near {y0}", time_index=t, mode=j)
+            for y0, at, above in zip(grid, diagonal[0::2], diagonal[1::2])
+            if abs(above - at) > 1.0
+        )
     return out
 
 
@@ -642,8 +643,7 @@ def _obstacle_entry(problem: ObliqueProblem, t: int, row: Row, j: int) -> float:
     uses; the cost form computes only that entry."""
     if problem.costs is None:
         return problem.H(t, row)[j]
-    c = problem.costs.values[t, j]
-    return max(float(row[k] - c[k]) for k in range(problem.d) if k != j)
+    return _cost_entry(problem.costs, t, row, j)
 
 
 def mode_problem(
@@ -740,15 +740,7 @@ def binding_graph_cycles(
     d = problem.d
     for n in problem.tree.nodes:
         yv = solution.y_vector(n.index)
-        adj = [
-            [
-                k
-                for k in range(d)
-                if k != j
-                and abs(yv[j] - (yv[k] - problem.costs.at(n.t, j, k))) <= tol
-            ]
-            for j in range(d)
-        ]
+        adj = _binding_graph(problem.costs, n.t, yv, tol)
         color = [0] * d
         stack: list[int] = []
 

@@ -34,6 +34,11 @@ here walk one column with the ``_project`` step (the penalized scheme
 with no barrier, the penalty in the generator and the penalty integrals
 as its pushes); :mod:`orbsde.oblique` walks all d modes at once with its
 own steps.
+
+``_probe`` is the package's one generator probe.
+:meth:`ScalarRBSDEProblem.validate` probes g with it at every node before
+the horizon, :mod:`orbsde.oblique` and :mod:`orbsde.switching` the system's
+generators at every time index.
 """
 
 from __future__ import annotations
@@ -71,7 +76,21 @@ __all__ = [
 GeneratorFn = Callable[[Node, float], float]
 
 RESIDUAL_TOL = 1e-12
+PROBE_TOL = 1e-12
 _MONOTONE_PROBE_YS = (-7.3, -1.0, -0.25, 0.0, 0.5, 2.0, 9.1)
+
+
+def _probe(fn: Callable[[float], float], ys: Sequence[float], sign: float = 1.0
+           ) -> tuple[list[float], float | None, list[tuple[float, float]]]:
+    """``fn`` evaluated once at each of ``ys``: the values, the first one
+    that is not finite (or None), and the pairs (y_lo, y_hi), y_lo < y_hi,
+    over which ``sign`` times the value rises by more than PROBE_TOL (none
+    when a value is not finite: NaN would pass every comparison)."""
+    values = [fn(y) for y in ys]
+    bad = next((v for v in values if not math.isfinite(v)), None)
+    pts = list(zip(ys, values)) if bad is None else []
+    return values, bad, [(y0, y1) for y0, g0 in pts for y1, g1 in pts
+                         if y0 < y1 and sign * (g1 - g0) > PROBE_TOL]
 
 
 def _root_find(phi: Callable[[float], float], x0: float, tol: float) -> float:
@@ -255,8 +274,9 @@ class ScalarRBSDEProblem:
     node and a trial value (the tree's f(t, omega, y); see
     :func:`orbsde.oblique.mode_problem`).  Either barrier may be absent; when
     both are present they must be ordered (L <= U everywhere,
-    L_T <= xi <= U_T).  :meth:`validate` probes the generator's monotonicity
-    in y at every node before the horizon, one finding per time index.
+    L_T <= xi <= U_T).  :meth:`validate` rejects NaN or infinite data, and
+    probes the generator for finite values and monotonicity in y at every
+    node before the horizon, one finding per time index.
     """
 
     tree: EventTree
@@ -278,6 +298,8 @@ class ScalarRBSDEProblem:
         tree = self.tree
         if not tree.dt > 0.0:
             out.append(Violation("dt", "step length must be positive"))
+        elif not math.isfinite(tree.dt):
+            out.append(Violation("non-finite", f"dt = {tree.dt}"))
         for leaf in tree.leaves:
             if leaf not in self.terminal:
                 out.append(
@@ -285,6 +307,9 @@ class ScalarRBSDEProblem:
                         "terminal", "missing terminal value", tree.node(leaf).node_id
                     )
                 )
+        non_finite = self._non_finite_data()
+        if non_finite:
+            return out + non_finite
         for n in tree.nodes:
             lo = self.lower.values[n.index] if self.lower is not None else None
             hi = self.upper.values[n.index] if self.upper is not None else None
@@ -317,21 +342,33 @@ class ScalarRBSDEProblem:
                             n.t,
                         )
                     )
-        for t in range(tree.n_steps):
-            near = next(filter(None, map(self._increase, tree.level(t))), None)
-            if near is not None:
-                out.append(Violation("generator-monotone",
-                                     f"generator increases in y near {near}",
-                                     time_index=t))
+        for t in range(tree.n_steps):  # the first finding per time index
+            for n in map(tree.node, tree.level(t)):
+                _, bad, rises = _probe(lambda y: self.generator(n, y), _MONOTONE_PROBE_YS)
+                if bad is not None or rises:
+                    code, what = (("non-finite", f"= {bad} at a probe point")
+                                  if bad is not None else
+                                  ("generator-monotone", f"increases in y near {rises[0]}"))
+                    out.append(Violation(code, f"generator {what}", n.node_id, t))
+                    break
         return out
 
-    def _increase(self, u: int) -> tuple[float, float] | None:
-        """The first probe pair (y0, y1) where the generator increases in y
-        at node u, or None: one call per probe y, then the pairs."""
-        node = self.tree.node(u)
-        probes = [(y, self.generator(node, y)) for y in _MONOTONE_PROBE_YS]
-        return next(((y0, y1) for y0, g0 in probes for y1, g1 in probes
-                     if (g0 - g1) * (y0 - y1) > 1e-12), None)
+    def _non_finite_data(self) -> list[Violation]:
+        """The barrier values, terminal values and v increments that are NaN
+        or infinite; a v increment is reported at the node that decides it."""
+        v = self.v()
+        out: list[Violation] = []
+        for n in self.tree.nodes:
+            data = [(name, barrier.values[n.index])
+                    for name, barrier in (("L", self.lower), ("U", self.upper))
+                    if barrier is not None]
+            if n.children:
+                data.append(("dV", v.out_of(n.index)))
+            if n.is_leaf and n.index in self.terminal:
+                data.append(("xi", self.terminal[n.index]))
+            out.extend(Violation("non-finite", f"{name} = {val}", n.node_id, n.t)
+                       for name, val in data if not math.isfinite(val))
+        return out
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,12 @@ which gives the scalar finder's roots bit for bit.  A generator that the
 oracle evaluates is therefore called with a d-tuple of equal float64 arrays
 and must return an array of their shape or a scalar.
 
+The oracle needs the cost-form obstacle and generators that ignore the
+other modes' components; :func:`decoupling_violations` reads the latter
+off the validator's probe table at every time index.  A start node with n
+nodes in its subtree has d^(n-1) strategies (the start mode is pinned),
+and the enumerations refuse a count above their cap.
+
 Exhaustive strategy enumeration is the value oracle here: the maximal
 start value over all strategies equals the system solution's Y at the start
 node whenever the oblique lower reflection is inactive there (no K-push out
@@ -51,11 +57,11 @@ from .oblique import (
     BINDING_TOL,
     ObliqueProblem,
     SystemSolution,
+    _binding_graph,
     _generator_probes,
     _probe_box,
-    _probe_times,
 )
-from .scalar import RESIDUAL_TOL, _root_find, _root_find_batch
+from .scalar import PROBE_TOL, RESIDUAL_TOL, _root_find, _root_find_batch
 from .tree import EventTree
 
 __all__ = [
@@ -120,16 +126,16 @@ class StrategyValue:
 
 
 def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
-    """Probe that each f^j ignores the off-diagonal components: on the
-    validator's probe table, each row with another component moved must be
-    constant within 1e-12 (a NaN spread counts as coupled)."""
+    """Probe that each f^j ignores the off-diagonal components at every
+    time index: on the validator's probe table, each line with another
+    component moved must be finite and constant within ``PROBE_TOL``."""
     out: list[Violation] = []
-    grid = _probe_box(problem)
+    grid, d = _probe_box(problem), problem.d
     for j, f in enumerate(problem.generators):
-        for t in _probe_times(problem.tree):
-            moved, _ = _generator_probes(f, t, grid, problem.d)
-            coupled = [k for k, row in enumerate(moved)
-                       if k != j and not np.ptp(row) <= 1e-12]
+        for t in range(problem.tree.n_steps):
+            moved = _generator_probes(f, t, grid, d, j)[:d]
+            coupled = [k for k, (values, bad, _) in enumerate(moved) if k != j and (
+                bad is not None or max(values) - min(values) > PROBE_TOL)]
             if coupled:
                 out.append(
                     Violation(
@@ -269,10 +275,12 @@ def solve_for_strategy(
 
 
 def _check_cap(problem: ObliqueProblem, start: int, cap: int) -> tuple[int, ...]:
+    """The subtree of ``start``, if its d^(nodes - 1) strategies (the start
+    mode is pinned) fit within ``cap``."""
     nodes = problem.tree.subtree(start)
-    if problem.d ** len(nodes) > cap:
+    if problem.d ** (len(nodes) - 1) > cap:
         raise EnumerationCapError(
-            f"{problem.d}^{len(nodes)} strategies exceed cap {cap}"
+            f"{problem.d}^{len(nodes) - 1} strategies exceed cap {cap}"
         )
     return nodes
 
@@ -349,7 +357,6 @@ def construct_optimal_strategy(
     """
     _require_cost_form(problem)
     tree = problem.tree
-    costs = problem.costs
     modes: dict[int, int] = {start: start_mode}
     for u in tree.subtree(start):
         if u == start:
@@ -359,18 +366,14 @@ def construct_optimal_strategy(
         yv = solution.y_vector(u)
         h = problem.H(n.t, yv)
         if abs(yv[m] - h[m]) <= tol:
-            target = None
-            for k in range(problem.d):
-                if k != m and abs(yv[m] - (yv[k] - costs.at(n.t, m, k))) <= tol:
-                    target = k
-                    break
-            if target is None:
+            attaining = _binding_graph(problem.costs, n.t, yv, tol)[m]
+            if not attaining:
                 raise InternalConsistencyError(
                     f"obstacle binds at node {n.node_id} in mode {m} but no "
                     "attaining index found",
                     n.node_id,
                 )
-            modes[u] = target
+            modes[u] = attaining[0]
         else:
             modes[u] = m
     return SwitchingStrategy(tree, start, start_mode, modes)

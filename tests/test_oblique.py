@@ -15,7 +15,11 @@ Core claims:
       to the same solution
     - a solve evaluates the obstacle once per parent per sweep; non-finite
       dt, costs, barriers, terminals, v increments and generator values
-      are rejected with coordinates
+      are rejected with coordinates, and a terminal vector of the wrong
+      length is a dimension finding naming the leaf
+    - both validators probe the generators at every time index: a rise at
+      any single time index is flagged there, and solve_system refuses
+      such a problem instead of failing inside the solve
     - the single backward pass (solve_system) agrees with Picard at 1e-12
       on the criterion-5 systems, the bundled scenarios and random systems
       (coupled generators, deep v shocks, zero-cost obstacle cycles), or
@@ -545,15 +549,76 @@ def test_no_binding_cycles_on_random_solutions():
         assert report.binding_cycles == ()
 
 
+def _rising_at(tree: EventTree, d: int, j: int, t_star: int) -> ObliqueProblem:
+    """A valid system except that f^j increases in y^j at time t_star."""
+    gens = tuple(
+        (lambda t, y, k=k: 8.0 * y[k] if (k, t) == (j, t_star) else -y[k])
+        for k in range(d)
+    )
+    return ObliqueProblem(
+        tree=tree,
+        d=d,
+        terminal={leaf: (0.0,) * d for leaf in tree.leaves},
+        generators=gens,
+        v=tuple(PredictableIncrements.zero(tree) for _ in range(d)),
+        upper=tuple(AdaptedProcess.constant(tree, 1.0) for _ in range(d)),
+        costs=CostMatrix.constant(
+            tree.n_steps, [[0.5 * (a != b) for b in range(d)] for a in range(d)]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), steps=st.integers(1, 6), binary=st.booleans(),
+       d=st.integers(2, 3))
+def test_validators_flag_a_rise_at_any_time_index(data, steps, binary, d):
+    t_star = data.draw(st.integers(0, steps - 1), label="t_star")
+    j = data.draw(st.integers(0, d - 1), label="mode")
+    tree = EventTree.binary(steps, 0.25) if binary else EventTree.chain(steps, 0.25)
+    report = validate_problem(_rising_at(tree, d, j, t_star))
+    assert report
+    assert {(v.code, v.time_index, v.mode) for v in report} == {
+        ("generator-on-diagonal", t_star, j)}
+    scalar = ScalarRBSDEProblem(
+        tree=tree,
+        terminal={leaf: 0.0 for leaf in tree.leaves},
+        generator=lambda node, y: 0.5 * y if node.t == t_star else -y,
+        lower=AdaptedProcess.constant(tree, -1.0),
+    )
+    assert [(v.code, v.time_index) for v in scalar.validate()] == [
+        ("generator-monotone", t_star)]
+
+
+def test_rise_between_probed_times_refused_before_the_solve():
+    # f^0 increases in y^0 at t = 1 only, on a 4-step chain; left to the
+    # solver, it fails at node n1 with NonMonotoneSweepError
+    problem = _rising_at(EventTree.chain(4, 0.25), 2, 0, 1)
+    report = validate_problem(problem)
+    assert report
+    assert {(v.code, v.time_index, v.mode) for v in report} == {
+        ("generator-on-diagonal", 1, 0)}
+    with pytest.raises(InvalidProblemError):
+        solve_system(problem)
+
+
+def test_short_terminal_vector_is_a_dimension_finding():
+    base = random_oblique_problem(random.Random(5), d=2, max_depth=2)
+    leaf = base.tree.node(base.tree.leaves[0])
+    short = dataclasses.replace(base, terminal={**base.terminal, leaf.index: (0.0,)})
+    report = validate_problem(short)
+    assert [(v.code, v.node_id, v.time_index) for v in report] == [
+        ("dimension", leaf.node_id, base.tree.n_steps)]
+    with pytest.raises(InvalidProblemError):
+        solve_system(short)
+
+
 def test_non_finite_dt_and_generator_values_rejected():
     base = random_oblique_problem(random.Random(5), d=2, max_depth=2)
     nan_gen = dataclasses.replace(
         base, generators=(base.generators[0], lambda t, y: float("nan"))
     )
     report = validate_problem(nan_gen)
-    times = sorted({0, base.tree.n_steps // 2, base.tree.n_steps - 1})
     assert [(v.code, v.time_index, v.mode) for v in report] == [
-        ("non-finite", t, 1) for t in times
+        ("non-finite", t, 1) for t in range(base.tree.n_steps)
     ]
     # the step-length check runs first, so the Mokobodzki failures of the
     # counterexample are not reached

@@ -15,6 +15,8 @@ Core claims:
     - the batched root finder gives the scalar finder's roots bit for bit,
       element by element, through every branch, and raises where it raises
     - results are bit-identical under permuted input node order
+    - validation rejects NaN or infinite data and generator values with
+      the node and time index, before any comparison a NaN would pass
 """
 
 from __future__ import annotations
@@ -446,6 +448,49 @@ def test_validation_probes_every_node_of_a_level():
     )
     assert [(v.code, v.time_index) for v in problem.validate()] == [
         ("generator-monotone", 1)]
+
+
+def _nan_case(**changes) -> ScalarRBSDEProblem:
+    tree = EventTree.binary(2, 0.5)
+    fields = dict(
+        tree=tree,
+        terminal={leaf: 0.0 for leaf in tree.leaves},
+        generator=lambda node, y: -y,
+        lower=AdaptedProcess.constant(tree, -1.0),
+    )
+    fields.update(changes)
+    return ScalarRBSDEProblem(**fields)
+
+
+def test_nan_generator_rejected_with_node_and_time():
+    problem = _nan_case(generator=lambda node, y: math.nan)
+    tree = problem.tree
+    assert [(v.code, v.node_id, v.time_index) for v in problem.validate()] == [
+        ("non-finite", tree.node(tree.level(t)[0]).node_id, t) for t in (0, 1)]
+    with pytest.raises(InvalidProblemError):
+        solve_lower(problem)
+
+
+def test_non_finite_data_rejected_with_node_and_time():
+    tree = EventTree.binary(2, 0.5)
+    root, leaf = tree.node(tree.root), tree.node(tree.leaves[-1])
+    lower = [-1.0] * tree.n_nodes
+    lower[root.index] = math.nan
+    upper = [1.0] * tree.n_nodes
+    upper[leaf.index] = math.inf
+    cases = [
+        (_nan_case(lower=AdaptedProcess(tree, tuple(lower))), root),
+        (_nan_case(terminal={**{u: 0.0 for u in tree.leaves}, leaf.index: math.nan}),
+         leaf),
+        (_nan_case(v_increments=PredictableIncrements.from_parent_values(
+            tree, {root.index: -math.inf})), root),
+        (_nan_case(lower=None, upper=AdaptedProcess(tree, tuple(upper))), leaf),
+    ]
+    for problem, where in cases:
+        assert [(v.code, v.node_id, v.time_index) for v in problem.validate()] == [
+            ("non-finite", where.node_id, where.t)]
+        with pytest.raises(InvalidProblemError):
+            solve_lower(problem) if problem.upper is None else solve_upper(problem)
 
 
 # -- solution invariants ---------------------------------------------------------

@@ -3,8 +3,8 @@
 Core claims:
     - solve_for_strategy reproduces independent recursions (scipy-rooted
       and pathwise) and the never-switch value is the plain upper solve
-    - enumeration is exhaustive with the pinned start (d^(nodes-1)) and
-      refuses above the cap
+    - enumeration is exhaustive with the pinned start (d^(nodes-1)),
+      refuses above the cap and runs at it
     - brute force equals the system root value whenever the lower
       reflection is inactive at the start, always equals the reachable
       (push-stripped) start value, and is attained by the greedy strategy
@@ -247,8 +247,13 @@ def test_enumeration_cap_enforced():
     rng = random.Random(23)
     tree = EventTree.binary(2, 1.0)
     problem = random_oblique_problem(rng, d=2, tree=tree)
+    # 7 nodes with the start mode pinned: 2^6 = 64 strategies
+    with pytest.raises(EnumerationCapError, match=r"2\^6 strategies exceed cap 63"):
+        enumerate_strategies(problem, tree.root, 0, cap=63)
     with pytest.raises(EnumerationCapError):
-        enumerate_strategies(problem, tree.root, 0, cap=100)
+        brute_force_value(problem, tree.root, 0, cap=63)
+    assert len(enumerate_strategies(problem, tree.root, 0, cap=64)) == 64
+    brute_force_value(problem, tree.root, 0, cap=64)
 
 
 # -- brute force vs system solution ------------------------------------------------
