@@ -5,7 +5,10 @@ argparse refuses, a sweep budget below 1 or a tolerance not >= 0), 3 solver
 non-convergence (kind ``solver``) or a failed solver invariant (kind
 ``internal-consistency``), 4 oracle mismatch beyond tolerance.  Every nonzero exit writes a machine-readable
 ``diagnostic.json`` into the output directory, with node and time
-coordinates wherever the failure has them.
+coordinates wherever the failure has them.  Each command validates its
+problem once: the solvers validate before they solve, and ``verify
+--solution`` and ``brute-force``, which run no solver, call
+``validate_problem`` themselves.
 
 ``solve`` and ``sweep-penalization`` use the single backward pass
 (``solve_system``), where ``--tol`` and ``--max-sweeps`` bound the
@@ -50,7 +53,12 @@ from .reporting import (
     write_json,
     write_text,
 )
-from .scalar import ScalarSolution, _penalized_solve, verify_snell_representation
+from .scalar import (
+    ScalarSolution,
+    _penalized_solve,
+    _worse,
+    verify_snell_representation,
+)
 from .scenario import PENALTY_LADDER, Scenario, ScenarioError
 from .switching import (
     brute_force_value,
@@ -164,15 +172,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         return fail(EXIT_VALIDATION, "usage", str(err))
 
-    report = validate_problem(problem)
-    if report:
-        return fail(
-            EXIT_VALIDATION,
-            "problem-validation",
-            f"{len(report)} violation(s); see diagnostic.json",
-            report,
-        )
-
     try:
         if args.command == "solve":
             return _cmd_solve(scenario, problem, tol, max_sweeps, out)
@@ -190,7 +189,16 @@ def main(argv=None) -> int:
     except EnumerationCapError as err:
         return fail(EXIT_VALIDATION, "enumeration-cap", str(err))
     except InvalidProblemError as err:
-        return fail(EXIT_VALIDATION, "problem-validation", str(err), err.violations)
+        return fail(EXIT_VALIDATION, "problem-validation",
+                    f"{len(err.violations)} violation(s); see diagnostic.json",
+                    err.violations)
+
+
+def _require_valid(problem) -> None:
+    """``validate_problem`` for the commands that run no validating solver."""
+    report = validate_problem(problem)
+    if report:
+        raise InvalidProblemError(report)
 
 
 def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
@@ -218,6 +226,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
     if solution_path is None:
         solution = picard_solve(problem, tol=tol, max_sweeps=max_sweeps)
     else:
+        _require_valid(problem)
         try:
             solution = load_solution_csv(Path(solution_path), problem)
         except (OSError, ValueError, KeyError) as err:
@@ -248,9 +257,9 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
             gap = verify_snell_representation(
                 mode_problem(problem, solution, j), column, depth_cap, count_cap
             )
-            worst_gap = max(worst_gap, gap)
+            worst_gap = _worse(worst_gap, gap)
         results["checks"]["snell_representation_gap"] = worst_gap
-        if worst_gap > SNELL_TOL:
+        if not worst_gap <= SNELL_TOL:
             mismatches.append(
                 f"stopped-payoff representation gap {worst_gap:.3g} > {SNELL_TOL:g}"
             )
@@ -278,12 +287,12 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
                         "start_push": push,
                     }
                 )
-                if abs(value - reachable) > BF_TOL:
+                if not abs(value - reachable) <= BF_TOL:
                     mismatches.append(
                         f"brute force {value:.12g} != reachable root value "
                         f"{reachable:.12g} in mode {j}"
                     )
-                if push <= MINIMALITY_TOL and abs(value - y_root) > BF_TOL:
+                if push <= MINIMALITY_TOL and not abs(value - y_root) <= BF_TOL:
                     mismatches.append(
                         f"brute force {value:.12g} != system root {y_root:.12g} "
                         f"in mode {j} (no start push)"
@@ -291,7 +300,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
                 greedy = construct_optimal_strategy(problem, solution, tree.root, j)
                 greedy_value = solve_for_strategy(problem, greedy).r[tree.root]
                 bf_results[-1]["greedy_value"] = greedy_value
-                if abs(greedy_value - value) > BF_TOL:
+                if not abs(greedy_value - value) <= BF_TOL:
                     mismatches.append(
                         f"greedy strategy value {greedy_value:.12g} != brute "
                         f"force {value:.12g} in mode {j}"
@@ -355,6 +364,7 @@ def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
 
 
 def _cmd_brute_force(scenario, problem, out: Path) -> int:
+    _require_valid(problem)
     tree = problem.tree
     payload = {"scenario": scenario.name, "modes": []}
     for j in range(problem.d):

@@ -55,7 +55,14 @@ from .errors import (
     NonMonotoneSweepError,
     Violation,
 )
-from .scalar import ScalarRBSDEProblem, ScalarSolution, _backward_solve, _probe, _project
+from .scalar import (
+    ScalarRBSDEProblem,
+    ScalarSolution,
+    _backward_solve,
+    _probe,
+    _project,
+    _worse,
+)
 from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
 
 __all__ = [
@@ -77,12 +84,6 @@ VecGeneratorFn = Callable[[int, Sequence[float]], float]
 ObstacleFn = Callable[[int, Sequence[float]], Sequence[float]]
 
 BINDING_TOL = 1e-10
-
-
-def _worse(worst: float, value: float) -> float:
-    """The larger of two residuals, NaN if either is NaN (``max`` would
-    drop a NaN that comes second)."""
-    return value if value > worst or value != value else worst
 
 
 class CostMatrix:
@@ -255,21 +256,18 @@ def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
 CONTINUITY_STEP = 1e-7
 
 
-def _generator_probes(
+def _moved_lines(
     f: VecGeneratorFn, t: int, grid: Sequence[float], d: int, j: int
 ) -> list[tuple]:
-    """The ``scalar._probe`` lines of f = f^j at time t: line k < d moves
+    """The ``scalar._probe`` lines of f = f^j at time t: line k moves
     component k over ``grid`` from the grid midpoint, with the pairs where
-    f rises in y^j or falls in another y^k; line d runs along the diagonal
-    at each grid point and ``CONTINUITY_STEP`` above it."""
+    f rises in y^j or falls in another y^k."""
     mid = grid[2]
-    lines = [
+    return [
         _probe(lambda y, k=k: f(t, [mid] * k + [y] + [mid] * (d - 1 - k)), grid,
                1.0 if k == j else -1.0)
         for k in range(d)
     ]
-    steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
-    return lines + [_probe(lambda y: f(t, [y] * d), steps)]
 
 
 def validate_problem(problem: ObliqueProblem) -> list[Violation]:
@@ -354,8 +352,12 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
                 )
 
     grid = _probe_box(problem)
+    # after the moved lines, the diagonal at each grid point and
+    # CONTINUITY_STEP above it
+    steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
     probes = {
-        (j, t): _generator_probes(f, t, grid, d, j)
+        (j, t): _moved_lines(f, t, grid, d, j)
+        + [_probe(lambda y: f(t, [y] * d), steps)]
         for j, f in enumerate(problem.generators)
         for t in range(tree.n_steps)
     }
@@ -441,11 +443,11 @@ def _frozen_step(
 
 def _walk_from_starts(
     problem: ObliqueProblem, step: Callable[[Node, list[float], Row], tuple]
-) -> tuple[Row, tuple[ScalarSolution, ...]]:
+) -> tuple[ScalarSolution, ...]:
     """The backward walk with the start rule: the corner (1 below xi, H(U)
     and U) computed once, and at each parent ``step(node, targets, start)``
-    run from the :func:`_node_start` row.  Returns (the lowest start any
-    node took, one ScalarSolution per mode)."""
+    run from the :func:`_node_start` row.  Returns one ScalarSolution per
+    mode."""
     u_rows = zip(*(u.values for u in problem.upper))
     h_u = [problem.H(n.t, row) for n, row in zip(problem.tree.nodes, u_rows)]
     corner = tuple(
@@ -453,25 +455,18 @@ def _walk_from_starts(
             *(h[j] for h in h_u)) - 1.0
         for j in range(problem.d)
     )
-    lowest = [corner]
 
     def started(node: Node, targets: list[float]):
-        start = _node_start(problem, node, targets, corner)
-        lowest[0] = min(lowest[0], start)  # every start is the corner less one drop
-        return step(node, targets, start)
+        return step(node, targets, _node_start(problem, node, targets, corner))
 
-    parts = _backward_solve(problem.tree, problem.terminal, problem.v, started)
-    return lowest[0], parts
+    return _backward_solve(problem.tree, problem.terminal, problem.v, started)
 
 
-def build_subsolution(
-    problem: ObliqueProblem,
-) -> tuple[Row, tuple[ScalarSolution, ...]]:
+def build_subsolution(problem: ObliqueProblem) -> tuple[ScalarSolution, ...]:
     """Per-mode upper-barrier solves with each generator frozen at the
     node's :func:`_node_start` row, which the node's value lies at or above:
     a subsolution from which, by off-diagonal monotonicity, every Picard
-    sweep rises.  Returns (the lowest start row, one ScalarSolution per
-    mode with K identically zero).
+    sweep rises.  Returns one ScalarSolution per mode, K identically zero.
     """
     return _walk_from_starts(
         problem,
@@ -488,7 +483,7 @@ def _check_budget(tol: float, budget: int) -> None:
 
 @dataclass(frozen=True)
 class SystemSolution:
-    """Per-mode (Y, dM, K, A) plus the iteration log."""
+    """Per-mode (Y, dM, K, A) plus the sweep count and final deltas."""
 
     y: tuple[AdaptedProcess, ...]
     m_increments: tuple[tuple[float, ...], ...]
@@ -496,8 +491,6 @@ class SystemSolution:
     a: tuple[PredictableIncrements, ...]
     sweeps: int
     deltas: tuple[float, ...]
-    corner: tuple[float, ...] = ()
-    history: tuple | None = None
 
     @classmethod
     def from_parts(cls, parts: Sequence[ScalarSolution], **log) -> "SystemSolution":
@@ -519,10 +512,7 @@ class SystemSolution:
 
 
 def picard_solve(
-    problem: ObliqueProblem,
-    tol: float = 1e-10,
-    max_sweeps: int = 200,
-    record_history: bool = False,
+    problem: ObliqueProblem, tol: float = 1e-10, max_sweeps: int = 200
 ) -> SystemSolution:
     """Monotone iteration of frozen two-barrier walks; the independent
     oracle for :func:`solve_system`.
@@ -541,10 +531,8 @@ def picard_solve(
         raise InvalidProblemError(report)
     tree = problem.tree
     d = problem.d
-    corner, parts = build_subsolution(problem)
-    prev = [tuple(p.y.values) for p in parts]
+    prev = [tuple(p.y.values) for p in build_subsolution(problem)]
     deltas: list[float] = []
-    history: list[tuple] = []
     for sweep in range(1, max_sweeps + 1):
         prev_rows = list(zip(*prev))
 
@@ -552,13 +540,13 @@ def picard_solve(
             row = prev_rows[node.index]
             return _frozen_step(problem, node, targets, row, problem.H(node.t, row))
 
-        new_solutions = _backward_solve(tree, problem.terminal, problem.v, sweep_step)
+        solutions = _backward_solve(tree, problem.terminal, problem.v, sweep_step)
         delta = 0.0
         rise_floor = 0.0
         scale = 1.0
         for j in range(d):
             for u in range(tree.n_nodes):
-                diff = new_solutions[j].y.values[u] - prev[j][u]
+                diff = solutions[j].y.values[u] - prev[j][u]
                 delta = max(delta, abs(diff))
                 rise_floor = min(rise_floor, diff)
                 scale = max(scale, abs(prev[j][u]))
@@ -569,18 +557,10 @@ def picard_solve(
                 f"sweep {sweep} decreased by {-rise_floor:.3g}"
             )
         deltas.append(delta)
-        if record_history:
-            history.append((tuple(s.y.values for s in new_solutions),
-                            tuple(s.a.values for s in new_solutions)))
-        solutions = new_solutions
         prev = [tuple(s.y.values) for s in solutions]
         if delta <= tol:
             result = SystemSolution.from_parts(
-                solutions,
-                sweeps=sweep,
-                deltas=tuple(deltas),
-                corner=corner,
-                history=tuple(history) if record_history else None,
+                solutions, sweeps=sweep, deltas=tuple(deltas)
             )
             _require_acyclic(problem, result)
             return result
@@ -614,7 +594,7 @@ def solve_system(
     the node when ``max_rounds`` rounds are not enough.
 
     ``sweeps`` is the largest round count over the nodes and ``deltas``
-    holds the largest final-round change; there is no history.
+    holds the largest final-round change.
     """
     _check_budget(tol, max_rounds)
     report = validate_problem(problem)
@@ -627,12 +607,10 @@ def solve_system(
         stats.append(note)
         return row, pushes
 
-    corner, parts = _walk_from_starts(problem, rounds)
     result = SystemSolution.from_parts(
-        parts,
+        _walk_from_starts(problem, rounds),
         sweeps=max((rounds for rounds, _ in stats), default=0),
         deltas=(functools.reduce(_worse, (change for _, change in stats), 0.0),),
-        corner=corner,
     )
     _require_acyclic(problem, result)
     return result

@@ -43,6 +43,7 @@ generators at every time index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -78,6 +79,12 @@ GeneratorFn = Callable[[Node, float], float]
 RESIDUAL_TOL = 1e-12
 PROBE_TOL = 1e-12
 _MONOTONE_PROBE_YS = (-7.3, -1.0, -0.25, 0.0, 0.5, 2.0, 9.1)
+
+
+def _worse(worst: float, value: float) -> float:
+    """The larger of two values, NaN if either is NaN (``max`` would drop a
+    NaN that comes second)."""
+    return value if value > worst or value != value else worst
 
 
 def _probe(fn: Callable[[float], float], ys: Sequence[float], sign: float = 1.0
@@ -602,8 +609,8 @@ def verify_snell_representation(
     where the generator is frozen along the solver's own path values (the
     representation is implicit in Y) and the A-increments are folded into
     the drift when an upper barrier was active.  Returns the largest |gap|
-    over nodes; exact up to roundoff for solver output.  One mode of a
-    coupled system is checked through its
+    over nodes, NaN if a stopped payoff is NaN; exact up to roundoff for
+    solver output.  One mode of a coupled system is checked through its
     :func:`orbsde.oblique.mode_problem`, whose generator reads the other
     components at the node.
     """
@@ -631,9 +638,9 @@ def verify_snell_representation(
 
     worst = 0.0
     for start in range(tree.n_nodes):
-        best = max(
+        best = functools.reduce(_worse, (
             stopped_value(st, start)
             for st in enumerate_stopping_times(tree, start, max_depth, max_count)
-        )
-        worst = max(worst, abs(best - y[start]))
+        ))
+        worst = _worse(worst, abs(best - y[start]))
     return worst

@@ -24,9 +24,9 @@ and must return an array of their shape or a scalar.
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
-off the validator's probe table at every time index.  A start node with n
-nodes in its subtree has d^(n-1) strategies (the start mode is pinned),
-and the enumerations refuse a count above their cap.
+off the validator's moved-component probe lines at every time index.  A
+start node with n nodes in its subtree has d^(n-1) strategies (the start
+mode is pinned), and the enumerations refuse a count above their cap.
 
 Exhaustive strategy enumeration is the value oracle here: the maximal
 start value over all strategies equals the system solution's Y at the start
@@ -58,10 +58,10 @@ from .oblique import (
     ObliqueProblem,
     SystemSolution,
     _binding_graph,
-    _generator_probes,
+    _moved_lines,
     _probe_box,
 )
-from .scalar import PROBE_TOL, RESIDUAL_TOL, _root_find, _root_find_batch
+from .scalar import PROBE_TOL, RESIDUAL_TOL, _root_find, _root_find_batch, _worse
 from .tree import EventTree
 
 __all__ = [
@@ -127,13 +127,14 @@ class StrategyValue:
 
 def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
     """Probe that each f^j ignores the off-diagonal components at every
-    time index: on the validator's probe table, each line with another
-    component moved must be finite and constant within ``PROBE_TOL``."""
+    time index: of the validator's moved-component probe lines
+    (``oblique._moved_lines``), each with another component moved must be
+    finite and constant within ``PROBE_TOL``."""
     out: list[Violation] = []
     grid, d = _probe_box(problem), problem.d
     for j, f in enumerate(problem.generators):
         for t in range(problem.tree.n_steps):
-            moved = _generator_probes(f, t, grid, d, j)[:d]
+            moved = _moved_lines(f, t, grid, d, j)
             coupled = [k for k, (values, bad, _) in enumerate(moved) if k != j and (
                 bad is not None or max(values) - min(values) > PROBE_TOL)]
             if coupled:
@@ -395,7 +396,8 @@ def check_switched_martingale(
     tol: float = 1e-12,
 ) -> SwitchedMartingaleReport:
     """Concatenate mode-m martingale increments along the strategy and check
-    E[dM | parent] = 0 at every subtree node."""
+    E[dM | parent] = 0 at every subtree node; a NaN increment makes the
+    worst residual NaN, which fails every tolerance."""
     tree = problem.tree
     worst = 0.0
     violations: list[Violation] = []
@@ -407,8 +409,8 @@ def check_switched_martingale(
         acc = math.fsum(
             tree.node(c).prob * solution.m_increments[m][c] for c in n.children
         )
-        worst = max(worst, abs(acc))
-        if abs(acc) > tol:
+        worst = _worse(worst, abs(acc))
+        if not abs(acc) <= tol:
             violations.append(
                 Violation(
                     "switched-martingale",

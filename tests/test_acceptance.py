@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+import orbsde.oblique
 from orbsde import (
     AdaptedProcess,
     EventTree,
@@ -191,25 +192,25 @@ def test_criterion_4_upper_increment_comparison():
            "30 ordered pairs, dA edgewise ordered at 1e-12")
 
 
-def test_criterion_5_picard_monotone_convergence():
+def test_criterion_5_picard_monotone_convergence(record):
     rng = random.Random(113)
     t0 = time.perf_counter()
     worst_sweeps = 0
+    walks = record(orbsde.oblique, "_backward_solve")
     for i in range(30):
         d = 2 if i % 3 else 3
         problem = random_oblique_problem(
             rng, d=d, max_depth=4, max_branching=2,
             coupling=0.2 if i % 2 else 0.0,
         )
-        solution = picard_solve(
-            problem, tol=1e-10, max_sweeps=200, record_history=True
-        )
+        walks.clear()
+        solution = picard_solve(problem, tol=1e-10, max_sweeps=200)
         assert solution.deltas[-1] <= 1e-10
         worst_sweeps = max(worst_sweeps, solution.sweeps)
-        history = solution.history
+        history = walks[1:]  # the first walk is the subsolution
         for prev, cur in zip(history, history[1:]):
             for j in range(d):
-                for a, b in zip(prev[0][j], cur[0][j]):
+                for a, b in zip(prev[j].y.values, cur[j].y.values):
                     assert b >= a - 1e-12
     report(5, time.perf_counter() - t0, 30.0,
            f"30 systems monotone, all converged (max {worst_sweeps} sweeps)")

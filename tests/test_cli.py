@@ -24,6 +24,11 @@ Core claims:
       subsolution_slack exits 2 as unknown; a NaN, infinite or descending
       table knot exits 2 naming the generator; brute-force on coupled
       generators exits 2 with the generator-coupled findings
+    - every command validates its problem once, and every problem-validation
+      diagnostic gives the violation count as its detail; a NaN
+      representation gap is an oracle mismatch
+    - the outputs of the commands the benchmark times keep pinned sha256
+      digests on three-step scenarios of the benchmark's shape
     - arguments the parser refuses exit 2 with kind usage and a diagnostic
       in the --out directory they name, or in orbsde_out; -h exits 0
     - the bundled no-solution discretization exits 2 pinpointing every node
@@ -226,9 +231,9 @@ def _digests(out: Path) -> dict[str, str]:
             for path in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("name,command", sorted(PINNED_OUTPUTS))
-def test_outputs_pinned_across_commits(scenarios_dir, tmp_path, name, command):
-    scenario = scenarios_dir / f"{name}.json"
+def _pinned_run(scenario: Path, command: str, tmp_path: Path) -> dict[str, str]:
+    """The digests of ``command``'s outputs on ``scenario``; ``verify
+    --solution`` checks the CSV that ``solve`` writes first."""
     out = tmp_path / "out"
     if command == "verify --solution":
         assert run("solve", scenario, "--out", tmp_path / "solved") == 0
@@ -236,29 +241,41 @@ def test_outputs_pinned_across_commits(scenarios_dir, tmp_path, name, command):
             "--out", out)
     else:
         run(command, scenario, "--out", out)
-    assert _digests(out) == PINNED_OUTPUTS[name, command]
+    return _digests(out)
+
+
+@pytest.mark.parametrize("name,command", sorted(PINNED_OUTPUTS))
+def test_outputs_pinned_across_commits(scenarios_dir, tmp_path, name, command):
+    digests = _pinned_run(scenarios_dir / f"{name}.json", command, tmp_path)
+    assert digests == PINNED_OUTPUTS[name, command]
+
+
+def _table_generators() -> list[dict]:
+    """Three kinked, strictly decreasing table generators, as in the
+    benchmark's penalty-table workload."""
+    grid = [-4.0 + 0.5 * i for i in range(17)]
+
+    def profile(level):
+        return [level - 0.4 * x - 0.15 * x * abs(x) for x in grid]
+
+    return [
+        {"family": "table", "times": [0.0, 1.0], "grid": grid,
+         "values": [profile(0.1 * j), profile(0.1 * j + 0.2)]}
+        for j in range(3)
+    ]
 
 
 def penalty_table_scenario() -> dict:
     """The shape of the benchmark's penalty-table workload at two steps:
     three modes with kinked table generators on a binomial price tree,
     fixed shocks."""
-    grid = [-4.0 + 0.5 * i for i in range(17)]
-
-    def profile(level):
-        return [level - 0.4 * x - 0.15 * x * abs(x) for x in grid]
-
     return {
         "format": 1,
         "name": "penalty-table-2",
         "tree": {"kind": "binomial", "steps": 2, "dt": 0.5,
                  "p_up": 0.5, "x0": 1.0, "up": 1.08, "down": 1.0 / 1.08},
         "modes": 3,
-        "generators": [
-            {"family": "table", "times": [0.0, 1.0], "grid": grid,
-             "values": [profile(0.1 * j), profile(0.1 * j + 0.2)]}
-            for j in range(3)
-        ],
+        "generators": _table_generators(),
         "costs": [[0.0 if j == k else 0.1 for k in range(3)] for j in range(3)],
         "barriers": [{"kind": "linear", "intercept": 1.4, "slope": 1.1}] * 3,
         "terminal": {"kind": "price-affine", "a": [0.08, 0.04, 0.0],
@@ -288,6 +305,66 @@ def test_table_oracle_outputs_pinned(tmp_path, command):
     path.write_text(json.dumps(penalty_table_scenario()))
     assert run(command, path, "--out", tmp_path / "out") == 0
     assert _digests(tmp_path / "out") == PINNED_TABLE_OUTPUTS[command]
+
+
+def benchmark_shaped_scenario(name: str) -> dict:
+    """The shape of the benchmark's ``picard-coupled`` or ``penalty-table``
+    scenario at three steps: three modes on a binomial price tree, costs
+    0.1, an upper barrier linear in time, a price-affine terminal and fixed
+    shocks of +-0.1 per parent node and mode."""
+    generators = {
+        "picard-coupled": [
+            {"family": "affine-coupled", "a": 0.1 * j, "b": 0.3,
+             "g": [0.0 if k == j else 0.05 for k in range(3)]}
+            for j in range(3)
+        ],
+        "penalty-table": _table_generators(),
+    }[name]
+    parents = ["r", "rd", "ru", "rdd", "rdu", "rud", "ruu"]
+    return {
+        "format": 1,
+        "name": f"{name}-3",
+        "tree": {"kind": "binomial", "steps": 3, "dt": 1.0 / 3,
+                 "p_up": 0.5, "x0": 1.0, "up": 1.08, "down": 1.0 / 1.08},
+        "modes": 3,
+        "generators": generators,
+        "costs": [[0.0 if j == k else 0.1 for k in range(3)] for j in range(3)],
+        "barriers": [{"kind": "linear", "intercept": 1.4, "slope": 1.1}] * 3,
+        "terminal": {"kind": "price-affine", "a": [0.08, 0.04, 0.0],
+                     "b": [1.0, 1.0, 1.0]},
+        "v_increments": [
+            {pid: 0.1 if (i + j) % 3 else -0.1 for i, pid in enumerate(parents)}
+            for j in range(3)
+        ],
+    }
+
+
+# sha256 of the outputs of the commands the benchmark times, on its
+# scenarios at three steps; a change to the solver kernel that is meant to
+# keep the bytes must keep these
+PINNED_BENCHMARK_SHAPED = {
+    ("picard-coupled", "solve"): {
+        "solution.csv": "16fbc77dc4d94de98f08a7803996e0d41ee79ffe0283748b47a85fb9f0e6c279",
+        "summary.json": "18f1c97213e330e079dfda3d063771e4c93f298722fe5d5c9c663c08df22ec94",
+        "summary.txt": "8a6bf62128a11ba8f1177af9169788a814e755ffa00c6e2dfc61a8082a1b4896",
+    },
+    ("picard-coupled", "verify --solution"): {
+        "verification.json": "54b32e34356bab82895e34ab51242df8e655b8f4d693bb6e757a3a8c68b69ebb",
+        "verification.txt": "66f7a5c3677419fb0dfbf9136a9606df159d33cb1b6a37bf3896c1b06a9bad61",
+    },
+    ("penalty-table", "sweep-penalization"): {
+        "penalization.csv": "d6c1fd400450b0721f10e8d63c818c238fd41066cd0e75add641306b235cc92d",
+        "summary.json": "5e32e2561967d474fd124e332a96e14948188da4baeae05662e8320a35ed5d32",
+    },
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(PINNED_BENCHMARK_SHAPED))
+def test_benchmark_shaped_outputs_pinned(tmp_path, name, command):
+    path = tmp_path / f"{name}-3.json"
+    path.write_text(json.dumps(benchmark_shaped_scenario(name)))
+    digests = _pinned_run(path, command, tmp_path)
+    assert digests == PINNED_BENCHMARK_SHAPED[name, command]
 
 
 def test_seed_flag_accepted_and_inert(scenarios_dir, tmp_path):
@@ -565,10 +642,41 @@ def test_brute_force_on_coupled_generators_exits_2(scenarios_dir, tmp_path):
     assert run("brute-force", path, "--out", out) == 2
     diag = read_json(out / "diagnostic.json")
     assert diag["error"]["kind"] == "problem-validation"
+    assert diag["error"]["detail"] == "2 violation(s); see diagnostic.json"
     assert {(v["code"], v["mode"], v["time_index"]) for v in diag["violations"]} == {
         ("generator-coupled", 0, 0), ("generator-coupled", 0, 1)
     }
     assert not (out / "brute_force.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "verify --solution",
+                                     "sweep-penalization", "brute-force"])
+def test_each_command_validates_once(scenarios_dir, tmp_path, record, command):
+    import orbsde.cli
+    import orbsde.oblique
+
+    scenario = scenarios_dir / "switch2x2.json"
+    flags = ["--out", tmp_path / "out"]
+    if command == "verify --solution":
+        assert run("solve", scenario, "--out", tmp_path / "solved") == 0
+        flags += ["--solution", tmp_path / "solved" / "solution.csv"]
+    reports = [record(module, "validate_problem")
+               for module in (orbsde.cli, orbsde.oblique)]
+    assert run(command.split()[0], scenario, *flags) == 0
+    assert sum(map(len, reports)) == 1
+
+
+def test_nan_representation_gap_is_a_mismatch(scenarios_dir, tmp_path, monkeypatch):
+    import math
+
+    import orbsde.cli
+
+    monkeypatch.setattr(orbsde.cli, "verify_snell_representation",
+                        lambda *args: math.nan)
+    out = tmp_path / "out"
+    assert run("verify", scenarios_dir / "switch2x2.json", "--out", out) == 4
+    assert read_json(out / "diagnostic.json")["error"]["detail"].startswith(
+        "stopped-payoff representation gap nan > 1e-09")
 
 
 # -- bundled scenarios ---------------------------------------------------------------

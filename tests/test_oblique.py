@@ -191,7 +191,7 @@ def test_coupled_increasing_generator_flagged():
 def test_subsolution_of_decoupled_problem_is_upper_solve():
     rng = random.Random(11)
     problem = random_oblique_problem(rng, d=2, coupling=0.0)
-    _, parts = build_subsolution(problem)
+    parts = build_subsolution(problem)
     for j in range(2):
         direct = solve_upper(
             ScalarRBSDEProblem(
@@ -216,7 +216,7 @@ def test_subsolution_of_decoupled_problem_is_upper_solve():
 def test_subsolution_sits_below_picard_limit():
     rng = random.Random(13)
     problem = random_oblique_problem(rng, d=2, coupling=0.2)
-    corner, parts = build_subsolution(problem)
+    parts = build_subsolution(problem)
     solution = picard_solve(problem, tol=1e-12)
     for j in range(2):
         for u in range(problem.tree.n_nodes):
@@ -277,17 +277,19 @@ def test_symmetric_modes_produce_identical_components():
     assert solution.y[0].values == solution.y[1].values
 
 
-def test_monotone_sweeps_and_growing_upper_increments():
+def test_monotone_sweeps_and_growing_upper_increments(record):
     rng = random.Random(19)
+    walks = record(orbsde.oblique, "_backward_solve")
     for _ in range(8):
         problem = random_oblique_problem(rng, d=2, coupling=0.25)
-        solution = picard_solve(problem, tol=1e-12, record_history=True)
-        history = solution.history
+        walks.clear()
+        picard_solve(problem, tol=1e-12)
+        history = walks[1:]  # the first walk is the subsolution
         for prev, cur in zip(history, history[1:]):
             for j in range(2):
-                for a, b in zip(prev[0][j], cur[0][j]):
+                for a, b in zip(prev[j].y.values, cur[j].y.values):
                     assert b >= a - 1e-12
-                for a, b in zip(prev[1][j], cur[1][j]):
+                for a, b in zip(prev[j].a.values, cur[j].a.values):
                     assert b >= a - 1e-12  # A increments grow sweepwise
 
 
@@ -325,7 +327,7 @@ def test_sweep_budget_exhaustion_raises():
         picard_solve(problem, tol=1e-14, max_sweeps=1)
 
 
-def test_corner_lowered_below_a_shallow_subsolution():
+def test_corner_lowered_below_a_shallow_subsolution(record):
     # strong negative drift with mild coupling: the first corners are too
     # shallow (the frozen-corner solve dives below them, and a sweep from
     # there would decrease), so build_subsolution lowers the corner
@@ -345,20 +347,24 @@ def test_corner_lowered_below_a_shallow_subsolution():
         ),
         costs=CostMatrix.constant(tree.n_steps, [[0.0, 0.5], [0.5, 0.0]]),
     )
+    starts = record(orbsde.oblique, "_node_start")
     solution = picard_solve(problem, tol=1e-10)
-    assert min(solution.corner) <= -50.0  # a lowered corner was needed
+    assert min(min(starts)) <= -50.0  # a lowered corner was needed
     report = verify_minimality(problem, solution)
     assert report.ok(1e-10)
 
 
-def test_two_different_corners_same_limit(monkeypatch):
+def test_two_different_corners_same_limit(monkeypatch, record):
     rng = random.Random(29)
     problem = random_oblique_problem(rng, d=2, coupling=0.0)
+    starts = record(orbsde.oblique, "_node_start")
     s1 = picard_solve(problem, tol=1e-12)
+    lowest1 = min(starts)
     # start from a corner 5 deeper than the first one tried
     monkeypatch.setattr(orbsde.oblique, "_CORNER_DROPS", (5.0,))
+    starts.clear()
     s2 = picard_solve(problem, tol=1e-12)
-    assert s1.corner != s2.corner
+    assert lowest1 != min(starts)
     for j in range(2):
         gap = max(
             abs(a - b) for a, b in zip(s1.y[j].values, s2.y[j].values)
@@ -687,7 +693,6 @@ def test_solve_system_round_count_on_switch2x2(scenarios_dir):
     # applies the obstacle, the third changes nothing
     assert solution.sweeps == 3
     assert solution.deltas == (0.0,)
-    assert solution.history is None
 
 
 def test_solve_system_round_budget_names_the_node():

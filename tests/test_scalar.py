@@ -17,6 +17,7 @@ Core claims:
     - results are bit-identical under permuted input node order
     - validation rejects NaN or infinite data and generator values with
       the node and time index, before any comparison a NaN would pass
+    - the stopped-payoff representation gap is NaN when a payoff is NaN
 """
 
 from __future__ import annotations
@@ -643,6 +644,27 @@ def test_representation_covers_two_barrier_solutions():
         problem = random_scalar_problem(rng, barriers="both")
         sol = solve_two_barrier(problem)
         assert verify_snell_representation(problem, sol) <= 1e-9
+
+
+def test_representation_gap_is_nan_when_a_stopped_payoff_is_nan(scenarios_dir):
+    import dataclasses
+
+    from orbsde import ScalarSolution, picard_solve
+    from orbsde.oblique import mode_problem
+    from orbsde.scenario import Scenario
+
+    system = Scenario.from_file(scenarios_dir / "switch2x2.json").build_problem()
+    solution = picard_solve(system)
+    column = ScalarSolution(solution.y[0], solution.m_increments[0],
+                            solution.k[0], solution.a[0])
+    problem = mode_problem(system, solution, 0)
+    rd = next(n for n in system.tree.nodes if n.node_id == "rd")
+    assert solution.k[0].out_of(rd.index) > 0.0  # the lower barrier binds at rd
+    assert verify_snell_representation(problem, column) == 0.0
+    nan_at_rd = dataclasses.replace(problem, generator=lambda node, c: (
+        math.nan if node.index == rd.index else problem.generator(node, c)))
+    # stopping at rd is finite and comes first, so max() would give gap 0.0
+    assert math.isnan(verify_snell_representation(nan_at_rd, column))
 
 
 # -- determinism --------------------------------------------------------------------

@@ -13,6 +13,8 @@ Core claims:
     - dominance, cost monotonicity, no immediate return switches
     - a generator is coupled when a moved-component row of the validator's
       probe table is not constant, NaN included
+    - a NaN martingale increment along the strategy fails the switched
+      martingale check
 """
 
 from __future__ import annotations
@@ -570,3 +572,25 @@ def test_switched_martingale_detects_corruption():
     assert not report.ok(1e-12)
     assert any(v.node_id == tree.node(tree.root).node_id
                for v in report.violations)
+
+
+def test_switched_martingale_reports_a_nan_increment(scenarios_dir):
+    import dataclasses
+    import math
+
+    from orbsde.scenario import Scenario
+
+    problem = Scenario.from_file(scenarios_dir / "decoupled.json").build_problem()
+    solution = picard_solve(problem, tol=1e-12)
+    tree = problem.tree
+    first = tree.node(tree.root).children[0]
+    m = [list(col) for col in solution.m_increments]
+    m[0][first] = math.nan
+    corrupted = dataclasses.replace(solution, m_increments=tuple(map(tuple, m)))
+    strategy = construct_optimal_strategy(problem, solution, tree.root, 0)
+    # max() would keep the finite residuals and pass the check
+    report = check_switched_martingale(problem, corrupted, strategy)
+    assert math.isnan(report.worst)
+    assert not report.ok(1e-12)
+    assert [v.node_id for v in report.violations] == [tree.node(tree.root).node_id]
+
