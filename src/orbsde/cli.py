@@ -61,10 +61,10 @@ from .scalar import (
 )
 from .scenario import PENALTY_LADDER, Scenario, ScenarioError
 from .switching import (
+    _decoupling_verdict,
     brute_force_value,
     check_switched_martingale,
     construct_optimal_strategy,
-    decoupling_violations,
     solve_for_strategy,
     unconstrained_start_value,
     worst_case_switching_cost,
@@ -266,7 +266,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
     except EnumerationCapError as err:
         notes.append(f"representation check skipped: {err}")
 
-    if decoupling_violations(problem):
+    if _decoupling_verdict(problem):
         notes.append("brute-force cross-check skipped: generators are coupled")
     else:
         try:
@@ -339,16 +339,13 @@ def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
     solution = solve_system(problem, tol, max_sweeps)
     root = problem.tree.root
     lines = ["p,q,mode,root_y,projected_root_y\n"]
+    pairs = [(p, q) for p in PENALTY_LADDER for q in PENALTY_LADDER]
     for j in range(problem.d):
-        mode = mode_problem(problem, solution, j)
         projected = solution.y[j].values[root]
-        for p in PENALTY_LADDER:
-            for q in PENALTY_LADDER:
-                pen = _penalized_solve(mode, p, q)
-                lines.append(
-                    f"{fmt(p)},{fmt(q)},{j},{fmt(pen.y.values[root])},"
-                    f"{fmt(projected)}\n"
-                )
+        roots = [pen.y.values[root] for pen in _penalized_solve(
+            mode_problem(problem, solution, j), *zip(*pairs))]   # one walk
+        for (p, q), value in zip(pairs, roots):
+            lines.append(f"{fmt(p)},{fmt(q)},{j},{fmt(value)},{fmt(projected)}\n")
     write_text(out / "penalization.csv", "".join(lines))
     write_json(
         out / "summary.json",

@@ -20,7 +20,11 @@ package's one backward walk ``scalar._backward_solve`` over the d modes,
 and one start rule (``_node_start``): at each parent, the low corner of
 the state box, lowered tenfold (at most seven times) until every mode's
 upper-only step with the generator frozen there lies at or above it.
-Each solver is the walk with its own step:
+The walk hands over a level at a time; ``_level_step`` runs a solver's
+node step at the level's parents in descending index order, the order of
+a node-by-node walk, so an error names the node it always named.  The
+node steps still solve one node at a time with the scalar ``_project``
+and ``_root_find``.  Each solver is the walk with its own step:
 
 * :func:`solve_system` is the production path, the discretely reflected
   scheme of Chassagneux, Elie & Kharroubi.  Since Y_u depends on the tree
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -201,6 +205,9 @@ class ObliqueProblem:
     upper: tuple[AdaptedProcess, ...]
     costs: CostMatrix | None = None
     obstacle: ObstacleFn | None = None
+    # verdicts of checks taken once per problem (the problem is immutable)
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if (self.costs is None) == (self.obstacle is None):
@@ -441,6 +448,22 @@ def _frozen_step(
     return tuple(val for val, _, _ in steps), [(dk, da) for _, dk, da in steps]
 
 
+def _level_step(
+    tree: EventTree, node_step: Callable[[Node, list[float]], tuple]
+) -> Callable[[int, np.ndarray, np.ndarray], tuple]:
+    """The walk's level step from a node step: ``node_step(node, targets)``
+    returns the row Y_u and the (dK, dA) push of each mode, and runs at the
+    level's parents in the walk's order (descending index), so the first
+    node that fails is the one a node-by-node walk would meet first."""
+    def step(t: int, parents: np.ndarray, targets: np.ndarray):
+        rows, pushes = zip(*(node_step(tree.node(u), row)
+                             for u, row in zip(parents.tolist(), targets.tolist())))
+        pushes = np.array(pushes)   # [parent, mode, (dK, dA)]
+        return np.array(rows), pushes[:, :, 0], pushes[:, :, 1]
+
+    return step
+
+
 def _walk_from_starts(
     problem: ObliqueProblem, step: Callable[[Node, list[float], Row], tuple]
 ) -> tuple[ScalarSolution, ...]:
@@ -459,7 +482,8 @@ def _walk_from_starts(
     def started(node: Node, targets: list[float]):
         return step(node, targets, _node_start(problem, node, targets, corner))
 
-    return _backward_solve(problem.tree, problem.terminal, problem.v, started)
+    return _backward_solve(problem.tree, problem.terminal, problem.v,
+                           _level_step(problem.tree, started))
 
 
 def build_subsolution(problem: ObliqueProblem) -> tuple[ScalarSolution, ...]:
@@ -540,7 +564,8 @@ def picard_solve(
             row = prev_rows[node.index]
             return _frozen_step(problem, node, targets, row, problem.H(node.t, row))
 
-        solutions = _backward_solve(tree, problem.terminal, problem.v, sweep_step)
+        solutions = _backward_solve(tree, problem.terminal, problem.v,
+                                    _level_step(tree, sweep_step))
         delta = 0.0
         rise_floor = 0.0
         scale = 1.0
@@ -628,17 +653,19 @@ def mode_problem(
     problem: ObliqueProblem, solution: SystemSolution, j: int
 ) -> ScalarRBSDEProblem:
     """Mode j of the system as one scalar reflected problem, the other
-    components frozen at ``solution``: terminal column j, the node generator
-    ``c -> f^j(t_u, Y_u with c in slot j)``, drift ``v[j]``, lower barrier
-    ``H^j(t_u, Y_u)`` and upper barrier ``U^j``.  On a solution of the
-    system, its two-barrier solve gives back ``solution.y[j]``.
+    components frozen at ``solution``: terminal column j, the generator
+    ``c -> f^j(t_u, Y_u with c in slot j)`` (f^j gets a d-tuple of arrays:
+    the solution's columns at the nodes, and c in slot j), drift ``v[j]``,
+    lower barrier ``H^j(t_u, Y_u)`` and upper barrier ``U^j``.  On a
+    solution of the system, its two-barrier solve gives back
+    ``solution.y[j]``.
     """
     tree, f = problem.tree, problem.generators[j]
     rows = solution.rows()
+    columns = [np.array(yk.values) for yk in solution.y]
 
-    def generator(node: Node, c: float) -> float:
-        row = rows[node.index]
-        return f(node.t, row[:j] + (c,) + row[j + 1:])
+    def generator(t: int, nodes: np.ndarray, c: np.ndarray):
+        return f(t, tuple(c if k == j else col[nodes] for k, col in enumerate(columns)))
 
     lower = [_obstacle_entry(problem, n.t, rows[n.index], j) for n in tree.nodes]
     return ScalarRBSDEProblem(

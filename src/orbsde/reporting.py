@@ -2,8 +2,9 @@
 
 Identical inputs must produce byte-identical files: floats are printed
 with 17 significant digits (round-trip exact), rows are emitted in
-canonical node/mode order, JSON keys are sorted, and line endings are LF
-regardless of platform.
+canonical node/mode order, JSON keys are sorted, JSON is strict (a NaN or
+infinite value is written as the string "NaN", "Infinity" or
+"-Infinity"), and line endings are LF regardless of platform.
 """
 
 from __future__ import annotations
@@ -29,8 +30,25 @@ def write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by its JavaScript
+    name as a string (``"NaN"``, ``"Infinity"``, ``"-Infinity"``), which
+    strict JSON can carry."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def write_json(path: Path, payload) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """``payload`` as strict JSON: sorted keys, two-space indent, and
+    non-finite floats as the strings ``"NaN"``, ``"Infinity"`` and
+    ``"-Infinity"``."""
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+    write_text(path, text + "\n")
 
 
 def solution_csv_text(problem: ObliqueProblem, solution: SystemSolution) -> str:

@@ -12,9 +12,10 @@ increasing  process K, an upper barrier U keeps Y <= U via A, and both act
 minimally: an increment is nonzero only at parents where Y sits exactly on
 its barrier (the discrete flat-off condition).
 
-Generator convention: g is the tree's f(t, omega, y): it takes the parent
-node u (its time index and its place in the tree) and is evaluated at the
-post-projection value Y_u.  That makes the displayed identity exact, so the
+Generator convention: g is the tree's f(t, omega, y), called a level at a
+time as ``g(t, nodes, y)`` with the time index, an array of parent nodes
+and an array of values (a scalar return is broadcast), and evaluated at
+the post-projection value Y_u.  That makes the displayed identity exact, so the
 reflecting increments are the positive/negative parts of the residual
 
     phi(y) = y - g(u, y) dt - E[Y_{t+1}|u] - dV
@@ -27,13 +28,17 @@ generators constant in y this coincides with the naive assignment
 is what lets the implicit step run on bracketed bisection with no
 derivative information.
 
-``_backward_solve`` is the package's one backward walk: it carries any
-number of columns, hands each parent's conditional-expectation targets to
-a step function and stores the returned values and pushes.  The solvers
-here walk one column with the ``_project`` step (the penalized scheme
-with no barrier, the penalty in the generator and the penalty integrals
-as its pushes); :mod:`orbsde.oblique` walks all d modes at once with its
-own steps.
+``_backward_solve`` is the package's one backward walk.  It runs one
+level at a time on the tree's arrays (``EventTree.arrays``) and carries
+any number of columns: it sums each parent's children into the
+conditional-expectation targets of the level, an ``(m, columns)`` array,
+hands them to a step function and stores the returned values and pushes.
+The solvers here solve a level's implicit steps with one batched root
+find (``_root_find_batch``): the projected solves walk one column,
+projecting each root as ``_project`` does, and the penalized scheme walks
+one column per weight pair (the penalty in the generator and the penalty
+integrals as its pushes), so a whole (p, q) ladder is one walk.
+:mod:`orbsde.oblique` walks all d modes at once with its own steps.
 
 ``_probe`` is the package's one generator probe.
 :meth:`ScalarRBSDEProblem.validate` probes g with it at every node before
@@ -54,10 +59,8 @@ from .errors import BracketingError, InvalidProblemError, Violation
 from .tree import (
     AdaptedProcess,
     EventTree,
-    Node,
     PredictableIncrements,
     enumerate_stopping_times,
-    one_step_expectation,
 )
 
 __all__ = [
@@ -74,7 +77,7 @@ __all__ = [
     "verify_snell_representation",
 ]
 
-GeneratorFn = Callable[[Node, float], float]
+GeneratorFn = Callable[[int, np.ndarray, np.ndarray], "np.ndarray | float"]
 
 RESIDUAL_TOL = 1e-12
 PROBE_TOL = 1e-12
@@ -277,8 +280,10 @@ def implicit_step(
 class ScalarRBSDEProblem:
     """Terminal data, generator, drift increments, and optional barriers.
 
-    ``terminal`` maps leaf index -> value.  ``generator`` takes the parent
-    node and a trial value (the tree's f(t, omega, y); see
+    ``terminal`` maps leaf index -> value.  ``generator(t, nodes, y)`` takes
+    a time index, an array of node indices at that time and an array of
+    trial values, one per node, and returns the values as an array of that
+    shape or a scalar (the tree's f(t, omega, y); see
     :func:`orbsde.oblique.mode_problem`).  Either barrier may be absent; when
     both are present they must be ordered (L <= U everywhere,
     L_T <= xi <= U_T).  :meth:`validate` rejects NaN or infinite data, and
@@ -350,8 +355,15 @@ class ScalarRBSDEProblem:
                         )
                     )
         for t in range(tree.n_steps):  # the first finding per time index
-            for n in map(tree.node, tree.level(t)):
-                _, bad, rises = _probe(lambda y: self.generator(n, y), _MONOTONE_PROBE_YS)
+            nodes = np.array(tree.level(t))
+            table = np.array([
+                np.broadcast_to(self.generator(t, nodes, np.full(nodes.size, y)),
+                                nodes.shape)
+                for y in _MONOTONE_PROBE_YS
+            ]).T.tolist()
+            for n, values in zip(map(tree.node, tree.level(t)), table):
+                at = dict(zip(_MONOTONE_PROBE_YS, values))
+                _, bad, rises = _probe(at.__getitem__, _MONOTONE_PROBE_YS)
                 if bad is not None or rises:
                     code, what = (("non-finite", f"= {bad} at a probe point")
                                   if bad is not None else
@@ -441,52 +453,61 @@ def _backward_solve(
     tree: EventTree,
     terminal: Mapping[int, Sequence[float]],
     dv: Sequence[PredictableIncrements],
-    step: Callable[[Node, list[float]], tuple],
+    step: Callable[[int, np.ndarray, np.ndarray], tuple],
 ) -> tuple[ScalarSolution, ...]:
-    """The package's one backward walk, over ``len(dv)`` columns.
+    """The package's one backward walk, over ``len(dv)`` columns, one level
+    at a time.
 
-    Leaves take the row ``terminal[leaf]``.  At a parent u, with
-    ``targets[j] = E[Y^j_{t+1} | u] + dV^j``, ``step(node, targets)``
-    returns the row Y_u and the (dK, dA) push of each column.  Returns one
+    Leaves take the row ``terminal[leaf]``.  At level t, with ``parents``
+    the level's parents (``tree.arrays.parents[t]``, descending index order)
+    and ``targets[i, j] = E[Y^j_{t+1} | parents[i]] + dV^j`` (the children
+    summed in index order, as :func:`orbsde.tree.one_step_expectation`
+    does), ``step(t, parents, targets)`` returns the arrays Y, dK and dA of
+    the level, each of the shape of ``targets``.  Returns one
     ScalarSolution per column.
     """
-    d, n = len(dv), tree.n_nodes
-    y, k, a, m = ([[0.0] * n for _ in range(d)] for _ in range(4))
-    for i in range(n - 1, -1, -1):
-        node = tree.node(i)
-        if node.is_leaf:
-            for j, xi in enumerate(terminal[i]):
-                y[j][i] = float(xi)
-            continue
-        e = [one_step_expectation(tree, col, i) for col in y]
-        row, pushes = step(node, [e[j] + dv[j].out_of(i) for j in range(d)])
-        for j in range(d):
-            y[j][i] = row[j]
-            for c in node.children:
-                k[j][c], a[j][c] = pushes[j]
-                m[j][c] = y[j][c] - e[j]
+    arrays = tree.arrays
+    n, cols = tree.n_nodes, len(dv)
+    y, k, a, m = (np.zeros((n, cols)) for _ in range(4))
+    y[list(tree.leaves)] = [terminal[leaf] for leaf in tree.leaves]
+    dv_in = np.array([inc.values for inc in dv]).T   # on the edge into a node
+    for t in range(tree.n_steps - 1, -1, -1):
+        parents = arrays.parents[t]
+        first = arrays.child_ptr[parents]
+        count = arrays.child_ptr[parents + 1] - first
+        e = np.zeros((parents.size, cols))
+        slots = []   # the k-th children of the parents that have one
+        for slot in range(count.max(initial=0)):
+            rows = np.flatnonzero(count > slot)
+            kids = arrays.child_index[first[rows] + slot]
+            e[rows] += arrays.child_prob[first[rows] + slot, None] * y[kids]
+            slots.append((rows, kids))
+        level_y, dk, da = step(t, parents, e + dv_in[arrays.child_index[first]])
+        y[parents] = level_y
+        for rows, kids in slots:
+            k[kids], a[kids], m[kids] = dk[rows], da[rows], y[kids] - e[rows]
     return tuple(
-        ScalarSolution(AdaptedProcess(tree, tuple(yj)), tuple(mj),
-                       PredictableIncrements(tree, tuple(kj)),
-                       PredictableIncrements(tree, tuple(aj)))
-        for yj, mj, kj, aj in zip(y, m, k, a)
+        ScalarSolution(AdaptedProcess(tree, tuple(y[:, j].tolist())),
+                       tuple(m[:, j].tolist()),
+                       PredictableIncrements(tree, tuple(k[:, j].tolist())),
+                       PredictableIncrements(tree, tuple(a[:, j].tolist())))
+        for j in range(cols)
     )
 
 
-def _solve_column(
-    tree: EventTree,
-    terminal: Mapping[int, float],
-    dv: PredictableIncrements,
-    step: Callable[[Node, float], tuple[float, float, float]],
-) -> ScalarSolution:
-    """The walk over one column: ``step(node, target)`` returns
-    (Y_u, dK, dA)."""
-    def column_step(node: Node, targets: list[float]):
-        y, dk, da = step(node, targets[0])
-        return (y,), ((dk, da),)
+def _solve_columns(
+    problem: ScalarRBSDEProblem, cols: int, step: Callable[..., tuple]
+) -> tuple[ScalarSolution, ...]:
+    """The walk over ``cols`` columns that all start from the problem's
+    terminal values and carry its drift."""
+    rows = {leaf: (problem.terminal[leaf],) * cols for leaf in problem.tree.leaves}
+    return _backward_solve(problem.tree, rows, (problem.v(),) * cols, step)
 
-    rows = {leaf: (terminal[leaf],) for leaf in tree.leaves}
-    return _backward_solve(tree, rows, (dv,), column_step)[0]
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, x)`` elementwise as Python computes it: NaN and -0.0
+    give 0.0."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 def _require_valid(problem: ScalarRBSDEProblem) -> None:
@@ -496,19 +517,32 @@ def _require_valid(problem: ScalarRBSDEProblem) -> None:
 
 
 def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
-    """The validated problem with the :func:`_project` step into whichever
-    barriers it has."""
+    """The validated problem with each level's implicit steps projected
+    into whichever barriers it has, as :func:`_project` projects one node's
+    step."""
     _require_valid(problem)
     g, dt = problem.generator, problem.tree.dt
-    lower, upper = problem.lower, problem.upper
+    lower, upper = (None if b is None else np.array(b.values)
+                    for b in (problem.lower, problem.upper))
 
-    def step(node: Node, target: float):
-        i = node.index
-        return _project(lambda yy: yy - g(node, yy) * dt - target, target,
-                        lower.values[i] if lower is not None else None,
-                        upper.values[i] if upper is not None else None)
+    def step(t: int, parents: np.ndarray, targets: np.ndarray):
+        target = targets[:, 0]
 
-    return _solve_column(problem.tree, problem.terminal, problem.v(), step)
+        def phi(x, idx):
+            return x - g(t, parents[idx], x) * dt - target[idx]
+
+        y = _root_find_batch(phi, target, RESIDUAL_TOL)
+        lo = lower[parents] if lower is not None else np.full(y.size, -np.inf)
+        hi = upper[parents] if upper is not None else np.full(y.size, np.inf)
+        below = np.flatnonzero(y < lo)
+        above = np.flatnonzero((y > hi) & ~(y < lo))
+        dk, da = np.zeros(y.size), np.zeros(y.size)
+        dk[below] = _positive(phi(lo[below], below))
+        da[above] = _positive(-phi(hi[above], above))
+        y[below], y[above] = lo[below], hi[above]
+        return y[:, None], dk[:, None], da[:, None]
+
+    return _solve_columns(problem, 1, step)[0]
 
 
 def solve_lower(problem: ScalarRBSDEProblem) -> ScalarSolution:
@@ -556,41 +590,63 @@ def solve_penalized(
     if params.q > 0 and problem.upper is None:
         raise ValueError("upper penalty needs an upper barrier")
     _require_valid(problem)
-    return _penalized_solve(problem, params.p, params.q)
+    return _penalized_solve(problem, [params.p], [params.q])[0]
 
 
 def _penalized_solve(
-    problem: ScalarRBSDEProblem, p: float, q: float
-) -> PenalizedSolution:
-    """The penalized scheme on a problem taken as valid."""
-    tree, gen, dt = problem.tree, problem.generator, problem.tree.dt
-    lower, upper = problem.lower, problem.upper
+    problem: ScalarRBSDEProblem, p: Sequence[float], q: Sequence[float]
+) -> tuple[PenalizedSolution, ...]:
+    """The penalized scheme on a problem taken as valid, for every weight
+    pair ``(p[i], q[i])`` at once: one walk whose column i is pair i, each
+    level's implicit steps one :func:`_root_find_batch`.  A weight of zero
+    drops its penalty term, and a barrier the problem lacks drops it too.
+    """
+    tree, g, dt = problem.tree, problem.generator, problem.tree.dt
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    lower, upper = (None if b is None else np.array(b.values)
+                    for b in (problem.lower, problem.upper))
 
-    def penalized_gen(node: Node, yy: float) -> float:
-        val = gen(node, yy)
-        if p > 0:
-            val += p * max(0.0, lower.values[node.index] - yy)
-        if q > 0:
-            val -= q * max(0.0, yy - upper.values[node.index])
-        return val
+    def step(t: int, parents: np.ndarray, targets: np.ndarray):
+        # column-major: pair by pair, each pair over the level's parents
+        nodes = np.tile(parents, p.size)
+        pw, qw = np.repeat(p, parents.size), np.repeat(q, parents.size)
+        target = targets.T.ravel()
 
-    def step(node: Node, target: float):
-        i = node.index
-        yu, _, _ = _project(lambda yy: yy - penalized_gen(node, yy) * dt - target,
-                            target, None, None)
-        dk = p * max(0.0, lower.values[i] - yu) * dt if p > 0 else 0.0
-        da = q * max(0.0, yu - upper.values[i]) * dt if q > 0 else 0.0
-        return yu, dk, da
+        def penalized(x, idx):
+            val = g(t, nodes[idx], x)
+            if lower is not None:
+                val = np.where(pw[idx] > 0, val + pw[idx] * _positive(
+                    lower[nodes[idx]] - x), val)
+            if upper is not None:
+                val = np.where(qw[idx] > 0, val - qw[idx] * _positive(
+                    x - upper[nodes[idx]]), val)
+            return val
 
-    base = _solve_column(tree, problem.terminal, problem.v(), step)
-    lower_mass = upper_mass = 0.0
-    for n in tree.nodes:  # index order, the masses' fixed summation order
-        if not n.is_leaf:
-            weight = tree.node_probability(n.index)
-            lower_mass += weight * base.k.out_of(n.index)
-            upper_mass += weight * base.a.out_of(n.index)
-    return PenalizedSolution(base.y, base.m_increments, base.k, base.a,
-                             lower_mass, upper_mass)
+        def phi(x, idx):
+            return x - penalized(x, idx) * dt - target[idx]
+
+        y = _root_find_batch(phi, target, RESIDUAL_TOL)
+        dk = (np.where(pw > 0, pw * _positive(lower[nodes] - y) * dt, 0.0)
+              if lower is not None else np.zeros(y.size))
+        da = (np.where(qw > 0, qw * _positive(y - upper[nodes]) * dt, 0.0)
+              if upper is not None else np.zeros(y.size))
+        return (a.reshape(p.size, parents.size).T for a in (y, dk, da))
+
+    solutions = _solve_columns(problem, p.size, step)
+    # the masses: sums over the parents in index order, one term at a time
+    parents = [n.index for n in tree.nodes if not n.is_leaf]
+    first_kids = tree.arrays.child_index[tree.arrays.child_ptr[parents]]
+    masses = []
+    for field in ("k", "a"):
+        out = np.array([getattr(s, field).values for s in solutions])[:, first_kids]
+        mass = np.zeros(p.size)
+        for u, column in zip(parents, out.T):
+            mass += tree.node_probability(u) * column
+        masses.append(mass.tolist())
+    return tuple(
+        PenalizedSolution(s.y, s.m_increments, s.k, s.a, lower_mass, upper_mass)
+        for s, lower_mass, upper_mass in zip(solutions, *masses)
+    )
 
 
 def verify_snell_representation(
@@ -623,7 +679,13 @@ def verify_snell_representation(
     dv = problem.v()
     da = solution.a
     lower = problem.lower.values
-    rates = tuple(g(n, y[n.index]) for n in tree.nodes)
+    rates = [0.0] * tree.n_nodes   # a leaf is always stopped
+    y_at = np.array(y)
+    for t in range(tree.n_steps):
+        nodes = np.array(tree.level(t))
+        at = np.broadcast_to(g(t, nodes, y_at[nodes]), nodes.shape)
+        for u, rate in zip(tree.level(t), at.tolist()):
+            rates[u] = rate
 
     def stopped_value(st, u: int) -> float:
         node = tree.node(u)

@@ -24,7 +24,8 @@ and must return an array of their shape or a scalar.
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
-off the validator's moved-component probe lines at every time index.  A
+off the validator's moved-component probe lines at every time index, and
+the oracle takes that verdict once per problem (``_decoupling_verdict``).  A
 start node with n nodes in its subtree has d^(n-1) strategies (the start
 mode is pinned), and the enumerations refuse a count above their cap.
 
@@ -148,10 +149,18 @@ def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
     return out
 
 
+def _decoupling_verdict(problem: ObliqueProblem) -> tuple[Violation, ...]:
+    """:func:`decoupling_violations`, taken once per problem, which keeps
+    the verdict (a problem is immutable)."""
+    if "coupled" not in problem._verdicts:
+        problem._verdicts["coupled"] = tuple(decoupling_violations(problem))
+    return problem._verdicts["coupled"]
+
+
 def _require_cost_form(problem: ObliqueProblem) -> None:
     if problem.costs is None:
         raise ValueError("switching requires the cost-matrix obstacle form")
-    coupled = decoupling_violations(problem)
+    coupled = _decoupling_verdict(problem)
     if coupled:
         raise InvalidProblemError(coupled)
 

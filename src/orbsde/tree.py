@@ -11,17 +11,21 @@ Conventions used throughout the package:
 
 * node indices are canonical: sorted by ``(t, node_id)``, so identical
   node sets produce identical indexing regardless of input order;
-* sums over children always run in index order (fixed summation order,
-  bit-for-bit reproducible);
+* sums over children always run in index order, one term after the other
+  (fixed summation order, bit-for-bit reproducible; for one or two
+  children the sum is exactly rounded);
 * an increment "on the edge into node c" is stored under c's index; the
   root slot of a :class:`PredictableIncrements` is fixed at 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     EnumerationCapError,
@@ -35,6 +39,7 @@ PROB_TOL = 1e-12
 __all__ = [
     "Node",
     "EventTree",
+    "TreeArrays",
     "AdaptedProcess",
     "PredictableIncrements",
     "StoppingTime",
@@ -61,6 +66,43 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+
+@dataclass(frozen=True)
+class TreeArrays:
+    """An :class:`EventTree` as read-only arrays, for level-at-a-time walks.
+
+    Node i's children are ``child_index[child_ptr[i]:child_ptr[i + 1]]``,
+    in index order (CSR), with their edge probabilities at the same
+    positions of ``child_prob``.  ``parents[t]`` lists the nodes of level t
+    that have children, in descending index order, the order in which a
+    backward walk visits them.
+    """
+
+    child_ptr: np.ndarray
+    child_index: np.ndarray
+    child_prob: np.ndarray
+    parents: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, tree: "EventTree") -> "TreeArrays":
+        nodes = tree.nodes
+        counts = [len(n.children) for n in nodes]
+        arrays = cls(
+            child_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.intp),
+            child_index=np.array([c for n in nodes for c in n.children], dtype=np.intp),
+            child_prob=np.array([nodes[c].prob for n in nodes for c in n.children],
+                                dtype=np.float64),
+            parents=tuple(
+                np.array([u for u in reversed(tree.level(t)) if counts[u]],
+                         dtype=np.intp)
+                for t in range(tree.n_steps + 1)
+            ),
+        )
+        for arr in (arrays.child_ptr, arrays.child_index, arrays.child_prob,
+                    *arrays.parents):
+            arr.flags.writeable = False
+        return arrays
 
 
 class EventTree:
@@ -132,6 +174,7 @@ class EventTree:
                     probs[c] = probs[c] / s
         clone = object.__new__(EventTree)
         clone.__dict__.update(self.__dict__)
+        clone.__dict__.pop("arrays", None)   # built from the old probabilities
         clone._nodes = tuple(
             Node(n.index, n.node_id, n.t, n.parent, n.children, probs[n.index])
             for n in self._nodes
@@ -192,6 +235,11 @@ class EventTree:
 
     def level(self, t: int) -> tuple[int, ...]:
         return self._levels[t]
+
+    @functools.cached_property
+    def arrays(self) -> TreeArrays:
+        """The tree as read-only arrays, built on first use."""
+        return TreeArrays.of(self)
 
     def node(self, i: int) -> Node:
         return self._nodes[i]
@@ -451,8 +499,13 @@ class DoobDecomposition:
 
 
 def one_step_expectation(tree: EventTree, values: Sequence[float], u: int) -> float:
-    """E[X_{t+1} | node u] with the canonical child summation order."""
-    return math.fsum(tree.node(c).prob * values[c] for c in tree.children(u))
+    """E[X_{t+1} | node u] with the canonical child summation order: the
+    terms added one after the other, from 0.0, in index order (the
+    backward walk's sum, bit for bit)."""
+    acc = 0.0
+    for c in tree.children(u):
+        acc += tree.node(c).prob * values[c]
+    return acc
 
 
 def conditional_expectation(tree: EventTree, x: AdaptedProcess, s: int) -> dict[int, float]:

@@ -58,20 +58,20 @@ def random_walk_process(
 
 
 def random_generator(rng: random.Random, allow_nonlinear: bool = False):
-    """A scalar generator decreasing in y and independent of its node
-    argument, drawn from small families."""
+    """A scalar generator ``g(t, nodes, y)`` decreasing in y and independent
+    of its time and node arguments, drawn from small families."""
     kind = rng.choice(["zero", "constant", "affine", "affine"])
     if allow_nonlinear and rng.random() < 0.2:
         scale = rng.uniform(0.05, 0.3)
-        return lambda t, y: -scale * y**3
+        return lambda t, nodes, y: -scale * y**3
     if kind == "zero":
-        return lambda t, y: 0.0
+        return lambda t, nodes, y: 0.0
     if kind == "constant":
         a = rng.uniform(-0.8, 0.8)
-        return lambda t, y: a
+        return lambda t, nodes, y: a
     a = rng.uniform(-0.8, 0.8)
     b = rng.uniform(0.0, 1.0)
-    return lambda t, y: a - b * y
+    return lambda t, nodes, y: a - b * y
 
 
 def random_v(rng: random.Random, tree: EventTree, scale=0.3) -> PredictableIncrements:

@@ -9,9 +9,12 @@ itself, which is the designated oracle substrate.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 from scipy.optimize import brentq
 
-from orbsde import EventTree, StoppingTime
+from orbsde import EventTree, ScalarRBSDEProblem, StoppingTime
 from orbsde.oblique import ObliqueProblem
 from orbsde.switching import SwitchingStrategy
 
@@ -131,12 +134,41 @@ def recursive_strategy_value(
         def resid(y):
             return y - f(n.t, (y,) * d) * dt - target
 
-        lo, hi = target - 1.0, target + 1.0
-        while resid(lo) > 0:
-            lo -= 2 * (target - lo) + 1
-        while resid(hi) < 0:
-            hi += 2 * (hi - target) + 1
-        ystar = brentq(resid, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        return min(problem.upper[m].values[u], ystar)
+        return min(problem.upper[m].values[u], _bracketed_root(resid, target))
 
     return value(strategy.start)
+
+
+def _bracketed_root(resid, target: float) -> float:
+    """brentq on an increasing residual, bracketed around ``target``."""
+    lo, hi = target - 1.0, target + 1.0
+    while resid(lo) > 0:
+        lo -= 2 * (target - lo) + 1
+    while resid(hi) < 0:
+        hi += 2 * (hi - target) + 1
+    return brentq(resid, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def penalized_values(problem: ScalarRBSDEProblem, p: float, q: float) -> list[float]:
+    """The penalized scheme's value at every node, node by node: at a
+    parent u, the root y of ``y - (g(u, y) + p (L_u - y)^+ - q (y - U_u)^+) dt
+    = E[Y_next | u] + dV``, found by brentq, with the expectation a
+    ``math.fsum`` over the children."""
+    tree = problem.tree
+    dt, g, dv = tree.dt, problem.generator, problem.v()
+    y = [0.0] * tree.n_nodes
+    for u in range(tree.n_nodes - 1, -1, -1):
+        n = tree.node(u)
+        if n.is_leaf:
+            y[u] = problem.terminal[u]
+            continue
+        target = math.fsum(tree.node(c).prob * y[c] for c in n.children) + dv.out_of(u)
+        low, high = problem.lower.values[u], problem.upper.values[u]
+
+        def resid(x, t=n.t, nodes=np.array([u])):
+            rate = float(np.broadcast_to(g(t, nodes, np.array([x])), 1)[0])
+            rate += p * max(0.0, low - x) - q * max(0.0, x - high)
+            return x - rate * dt - target
+
+        y[u] = _bracketed_root(resid, target)
+    return y

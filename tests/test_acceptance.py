@@ -88,7 +88,7 @@ def test_criterion_2_lower_solve_is_snell_specialization():
         problem = ScalarRBSDEProblem(
             tree=problem.tree,
             terminal=problem.terminal,
-            generator=lambda t, y: 0.0,
+            generator=lambda t, nodes, y: 0.0,
             lower=problem.lower,
         )
         sol = solve_lower(problem)
@@ -174,7 +174,7 @@ def test_criterion_4_upper_increment_comparison():
         p2 = ScalarRBSDEProblem(
             tree=tree,
             terminal=terminal2,
-            generator=lambda t, y, _g=g1, _b=bump_g: _g(t, y) + _b,
+            generator=lambda t, nodes, y, _g=g1, _b=bump_g: _g(t, nodes, y) + _b,
             v_increments=PredictableIncrements(
                 tree,
                 tuple(

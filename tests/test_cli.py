@@ -24,9 +24,12 @@ Core claims:
       subsolution_slack exits 2 as unknown; a NaN, infinite or descending
       table knot exits 2 naming the generator; brute-force on coupled
       generators exits 2 with the generator-coupled findings
-    - every command validates its problem once, and every problem-validation
-      diagnostic gives the violation count as its detail; a NaN
-      representation gap is an oracle mismatch
+    - every command validates its problem once, verify and brute-force take
+      the decoupling verdict once, sweep-penalization walks the tree once
+      for the solve and once per mode for its whole (p, q) ladder, and
+      every problem-validation diagnostic gives the violation count as its
+      detail; a NaN representation gap is an oracle mismatch, written to
+      verification.json as the string "NaN" (strict JSON)
     - the outputs of the commands the benchmark times keep pinned sha256
       digests on three-step scenarios of the benchmark's shape
     - arguments the parser refuses exit 2 with kind usage and a diagnostic
@@ -666,6 +669,56 @@ def test_each_command_validates_once(scenarios_dir, tmp_path, record, command):
     assert sum(map(len, reports)) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "verify --solution", "brute-force"])
+def test_switching_commands_take_the_decoupling_verdict_once(
+        scenarios_dir, tmp_path, record, command):
+    import orbsde.switching
+
+    scenario = scenarios_dir / "switch2x2.json"
+    flags = ["--out", tmp_path / "out"]
+    if command == "verify --solution":
+        assert run("solve", scenario, "--out", tmp_path / "solved") == 0
+        flags += ["--solution", tmp_path / "solved" / "solution.csv"]
+    verdicts = record(orbsde.switching, "decoupling_violations")
+    assert run(command.split()[0], scenario, *flags) == 0
+    assert verdicts == [[]]
+
+
+def test_sweep_walks_once_per_mode(scenarios_dir, tmp_path, record):
+    import orbsde.oblique
+    import orbsde.scalar
+
+    walks = [record(module, "_backward_solve")
+             for module in (orbsde.oblique, orbsde.scalar)]
+    assert run("sweep-penalization", scenarios_dir / "switch2x2.json",
+               "--out", tmp_path / "out") == 0
+    solve, ladders = walks
+    assert (len(solve), len(ladders)) == (1, 2)   # solve_system, then d modes
+    assert {len(ladder) for ladder in ladders} == {25}
+
+
+def test_non_finite_json_values_are_strings(scenarios_dir, tmp_path, monkeypatch):
+    import math
+
+    import orbsde.cli
+    from orbsde.reporting import write_json
+
+    monkeypatch.setattr(orbsde.cli, "verify_snell_representation",
+                        lambda *args: math.nan)
+    out = tmp_path / "out"
+    assert run("verify", scenarios_dir / "switch2x2.json", "--out", out) == 4
+
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in JSON")
+
+    results = json.loads((out / "verification.json").read_text(),
+                         parse_constant=refuse)
+    assert results["checks"]["snell_representation_gap"] == "NaN"
+    write_json(tmp_path / "x.json", {"v": [math.inf, -math.inf, (1.5, math.nan)]})
+    assert json.loads((tmp_path / "x.json").read_text(), parse_constant=refuse) == {
+        "v": ["Infinity", "-Infinity", [1.5, "NaN"]]}
+
+
 def test_nan_representation_gap_is_a_mismatch(scenarios_dir, tmp_path, monkeypatch):
     import math
 
@@ -702,8 +755,8 @@ def test_decoupled_scenario_roots_equal_upper_solves(scenarios_dir, tmp_path):
                     leaf: problem.terminal[leaf][j]
                     for leaf in problem.tree.leaves
                 },
-                generator=lambda node, y, _j=j: problem.generators[_j](
-                    node.t, (y, y)
+                generator=lambda t, nodes, y, _j=j: problem.generators[_j](
+                    t, (y, y)
                 ),
                 v_increments=problem.v[j],
                 upper=problem.upper[j],

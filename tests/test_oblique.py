@@ -199,8 +199,8 @@ def test_subsolution_of_decoupled_problem_is_upper_solve():
                 terminal={
                     leaf: problem.terminal[leaf][j] for leaf in problem.tree.leaves
                 },
-                generator=lambda node, y, _j=j: problem.generators[_j](
-                    node.t, tuple(y if i == _j else 0.0 for i in range(2))
+                generator=lambda t, nodes, y, _j=j: problem.generators[_j](
+                    t, tuple(y if i == _j else 0.0 for i in range(2))
                 ),
                 v_increments=problem.v[j],
                 upper=problem.upper[j],
@@ -240,8 +240,8 @@ def test_inert_obstacle_degenerates_to_independent_upper_solves():
                         leaf: problem.terminal[leaf][j]
                         for leaf in problem.tree.leaves
                     },
-                    generator=lambda node, y, _j=j, _d=d: problem.generators[_j](
-                        node.t, tuple(y if i == _j else 0.0 for i in range(_d))
+                    generator=lambda t, nodes, y, _j=j, _d=d: problem.generators[_j](
+                        t, tuple(y if i == _j else 0.0 for i in range(_d))
                     ),
                     v_increments=problem.v[j],
                     upper=problem.upper[j],
@@ -587,7 +587,7 @@ def test_validators_flag_a_rise_at_any_time_index(data, steps, binary, d):
     scalar = ScalarRBSDEProblem(
         tree=tree,
         terminal={leaf: 0.0 for leaf in tree.leaves},
-        generator=lambda node, y: 0.5 * y if node.t == t_star else -y,
+        generator=lambda t, nodes, y: 0.5 * y if t == t_star else -y,
         lower=AdaptedProcess.constant(tree, -1.0),
     )
     assert [(v.code, v.time_index) for v in scalar.validate()] == [

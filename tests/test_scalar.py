@@ -12,6 +12,10 @@ Core claims:
       increments edgewise
     - penalized values are monotone in the weights and approach the
       projected solution; p = q = 0 is the unconstrained equation
+    - a (p, q) ladder solved as one walk matches a per-node scipy recursion
+      at every node, and equals the same pairs solved one walk each
+    - the level walk's conditional expectations are the tree's
+      one_step_expectation, bit for bit
     - the batched root finder gives the scalar finder's roots bit for bit,
       element by element, through every branch, and raises where it raises
     - results are bit-identical under permuted input node order
@@ -47,9 +51,15 @@ from orbsde import (
     verify_snell_representation,
 )
 from gen import random_scalar_problem, random_tree
-from oracles import dynkin_value
-from orbsde.scalar import RESIDUAL_TOL, _root_find, _root_find_batch
-from orbsde.tree import enumerate_stopping_times
+from oracles import dynkin_value, penalized_values
+from orbsde.scalar import (
+    RESIDUAL_TOL,
+    _backward_solve,
+    _penalized_solve,
+    _root_find,
+    _root_find_batch,
+)
+from orbsde.tree import enumerate_stopping_times, one_step_expectation
 
 
 def scalar_residuals(problem: ScalarRBSDEProblem, sol) -> float:
@@ -79,7 +89,8 @@ def scalar_residuals(problem: ScalarRBSDEProblem, sol) -> float:
         if n.is_leaf:
             continue
         worst = max(worst, -sol.k.out_of(n.index), -sol.a.out_of(n.index))
-        g_u = problem.generator(n, y_u)
+        g_u = float(np.broadcast_to(
+            problem.generator(n.t, np.array([n.index]), np.array([y_u])), 1)[0])
         mart = 0.0
         for c in n.children:
             resid = y_u - (
@@ -244,7 +255,7 @@ def test_batched_root_finder_runs_every_branch():
 # -- lower barrier -------------------------------------------------------------
 
 
-def _lower_problem(tree, lower, terminal, g=lambda t, y: 0.0, v=None):
+def _lower_problem(tree, lower, terminal, g=lambda t, nodes, y: 0.0, v=None):
     return ScalarRBSDEProblem(
         tree=tree, terminal=terminal, generator=g, v_increments=v, lower=lower
     )
@@ -271,7 +282,7 @@ def test_lower_solve_is_snell_envelope_nodewise():
         problem = ScalarRBSDEProblem(
             tree=tree,
             terminal=problem.terminal,
-            generator=lambda t, y: 0.0,
+            generator=lambda t, nodes, y: 0.0,
             lower=problem.lower,
         )
         sol = solve_lower(problem)
@@ -325,7 +336,7 @@ def test_upper_is_sign_flipped_lower():
         reflected = ScalarRBSDEProblem(
             tree=problem.tree,
             terminal={leaf: -v for leaf, v in problem.terminal.items()},
-            generator=lambda t, y, _g=g: -_g(t, -y),
+            generator=lambda t, nodes, y, _g=g: -_g(t, nodes, -y),
             v_increments=PredictableIncrements(
                 problem.tree, tuple(-v for v in problem.v().values)
             ),
@@ -344,7 +355,7 @@ def test_upper_caps_on_two_node_chain():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={tree.index_of("n1"): 4.0},
-        generator=lambda t, y: 0.0,
+        generator=lambda t, nodes, y: 0.0,
         upper=upper,
     )
     sol = solve_upper(problem)
@@ -361,7 +372,7 @@ def test_two_barrier_squeezed_flat():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={leaf: 1.5 for leaf in tree.leaves},
-        generator=lambda t, y: 0.4 - 0.3 * y,
+        generator=lambda t, nodes, y: 0.4 - 0.3 * y,
         lower=level,
         upper=level,
     )
@@ -375,7 +386,7 @@ def test_two_barrier_wide_barriers_reduce_to_expectation():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal=terminal,
-        generator=lambda t, y: 0.0,
+        generator=lambda t, nodes, y: 0.0,
         lower=AdaptedProcess.constant(tree, -1e6),
         upper=AdaptedProcess.constant(tree, 1e6),
     )
@@ -396,7 +407,7 @@ def test_two_barrier_matches_enumerated_game_value():
         problem = ScalarRBSDEProblem(
             tree=tree,
             terminal=problem.terminal,
-            generator=lambda t, y: 0.0,
+            generator=lambda t, nodes, y: 0.0,
             lower=problem.lower,
             upper=problem.upper,
         )
@@ -417,7 +428,7 @@ def test_barrier_order_violation_rejected():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={tree.index_of("n1"): 0.0},
-        generator=lambda t, y: 0.0,
+        generator=lambda t, nodes, y: 0.0,
         lower=AdaptedProcess.constant(tree, 1.0),
         upper=AdaptedProcess.constant(tree, 0.0),
     )
@@ -430,7 +441,7 @@ def test_increasing_generator_flagged_by_validation():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={tree.index_of("n1"): 0.0},
-        generator=lambda t, y: 0.5 * y,
+        generator=lambda t, nodes, y: 0.5 * y,
         lower=AdaptedProcess.constant(tree, -1.0),
     )
     assert any(v.code == "generator-monotone" for v in problem.validate())
@@ -444,7 +455,7 @@ def test_validation_probes_every_node_of_a_level():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={leaf: 0.0 for leaf in tree.leaves},
-        generator=lambda node, y: 0.5 * y if node.index == second else -y,
+        generator=lambda t, nodes, y: np.where(nodes == second, 0.5 * y, -y),
         lower=AdaptedProcess.constant(tree, -1.0),
     )
     assert [(v.code, v.time_index) for v in problem.validate()] == [
@@ -456,7 +467,7 @@ def _nan_case(**changes) -> ScalarRBSDEProblem:
     fields = dict(
         tree=tree,
         terminal={leaf: 0.0 for leaf in tree.leaves},
-        generator=lambda node, y: -y,
+        generator=lambda t, nodes, y: -y,
         lower=AdaptedProcess.constant(tree, -1.0),
     )
     fields.update(changes)
@@ -464,7 +475,7 @@ def _nan_case(**changes) -> ScalarRBSDEProblem:
 
 
 def test_nan_generator_rejected_with_node_and_time():
-    problem = _nan_case(generator=lambda node, y: math.nan)
+    problem = _nan_case(generator=lambda t, nodes, y: math.nan)
     tree = problem.tree
     assert [(v.code, v.node_id, v.time_index) for v in problem.validate()] == [
         ("non-finite", tree.node(tree.level(t)[0]).node_id, t) for t in (0, 1)]
@@ -538,7 +549,7 @@ def test_comparison_of_values_and_upper_increments():
         p2 = ScalarRBSDEProblem(
             tree=tree,
             terminal=terminal2,
-            generator=lambda t, y, _g=g1, _b=bump_g: _g(t, y) + _b,
+            generator=lambda t, nodes, y, _g=g1, _b=bump_g: _g(t, nodes, y) + _b,
             v_increments=PredictableIncrements(
                 tree,
                 tuple(
@@ -606,13 +617,54 @@ def test_penalized_reports_positive_mass_when_binding():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={tree.index_of("n2"): 0.0},
-        generator=lambda t, y: 0.0,
+        generator=lambda t, nodes, y: 0.0,
         lower=lower,
         upper=AdaptedProcess.constant(tree, 10.0),
     )
     pen = solve_penalized(problem, PenalizationParams(1000.0, 1000.0))
     assert pen.lower_mass > 0.5
     assert pen.upper_mass == 0.0
+
+
+LADDER = (1.0, 10.0, 100.0, 1000.0, 1e6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_penalized_ladder_matches_the_scipy_oracle(seed):
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_depth=3, max_branching=3)
+    problem = random_scalar_problem(rng, tree=tree, barriers="both",
+                                    allow_nonlinear=True)
+    pairs = [(p, q) for p in LADDER for q in LADDER]
+    ladder = _penalized_solve(problem, *zip(*pairs))
+    assert len(ladder) == len(pairs)
+    for (p, q), pen in zip(pairs, ladder):
+        oracle = penalized_values(problem, p, q)
+        assert max(abs(a - b) for a, b in zip(pen.y.values, oracle)) <= 1e-10, (p, q)
+        alone = _penalized_solve(problem, [p], [q])[0]
+        assert (pen.y.values, pen.m_increments, pen.k.values, pen.a.values,
+                pen.lower_mass, pen.upper_mass) == (
+            alone.y.values, alone.m_increments, alone.k.values, alone.a.values,
+            alone.lower_mass, alone.upper_mass)
+
+
+def test_walk_expectations_are_one_step_expectations():
+    rng = random.Random(89)
+    for _ in range(20):
+        tree = random_tree(rng, max_depth=3, max_branching=4)
+        terminal = {leaf: (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                    for leaf in tree.leaves}
+        zero = PredictableIncrements.zero(tree)
+
+        def keep(t, parents, targets):   # Y_u = E[Y_next | u], no push
+            return targets, np.zeros(targets.shape), np.zeros(targets.shape)
+
+        for col in _backward_solve(tree, terminal, (zero, zero), keep):
+            for n in tree.nodes:
+                if not n.is_leaf:
+                    assert col.y.values[n.index] == one_step_expectation(
+                        tree, col.y.values, n.index)
 
 
 # -- representation check ----------------------------------------------------------
@@ -631,7 +683,7 @@ def test_representation_reduces_to_martingale_when_barrier_inert():
     problem = ScalarRBSDEProblem(
         tree=tree,
         terminal={leaf: 0.25 * leaf for leaf in tree.leaves},
-        generator=lambda t, y: 0.0,
+        generator=lambda t, nodes, y: 0.0,
         lower=AdaptedProcess.constant(tree, -1e6),
     )
     sol = solve_lower(problem)
@@ -661,8 +713,8 @@ def test_representation_gap_is_nan_when_a_stopped_payoff_is_nan(scenarios_dir):
     rd = next(n for n in system.tree.nodes if n.node_id == "rd")
     assert solution.k[0].out_of(rd.index) > 0.0  # the lower barrier binds at rd
     assert verify_snell_representation(problem, column) == 0.0
-    nan_at_rd = dataclasses.replace(problem, generator=lambda node, c: (
-        math.nan if node.index == rd.index else problem.generator(node, c)))
+    nan_at_rd = dataclasses.replace(problem, generator=lambda t, nodes, c: np.where(
+        nodes == rd.index, math.nan, problem.generator(t, nodes, c)))
     # stopping at rd is finite and comes first, so max() would give gap 0.0
     assert math.isnan(verify_snell_representation(nan_at_rd, column))
 
@@ -698,7 +750,7 @@ def test_bitwise_identical_under_permuted_node_order():
         problem = ScalarRBSDEProblem(
             tree=tree,
             terminal=terminal,
-            generator=lambda t, y: 0.2 - 0.4 * y,
+            generator=lambda t, nodes, y: 0.2 - 0.4 * y,
             lower=lower,
             upper=upper,
         )

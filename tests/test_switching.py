@@ -81,7 +81,7 @@ def test_never_switching_equals_upper_solve():
             ScalarRBSDEProblem(
                 tree=tree,
                 terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
-                generator=lambda node, y, _j=j: problem.generators[_j](node.t, (y, y)),
+                generator=lambda t, nodes, y, _j=j: problem.generators[_j](t, (y, y)),
                 v_increments=problem.v[j],
                 upper=problem.upper[j],
             )

@@ -16,6 +16,7 @@ Core claims:
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from orbsde import (
 )
 from gen import random_tree, random_walk_process
 from oracles import count_stopping_times, path_probability, stopped_expectation
+from orbsde.tree import one_step_expectation
 
 
 def leaf_values(tree, mapping):
@@ -411,3 +413,37 @@ def test_path_probabilities_multiply_along_paths():
         assert tree.node_probability(leaf) == pytest.approx(
             path_probability(tree, leaf), abs=1e-15
         )
+
+
+def test_tree_arrays_are_the_nodes_as_arrays():
+    rng = random.Random(31)
+    for _ in range(10):
+        tree = random_tree(rng, max_depth=3, max_branching=3)
+        arrays = tree.arrays
+        assert arrays is tree.arrays   # built once
+        for n in tree.nodes:
+            span = slice(arrays.child_ptr[n.index], arrays.child_ptr[n.index + 1])
+            assert tuple(arrays.child_index[span]) == n.children
+            assert tuple(arrays.child_prob[span]) == tuple(
+                tree.node(c).prob for c in n.children)
+        for t in range(tree.n_steps + 1):
+            assert tuple(arrays.parents[t]) == tuple(
+                u for u in reversed(tree.level(t)) if tree.children(u))
+        with pytest.raises(ValueError):
+            arrays.child_prob[0] = 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.floats(0.01, 0.99), x=st.lists(
+    st.floats(-1e6, 1e6, allow_subnormal=False), min_size=2, max_size=2))
+def test_one_step_expectation_is_fsum_for_one_or_two_children(p, x):
+    binary = EventTree.build([
+        {"id": "r", "t": 0, "parent": None},
+        {"id": "a", "t": 1, "parent": "r", "p": p},
+        {"id": "b", "t": 1, "parent": "r", "p": 1.0 - p},
+    ], 1.0)
+    values = [0.0, *x]
+    assert one_step_expectation(binary, values, binary.root) == math.fsum(
+        binary.node(c).prob * values[c] for c in binary.children(binary.root))
+    chain = EventTree.chain(1, 1.0)
+    assert one_step_expectation(chain, [0.0, x[0]], chain.root) == math.fsum([x[0]])
