@@ -15,32 +15,46 @@ via the discrete Doob decomposition, so U itself is the witness).
 :func:`validate_problem` checks these hypotheses, and probes every
 generator at every time index before the horizon with ``scalar._probe``.
 
-Two solvers share the scalar projection step ``scalar._project``, the
-package's one backward walk ``scalar._backward_solve`` over the d modes,
-and one start rule (``_node_start``): at each parent, the low corner of
-the state box, lowered tenfold (at most seven times) until every mode's
-upper-only step with the generator frozen there lies at or above it.
-The walk hands over a level at a time; ``_level_step`` runs a solver's
-node step at the level's parents in descending index order, the order of
-a node-by-node walk, so an error names the node it always named.  The
-node steps still solve one node at a time with the scalar ``_project``
-and ``_root_find``.  Each solver is the walk with its own step:
+Generators and obstacles are called a level at a time: ``f^j(t, y)`` and
+``H(t, y)`` take a time index and a d-tuple ``y`` of columns, equal-length
+float arrays with one entry per node (floats are the one-node case), and
+return one value per node (a generator may return a scalar, which is
+broadcast).
+
+Two solvers share the package's one backward walk
+``scalar._backward_solve`` over the d modes, one batched projection
+(``scalar._project_batch``: a mode's implicit steps at a level's parents as
+one ``_root_find_batch``, projected into their barriers) and one start
+rule (``_level_start``): at each parent, the low corner of the state box,
+lowered tenfold (at most seven times) until every mode's upper-only step
+with the generator frozen there lies at or above it.  The lowered corner
+is the same row at every parent, so each drop is one generator call per
+mode and a comparison with the level's targets.  Each solver is the walk
+with its own level step:
 
 * :func:`solve_system` is the production path, the discretely reflected
   scheme of Chassagneux, Elie & Kharroubi.  Since Y_u depends on the tree
   only through the conditional expectations of its children, one walk
   suffices: its step solves the d-dimensional fixed point
-  ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` at each parent by
-  Gauss-Seidel rounds over the modes (``_node_rounds``), started from the
-  node's start row.
+  ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` at every parent of the level
+  by Gauss-Seidel rounds over the modes (``_level_rounds``), all parents
+  at once, started from their start rows; a parent leaves the rounds when
+  a round changes it by no more than the tolerance.  A failing parent is
+  named as a node-by-node walk (descending index order) would name it:
+  the highest-index failing parent of the first failing level, whatever
+  round it failed in.
 * :func:`picard_solve` is the independent oracle: a monotone Picard
   iteration over the whole tree.  The subsolution and every sweep are one
-  walk each with the frozen step (``_frozen_step``: every mode projected
-  with the generator frozen at a row), frozen at the node's start row
+  walk each with the frozen step (``_jacobi_step``: every mode projected
+  with the generator frozen at the level's rows), frozen at the start rows
   with no lower barrier for the subsolution, and at the previous sweep's
-  row with lower barrier ``H(t, previous row)`` for a sweep.  By
+  rows with lower barrier ``H(t, previous rows)`` for a sweep.  By
   off-diagonal monotonicity every sweep rises, to the least solution; a
   sweep that decreases anywhere is a fault.
+
+:func:`verify_minimality` and :func:`binding_graph_cycles` recompute their
+residuals a level at a time on the same arrays, adding the children slot
+by slot in the walk's order.
 """
 
 from __future__ import annotations
@@ -64,10 +78,10 @@ from .scalar import (
     ScalarSolution,
     _backward_solve,
     _probe,
-    _project,
+    _project_batch,
     _worse,
 )
-from .tree import AdaptedProcess, EventTree, Node, PredictableIncrements
+from .tree import AdaptedProcess, EventTree, PredictableIncrements
 
 __all__ = [
     "CostMatrix",
@@ -84,8 +98,10 @@ __all__ = [
     "binding_graph_cycles",
 ]
 
-VecGeneratorFn = Callable[[int, Sequence[float]], float]
-ObstacleFn = Callable[[int, Sequence[float]], Sequence[float]]
+# (time index, d-tuple of columns) -> one value per node, or a scalar
+VecGeneratorFn = Callable[[int, Sequence[np.ndarray]], "np.ndarray | float"]
+# (time index, d-tuple of columns) -> d columns, H^j in slot j
+ObstacleFn = Callable[[int, Sequence[np.ndarray]], Sequence[np.ndarray]]
 
 BINDING_TOL = 1e-10
 
@@ -160,26 +176,50 @@ class CostMatrix:
         return out
 
 
-def _cost_entry(costs: CostMatrix, t: int, y: Sequence[float], j: int) -> float:
-    """``H^j(t, y) = max over k != j of (y^k - c[j][k](t))``, the one entry
-    formula of the switching-cost obstacle."""
+def _cost_entry(costs: CostMatrix, t: int, y: Sequence, j: int):
+    """``H^j(t, y) = max over k != j of (y^k - c[j][k](t))`` for a d-tuple
+    ``y`` of columns (or floats), the one entry formula of the
+    switching-cost obstacle.  The maximum is Python's ``max`` taken
+    elementwise: a later candidate replaces the best only when it is
+    larger, so ties and NaN resolve as they do for floats."""
     c = costs._rows[t][j]
-    return max(float(y[k] - c[k]) for k in range(len(c)) if k != j)
+    best = None
+    for k, ck in enumerate(c):
+        if k != j:
+            cand = y[k] - ck
+            best = cand if best is None else np.where(cand > best, cand, best)
+    return best if np.ndim(best) else float(best)
 
 
-def evaluate_H(costs: CostMatrix, t: int, y: Sequence[float]) -> tuple[float, ...]:
-    """Obstacle vector H^j = max over k != j of (y^k - c[j][k](t)).
+def evaluate_H(costs: CostMatrix, t: int, y: Sequence) -> tuple:
+    """Obstacle vector H^j = max over k != j of (y^k - c[j][k](t)), for a
+    d-tuple of columns (one column per entry) or of floats (one float per
+    entry).
 
     Independent of y^j and nondecreasing in every component of y.
     """
     return tuple(_cost_entry(costs, t, y, j) for j in range(costs.d))
 
 
+def _binding_edges(
+    costs: CostMatrix, times: np.ndarray, y: np.ndarray, tol: float
+) -> np.ndarray:
+    """``edges[i, j, k]``: the switching obstacle of mode k binds mode j in
+    row i of the ``(n, d)`` array ``y`` (at time index ``times[i]``):
+    k != j and ``|y^j - (y^k - c[j][k](t))| <= tol``."""
+    edges = np.abs(y[:, :, None] - (y[:, None, :] - costs.values[times])) <= tol
+    modes = np.arange(costs.d)
+    edges[:, modes, modes] = False
+    return edges
+
+
 def _binding_graph(
     costs: CostMatrix, t: int, y: Sequence[float], tol: float
 ) -> list[list[int]]:
     """Row j lists the modes k != j, ascending, whose switching obstacle
-    binds mode j: ``|y^j - (y^k - c[j][k](t))| <= tol``."""
+    binds mode j: ``|y^j - (y^k - c[j][k](t))| <= tol``; one row y, the
+    greedy strategy's test (:func:`_binding_edges` is the same test on
+    every row at once)."""
     d = costs.d
     return [[k for k in range(d)
              if k != j and abs(y[j] - (y[k] - costs.at(t, j, k))) <= tol]
@@ -191,10 +231,14 @@ class ObliqueProblem:
     """Terminal vector, generator family, drifts, upper barriers, obstacle.
 
     ``terminal`` maps leaf index -> d-vector.  Each ``generators[j]`` takes
-    (time index, full y vector).  The obstacle is the switching-cost form
-    when ``costs`` is given; a general increasing continuous obstacle may be
-    supplied instead via ``obstacle`` (existence-mode solves only: the
-    switching layer and its oracles require the cost form).
+    (time index, d-tuple of columns): the columns hold the components of y
+    at the nodes of one time index, as equal-length float arrays (floats
+    are the one-node case), and the generator returns one value per node
+    or a scalar.  The obstacle is the switching-cost form when ``costs`` is
+    given; a general increasing continuous obstacle may be supplied instead
+    via ``obstacle`` (existence-mode solves only: the switching layer and
+    its oracles require the cost form).  It takes the same arguments and
+    returns d columns, ``H^j`` in slot j.
     """
 
     tree: EventTree
@@ -213,13 +257,47 @@ class ObliqueProblem:
         if (self.costs is None) == (self.obstacle is None):
             raise ValueError("supply exactly one of costs / obstacle")
 
-    def H(self, t: int, y: Sequence[float]) -> tuple[float, ...]:
+    def H(self, t: int, y: Sequence) -> tuple:
         if self.costs is not None:
             return evaluate_H(self.costs, t, y)
         return tuple(self.obstacle(t, y))
 
 
 Row = tuple[float, ...]
+
+
+def _obstacle(problem: ObliqueProblem, t: int, rows: np.ndarray) -> np.ndarray:
+    """``H(t, row)`` at every row of the ``(m, d)`` array ``rows``, as an
+    ``(m, d)`` array: one obstacle call."""
+    return np.column_stack([np.broadcast_to(h, rows.shape[:1])
+                            for h in problem.H(t, tuple(rows.T))])
+
+
+def _obstacle_column(problem: ObliqueProblem, t: int, rows: np.ndarray,
+                     j: int) -> np.ndarray:
+    """``H^j(t, row)`` at every row of ``rows``: the one entry of the
+    obstacle that mode j's step uses; the cost form computes only that
+    entry."""
+    cols = tuple(rows.T)
+    h = (problem.H(t, cols)[j] if problem.costs is None
+         else _cost_entry(problem.costs, t, cols, j))
+    return np.broadcast_to(h, rows.shape[:1])
+
+
+def _columns_of(per_mode: Sequence) -> np.ndarray:
+    """One value sequence per mode (processes, increments or tuples) as an
+    ``(n_nodes, d)`` array."""
+    return np.array([getattr(col, "values", col) for col in per_mode], dtype=float).T
+
+
+def _by_level(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
+    """``H(t_u, rows[u])`` at every node u, one obstacle call per time
+    index."""
+    h = np.empty_like(rows)
+    for t in range(problem.tree.n_steps + 1):
+        nodes = list(problem.tree.level(t))
+        h[nodes] = _obstacle(problem, t, rows[nodes])
+    return h
 
 
 def _probe_box(problem: ObliqueProblem) -> list[float]:
@@ -321,15 +399,20 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     out.extend(_non_finite_data(problem))
     if any(v.code == "non-finite" for v in out):
         return out
-    for n in tree.nodes:  # Mokobodzki, with U itself the witness X
-        u_vec = tuple(problem.upper[j].values[n.index] for j in range(d))
-        out.extend(
-            Violation("mokobodzki", f"H^{j}(U) = {h:.17g} > X^{j} = {u:.17g}",
-                      n.node_id, n.t, j)
-            for j, (h, u) in enumerate(zip(problem.H(n.t, u_vec), u_vec))
-            if h > u + 1e-12
-        )
+    upper = _columns_of(problem.upper)   # Mokobodzki, with U itself the witness X
+    h_u = _by_level(problem, upper)
+    out.extend(
+        Violation("mokobodzki", f"H^{j}(U) = {h_u[u, j]:.17g} > "
+                  f"X^{j} = {upper[u, j]:.17g}", tree.node(u).node_id,
+                  tree.node(u).t, int(j))
+        for u, j in np.argwhere(h_u > upper + 1e-12)
+    )
 
+    given = [leaf for leaf in tree.leaves if leaf in problem.terminal]
+    h_given = (_obstacle(problem, tree.n_steps,
+                         np.array([problem.terminal[leaf] for leaf in given]))
+               if given else ())
+    h_at = dict(zip(given, h_given))
     for leaf in tree.leaves:
         if leaf not in problem.terminal:
             out.append(
@@ -338,7 +421,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
             )
             continue
         xi = problem.terminal[leaf]
-        h_xi = problem.H(tree.n_steps, xi)
+        h_xi = h_at[leaf].tolist()
         for j in range(d):
             uj = problem.upper[j].values[leaf]
             if h_xi[j] > xi[j] + 1e-12:
@@ -398,104 +481,117 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
 _CORNER_DROPS = tuple(10.0**attempt - 1.0 for attempt in range(8))
 
 
-def _residual(
-    problem: ObliqueProblem, t: int, target: float, j: int, row: Row
-) -> Callable[[float], float]:
-    """``c -> c - f^j(t, row with c in slot j) dt - target``."""
-    f, dt = problem.generators[j], problem.tree.dt
-    head, tail = row[:j], row[j + 1:]
-    return lambda c: c - f(t, head + (c,) + tail) * dt - target
+def _level_start(
+    problem: ObliqueProblem, t: int, targets: np.ndarray, corner: Row
+) -> tuple[np.ndarray, np.ndarray]:
+    """The start rows of a level's parents, and which parents have one.
 
-
-def _node_start(
-    problem: ObliqueProblem,
-    node: Node,
-    targets: Sequence[float],
-    corner: Row,
-) -> Row:
-    """The first lowered corner at which each mode's upper-only step with
-    the generator frozen there lies at or above it (the corner lies below
-    U, so this makes it a subsolution of the node's obstacle-free map)."""
+    A parent starts at the first lowered corner at which each mode's
+    upper-only step with the generator frozen there lies at or above it
+    (the corner lies below U, so this makes it a subsolution of the node's
+    obstacle-free map).  The lowered corner does not depend on the node,
+    so each drop is one generator call per mode and a comparison with the
+    ``(m, d)`` targets.  Returns the ``(m, d)`` start rows and the mask of
+    the parents that have one; the others lie below every corner tried.
+    """
+    dt = problem.tree.dt
+    start = np.zeros(targets.shape)
+    found = np.zeros(len(targets), dtype=bool)
     for drop in _CORNER_DROPS:
         low = tuple(c - drop for c in corner)
-        if all(
-            _residual(problem, node.t, targets[j], j, low)(low[j]) <= 0.0
-            for j in range(problem.d)
-        ):
-            return low
-    raise NonMonotoneSweepError(
-        f"node {node.node_id} (t={node.t}): below every corner tried "
-        f"(lowered by up to {_CORNER_DROPS[-1]:g})"
-    )
+        fits = ~found
+        for j, f in enumerate(problem.generators):
+            if fits.any():
+                fits &= low[j] - f(t, low) * dt - targets[:, j] <= 0.0
+        start[fits] = low
+        found |= fits
+        if found.all():
+            break
+    return start, found
 
 
-def _frozen_step(
-    problem: ObliqueProblem,
-    node: Node,
-    targets: Sequence[float],
-    row: Row,
-    lower: Row | None,
-) -> tuple[Row, list[tuple[float, float]]]:
-    """Every mode's step with the generator frozen at ``row``, projected
-    into [``lower[j]``, U^j] (no lower barrier when ``lower`` is None).
-    Within the step the modes are independent, as in a Jacobi sweep."""
-    steps = [
-        _project(_residual(problem, node.t, targets[j], j, row), targets[j],
-                 lower[j] if lower is not None else None,
-                 problem.upper[j].values[node.index])
-        for j in range(problem.d)
-    ]
-    return tuple(val for val, _, _ in steps), [(dk, da) for _, dk, da in steps]
+def _corner(problem: ObliqueProblem) -> Row:
+    """1 below every terminal entry, upper barrier and ``H(U)`` entry, per
+    mode: the row the start rule lowers."""
+    upper = _columns_of(problem.upper)
+    xi = np.array(list(problem.terminal.values()), dtype=float)
+    lows = np.vstack([xi, upper, _by_level(problem, upper)]).min(axis=0)
+    return tuple((lows - 1.0).tolist())
 
 
-def _level_step(
-    tree: EventTree, node_step: Callable[[Node, list[float]], tuple]
-) -> Callable[[int, np.ndarray, np.ndarray], tuple]:
-    """The walk's level step from a node step: ``node_step(node, targets)``
-    returns the row Y_u and the (dK, dA) push of each mode, and runs at the
-    level's parents in the walk's order (descending index), so the first
-    node that fails is the one a node-by-node walk would meet first."""
-    def step(t: int, parents: np.ndarray, targets: np.ndarray):
-        rows, pushes = zip(*(node_step(tree.node(u), row)
-                             for u, row in zip(parents.tolist(), targets.tolist())))
-        pushes = np.array(pushes)   # [parent, mode, (dK, dA)]
-        return np.array(rows), pushes[:, :, 0], pushes[:, :, 1]
+def _mode_step(
+    problem: ObliqueProblem, t: int, rows: np.ndarray, j: int,
+    target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode j's implicit step ``c - f^j(t, row with c in slot j) dt =
+    target`` at every row of ``rows``, projected into [``lo``, ``hi``]
+    (:func:`scalar._project_batch`): returns the arrays (Y, dK, dA)."""
+    f, dt = problem.generators[j], problem.tree.dt
+    cols = tuple(rows.T)
 
-    return step
+    def phi(x, idx):
+        return x - f(t, tuple(x if k == j else col[idx]
+                              for k, col in enumerate(cols))) * dt - target[idx]
+
+    return _project_batch(phi, target, lo, hi)
+
+
+def _jacobi_step(
+    problem: ObliqueProblem, t: int, targets: np.ndarray, rows: np.ndarray,
+    lower: np.ndarray, upper: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every mode's step at a level's parents with the generator frozen at
+    ``rows``, projected into [``lower``, ``upper``] (``(m, d)`` arrays,
+    -inf for no lower barrier): one batched projection per mode, the modes
+    independent within the step, as in a Jacobi sweep.  Returns the
+    ``(m, d)`` arrays Y, dK and dA."""
+    steps = [_mode_step(problem, t, rows, j, targets[:, j], lower[:, j], upper[:, j])
+             for j in range(problem.d)]
+    return tuple(np.column_stack(parts) for parts in zip(*steps))
 
 
 def _walk_from_starts(
-    problem: ObliqueProblem, step: Callable[[Node, list[float], Row], tuple]
+    problem: ObliqueProblem,
+    step: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple],
 ) -> tuple[ScalarSolution, ...]:
-    """The backward walk with the start rule: the corner (1 below xi, H(U)
-    and U) computed once, and at each parent ``step(node, targets, start)``
-    run from the :func:`_node_start` row.  Returns one ScalarSolution per
-    mode."""
-    u_rows = zip(*(u.values for u in problem.upper))
-    h_u = [problem.H(n.t, row) for n, row in zip(problem.tree.nodes, u_rows)]
-    corner = tuple(
-        min(*(xi[j] for xi in problem.terminal.values()), *problem.upper[j].values,
-            *(h[j] for h in h_u)) - 1.0
-        for j in range(problem.d)
-    )
+    """The backward walk with the start rule: the corner computed once, and
+    at each level ``step(t, parents, targets, start)`` run from the
+    :func:`_level_start` rows.  When a parent lies below every corner, the
+    step still runs at the parents before it in the walk's order, whose
+    errors a node-by-node walk would meet first, and then the parent is
+    named.  Returns one ScalarSolution per mode."""
+    corner = _corner(problem)
 
-    def started(node: Node, targets: list[float]):
-        return step(node, targets, _node_start(problem, node, targets, corner))
+    def started(t: int, parents: np.ndarray, targets: np.ndarray):
+        start, found = _level_start(problem, t, targets, corner)
+        if found.all():
+            return step(t, parents, targets, start)
+        first = int(np.argmin(found))
+        if first:
+            step(t, parents[:first], targets[:first], start[:first])
+        node = problem.tree.node(int(parents[first]))
+        raise NonMonotoneSweepError(
+            f"node {node.node_id} (t={node.t}): below every corner tried "
+            f"(lowered by up to {_CORNER_DROPS[-1]:g})"
+        )
 
-    return _backward_solve(problem.tree, problem.terminal, problem.v,
-                           _level_step(problem.tree, started))
+    return _backward_solve(problem.tree, problem.terminal, problem.v, started)
 
 
 def build_subsolution(problem: ObliqueProblem) -> tuple[ScalarSolution, ...]:
     """Per-mode upper-barrier solves with each generator frozen at the
-    node's :func:`_node_start` row, which the node's value lies at or above:
-    a subsolution from which, by off-diagonal monotonicity, every Picard
-    sweep rises.  Returns one ScalarSolution per mode, K identically zero.
+    node's :func:`_level_start` row, which the node's value lies at or
+    above: a subsolution from which, by off-diagonal monotonicity, every
+    Picard sweep rises.  Returns one ScalarSolution per mode, K identically
+    zero.
     """
-    return _walk_from_starts(
-        problem,
-        lambda node, targets, start: _frozen_step(problem, node, targets, start, None),
-    )
+    upper = _columns_of(problem.upper)
+
+    def frozen(t, parents, targets, start):
+        return _jacobi_step(problem, t, targets, start,
+                            np.full(start.shape, -np.inf), upper[parents])
+
+    return _walk_from_starts(problem, frozen)
 
 
 def _check_budget(tol: float, budget: int) -> None:
@@ -530,10 +626,6 @@ class SystemSolution:
     def y_vector(self, u: int) -> tuple[float, ...]:
         return tuple(yj.values[u] for yj in self.y)
 
-    def rows(self) -> list[Row]:
-        """The vector Y_u at every node u, in index order."""
-        return list(zip(*(yj.values for yj in self.y)))
-
 
 def picard_solve(
     problem: ObliqueProblem, tol: float = 1e-10, max_sweeps: int = 200
@@ -542,39 +634,37 @@ def picard_solve(
     oracle for :func:`solve_system`.
 
     Starts from :func:`build_subsolution`.  Sweep n is one backward walk
-    whose step projects every mode j, with generator
-    ``c -> f^j(t, Y_prev; c)``, into [``H^j(t, Y_prev)``, ``U^j``]: the
-    modes stay independent within a sweep (Jacobi).  Stops when the
-    sup-norm delta over nodes and modes drops to ``tol``.  Raises
-    NonMonotoneSweepError if a node is below every corner or a sweep
-    decreases somewhere, ConvergenceError if the sweep budget runs out.
+    whose level step projects every mode j, with generator
+    ``c -> f^j(t, Y_prev; c)``, into [``H^j(t, Y_prev)``, ``U^j``] at all
+    the level's parents at once: the modes stay independent within a sweep
+    (Jacobi).  Stops when the sup-norm delta over nodes and modes drops to
+    ``tol``.  Raises NonMonotoneSweepError if a node is below every corner
+    or a sweep decreases somewhere, ConvergenceError if the sweep budget
+    runs out.
     """
     _check_budget(tol, max_sweeps)
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
     tree = problem.tree
-    d = problem.d
-    prev = [tuple(p.y.values) for p in build_subsolution(problem)]
+    upper = _columns_of(problem.upper)
+    prev = _columns_of([p.y for p in build_subsolution(problem)])
     deltas: list[float] = []
     for sweep in range(1, max_sweeps + 1):
-        prev_rows = list(zip(*prev))
 
-        def sweep_step(node: Node, targets: list[float]):
-            row = prev_rows[node.index]
-            return _frozen_step(problem, node, targets, row, problem.H(node.t, row))
+        def sweep_step(t: int, parents: np.ndarray, targets: np.ndarray):
+            rows = prev[parents]
+            return _jacobi_step(problem, t, targets, rows,
+                                _obstacle(problem, t, rows), upper[parents])
 
-        solutions = _backward_solve(tree, problem.terminal, problem.v,
-                                    _level_step(tree, sweep_step))
-        delta = 0.0
-        rise_floor = 0.0
-        scale = 1.0
-        for j in range(d):
-            for u in range(tree.n_nodes):
-                diff = solutions[j].y.values[u] - prev[j][u]
-                delta = max(delta, abs(diff))
-                rise_floor = min(rise_floor, diff)
-                scale = max(scale, abs(prev[j][u]))
+        solutions = _backward_solve(tree, problem.terminal, problem.v, sweep_step)
+        new = _columns_of([s.y for s in solutions])
+        # Python's max and min over the (node, mode) pairs: NaN is skipped
+        diff = new - prev
+        seen = ~np.isnan(diff)
+        delta = float(np.abs(diff).max(initial=0.0, where=seen))
+        rise_floor = float(diff.min(initial=0.0, where=seen))
+        scale = float(np.abs(prev).max(initial=1.0, where=~np.isnan(prev)))
         # absolute slack at desk scale; relative term only guards against
         # root-finder ulp noise when a deep corner inflates the iterates
         if rise_floor < -max(1e-12, 1e-13 * scale):
@@ -582,7 +672,7 @@ def picard_solve(
                 f"sweep {sweep} decreased by {-rise_floor:.3g}"
             )
         deltas.append(delta)
-        prev = [tuple(s.y.values) for s in solutions]
+        prev = new
         if delta <= tol:
             result = SystemSolution.from_parts(
                 solutions, sweeps=sweep, deltas=tuple(deltas)
@@ -612,11 +702,15 @@ def solve_system(
     stop at a larger fixed point of a zero-cost obstacle cycle or creep
     down by twice the smallest cost per round.
 
-    The start is the :func:`_node_start` row.  A round that still lowers a
-    component, or a node below every corner tried, raises
+    The rounds run at all parents of a level at once (``_level_rounds``),
+    each mode update one batched projection over the parents still in the
+    rounds, from the :func:`_level_start` rows.  A round that still lowers
+    a component, or a node below every corner tried, raises
     NonMonotoneSweepError naming the node.  A node is done when a round
     changes no component by more than ``tol``; ``ConvergenceError`` names
-    the node when ``max_rounds`` rounds are not enough.
+    the node when ``max_rounds`` rounds are not enough.  Of several failing
+    parents, the error names the one a node-by-node walk would meet first:
+    the highest-index one of the first failing level.
 
     ``sweeps`` is the largest round count over the nodes and ``deltas``
     holds the largest final-round change.
@@ -625,28 +719,93 @@ def solve_system(
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
+    upper = _columns_of(problem.upper)
     stats: list[tuple[int, float]] = []
 
-    def rounds(node: Node, targets: list[float], start: Row):
-        row, pushes, note = _node_rounds(problem, node, targets, start, tol, max_rounds)
-        stats.append(note)
-        return row, pushes
+    def rounds(t, parents, targets, start):
+        y, dk, da, counts, changes = _level_rounds(
+            problem, t, parents, targets, start, upper[parents], tol, max_rounds)
+        stats.append((int(counts.max(initial=0)), float(changes.max(initial=0.0))))
+        return y, dk, da
 
     result = SystemSolution.from_parts(
         _walk_from_starts(problem, rounds),
-        sweeps=max((rounds for rounds, _ in stats), default=0),
+        sweeps=max((count for count, _ in stats), default=0),
         deltas=(functools.reduce(_worse, (change for _, change in stats), 0.0),),
     )
     _require_acyclic(problem, result)
     return result
 
 
-def _obstacle_entry(problem: ObliqueProblem, t: int, row: Row, j: int) -> float:
-    """``H^j(t, row)``, the one entry of the obstacle that mode j's step
-    uses; the cost form computes only that entry."""
-    if problem.costs is None:
-        return problem.H(t, row)[j]
-    return _cost_entry(problem.costs, t, row, j)
+def _level_rounds(
+    problem: ObliqueProblem,
+    t: int,
+    parents: np.ndarray,
+    targets: np.ndarray,
+    start: np.ndarray,
+    upper: np.ndarray,
+    tol: float,
+    max_rounds: int,
+) -> tuple[np.ndarray, ...]:
+    """Gauss-Seidel rounds at a level's parents from their subsolution rows
+    ``start``, all parents at once.
+
+    Each mode update is one :func:`_mode_step` over the parents still in
+    the rounds; a parent leaves them after the first round that changes
+    no component by more than ``tol``.  A parent that fails (a round
+    lowers one of its components, or ``max_rounds`` rounds are not enough)
+    leaves them too, with every parent after it in the walk's order, whose
+    failures a node-by-node walk would not reach; once the rounds are over,
+    the error of the first failing parent is raised.  Returns the
+    ``(m, d)`` arrays Y, dK and dA, and per parent the round count and the
+    final-round change.
+    """
+    tree = problem.tree
+    rows = start.copy()
+    dk, da = np.zeros(rows.shape), np.zeros(rows.shape)
+    counts = np.zeros(len(rows), dtype=int)
+    changes = np.zeros(len(rows))
+    active = np.arange(len(rows))
+    failure: Exception | None = None
+
+    def fail(i: int, error: type, detail: str) -> None:
+        """Name parent ``active[i]`` and drop it and every parent after it."""
+        nonlocal active, failure
+        node = tree.node(int(parents[active[i]]))
+        failure = error(f"node {node.node_id} (t={t}): {detail}")
+        active = active[:i]
+
+    for count in range(1, max_rounds + 1):
+        change = np.zeros(active.size)
+        for j in range(problem.d):
+            if not active.size:
+                break
+            now = rows[active]
+            val, pk, pa = _mode_step(problem, t, now, j, targets[active, j],
+                                     _obstacle_column(problem, t, now, j),
+                                     upper[active, j])
+            rise = val - now[:, j]
+            # the slack of picard_solve's monotonicity check
+            fell = np.flatnonzero(rise < -np.fmax(1e-12, 1e-13 * np.abs(now[:, j])))
+            if fell.size:
+                i = fell[0]
+                fail(i, NonMonotoneSweepError,
+                     f"round {count} lowered mode {j} by {-rise[i]:.3g}")
+                val, pk, pa, rise, change = (a[:i] for a in (val, pk, pa, rise, change))
+            size = np.abs(rise)
+            change = np.where((size > change) | (size != size), size, change)   # _worse
+            rows[active, j], dk[active, j], da[active, j] = val, pk, pa
+        done = change <= tol
+        counts[active[done]], changes[active[done]] = count, change[done]
+        active, change = active[~done], change[~done]
+        if not active.size:
+            break
+    if active.size:
+        fail(0, ConvergenceError, f"round change {change[0]:.3g} > tol {tol:g} "
+             f"after {max_rounds} rounds")
+    if failure is not None:
+        raise failure
+    return rows, dk, da, counts, changes
 
 
 def mode_problem(
@@ -661,60 +820,23 @@ def mode_problem(
     ``solution.y[j]``.
     """
     tree, f = problem.tree, problem.generators[j]
-    rows = solution.rows()
-    columns = [np.array(yk.values) for yk in solution.y]
+    rows = _columns_of(solution.y)
+    columns = tuple(rows.T)
 
     def generator(t: int, nodes: np.ndarray, c: np.ndarray):
         return f(t, tuple(c if k == j else col[nodes] for k, col in enumerate(columns)))
 
-    lower = [_obstacle_entry(problem, n.t, rows[n.index], j) for n in tree.nodes]
+    lower = np.empty(tree.n_nodes)
+    for t in range(tree.n_steps + 1):
+        nodes = list(tree.level(t))
+        lower[nodes] = _obstacle_column(problem, t, rows[nodes], j)
     return ScalarRBSDEProblem(
         tree=tree,
         terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
         generator=generator,
         v_increments=problem.v[j],
-        lower=AdaptedProcess(tree, tuple(lower)),
+        lower=AdaptedProcess(tree, tuple(lower.tolist())),
         upper=problem.upper[j],
-    )
-
-
-def _node_rounds(
-    problem: ObliqueProblem,
-    node: Node,
-    targets: Sequence[float],
-    row: Row,
-    tol: float,
-    max_rounds: int,
-) -> tuple[Row, list[tuple[float, float]], tuple[int, float]]:
-    """Gauss-Seidel rounds at one parent from the subsolution ``row``.
-
-    Returns (row, (dK, dA) per mode, (rounds, final-round change)).
-    """
-    t = node.t
-    upper = [u.values[node.index] for u in problem.upper]
-    pushes = [(0.0, 0.0)] * problem.d
-    for rounds in range(1, max_rounds + 1):
-        change = 0.0
-        for j in range(problem.d):
-            val, dk, da = _project(
-                _residual(problem, t, targets[j], j, row), targets[j],
-                _obstacle_entry(problem, t, row, j), upper[j],
-            )
-            rise = val - row[j]
-            # the slack of picard_solve's monotonicity check
-            if rise < -max(1e-12, 1e-13 * abs(row[j])):
-                raise NonMonotoneSweepError(
-                    f"node {node.node_id} (t={t}): round {rounds} lowered "
-                    f"mode {j} by {-rise:.3g}"
-                )
-            change = _worse(change, abs(rise))
-            row = row[:j] + (val,) + row[j + 1:]
-            pushes[j] = (dk, da)
-        if change <= tol:
-            return row, pushes, (rounds, change)
-    raise ConvergenceError(
-        f"node {node.node_id} (t={t}): round change {change:.3g} > "
-        f"tol {tol:g} after {max_rounds} rounds"
     )
 
 
@@ -732,43 +854,59 @@ def _require_acyclic(problem: ObliqueProblem, solution: SystemSolution) -> None:
         )
 
 
+def _first_cycle(adj: list[list[int]]) -> tuple[int, ...] | None:
+    """The first cycle a depth-first search of the graph ``adj`` (row j
+    lists the successors of j) meets, starting from each unvisited mode in
+    order."""
+    color = [0] * len(adj)
+    stack: list[int] = []
+
+    def dfs(j: int) -> tuple[int, ...] | None:
+        color[j] = 1
+        stack.append(j)
+        for k in adj[j]:
+            if color[k] == 1:
+                return tuple(stack[stack.index(k):])
+            if color[k] == 0:
+                res = dfs(k)
+                if res:
+                    return res
+        stack.pop()
+        color[j] = 2
+        return None
+
+    for j in range(len(adj)):
+        if color[j] == 0:
+            cyc = dfs(j)
+            if cyc:
+                return cyc
+    return None
+
+
 def binding_graph_cycles(
     problem: ObliqueProblem, solution: SystemSolution, tol: float = BINDING_TOL
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Cycles j1 -> j2 -> ... -> j1 of binding obstacle equalities per node.
 
     Edge j -> k present when Y^j = Y^k - c[j][k](t) within tol.  Triangle
-    costs make these graphs acyclic at every node of a true solution.
+    costs make these graphs acyclic at every node of a true solution.  The
+    edges are computed for all nodes at once.  A graph on d modes has a
+    cycle exactly when it has a walk of d edges, so the depth-first search
+    runs only at the nodes whose d-th adjacency power is not zero; the
+    first cycle of each node is listed, in node order.
     """
     assert problem.costs is not None
+    tree = problem.tree
+    times = np.array([n.t for n in tree.nodes])
+    edges = _binding_edges(problem.costs, times, _columns_of(solution.y), tol)
+    walks = edges   # walks[u, j, k]: a walk from j to k, one edge longer per pass
+    for _ in range(problem.d - 1):
+        walks = (walks[:, :, :, None] & edges[:, None, :, :]).any(axis=2)
     out: list[tuple[str, tuple[int, ...]]] = []
-    d = problem.d
-    for n in problem.tree.nodes:
-        yv = solution.y_vector(n.index)
-        adj = _binding_graph(problem.costs, n.t, yv, tol)
-        color = [0] * d
-        stack: list[int] = []
-
-        def dfs(j: int) -> tuple[int, ...] | None:
-            color[j] = 1
-            stack.append(j)
-            for k in adj[j]:
-                if color[k] == 1:
-                    return tuple(stack[stack.index(k):])
-                if color[k] == 0:
-                    res = dfs(k)
-                    if res:
-                        return res
-            stack.pop()
-            color[j] = 2
-            return None
-
-        for j in range(d):
-            if color[j] == 0:
-                cyc = dfs(j)
-                if cyc:
-                    out.append((n.node_id, cyc))
-                    break
+    for u in np.flatnonzero(walks.any(axis=(1, 2))).tolist():
+        cyc = _first_cycle([np.flatnonzero(row).tolist() for row in edges[u]])
+        if cyc:
+            out.append((tree.node(u).node_id, cyc))
     return out
 
 
@@ -820,6 +958,20 @@ class MinimalityReport:
         }
 
 
+def _worst(values: np.ndarray) -> float:
+    """``_worse`` folded over ``values`` from 0.0: NaN if any value is NaN,
+    else the largest value if it is above 0.0, else 0.0."""
+    if np.isnan(values).any():
+        return math.nan
+    top = values.max(initial=0.0)
+    return float(top) if top > 0.0 else 0.0
+
+
+# violation codes in the order verify_minimality lists them at a (node, mode)
+_CHECKS = ("sandwich-lower", "sandwich-upper", "increment-sign", "flat-off-lower",
+           "flat-off-upper", "identity", "martingale")
+
+
 def verify_minimality(
     problem: ObliqueProblem,
     solution: SystemSolution,
@@ -833,65 +985,79 @@ def verify_minimality(
     nonnegativity, and the binding-cycle check.  Works on externally
     supplied solutions as well as solver output.  A NaN anywhere makes its
     residual NaN, which fails every tolerance and is reported.
+
+    The residuals are computed a level at a time on the tree's arrays, the
+    children of a level added slot by slot in the walk's order.  Violations
+    are listed by node, then mode, then check (``_CHECKS`` order), then
+    child, and the binding cycles after them.
     """
     tree = problem.tree
-    d = problem.d
+    arrays = tree.arrays
     dt = tree.dt
+    y, k, a, m, upper, v = map(_columns_of, (
+        solution.y, solution.k, solution.a, solution.m_increments, problem.upper,
+        problem.v))
+    h = _by_level(problem, y)
+    sandwich_lower, sandwich_upper = h - y, y - upper
+    found: list[tuple[tuple[int, int, int, int], Violation]] = []
+
+    def note(check: int, nodes: np.ndarray, values: np.ndarray,
+             message: Callable[[int, int], str], at: np.ndarray | None = None):
+        """Note the entries of ``values`` (rows ``nodes``, mode columns) above
+        tol; ``at`` holds the node each row's violation names, when not the
+        row's own node."""
+        for i, j in np.argwhere(~(values <= tol)).tolist():
+            named = tree.node(int(nodes[i] if at is None else at[i]))
+            found.append(((int(nodes[i]), j, check, named.index),
+                          Violation(_CHECKS[check], message(i, j), named.node_id,
+                                    named.t, j)))
+
+    every = np.arange(tree.n_nodes)
+    note(0, every, sandwich_lower,
+         lambda i, j: f"H^{j}(Y) - Y^{j} = {sandwich_lower[i, j]:.3g}")
+    note(1, every, sandwich_upper,
+         lambda i, j: f"Y^{j} - U^{j} = {sandwich_upper[i, j]:.3g}")
+
     worst_id = worst_mart = 0.0
-    worst_sl = worst_su = 0.0
-    worst_fl = worst_fu = 0.0
-    worst_neg = 0.0
-    violations: list[Violation] = []
+    worst_neg = worst_fl = worst_fu = 0.0
+    for t in range(tree.n_steps):
+        parents = arrays.parents[t]
+        if not parents.size:
+            continue
+        first = arrays.child_ptr[parents]
+        count = arrays.child_ptr[parents + 1] - first
+        kids = arrays.child_index[first]
+        dk, da = k[kids], a[kids]
+        neg = np.where((-da > -dk) | (-da != -da), -da, -dk)   # _worse(-dk, -da)
+        flat_lower = np.abs(dk * (y[parents] - h[parents]))
+        flat_upper = np.abs(da * (upper[parents] - y[parents]))
+        note(2, parents, neg,
+             lambda i, j: f"negative increment {min(dk[i, j], da[i, j]):.3g}")
+        note(3, parents, flat_lower,
+             lambda i, j: f"dK * (Y - H(Y)) = {flat_lower[i, j]:.3g}")
+        note(4, parents, flat_upper,
+             lambda i, j: f"dA * (U - Y) = {flat_upper[i, j]:.3g}")
+        rows = tuple(y[parents].T)
+        rates = np.column_stack([np.broadcast_to(f(t, rows), parents.shape)
+                                 for f in problem.generators])
+        mart = np.zeros(y[parents].shape)
+        for slot in range(count.max()):
+            at = np.flatnonzero(count > slot)
+            edge = first[at] + slot
+            c = arrays.child_index[edge]
+            resid = y[parents[at]] - (y[c] + rates[at] * dt + v[c] + k[c] - a[c] - m[c])
+            note(5, parents[at], np.abs(resid),
+                 lambda i, j: f"backward identity residual {resid[i, j]:.3g}", c)
+            worst_id = _worse(worst_id, _worst(np.abs(resid)))
+            mart[at] += arrays.child_prob[edge, None] * m[c]
+        note(6, parents, np.abs(mart),
+             lambda i, j: f"E[dM | parent] = {mart[i, j]:.3g}")
+        worst_mart = _worse(worst_mart, _worst(np.abs(mart)))
+        worst_neg = _worse(worst_neg, _worst(neg))
+        worst_fl = _worse(worst_fl, _worst(flat_lower))
+        worst_fu = _worse(worst_fu, _worst(flat_upper))
 
-    def note(code: str, msg: str, n: Node, j: int, value: float, bound: float):
-        if not value <= bound:
-            violations.append(Violation(code, msg, n.node_id, n.t, j))
-
-    for n in tree.nodes:
-        yv = solution.y_vector(n.index)
-        h = problem.H(n.t, yv)
-        for j in range(d):
-            yj = solution.y[j].values[n.index]
-            sl = h[j] - yj
-            su = yj - problem.upper[j].values[n.index]
-            worst_sl = _worse(worst_sl, sl)
-            worst_su = _worse(worst_su, su)
-            note("sandwich-lower", f"H^{j}(Y) - Y^{j} = {sl:.3g}", n, j, sl, tol)
-            note("sandwich-upper", f"Y^{j} - U^{j} = {su:.3g}", n, j, su, tol)
-            if n.is_leaf:
-                continue
-            dk = solution.k[j].out_of(n.index)
-            da = solution.a[j].out_of(n.index)
-            neg = _worse(-dk, -da)
-            worst_neg = _worse(worst_neg, neg)
-            note("increment-sign", f"negative increment {min(dk, da):.3g}",
-                 n, j, neg, tol)
-            fl = abs(dk * (yj - h[j]))
-            fu = abs(da * (problem.upper[j].values[n.index] - yj))
-            worst_fl = _worse(worst_fl, fl)
-            worst_fu = _worse(worst_fu, fu)
-            note("flat-off-lower", f"dK * (Y - H(Y)) = {fl:.3g}", n, j, fl, tol)
-            note("flat-off-upper", f"dA * (U - Y) = {fu:.3g}", n, j, fu, tol)
-            f_val = problem.generators[j](n.t, yv)
-            mart = 0.0
-            for c in n.children:
-                child = tree.node(c)
-                resid = yj - (
-                    solution.y[j].values[c]
-                    + f_val * dt
-                    + problem.v[j].values[c]
-                    + solution.k[j].values[c]
-                    - solution.a[j].values[c]
-                    - solution.m_increments[j][c]
-                )
-                worst_id = _worse(worst_id, abs(resid))
-                note("identity", f"backward identity residual {resid:.3g}",
-                     child, j, abs(resid), tol)
-                mart += child.prob * solution.m_increments[j][c]
-            worst_mart = _worse(worst_mart, abs(mart))
-            note("martingale", f"E[dM | parent] = {mart:.3g}", n, j,
-                 abs(mart), tol)
-
+    violations = [violation for _, violation in sorted(found, key=lambda f: f[0])]
     cycles = (
         tuple(binding_graph_cycles(problem, solution, tol))
         if problem.costs is not None
@@ -904,8 +1070,8 @@ def verify_minimality(
     return MinimalityReport(
         worst_identity=worst_id,
         worst_martingale=worst_mart,
-        worst_sandwich_lower=worst_sl,
-        worst_sandwich_upper=worst_su,
+        worst_sandwich_lower=_worst(sandwich_lower),
+        worst_sandwich_upper=_worst(sandwich_upper),
         worst_flat_off_lower=worst_fl,
         worst_flat_off_upper=worst_fu,
         worst_negative_increment=worst_neg,

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .oblique import ObliqueProblem, SystemSolution
 from .tree import AdaptedProcess, PredictableIncrements
@@ -52,25 +55,21 @@ def write_json(path: Path, payload) -> None:
 
 
 def solution_csv_text(problem: ObliqueProblem, solution: SystemSolution) -> str:
+    """The solution as CSV, one row per (node, mode) in node/mode order.
+
+    Each column is formatted once: the time per time index, the node id,
+    time index and time per node, and y, dk, da and dm per (node, mode)."""
     tree = problem.tree
+    times = [fmt(t * tree.dt) for t in range(tree.n_steps + 1)]
+    modes = list(enumerate(zip((y.values for y in solution.y),
+                               (k.values for k in solution.k),
+                               (a.values for a in solution.a),
+                               solution.m_increments)))
     lines = [CSV_HEADER]
     for n in tree.nodes:
-        for j in range(problem.d):
-            lines.append(
-                ",".join(
-                    (
-                        n.node_id,
-                        str(n.t),
-                        fmt(n.t * tree.dt),
-                        str(j),
-                        fmt(solution.y[j].values[n.index]),
-                        fmt(solution.k[j].values[n.index]),
-                        fmt(solution.a[j].values[n.index]),
-                        fmt(solution.m_increments[j][n.index]),
-                    )
-                )
-                + "\n"
-            )
+        head, u = f"{n.node_id},{n.t},{times[n.t]},", n.index
+        lines.extend(f"{head}{j},{fmt(y[u])},{fmt(k[u])},{fmt(a[u])},{fmt(m[u])}\n"
+                     for j, (y, k, a, m) in modes)
     return "".join(lines)
 
 
@@ -79,13 +78,14 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
 
     Strict: every (node, mode) pair must appear exactly once, with a mode in
     range(d) and finite y, dk, da and dm.  Anything else raises ValueError
-    naming the node id and the mode.
+    naming the node id and the mode.  The values fill one ``(n_nodes, 4)``
+    array per mode.
     """
     tree = problem.tree
     d = problem.d
-    cells: list[list[tuple[float, ...] | None]] = [
-        [None] * d for _ in range(tree.n_nodes)
-    ]
+    n = tree.n_nodes
+    seen = bytearray(d * n)   # slot j * n + u: mode j at node u
+    slots, rows = array("q"), array("d")   # the rows read, in file order
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != CSV_HEADER.strip():
@@ -102,29 +102,31 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
                 raise ValueError(f"{where}: unknown node id")
             try:
                 j = int(mode)
-                values = tuple(float(v) for v in fields[4:])
+                values = [float(v) for v in fields[4:]]
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from None
             if not 0 <= j < d:
                 raise ValueError(f"{where}: mode outside range({d})")
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{where}: non-finite value in {fields[4:]}")
-            row = cells[tree.index_of(node_id)]
-            if row[j] is not None:
+            slot = j * n + tree.index_of(node_id)
+            if seen[slot]:
                 raise ValueError(f"{where}: duplicate row")
-            row[j] = values
-    for n in tree.nodes:
-        for j in range(d):
-            if cells[n.index][j] is None:
-                raise ValueError(f"node {n.node_id!r} mode {j}: missing row")
-    y, k, a, m = (
-        [tuple(row[j][col] for row in cells) for j in range(d)] for col in range(4)
-    )
+            seen[slot] = 1
+            slots.append(slot)
+            rows.extend(values)
+    missing = np.argwhere(np.frombuffer(seen, dtype=np.uint8).reshape(d, n).T == 0)
+    if missing.size:
+        u, j = missing[0].tolist()
+        raise ValueError(f"node {tree.node(u).node_id!r} mode {j}: missing row")
+    cells = np.zeros((d * n, 4))
+    cells[np.frombuffer(slots, dtype=np.int64)] = np.frombuffer(rows).reshape(-1, 4)
+    y, k, a, m = (cells[:, col].reshape(d, n).tolist() for col in range(4))
     return SystemSolution(
-        y=tuple(AdaptedProcess(tree, vals) for vals in y),
-        m_increments=tuple(m),
-        k=tuple(PredictableIncrements(tree, vals) for vals in k),
-        a=tuple(PredictableIncrements(tree, vals) for vals in a),
+        y=tuple(AdaptedProcess(tree, tuple(vals)) for vals in y),
+        m_increments=tuple(tuple(vals) for vals in m),
+        k=tuple(PredictableIncrements(tree, tuple(vals)) for vals in k),
+        a=tuple(PredictableIncrements(tree, tuple(vals)) for vals in a),
         sweeps=0,
         deltas=(),
     )

@@ -35,10 +35,13 @@ conditional-expectation targets of the level, an ``(m, columns)`` array,
 hands them to a step function and stores the returned values and pushes.
 The solvers here solve a level's implicit steps with one batched root
 find (``_root_find_batch``): the projected solves walk one column,
-projecting each root as ``_project`` does, and the penalized scheme walks
-one column per weight pair (the penalty in the generator and the penalty
-integrals as its pushes), so a whole (p, q) ladder is one walk.
-:mod:`orbsde.oblique` walks all d modes at once with its own steps.
+projecting the roots into the barriers (``_project_batch``, which the
+oblique steps share), and the penalized scheme walks one column per
+weight pair (the penalty in the generator and the penalty integrals as
+its pushes), so a whole (p, q) ladder is one walk.  :mod:`orbsde.oblique`
+walks all d modes at once with its own level steps.  The scalar
+``_root_find`` remains for :func:`implicit_step` and the strategy
+oracle's start-node steps.
 
 ``_probe`` is the package's one generator probe.
 :meth:`ScalarRBSDEProblem.validate` probes g with it at every node before
@@ -210,13 +213,18 @@ def _root_find_batch(
     if bad.any():
         raise BracketingError(f"residual not finite at {float(x0[bad][0])}")
     x0, f0 = retire(np.abs(f0) <= tight(x0), x0, x0, f0)
+    if not idx.size:   # every probe exact: no residual call on empty arrays
+        return root
     x1 = x0 - f0
     f1 = phi(x1, idx)
     x0, f0, x1, f1 = retire(np.abs(f1) <= tight(x1), x1, x0, f0, x1, f1)
+    if not idx.size:
+        return root
     x2, f2 = x1.copy(), f1.copy()
     sec = np.flatnonzero(f1 != f0)
-    x2[sec] = x1[sec] - f1[sec] * (x1[sec] - x0[sec]) / (f1[sec] - f0[sec])
-    f2[sec] = phi(x2[sec], idx[sec])
+    if sec.size:
+        x2[sec] = x1[sec] - f1[sec] * (x1[sec] - x0[sec]) / (f1[sec] - f0[sec])
+        f2[sec] = phi(x2[sec], idx[sec])
     x0, f0, x1, f1, x2, f2 = retire(np.abs(f2) <= tight(x2), x2,
                                     x0, f0, x1, f1, x2, f2)
     if not idx.size:
@@ -432,23 +440,6 @@ class PenalizedSolution:
     upper_mass: float
 
 
-def _project(
-    phi: Callable[[float], float],
-    target: float,
-    lo: float | None,
-    hi: float | None,
-) -> tuple[float, float, float]:
-    """One node's implicit step projected into [lo, hi] (either side may be
-    absent): returns (Y_u, dK, dA) with the pushes taken as the positive and
-    negative parts of the residual ``phi`` at the projected value."""
-    ystar = _root_find(phi, target, RESIDUAL_TOL)
-    if lo is not None and ystar < lo:
-        return lo, max(0.0, phi(lo)), 0.0
-    if hi is not None and ystar > hi:
-        return hi, 0.0, max(0.0, -phi(hi))
-    return ystar, 0.0, 0.0
-
-
 def _backward_solve(
     tree: EventTree,
     terminal: Mapping[int, Sequence[float]],
@@ -510,6 +501,31 @@ def _positive(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
+def _project_batch(
+    phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    target: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The implicit steps ``phi(x, idx) = 0`` of a batch (the roots of
+    :func:`_root_find_batch` from ``target``), each projected into
+    [``lo``, ``hi``]; -inf and inf stand for an absent barrier.  Returns
+    the arrays (Y, dK, dA): a root below ``lo`` is lifted to it with
+    dK = phi(lo)^+, and otherwise a root above ``hi`` is lowered to it
+    with dA = (-phi(hi))^+, the pushes that make the step's identity exact
+    at the projected value."""
+    y = _root_find_batch(phi, target, RESIDUAL_TOL)
+    below = np.flatnonzero(y < lo)
+    above = np.flatnonzero((y > hi) & ~(y < lo))
+    dk, da = np.zeros(y.size), np.zeros(y.size)
+    if below.size:
+        dk[below] = _positive(phi(lo[below], below))
+    if above.size:
+        da[above] = _positive(-phi(hi[above], above))
+    y[below], y[above] = lo[below], hi[above]
+    return y, dk, da
+
+
 def _require_valid(problem: ScalarRBSDEProblem) -> None:
     report = problem.validate()
     if report:
@@ -518,12 +534,12 @@ def _require_valid(problem: ScalarRBSDEProblem) -> None:
 
 def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
     """The validated problem with each level's implicit steps projected
-    into whichever barriers it has, as :func:`_project` projects one node's
-    step."""
+    into whichever barriers it has (:func:`_project_batch`)."""
     _require_valid(problem)
     g, dt = problem.generator, problem.tree.dt
-    lower, upper = (None if b is None else np.array(b.values)
-                    for b in (problem.lower, problem.upper))
+    lower, upper = (np.full(problem.tree.n_nodes, bound) if b is None
+                    else np.array(b.values)
+                    for b, bound in ((problem.lower, -np.inf), (problem.upper, np.inf)))
 
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
         target = targets[:, 0]
@@ -531,15 +547,7 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
         def phi(x, idx):
             return x - g(t, parents[idx], x) * dt - target[idx]
 
-        y = _root_find_batch(phi, target, RESIDUAL_TOL)
-        lo = lower[parents] if lower is not None else np.full(y.size, -np.inf)
-        hi = upper[parents] if upper is not None else np.full(y.size, np.inf)
-        below = np.flatnonzero(y < lo)
-        above = np.flatnonzero((y > hi) & ~(y < lo))
-        dk, da = np.zeros(y.size), np.zeros(y.size)
-        dk[below] = _positive(phi(lo[below], below))
-        da[above] = _positive(-phi(hi[above], above))
-        y[below], y[above] = lo[below], hi[above]
+        y, dk, da = _project_batch(phi, target, lower[parents], upper[parents])
         return y[:, None], dk[:, None], da[:, None]
 
     return _solve_columns(problem, 1, step)[0]

@@ -172,3 +172,135 @@ def penalized_values(problem: ScalarRBSDEProblem, p: float, q: float) -> list[fl
 
         y[u] = _bracketed_root(resid, target)
     return y
+
+
+def _affine_probe(fn, d: int, what: str) -> tuple[float, list[float]]:
+    """``fn`` on d floats as ``a + b . y``, read from its values at 0 and at
+    the unit vectors, with a spot check at one more point."""
+    zero = float(fn((0.0,) * d))
+    slopes = [float(fn(tuple(float(k == i) for k in range(d)))) - zero
+              for i in range(d)]
+    spot = tuple(0.37 * (i + 1) - 0.81 for i in range(d))
+    gap = float(fn(spot)) - (zero + sum(b * y for b, y in zip(slopes, spot)))
+    if abs(gap) > 1e-9 * (1.0 + abs(zero) + sum(map(abs, slopes))):
+        raise ValueError(f"{what} is not affine (gap {gap:.3g})")
+    return zero, slopes
+
+
+def _obstacle_pieces(problem: ObliqueProblem, t: int) -> list[list[tuple]]:
+    """Mode j's obstacle as pieces (h, g): H^j(y) = max over pieces of
+    h + g . y.  The cost form has one piece per other mode; a general
+    obstacle must be affine, one piece per mode."""
+    d = problem.d
+    if problem.costs is not None:
+        return [[(-problem.costs.at(t, j, k), [float(i == k) for i in range(d)])
+                 for k in range(d) if k != j] for j in range(d)]
+    return [[_affine_probe(lambda y, j=j: problem.H(t, y)[j], d, f"H^{j}")]
+            for j in range(d)]
+
+
+def _node_candidates(problem, t, upper, target, rates, pieces):
+    """Every feasible point of the node's complementarity system, one per
+    assignment of a state to each mode: free (the implicit step holds),
+    capped (y^j = U^j, the step's residual <= 0) or pushed onto an
+    obstacle piece (y^j = h + g . y, residual >= 0), with H(y) <= y <= U
+    everywhere.  ``rates[j] = (a, b)`` gives f^j(y) = a + b . y."""
+    from itertools import product
+
+    from scipy.optimize import linprog
+
+    d, dt = problem.d, problem.tree.dt
+    eye = np.eye(d)
+    # residual phi_j(y) = y_j - dt f^j(y) - target_j = resid[j] . y - offset[j]
+    resid = np.array([eye[j] - dt * np.array(rates[j][1]) for j in range(d)])
+    offset = np.array([target[j] + dt * rates[j][0] for j in range(d)])
+    # every inequality as rows . y <= bound
+    rows = [eye[j] for j in range(d)]
+    bound = list(upper)
+    for j in range(d):
+        for h, g in pieces[j]:
+            rows.append(np.array(g) - eye[j])
+            bound.append(-h)
+    rows, bound = np.array(rows), np.array(bound)
+    out = []
+    for states in product(*(range(2 + len(pieces[j])) for j in range(d))):
+        pushed = {j: s - 2 for j, s in enumerate(states) if s >= 2}
+        if problem.costs is not None and _push_cycle(pushed, pieces):
+            continue   # positive costs: y^j < y^j around the cycle
+        eq_rows, eq_rhs, sign_rows, sign_rhs = [], [], [], []
+        for j, s in enumerate(states):
+            if s == 0:
+                eq_rows.append(resid[j])
+                eq_rhs.append(offset[j])
+            elif s == 1:
+                eq_rows.append(eye[j])
+                eq_rhs.append(upper[j])
+                sign_rows.append(resid[j])          # phi_j <= 0
+                sign_rhs.append(offset[j])
+            else:
+                h, g = pieces[j][s - 2]
+                eq_rows.append(eye[j] - np.array(g))
+                eq_rhs.append(h)
+                sign_rows.append(-resid[j])         # phi_j >= 0
+                sign_rhs.append(-offset[j])
+        a_eq, b_eq = np.array(eq_rows), np.array(eq_rhs)
+        a_ub = np.vstack([rows] + ([np.array(sign_rows)] if sign_rows else []))
+        b_ub = np.concatenate([bound, sign_rhs])
+        if abs(np.linalg.det(a_eq)) > 1e-12:
+            y = np.linalg.solve(a_eq, b_eq)
+        else:
+            res = linprog(np.ones(d), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                          bounds=[(None, None)] * d, method="highs")
+            if res.status != 0:
+                continue
+            y = res.x
+        slack = 1e-9 * (1.0 + np.abs(b_ub) + np.abs(a_ub) @ np.abs(y))
+        if np.all(a_ub @ y <= b_ub + slack):
+            out.append(y)
+    return out
+
+
+def _push_cycle(pushed: dict[int, int], pieces) -> bool:
+    """Whether the pushes (mode -> piece) of the cost form close a cycle:
+    piece i of mode j is the one of mode k, the i-th mode other than j."""
+    for start in pushed:
+        j, seen = start, set()
+        while j in pushed and j not in seen:
+            seen.add(j)
+            g = pieces[j][pushed[j]][1]
+            j = g.index(1.0)
+        if j == start and j in seen:
+            return True
+    return False
+
+
+def active_set_values(problem: ObliqueProblem) -> list[tuple[float, ...]]:
+    """The least solution at every node, for affine generators and an
+    obstacle that is the cost form or affine: at each parent, the
+    least-sum feasible point of :func:`_node_candidates`, checked to lie
+    below every other candidate; the targets are ``math.fsum``
+    expectations of the children plus dV, from the leaves back."""
+    tree, d = problem.tree, problem.d
+    y: list[tuple[float, ...]] = [()] * tree.n_nodes
+    rates = {
+        t: [_affine_probe(lambda row, j=j: problem.generators[j](t, row), d,
+                          f"f^{j}") for j in range(d)]
+        for t in range(tree.n_steps)
+    }
+    for u in range(tree.n_nodes - 1, -1, -1):
+        n = tree.node(u)
+        if n.is_leaf:
+            y[u] = tuple(problem.terminal[u])
+            continue
+        target = [math.fsum(tree.node(c).prob * y[c][j] for c in n.children)
+                  + problem.v[j].out_of(u) for j in range(d)]
+        upper = [problem.upper[j].values[u] for j in range(d)]
+        candidates = _node_candidates(problem, n.t, upper, target, rates[n.t],
+                                      _obstacle_pieces(problem, n.t))
+        assert candidates, f"no feasible state at node {n.node_id}"
+        least = min(candidates, key=lambda c: float(np.sum(c)))
+        scale = 1e-9 * (1.0 + float(np.max(np.abs(least))))
+        assert all(np.all(least <= c + scale) for c in candidates), (
+            f"the least-sum candidate at node {n.node_id} is not below the others")
+        y[u] = tuple(least.tolist())
+    return y

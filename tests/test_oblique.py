@@ -26,7 +26,11 @@ Core claims:
       both raise the same error; it takes a pinned number of rounds on
       switch2x2, names the node whose round budget runs out, and both
       solvers start each node below its solution, so both find the least
-      point of a coupled zero-cost cycle
+      point of a coupled zero-cost cycle; of two failing parents of a
+      level, the error names the higher-index one, whatever round it
+      failed in
+    - both solvers match the exact active-set oracle (tests/oracles.py) at
+      1e-10 on random coupled systems and zero-cost cycles
     - a sweep budget below 1 or a NaN or negative tolerance is a ValueError
     - a NaN in a solution fails verify_minimality; a binding cycle in a
       solver's output raises InternalConsistencyError with its node
@@ -37,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +70,7 @@ from orbsde import (
 from orbsde.oblique import CostMatrix, SystemSolution, mode_problem
 from orbsde.scenario import Scenario
 from gen import random_oblique_problem, zero_cost_cycle
+from oracles import active_set_values
 
 BIG = 1e6
 
@@ -327,6 +333,12 @@ def test_sweep_budget_exhaustion_raises():
         picard_solve(problem, tol=1e-14, max_sweeps=1)
 
 
+def _start_rows(levels) -> list[tuple[float, ...]]:
+    """The start row of every parent, from the recorded ``_level_start``
+    results (one ``(start rows, found)`` pair per level)."""
+    return [tuple(row) for start, found in levels for row in start[found].tolist()]
+
+
 def test_corner_lowered_below_a_shallow_subsolution(record):
     # strong negative drift with mild coupling: the first corners are too
     # shallow (the frozen-corner solve dives below them, and a sweep from
@@ -347,8 +359,9 @@ def test_corner_lowered_below_a_shallow_subsolution(record):
         ),
         costs=CostMatrix.constant(tree.n_steps, [[0.0, 0.5], [0.5, 0.0]]),
     )
-    starts = record(orbsde.oblique, "_node_start")
+    levels = record(orbsde.oblique, "_level_start")
     solution = picard_solve(problem, tol=1e-10)
+    starts = _start_rows(levels)
     assert min(min(starts)) <= -50.0  # a lowered corner was needed
     report = verify_minimality(problem, solution)
     assert report.ok(1e-10)
@@ -357,13 +370,14 @@ def test_corner_lowered_below_a_shallow_subsolution(record):
 def test_two_different_corners_same_limit(monkeypatch, record):
     rng = random.Random(29)
     problem = random_oblique_problem(rng, d=2, coupling=0.0)
-    starts = record(orbsde.oblique, "_node_start")
+    levels = record(orbsde.oblique, "_level_start")
     s1 = picard_solve(problem, tol=1e-12)
-    lowest1 = min(starts)
+    lowest1 = min(_start_rows(levels))
     # start from a corner 5 deeper than the first one tried
     monkeypatch.setattr(orbsde.oblique, "_CORNER_DROPS", (5.0,))
-    starts.clear()
+    levels.clear()
     s2 = picard_solve(problem, tol=1e-12)
+    starts = _start_rows(levels)
     assert lowest1 != min(starts)
     for j in range(2):
         gap = max(
@@ -483,7 +497,7 @@ def test_one_obstacle_evaluation_per_node_per_sweep():
 
     def obstacle(t, y):
         nonlocal calls
-        calls += 1
+        calls += len(y[0])   # obstacle rows: one per node in the columns
         return evaluate_H(base.costs, t, y)
 
     problem = dataclasses.replace(base, costs=None, obstacle=obstacle)
@@ -865,12 +879,85 @@ def test_solve_system_names_the_node_where_a_round_decreases(monkeypatch):
         n.index for n in problem.tree.nodes if not n.is_leaf
     ))
     # a start above the solution: the first round lowers it
-    monkeypatch.setattr(orbsde.oblique, "_node_start",
-                        lambda problem, node, targets, corner:
-                        tuple(c + 100.0 for c in corner))
+    monkeypatch.setattr(orbsde.oblique, "_level_start",
+                        lambda problem, t, targets, corner:
+                        (np.tile([c + 100.0 for c in corner], (len(targets), 1)),
+                         np.ones(len(targets), dtype=bool)))
     with pytest.raises(NonMonotoneSweepError) as err:
         solve_system(problem)
     assert f"node {first.node_id} (t={first.t}): round 1 lowered" in str(err.value)
+
+
+def _two_failing_parents(monkeypatch, obstacle_form, v0=0.0):
+    """Level 1 of a two-step binomial, walked as ru (index 2) then rd
+    (index 1): f = 0, U = 5, leaves at (0.5, 1), v^0 = ``v0`` into ru's
+    leaves.  The start rule is replaced: ru starts low at (-3, -3), rd high
+    at (100, 100), so that rd's first round lowers it."""
+    tree = EventTree.binary(2, 1.0)
+    ru = tree.index_of("ru")
+    v0s = tuple(v0 if n.parent == ru else 0.0 for n in tree.nodes)
+    problem = ObliqueProblem(
+        tree=tree,
+        d=2,
+        terminal={leaf: (0.5, 1.0) for leaf in tree.leaves},
+        generators=(lambda t, y: 0.0, lambda t, y: 0.0),
+        v=(PredictableIncrements(tree, v0s), PredictableIncrements.zero(tree)),
+        upper=(AdaptedProcess.constant(tree, 5.0),) * 2,
+        **obstacle_form,
+    )
+    assert validate_problem(problem) == []
+    monkeypatch.setattr(orbsde.oblique, "_level_start",
+                        lambda problem, t, targets, corner:
+                        (np.array([[-3.0, -3.0], [100.0, 100.0]]),
+                         np.ones(2, dtype=bool)))
+    return problem
+
+
+def test_a_later_round_decrease_at_a_higher_index_is_named(monkeypatch):
+    # H^0(y) = -y^1 falls in y^1 (outside the contract, which is the way
+    # to make a round after the first lower a component): ru's first round
+    # lifts y^0 to H^0 = 3 and y^1 to 1, its second lowers y^0 to 0.5; rd
+    # lowers at round 1 but comes second in the walk
+    problem = _two_failing_parents(monkeypatch, {
+        "obstacle": lambda t, y: (-y[1], 0.0 * y[0] - 10.0)})
+    with pytest.raises(NonMonotoneSweepError) as err:
+        solve_system(problem)
+    assert str(err.value) == "node ru (t=1): round 2 lowered mode 0 by 2.5"
+
+
+def test_a_later_round_budget_at_a_higher_index_is_named(monkeypatch):
+    # costs 0.5 and v^0 = -1: ru's rounds go (-0.5, 1), then (0.5, 1), so
+    # two rounds are not enough; rd lowers at round 1 but comes second
+    problem = _two_failing_parents(monkeypatch, {
+        "costs": CostMatrix.constant(2, [[0.0, 0.5], [0.5, 0.0]])}, v0=-1.0)
+    with pytest.raises(ConvergenceError) as err:
+        solve_system(problem, max_rounds=2)
+    assert str(err.value) == ("node ru (t=1): round change 1 > tol 1e-10 "
+                              "after 2 rounds")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 3),
+    coupling=st.sampled_from([0.0, 0.3, 0.9]),
+    v_scale=st.sampled_from([0.15, 3.0, 20.0]),
+    cycle=st.booleans(),
+)
+def test_solvers_match_the_active_set_oracle(seed, d, coupling, v_scale, cycle):
+    # the oracle shares no solver code: it enumerates the free / capped /
+    # pushed state of every mode at each parent and solves each as a
+    # linear system, from its own fsum recursion
+    problem = random_oblique_problem(random.Random(seed), d=d, coupling=coupling,
+                                     v_scale=v_scale, max_branching=3)
+    if cycle:
+        problem = zero_cost_cycle(problem)
+    exact = active_set_values(problem)
+    for solver in (solve_system, picard_solve):
+        solution = solver(problem, tol=1e-12)
+        gap = max(abs(solution.y[j].values[u] - exact[u][j])
+                  for u in range(problem.tree.n_nodes) for j in range(d))
+        assert gap <= 1e-10, (solver.__name__, gap)
 
 
 def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
