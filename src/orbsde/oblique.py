@@ -897,8 +897,8 @@ def binding_graph_cycles(
     """
     assert problem.costs is not None
     tree = problem.tree
-    times = np.array([n.t for n in tree.nodes])
-    edges = _binding_edges(problem.costs, times, _columns_of(solution.y), tol)
+    edges = _binding_edges(problem.costs, tree.arrays.time, _columns_of(solution.y),
+                           tol)
     walks = edges   # walks[u, j, k]: a walk from j to k, one edge longer per pass
     for _ in range(problem.d - 1):
         walks = (walks[:, :, :, None] & edges[:, None, :, :]).any(axis=2)

@@ -84,6 +84,9 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
     tree = problem.tree
     d = problem.d
     n = tree.n_nodes
+    find = tree.index_map.get
+    modes = {str(j): j for j in range(d)}   # other spellings go through int()
+    isfinite = math.isfinite
     seen = bytearray(d * n)   # slot j * n + u: mode j at node u
     slots, rows = array("q"), array("d")   # the rows read, in file order
     with open(path, "r", encoding="utf-8") as fh:
@@ -91,30 +94,34 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
         if header.strip() != CSV_HEADER.strip():
             raise ValueError(f"unexpected solution CSV header: {header!r}")
         for line in fh:
-            if not line.strip():
-                continue
             fields = line.rstrip("\n").split(",")
             if len(fields) != 8:
+                if not line.strip():
+                    continue
                 raise ValueError(f"expected 8 fields, got {len(fields)}: {line!r}")
-            node_id, _t, _time, mode = fields[:4]
-            where = f"node {node_id!r} mode {mode}"
-            if not tree.has_node(node_id):
-                raise ValueError(f"{where}: unknown node id")
+            node_id, _t, _time, mode, y, k, a, m = fields
+            u = find(node_id)
+            if u is None:
+                raise ValueError(f"node {node_id!r} mode {mode}: unknown node id")
+            j = modes.get(mode)
             try:
-                j = int(mode)
-                values = [float(v) for v in fields[4:]]
+                if j is None:
+                    j = int(mode)
+                y, k, a, m = float(y), float(k), float(a), float(m)
             except ValueError as err:
-                raise ValueError(f"{where}: {err}") from None
+                raise ValueError(f"node {node_id!r} mode {mode}: {err}") from None
             if not 0 <= j < d:
-                raise ValueError(f"{where}: mode outside range({d})")
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{where}: non-finite value in {fields[4:]}")
-            slot = j * n + tree.index_of(node_id)
+                raise ValueError(f"node {node_id!r} mode {mode}: mode outside range({d})")
+            # a sum of finite values can overflow, so look again before failing
+            if not isfinite(y + k + a + m) and not all(map(isfinite, (y, k, a, m))):
+                raise ValueError(f"node {node_id!r} mode {mode}: "
+                                 f"non-finite value in {fields[4:]}")
+            slot = j * n + u
             if seen[slot]:
-                raise ValueError(f"{where}: duplicate row")
+                raise ValueError(f"node {node_id!r} mode {mode}: duplicate row")
             seen[slot] = 1
             slots.append(slot)
-            rows.extend(values)
+            rows.extend((y, k, a, m))
     missing = np.argwhere(np.frombuffer(seen, dtype=np.uint8).reshape(d, n).T == 0)
     if missing.size:
         u, j = missing[0].tolist()

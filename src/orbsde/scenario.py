@@ -346,25 +346,26 @@ class Scenario:
 
     # -- materialization ---------------------------------------------------
 
-    def build_tree(self) -> tuple[EventTree, dict[str, float]]:
-        """Expand the tree spec; returns (tree, price per node id)."""
+    def build_tree(self) -> tuple[EventTree, np.ndarray]:
+        """Expand the tree spec; returns (tree, price per node index)."""
         spec = self.tree_spec
         dt = spec["dt"]
         if spec["kind"] == "chain":
             tree = EventTree.chain(spec["steps"], dt)
-            return tree, {n.node_id: spec["x0"] for n in tree.nodes}
+            return tree, np.full(tree.n_nodes, spec["x0"])
         if spec["kind"] == "binomial":
             tree = EventTree.binary(spec["steps"], dt, spec["p_up"])
-            up, down = spec["up"], spec["down"]
-            price = [spec["x0"]] * tree.n_nodes
-            for n in tree.nodes[1:]:  # index order: the root, then parents first
-                factor = up if n.node_id[-1] == "u" else down
-                price[n.index] = price[n.parent] * factor
-            return tree, {n.node_id: x for n, x in zip(tree.nodes, price)}
+            # level t + 1 is the parents of level t in order, each one's
+            # 'd' child and then its 'u' child
+            factors = np.array([spec["down"], spec["up"]])
+            levels = [np.array([spec["x0"]])]
+            for _ in range(spec["steps"]):
+                levels.append((levels[-1][:, None] * factors).ravel())
+            return tree, np.concatenate(levels)
         nodes = spec["nodes"]
         tree = EventTree.build(nodes, dt)
         prices = {n["id"]: n.get("price", 1.0) for n in nodes}
-        return tree, prices
+        return tree, np.array([prices[n.node_id] for n in tree.nodes])
 
     def build_problem(self) -> ObliqueProblem:
         """Materialize the validator-ready problem (math checks come later)."""
@@ -397,20 +398,18 @@ class Scenario:
                 terminal[leaf] = tuple(vals[nid])
         else:
             a, b = self.terminal["a"], self.terminal["b"]
-            for leaf in tree.leaves:
-                price = prices[tree.node(leaf).node_id]
-                terminal[leaf] = tuple(a[j] + b[j] * price for j in range(d))
+            price = prices[list(tree.leaves)]
+            rows = zip(*((a[j] + b[j] * price).tolist() for j in range(d)))
+            terminal = dict(zip(tree.leaves, rows))
 
         v = []
-        for j in range(d):
-            per_parent = {}
-            for pid, val in self.v_increments[j].items():
-                _require(
-                    tree.has_node(pid),
-                    f"v_increments references unknown node {pid!r}",
-                )
-                per_parent[tree.index_of(pid)] = val
-            v.append(PredictableIncrements.from_parent_values(tree, per_parent))
+        for per_id in self.v_increments:
+            at = list(map(tree.index_map.get, per_id))
+            if None in at:
+                pid = next(pid for pid, u in zip(per_id, at) if u is None)
+                raise ScenarioError(f"v_increments references unknown node {pid!r}")
+            v.append(PredictableIncrements.from_parent_values(
+                tree, dict(zip(at, per_id.values()))))
 
         return ObliqueProblem(
             tree=tree,
@@ -468,7 +467,7 @@ def _make_barrier(spec: dict, tree: EventTree, dt: float) -> AdaptedProcess:
         return AdaptedProcess.constant(tree, spec["value"])
     if spec["kind"] == "linear":
         a, s = spec["intercept"], spec["slope"]
-        return AdaptedProcess.from_fn(tree, lambda n: a + s * (n.t * dt))
+        return AdaptedProcess(tree, tuple((a + s * (tree.arrays.time * dt)).tolist()))
     vals = spec["values"]
     missing = [n.node_id for n in tree.nodes if n.node_id not in vals]
     _require(not missing, f"barrier table misses nodes {missing}")

@@ -437,7 +437,7 @@ def worst_case_switching_cost(problem: ObliqueProblem, start: int | None = None)
     if problem.costs is None:
         raise ValueError("diagnostic requires the cost-matrix obstacle form")
     tree = problem.tree
-    t0 = tree.node(tree.root if start is None else start).t
+    t0 = int(tree.arrays.time[tree.root if start is None else start])
     d = problem.d
     return math.fsum(
         max(

@@ -7,6 +7,14 @@ hitting every root-to-leaf path exactly once.  Everything downstream
 (conditional expectations, Doob decompositions, Snell envelopes, the
 reflected-equation solvers) runs on these four representations.
 
+A tree is made from four canonical columns: the node ids, the time index,
+the parent index (-1 at a root) and the edge probability, in ``(t, id)``
+order.  :meth:`EventTree.binary` and :meth:`EventTree.chain` write these
+columns directly; explicit node specs are sorted into them once.  The
+checks of :func:`validate_tree` and the exact renormalization of each
+sibling block both run on the columns, before any :class:`Node` is made,
+and :class:`TreeArrays` is the same tree as read-only arrays.
+
 Conventions used throughout the package:
 
 * node indices are canonical: sorted by ``(t, node_id)``, so identical
@@ -23,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -68,40 +77,116 @@ class Node:
         return not self.children
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+class _Columns:
+    """The canonical columns of a tree and its children in CSR form.
+
+    ``time``, ``parent`` and ``prob`` are arrays over the nodes in index
+    order; node u's children are ``child_index[child_ptr[u]:child_ptr[u + 1]]``
+    in ascending index order.
+    """
+
+    def __init__(self, ids: Sequence[str], time, parent, prob):
+        self.ids = tuple(ids)
+        self.time = np.array(time, dtype=np.intp)
+        self.parent = np.array(parent, dtype=np.intp)
+        self.prob = np.array(prob, dtype=np.float64)
+        kids = np.flatnonzero(self.parent >= 0)
+        self.child_index = kids[np.argsort(self.parent[kids], kind="stable")]
+        counts = np.bincount(self.parent[kids], minlength=len(self.ids))
+        self.child_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+
+    def block_sums(self) -> np.ndarray:
+        """Each node's children's probabilities summed exactly
+        (``math.fsum``; 0.0 at a leaf).  One or two terms are summed with
+        ``+``, which is the same exactly rounded sum; a non-finite pair goes
+        through ``fsum`` too, for its overflow and inf - inf errors."""
+        ptr, prob = self.child_ptr, self.prob[self.child_index]
+        first, count = ptr[:-1], np.diff(ptr)
+        sums = np.zeros(count.size)
+        one, two = count == 1, count == 2
+        sums[one] = prob[first[one]]
+        sums[two] = prob[first[two]] + prob[first[two] + 1]
+        for u in np.flatnonzero((count >= 3) | ((count > 0) & ~np.isfinite(sums))):
+            sums[u] = math.fsum(prob[ptr[u]:ptr[u + 1]].tolist())
+        return sums
+
+    def renormalized(self) -> "_Columns":
+        """The columns with each sibling block divided by its exact sum."""
+        prob = self.prob.copy()
+        kids = self.child_index
+        prob[kids] /= self.block_sums()[self.parent[kids]]
+        return _Columns(self.ids, self.time, self.parent, prob)
+
+    @classmethod
+    def of_specs(cls, nodes: Sequence[Mapping]) -> "_Columns":
+        """Columns of per-node dict specs (``id``, ``t``, ``parent`` and an
+        optional ``p``, default 1.0; the root's ``p`` is 1.0)."""
+        specs = list(nodes)
+        ids = [str(s["id"]) for s in specs]
+        if len(set(ids)) != len(ids):
+            raise TreeStructureError("duplicate node ids")
+        known = set(ids)
+        for s in specs:
+            p = s.get("parent")
+            if p is not None and str(p) not in known:
+                raise TreeStructureError(f"unknown parent {p!r} of node {s['id']!r}")
+        order = sorted(range(len(specs)), key=lambda i: (int(specs[i]["t"]), ids[i]))
+        index_of = {ids[i]: k for k, i in enumerate(order)}
+        ordered = [specs[i] for i in order]
+        return cls(
+            [ids[i] for i in order],
+            [int(s["t"]) for s in ordered],
+            [-1 if s.get("parent") is None else index_of[str(s["parent"])]
+             for s in ordered],
+            [1.0 if s.get("parent") is None else float(s.get("p", 1.0))
+             for s in ordered],
+        )
+
+
 @dataclass(frozen=True)
 class TreeArrays:
     """An :class:`EventTree` as read-only arrays, for level-at-a-time walks.
 
     Node i's children are ``child_index[child_ptr[i]:child_ptr[i + 1]]``,
     in index order (CSR), with their edge probabilities at the same
-    positions of ``child_prob``.  ``parents[t]`` lists the nodes of level t
-    that have children, in descending index order, the order in which a
-    backward walk visits them.
+    positions of ``child_prob``; ``child_owner`` holds the parent of each
+    of these slots and ``child_first`` the parent's first child.
+    ``time`` is each node's time index.  ``parents[t]`` lists the nodes of
+    level t that have children, in descending index order, the order in
+    which a backward walk visits them.
     """
 
     child_ptr: np.ndarray
     child_index: np.ndarray
     child_prob: np.ndarray
+    child_owner: np.ndarray
+    child_first: np.ndarray
+    time: np.ndarray
     parents: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, tree: "EventTree") -> "TreeArrays":
-        nodes = tree.nodes
-        counts = [len(n.children) for n in nodes]
+    def of(cls, cols: _Columns, levels: Sequence[range]) -> "TreeArrays":
+        ptr, kids = cols.child_ptr, cols.child_index
+        owner = cols.parent[kids]
+        has_kids = np.diff(ptr) > 0
         arrays = cls(
-            child_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.intp),
-            child_index=np.array([c for n in nodes for c in n.children], dtype=np.intp),
-            child_prob=np.array([nodes[c].prob for n in nodes for c in n.children],
-                                dtype=np.float64),
-            parents=tuple(
-                np.array([u for u in reversed(tree.level(t)) if counts[u]],
-                         dtype=np.intp)
-                for t in range(tree.n_steps + 1)
-            ),
+            child_ptr=ptr,
+            child_index=kids,
+            child_prob=cols.prob[kids],
+            child_owner=owner,
+            child_first=kids[ptr[owner]],
+            time=cols.time,
+            parents=tuple(np.flatnonzero(has_kids[lvl.start:lvl.stop])[::-1]
+                          + lvl.start for lvl in levels),
         )
-        for arr in (arrays.child_ptr, arrays.child_index, arrays.child_prob,
-                    *arrays.parents):
-            arr.flags.writeable = False
+        _read_only(arrays.child_ptr, arrays.child_index, arrays.child_prob,
+                   arrays.child_owner, arrays.child_first, arrays.time,
+                   *arrays.parents)
         return arrays
 
 
@@ -110,101 +195,89 @@ class EventTree:
 
     The plain constructor is lenient (it only needs structurally usable
     input) so that :func:`validate_tree` can report problems;
-    :meth:`EventTree.build` is the strict path everything else should use:
-    it validates and then renormalizes each sibling block exactly.
+    :meth:`EventTree.build`, :meth:`EventTree.binary` and
+    :meth:`EventTree.chain` are the strict paths everything else should
+    use: they validate the columns and then renormalize each sibling block
+    exactly.
     """
 
     def __init__(self, nodes: Sequence[Mapping], dt: float):
-        specs = list(nodes)
-        ids = [str(s["id"]) for s in specs]
-        if len(set(ids)) != len(ids):
-            raise TreeStructureError("duplicate node ids")
-        by_id = {str(s["id"]): s for s in specs}
-        for s in specs:
-            p = s.get("parent")
-            if p is not None and str(p) not in by_id:
-                raise TreeStructureError(f"unknown parent {p!r} of node {s['id']!r}")
+        self._fill(_Columns.of_specs(nodes), dt)
 
-        order = sorted(specs, key=lambda s: (int(s["t"]), str(s["id"])))
-        index_of = {str(s["id"]): i for i, s in enumerate(order)}
-        children: list[list[int]] = [[] for _ in order]
-        for i, s in enumerate(order):
-            p = s.get("parent")
-            if p is not None:
-                children[index_of[str(p)]].append(i)
-
+    def _fill(self, cols: _Columns, dt: float) -> None:
+        _read_only(cols.time, cols.parent, cols.prob)
+        self._cols = cols
         self._dt = float(dt)
-        self._nodes = tuple(
-            Node(
-                index=i,
-                node_id=str(s["id"]),
-                t=int(s["t"]),
-                parent=None if s.get("parent") is None else index_of[str(s["parent"])],
-                children=tuple(sorted(children[i])),
-                prob=1.0 if s.get("parent") is None else float(s.get("p", 1.0)),
-            )
-            for i, s in enumerate(order)
-        )
-        self._index_of = index_of
-        self._n_steps = max(n.t for n in self._nodes)
-        levels: list[list[int]] = [[] for _ in range(self._n_steps + 1)]
-        for n in self._nodes:
-            if 0 <= n.t <= self._n_steps:
-                levels[n.t].append(n.index)
-        self._levels = tuple(tuple(l) for l in levels)
-        self._leaves = tuple(n.index for n in self._nodes if n.is_leaf)
+        self._index_of = dict(zip(cols.ids, range(len(cols.ids))))
+        self._n_steps = max(cols.time.tolist())
+        # the time column ascends: level t is one run of indices
+        bounds = np.searchsorted(cols.time, np.arange(self._n_steps + 2)).tolist()
+        levels = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+        self._levels = tuple(tuple(lvl) for lvl in levels)
+        self._roots = tuple(np.flatnonzero(cols.parent < 0).tolist())
+        self._leaves = tuple(np.flatnonzero(np.diff(cols.child_ptr) == 0).tolist())
+        self._arrays = TreeArrays.of(cols, levels)
+
+    @functools.cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes in index order, made on first use."""
+        cols = self._cols
+        ptr, kids = cols.child_ptr.tolist(), cols.child_index.tolist()
+        return tuple(map(Node, range(len(cols.ids)), cols.ids, cols.time.tolist(),
+                         [None if p < 0 else p for p in cols.parent.tolist()],
+                         [tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:])],
+                         cols.prob.tolist()))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, nodes: Sequence[Mapping], dt: float) -> "EventTree":
-        """Validate, renormalize sibling probabilities exactly, and return."""
-        tree = cls(nodes, dt)
-        report = validate_tree(tree)
+    def from_columns(cls, ids: Sequence[str], time, parent, prob,
+                     dt: float) -> "EventTree":
+        """Validate canonical columns, renormalize each sibling block
+        exactly, and return the tree.
+
+        The columns are in ``(t, id)`` order: the node ids, the time index,
+        the parent index (-1 at the root) and the edge probability (1.0 at
+        the root).  Raises InvalidTreeError with the
+        :func:`validate_tree` report.
+        """
+        cols = _Columns(ids, time, parent, prob)
+        report = _violations(cols, float(dt))
         if report:
             raise InvalidTreeError(report)
-        return tree._renormalized()
+        tree = object.__new__(cls)
+        tree._fill(cols.renormalized(), dt)
+        return tree
 
-    def _renormalized(self) -> "EventTree":
-        probs = [n.prob for n in self._nodes]
-        for n in self._nodes:
-            if n.children:
-                s = math.fsum(probs[c] for c in n.children)
-                for c in n.children:
-                    probs[c] = probs[c] / s
-        clone = object.__new__(EventTree)
-        clone.__dict__.update(self.__dict__)
-        clone.__dict__.pop("arrays", None)   # built from the old probabilities
-        clone._nodes = tuple(
-            Node(n.index, n.node_id, n.t, n.parent, n.children, probs[n.index])
-            for n in self._nodes
-        )
-        return clone
+    @classmethod
+    def build(cls, nodes: Sequence[Mapping], dt: float) -> "EventTree":
+        """Sort per-node dict specs into columns; then as :meth:`from_columns`."""
+        cols = _Columns.of_specs(nodes)
+        return cls.from_columns(cols.ids, cols.time, cols.parent, cols.prob, dt)
 
     @classmethod
     def chain(cls, steps: int, dt: float) -> "EventTree":
-        """Deterministic single-path tree with `steps` edges."""
-        nodes = [{"id": "n0", "t": 0, "parent": None}]
-        nodes += [
-            {"id": f"n{k}", "t": k, "parent": f"n{k - 1}", "p": 1.0}
-            for k in range(1, steps + 1)
-        ]
-        return cls.build(nodes, dt)
+        """Deterministic single-path tree with `steps` edges, ids n0, n1, ..."""
+        return cls.from_columns([f"n{k}" for k in range(steps + 1)],
+                                np.arange(steps + 1), np.arange(-1, steps),
+                                np.ones(steps + 1), dt)
 
     @classmethod
     def binary(cls, steps: int, dt: float, p_up: float = 0.5) -> "EventTree":
-        """Full non-recombining binary tree; 'd' branch sorts before 'u'."""
-        nodes = [{"id": "r", "t": 0, "parent": None}]
-        frontier = ["r"]
-        for t in range(1, steps + 1):
-            nxt = []
-            for pid in frontier:
-                for tag, p in (("d", 1.0 - p_up), ("u", p_up)):
-                    nid = pid + tag
-                    nodes.append({"id": nid, "t": t, "parent": pid, "p": p})
-                    nxt.append(nid)
-            frontier = nxt
-        return cls.build(nodes, dt)
+        """Full non-recombining binary tree; 'd' branch sorts before 'u'.
+
+        Level t holds the 2^t ids in generation order, which is their
+        sorted order, so node i's parent is (i - 1) // 2 and its children
+        are 2i + 1 ('d', probability 1 - p_up) and 2i + 2 ('u', p_up).
+        """
+        ids, level = ["r"], ["r"]
+        for _ in range(steps):
+            level = [pid + tag for pid in level for tag in "du"]
+            ids.extend(level)
+        index, t = np.arange(len(ids)), np.arange(steps + 1)
+        prob = np.where(index % 2 == 1, 1.0 - p_up, p_up)
+        prob[0] = 1.0
+        return cls.from_columns(ids, np.repeat(t, 2 ** t), (index - 1) // 2, prob, dt)
 
     # -- accessors ---------------------------------------------------------
 
@@ -214,20 +287,15 @@ class EventTree:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._cols.ids)
 
     @property
     def n_steps(self) -> int:
         return self._n_steps
 
     @property
-    def nodes(self) -> tuple[Node, ...]:
-        return self._nodes
-
-    @property
     def root(self) -> int:
-        roots = [n.index for n in self._nodes if n.parent is None]
-        return roots[0]
+        return self._roots[0]
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -236,30 +304,32 @@ class EventTree:
     def level(self, t: int) -> tuple[int, ...]:
         return self._levels[t]
 
-    @functools.cached_property
+    @property
     def arrays(self) -> TreeArrays:
-        """The tree as read-only arrays, built on first use."""
-        return TreeArrays.of(self)
+        """The tree as read-only arrays."""
+        return self._arrays
 
     def node(self, i: int) -> Node:
-        return self._nodes[i]
+        return self.nodes[i]
 
     def index_of(self, node_id: str) -> int:
         return self._index_of[node_id]
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._index_of
+    @property
+    def index_map(self) -> Mapping[str, int]:
+        """Node id -> index, read-only."""
+        return MappingProxyType(self._index_of)
 
     def children(self, i: int) -> tuple[int, ...]:
-        return self._nodes[i].children
+        return self.nodes[i].children
 
     def node_probability(self, i: int) -> float:
         """Unconditional probability of reaching node i from the root."""
         p = 1.0
-        n = self._nodes[i]
+        n = self.nodes[i]
         while n.parent is not None:
             p *= n.prob
-            n = self._nodes[n.parent]
+            n = self.nodes[n.parent]
         return p
 
     def subtree(self, i: int) -> tuple[int, ...]:
@@ -268,82 +338,72 @@ class EventTree:
         stack = [i]
         while stack:
             u = stack.pop()
-            for c in self._nodes[u].children:
+            for c in self.nodes[u].children:
                 seen.add(c)
                 stack.append(c)
         return tuple(sorted(seen))
 
     def path_from_root(self, i: int) -> tuple[int, ...]:
         path = [i]
-        n = self._nodes[i]
+        n = self.nodes[i]
         while n.parent is not None:
             path.append(n.parent)
-            n = self._nodes[n.parent]
+            n = self.nodes[n.parent]
         return tuple(reversed(path))
 
 
 def validate_tree(tree: EventTree) -> list[Violation]:
     """Diagnostic structural check; empty list iff the tree is well-formed."""
+    return _violations(tree._cols, tree.dt)
+
+
+def _violations(cols: _Columns, dt: float) -> list[Violation]:
+    """The :func:`validate_tree` report of a tree's columns: the root and
+    dt checks, then per node in index order its depth, edge probability,
+    horizon and probability-sum checks, then the nodes unreachable from a
+    root."""
     out: list[Violation] = []
-    nodes = tree.nodes
-    roots = [n for n in nodes if n.parent is None]
+    ids, time, parent, prob = cols.ids, cols.time, cols.parent, cols.prob
+    roots = np.flatnonzero(parent < 0).tolist()
     if len(roots) != 1:
         out.append(Violation("root", f"expected exactly one root, found {len(roots)}"))
-    for n in roots:
-        if n.t != 0:
-            out.append(Violation("root", "root not at time 0", n.node_id, n.t))
-    if not tree.dt > 0.0:
-        out.append(Violation("dt", f"step length must be positive, got {tree.dt}"))
-    horizon = tree.n_steps
-    for n in nodes:
-        if n.parent is not None:
-            pt = nodes[n.parent].t
-            if n.t != pt + 1:
-                out.append(
-                    Violation(
-                        "depth",
-                        f"time index {n.t} is not parent's {pt} + 1",
-                        n.node_id,
-                        n.t,
-                    )
-                )
-            if not (0.0 < n.prob <= 1.0 + PROB_TOL):
-                out.append(
-                    Violation(
-                        "probability",
-                        f"edge probability {n.prob} outside (0, 1]",
-                        n.node_id,
-                        n.t,
-                    )
-                )
-        if n.is_leaf and n.t != horizon:
-            out.append(
-                Violation("horizon", "leaf before horizon", n.node_id, n.t)
-            )
-        if n.children:
-            s = math.fsum(nodes[c].prob for c in n.children)
-            if abs(s - 1.0) > PROB_TOL:
-                out.append(
-                    Violation(
-                        "probability-sum",
-                        f"probabilities sum {s:.17g} != 1 at node",
-                        n.node_id,
-                        n.t,
-                    )
-                )
-    # reachability: walk down from each root; anything missed is orphaned
-    reached: set[int] = set()
-    stack = [n.index for n in roots]
-    while stack:
-        u = stack.pop()
-        if u in reached:
-            out.append(Violation("cycle", "node reachable twice", nodes[u].node_id))
-            continue
-        reached.add(u)
-        stack.extend(nodes[u].children)
-    for n in nodes:
-        if n.index not in reached:
-            out.append(Violation("orphan", "node unreachable from root", n.node_id, n.t))
+    for u in roots:
+        if time[u] != 0:
+            out.append(Violation("root", "root not at time 0", ids[u], int(time[u])))
+    if not dt > 0.0:
+        out.append(Violation("dt", f"step length must be positive, got {dt}"))
+    horizon = max(time.tolist())
+    has_parent = parent >= 0
+    count = np.diff(cols.child_ptr)
+    sums = cols.block_sums()
+    depth = has_parent & (time != time[parent] + 1)
+    outside = has_parent & ~((prob > 0.0) & (prob <= 1.0 + PROB_TOL))
+    early = (count == 0) & (time != horizon)
+    off = (count > 0) & (np.abs(sums - 1.0) > PROB_TOL)
+    for u in np.flatnonzero(depth | outside | early | off).tolist():
+        nid, t = ids[u], int(time[u])
+        if depth[u]:
+            out.append(Violation("depth", f"time index {t} is not parent's "
+                                 f"{int(time[parent[u]])} + 1", nid, t))
+        if outside[u]:
+            out.append(Violation("probability", f"edge probability "
+                                 f"{float(prob[u])} outside (0, 1]", nid, t))
+        if early[u]:
+            out.append(Violation("horizon", "leaf before horizon", nid, t))
+        if off[u]:
+            out.append(Violation("probability-sum", f"probabilities sum "
+                                 f"{float(sums[u]):.17g} != 1 at node", nid, t))
+    # reachability: jump to the 2^k-th ancestor until every chain that ends
+    # at a root has reached it; anything else is orphaned
+    ancestor = np.where(has_parent, parent, np.arange(parent.size))
+    for _ in range(parent.size.bit_length()):
+        jumped = ancestor[ancestor]
+        if np.array_equal(jumped, ancestor):
+            break
+        ancestor = jumped
+    for u in np.flatnonzero(has_parent[ancestor]).tolist():
+        out.append(Violation("orphan", "node unreachable from root", ids[u],
+                             int(time[u])))
     return out
 
 
@@ -402,19 +462,18 @@ class PredictableIncrements:
             )
         if self.values[self.tree.root] != 0.0:
             raise ValueError("root slot of predictable increments must be 0")
-        for n in self.tree.nodes:
-            cs = n.children
-            if len(cs) > 1:
-                v0 = self.values[cs[0]]
-                for c in cs[1:]:
-                    # a NaN shared by all siblings is decided at the parent;
-                    # the problem validators report it as non-finite data
-                    if self.values[c] != v0 and not (
-                        math.isnan(v0) and math.isnan(self.values[c])
-                    ):
-                        raise ValueError(
-                            f"increment not parent-measurable at node {n.node_id}"
-                        )
+        # each child against its first sibling; a NaN shared by all siblings
+        # is decided at the parent, and the problem validators report it as
+        # non-finite data
+        arrays = self.tree.arrays
+        values = np.array(self.values, dtype=np.float64)
+        kid, first = values[arrays.child_index], values[arrays.child_first]
+        differ = (kid != first) & ~(np.isnan(kid) & np.isnan(first))
+        if differ.any():
+            u = int(arrays.child_owner[differ].min())
+            raise ValueError(
+                f"increment not parent-measurable at node {self.tree.node(u).node_id}"
+            )
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
@@ -428,11 +487,12 @@ class PredictableIncrements:
         cls, tree: EventTree, per_parent: Mapping[int, float]
     ) -> "PredictableIncrements":
         """Build from {parent index: increment on its outgoing edges}."""
-        vals = [0.0] * tree.n_nodes
-        for u, v in per_parent.items():
-            for c in tree.children(u):
-                vals[c] = float(v)
-        return cls(tree, tuple(vals))
+        arrays = tree.arrays
+        out_of = np.zeros(tree.n_nodes)
+        out_of[list(per_parent)] = [float(v) for v in per_parent.values()]
+        vals = np.zeros(tree.n_nodes)
+        vals[arrays.child_index] = out_of[arrays.child_owner]
+        return cls(tree, tuple(vals.tolist()))
 
     def out_of(self, u: int) -> float:
         """Increment on the edges leaving node u (0 at leaves)."""
@@ -603,7 +663,7 @@ def enumerate_stopping_times(
     depth or count caps; exhaustive or absent, never sampled.
     """
     start = tree.root if start is None else start
-    depth = tree.n_steps - tree.node(start).t
+    depth = tree.n_steps - int(tree.arrays.time[start])
     if depth > max_depth:
         raise EnumerationCapError(
             f"subtree depth {depth} exceeds enumeration bound {max_depth}"

@@ -16,7 +16,9 @@ Core claims:
       node coordinates), 3 non-convergence, 4 oracle mismatch
     - a solution CSV with a duplicated, missing or out-of-range row, or a
       non-finite value, and a NaN barrier, generator coefficient or v
-      increment all exit 2 with coordinates
+      increment all exit 2 with coordinates; of two bad rows the first in
+      the file is named, and a mode is read as int() reads it ("01" and
+      " 1" are mode 1, "1.0" is refused)
     - a failed solver invariant (binding cycle, binding obstacle with no
       attaining mode) exits 3 with kind internal-consistency and its node
     - a sweep budget below 1 or a NaN or negative tolerance, from a flag
@@ -429,19 +431,37 @@ def _with_cell(row: str, col: int, value: str) -> str:
 
 
 # each edit gets the data rows (r mode 0 first, ruu mode 1 last) and
-# returns the rows to write back; the error must name this node and mode
+# returns the rows to write back; the error must name this node and mode,
+# with this detail.  A mode spelling that int() reads ("01", " 1") is that
+# mode, which the duplicate it makes shows.
 MALFORMED_SOLUTIONS = {
-    "duplicated-row": (lambda rows: rows[:1] + rows, "r", 0),
-    "nan-root-y": (lambda rows: [_with_cell(rows[0], 4, "nan"), *rows[1:]], "r", 0),
-    "missing-row": (lambda rows: rows[:-1], "ruu", 1),
-    "mode-out-of-range": (lambda rows: [_with_cell(rows[0], 3, "5"), *rows[1:]], "r", 5),
-    "negative-mode": (lambda rows: [_with_cell(rows[0], 3, "-1"), *rows[1:]], "r", -1),
+    "duplicated-row": (lambda rows: rows[:1] + rows, "r", 0, "duplicate row"),
+    "nan-root-y": (lambda rows: [_with_cell(rows[0], 4, "nan"), *rows[1:]], "r", 0,
+                   "non-finite value in ['nan', "),
+    "missing-row": (lambda rows: rows[:-1], "ruu", 1, "missing row"),
+    "mode-out-of-range": (lambda rows: [_with_cell(rows[0], 3, "5"), *rows[1:]], "r", 5,
+                          "mode outside range(2)"),
+    "negative-mode": (lambda rows: [_with_cell(rows[0], 3, "-1"), *rows[1:]], "r", -1,
+                      "mode outside range(2)"),
+    "non-finite-before-duplicate": (
+        lambda rows: [rows[0], _with_cell(rows[1], 5, "inf"), *rows[2:], rows[0]],
+        "r", 1, "non-finite value in "),
+    "mode-01-is-mode-1": (
+        lambda rows: [rows[1], _with_cell(rows[0], 3, "01"), *rows[2:]],
+        "r", "01", "duplicate row"),
+    "mode-space-1-is-mode-1": (
+        lambda rows: [rows[1], _with_cell(rows[0], 3, " 1"), *rows[2:]],
+        "r", " 1", "duplicate row"),
+    "mode-1_0-is-mode-10": (lambda rows: [_with_cell(rows[0], 3, "1_0"), *rows[1:]],
+                            "r", "1_0", "mode outside range(2)"),
+    "mode-1.0-is-refused": (lambda rows: [_with_cell(rows[0], 3, "1.0"), *rows[1:]],
+                            "r", "1.0", "invalid literal for int() with base 10: '1.0'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SOLUTIONS))
 def test_verify_rejects_malformed_solution_csv(scenarios_dir, tmp_path, case):
-    edit, node_id, mode = MALFORMED_SOLUTIONS[case]
+    edit, node_id, mode, detail = MALFORMED_SOLUTIONS[case]
     out = tmp_path / "out"
     assert run("solve", scenarios_dir / "switch2x2.json", "--out", out) == 0
     csv_path = out / "solution.csv"
@@ -454,7 +474,24 @@ def test_verify_rejects_malformed_solution_csv(scenarios_dir, tmp_path, case):
     assert code == 2
     diag = read_json(tmp_path / "v" / "diagnostic.json")
     assert diag["error"]["kind"] == "solution-file"
-    assert f"node '{node_id}' mode {mode}" in diag["error"]["detail"]
+    assert f"node '{node_id}' mode {mode}: {detail}" in diag["error"]["detail"]
+
+
+@pytest.mark.parametrize("spelling", ["01", " 1", "1 ", "+1"])
+def test_verify_reads_a_mode_as_int_does(scenarios_dir, tmp_path, spelling):
+    out = tmp_path / "out"
+    assert run("solve", scenarios_dir / "switch2x2.json", "--out", out) == 0
+    header, first, second, *rest = (out / "solution.csv").read_text().splitlines(
+        keepends=True)
+    spelled = tmp_path / "spelled.csv"
+    spelled.write_text(header + first + _with_cell(second, 3, spelling) + "".join(rest))
+    for name, path in (("plain", out / "solution.csv"), ("spelled", spelled)):
+        assert run("verify", scenarios_dir / "switch2x2.json",
+                   "--solution", path, "--out", tmp_path / name) == 0
+    plain, spelled_out = (sorted((tmp_path / name).iterdir())
+                          for name in ("plain", "spelled"))
+    assert [p.name for p in plain] == [p.name for p in spelled_out]
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(plain, spelled_out))
 
 
 # -- exit-code contract -------------------------------------------------------------

@@ -22,13 +22,13 @@ Core claims:
       such a problem instead of failing inside the solve
     - the single backward pass (solve_system) agrees with Picard at 1e-12
       on the criterion-5 systems, the bundled scenarios and random systems
-      (coupled generators, deep v shocks, zero-cost obstacle cycles), or
-      both raise the same error; it takes a pinned number of rounds on
-      switch2x2, names the node whose round budget runs out, and both
-      solvers start each node below its solution, so both find the least
-      point of a coupled zero-cost cycle; of two failing parents of a
-      level, the error names the higher-index one, whatever round it
-      failed in
+      (coupled generators, deep v shocks, zero-cost obstacle cycles; both
+      with a budget of 400 rounds or sweeps), or both raise the same
+      error; it takes a pinned number of rounds on switch2x2, names the
+      node whose round budget runs out, and both solvers start each node
+      below its solution, so both find the least point of a coupled
+      zero-cost cycle; of two failing parents of a level, the error names
+      the higher-index one, whatever round it failed in
     - both solvers match the exact active-set oracle (tests/oracles.py) at
       1e-10 on random coupled systems and zero-cost cycles
     - a sweep budget below 1 or a NaN or negative tolerance is a ValueError
@@ -43,7 +43,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbsde.oblique
@@ -798,6 +798,11 @@ def test_solve_system_finds_the_least_point_of_a_coupled_zero_cost_cycle():
 SOLVER_ERRORS = (ConvergenceError, NonMonotoneSweepError, BracketingError,
                  InvalidProblemError, InternalConsistencyError)
 
+# rounds per node for solve_system, sweeps for picard_solve: at tol 1e-13
+# a strongly coupled system can need more than the default 200 sweeps
+# (the pinned example takes 237) where the rounds take 121
+AGREEMENT_BUDGET = 400
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -807,6 +812,7 @@ SOLVER_ERRORS = (ConvergenceError, NonMonotoneSweepError, BracketingError,
     v_scale=st.sampled_from([0.15, 3.0, 20.0]),
     cycle=st.booleans(),
 )
+@example(seed=2156075, d=2, coupling=0.9, v_scale=20.0, cycle=False)
 def test_solvers_agree_on_random_systems(seed, d, coupling, v_scale, cycle):
     # with deep v shocks and a coupled zero-cost cycle, a start above the
     # least solution can be a fixed point: no sweep or round falls from it
@@ -816,9 +822,9 @@ def test_solvers_agree_on_random_systems(seed, d, coupling, v_scale, cycle):
     if cycle:
         problem = zero_cost_cycle(problem)
     outcomes = []
-    for solver in (solve_system, picard_solve):
+    for solver, budget in ((solve_system, "max_rounds"), (picard_solve, "max_sweeps")):
         try:
-            outcomes.append(solver(problem, tol=1e-13))
+            outcomes.append(solver(problem, tol=1e-13, **{budget: AGREEMENT_BUDGET}))
         except SOLVER_ERRORS as err:
             outcomes.append(type(err))
     fast, oracle = outcomes

@@ -12,10 +12,18 @@ Core claims:
       and is the minimal dominating supermartingale
     - stopping-time enumeration is exhaustive, duplicate-free, matches the
       product recursion, and refuses to run beyond its caps
+    - binary and chain trees, written as columns, equal the trees of their
+      explicit specs node by node and array by array, a bad dt included;
+      sibling blocks that sum to 1 only within PROB_TOL renormalize alike
+      from columns and from specs
+    - predictable increments name the lowest-index parent whose siblings
+      differ; a NaN shared by all siblings passes, a NaN beside a number
+      does not
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -396,6 +404,124 @@ def test_predictable_increments_must_match_across_siblings():
     assert inc.out_of(tree.root) == 0.7
 
 
+def _ternary(depth: int) -> EventTree:
+    nodes = [{"id": "r", "t": 0, "parent": None}]
+    frontier = ["r"]
+    for t in range(1, depth + 1):
+        frontier = [pid + tag for pid in frontier for tag in "abc"]
+        nodes += [{"id": nid, "t": t, "parent": nid[:-1], "p": p}
+                  for nid, p in zip(frontier, [0.2, 0.3, 0.5] * len(frontier))]
+    return EventTree.build(nodes, 1.0)
+
+
+def test_predictable_increments_name_the_lowest_unequal_parent():
+    tree = _ternary(2)
+    per_parent = {u: 0.1 * (u + 1) for u in range(tree.n_nodes) if tree.children(u)}
+    base = list(PredictableIncrements.from_parent_values(tree, per_parent).values)
+    rb_kids = tree.children(tree.index_of("rb"))
+    assert [base[c] for c in rb_kids] == [0.30000000000000004] * 3
+    # two parents with unequal siblings: "rc" in its first child, "rb" in
+    # its last; the error names rb, the lower index
+    values = list(base)
+    values[tree.children(tree.index_of("rc"))[0]] += 1.0
+    values[tree.children(tree.index_of("rb"))[2]] -= 1.0
+    with pytest.raises(ValueError, match="parent-measurable at node rb$"):
+        PredictableIncrements(tree, tuple(values))
+    # a NaN shared by all siblings is decided at the parent
+    values = list(base)
+    for c in tree.children(tree.index_of("ra")):
+        values[c] = math.nan
+    inc = PredictableIncrements(tree, tuple(values))
+    assert math.isnan(inc.out_of(tree.index_of("ra")))
+    # a NaN beside a number is not, in either order
+    for slot in (0, 2):
+        values = list(base)
+        values[tree.children(tree.index_of("rc"))[slot]] = math.nan
+        with pytest.raises(ValueError, match="parent-measurable at node rc$"):
+            PredictableIncrements(tree, tuple(values))
+
+
+def _binary_specs(steps: int, p_up: float) -> list[dict]:
+    nodes = [{"id": "r", "t": 0, "parent": None}]
+    frontier = ["r"]
+    for t in range(1, steps + 1):
+        nxt = []
+        for pid in frontier:
+            for tag, p in (("d", 1.0 - p_up), ("u", p_up)):
+                nodes.append({"id": pid + tag, "t": t, "parent": pid, "p": p})
+                nxt.append(pid + tag)
+        frontier = nxt
+    return nodes
+
+
+def _chain_specs(steps: int) -> list[dict]:
+    return [{"id": "n0", "t": 0, "parent": None}] + [
+        {"id": f"n{k}", "t": k, "parent": f"n{k - 1}", "p": 1.0}
+        for k in range(1, steps + 1)]
+
+
+def _facts(tree: EventTree):
+    """Every node field (probabilities as float.hex), each level, the
+    leaves, dt and every TreeArrays field."""
+    arrays = {}
+    for field in dataclasses.fields(tree.arrays):
+        value = getattr(tree.arrays, field.name)
+        if field.name == "parents":
+            arrays[field.name] = [level.tolist() for level in value]
+        elif value.dtype.kind == "f":
+            arrays[field.name] = [x.hex() for x in value.tolist()]
+        else:
+            arrays[field.name] = value.tolist()
+    return ([(n.index, n.node_id, n.t, n.parent, n.children, n.prob.hex())
+             for n in tree.nodes],
+            [tree.level(t) for t in range(tree.n_steps + 1)],
+            tree.leaves, tree.root, tree.dt, arrays)
+
+
+@pytest.mark.parametrize("steps", range(1, 7))
+def test_binary_and_chain_are_the_trees_of_their_specs(steps):
+    for p_up in (0.5, 0.3, 1 / 3, 0.1 + 0.2, 0.987654321):
+        assert _facts(EventTree.binary(steps, 0.25, p_up)) == _facts(
+            EventTree.build(_binary_specs(steps, p_up), 0.25))
+    assert _facts(EventTree.chain(steps, 0.25)) == _facts(
+        EventTree.build(_chain_specs(steps), 0.25))
+
+
+def test_sibling_blocks_off_one_renormalize_alike_from_columns_and_specs():
+    # (1 - p) + p is exactly 1.0 for every p in (0, 1), so binary never
+    # divides; these blocks of 2, 3 and 1 children sum to 1 within PROB_TOL
+    blocks = {"r": [0.3, 0.7000000000001], "a": [0.2, 0.3, 0.4999999999995],
+              "b": [1.0 + 1e-13]}
+    assert all(math.fsum(ps) != 1.0 for ps in blocks.values())
+    specs = [{"id": "r", "t": 0, "parent": None},
+             {"id": "a", "t": 1, "parent": "r", "p": blocks["r"][0]},
+             {"id": "b", "t": 1, "parent": "r", "p": blocks["r"][1]},
+             *({"id": f"a{i}", "t": 2, "parent": "a", "p": p}
+               for i, p in enumerate(blocks["a"])),
+             {"id": "b0", "t": 2, "parent": "b", "p": blocks["b"][0]}]
+    from_specs = EventTree.build(specs, 0.5)
+    from_columns = EventTree.from_columns(
+        [s["id"] for s in specs], [s["t"] for s in specs],
+        [-1, 0, 0, 1, 1, 1, 2], [1.0] + [s["p"] for s in specs[1:]], 0.5)
+    assert _facts(from_columns) == _facts(from_specs)
+    for pid, ps in blocks.items():
+        kids = from_specs.children(from_specs.index_of(pid))
+        probs = [from_specs.node(c).prob for c in kids]
+        assert probs == [p / math.fsum(ps) for p in ps] != ps
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan])
+def test_binary_and_chain_report_a_bad_dt_as_their_specs_do(dt):
+    for make, specs in ((lambda: EventTree.binary(3, dt, 0.3), _binary_specs(3, 0.3)),
+                        (lambda: EventTree.chain(3, dt), _chain_specs(3))):
+        with pytest.raises(InvalidTreeError) as got:
+            make()
+        with pytest.raises(InvalidTreeError) as want:
+            EventTree.build(specs, dt)
+        assert got.value.violations == want.value.violations
+        assert [v.code for v in got.value.violations] == ["dt"]
+
+
 def test_adapted_process_requires_full_support():
     tree = EventTree.binary(1, 1.0)
     with pytest.raises(ValueError):
@@ -426,6 +552,9 @@ def test_tree_arrays_are_the_nodes_as_arrays():
             assert tuple(arrays.child_index[span]) == n.children
             assert tuple(arrays.child_prob[span]) == tuple(
                 tree.node(c).prob for c in n.children)
+            assert set(arrays.child_owner[span].tolist()) <= {n.index}
+            assert set(arrays.child_first[span].tolist()) <= set(n.children[:1])
+            assert arrays.time[n.index] == n.t
         for t in range(tree.n_steps + 1):
             assert tuple(arrays.parents[t]) == tuple(
                 u for u in reversed(tree.level(t)) if tree.children(u))
