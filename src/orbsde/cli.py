@@ -209,7 +209,7 @@ def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
         "scenario": scenario.name,
         "root_values": [solution.y[j].values[root] for j in range(problem.d)],
         "sweeps": solution.sweeps,
-        "final_delta": solution.deltas[-1] if solution.deltas else 0.0,
+        "final_delta": solution.final_delta,
         "max_flat_off_residual": max(
             minimality.worst_flat_off_lower, minimality.worst_flat_off_upper
         ),

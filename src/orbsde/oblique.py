@@ -12,8 +12,9 @@ strictly positive costs satisfying the triangle condition
 a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
-:func:`validate_problem` checks these hypotheses, and probes every
-generator at every time index before the horizon with ``scalar._probe``.
+:func:`validate_problem` checks these hypotheses with the scalar
+validator's array-native data check, and probes every generator at every
+time index before the horizon with ``scalar._probe``.
 
 Generators and obstacles are called a level at a time: ``f^j(t, y)`` and
 ``H(t, y)`` take a time index and a d-tuple ``y`` of columns, equal-length
@@ -77,6 +78,9 @@ from .scalar import (
     ScalarRBSDEProblem,
     ScalarSolution,
     _backward_solve,
+    _Findings,
+    _leaf_entries,
+    _note_non_finite,
     _probe,
     _project_batch,
     _worse,
@@ -213,19 +217,6 @@ def _binding_edges(
     return edges
 
 
-def _binding_graph(
-    costs: CostMatrix, t: int, y: Sequence[float], tol: float
-) -> list[list[int]]:
-    """Row j lists the modes k != j, ascending, whose switching obstacle
-    binds mode j: ``|y^j - (y^k - c[j][k](t))| <= tol``; one row y, the
-    greedy strategy's test (:func:`_binding_edges` is the same test on
-    every row at once)."""
-    d = costs.d
-    return [[k for k in range(d)
-             if k != j and abs(y[j] - (y[k] - costs.at(t, j, k))) <= tol]
-            for j in range(d)]
-
-
 @dataclass(frozen=True)
 class ObliqueProblem:
     """Terminal vector, generator family, drifts, upper barriers, obstacle.
@@ -300,42 +291,15 @@ def _by_level(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
     return h
 
 
-def _probe_box(problem: ObliqueProblem) -> list[float]:
-    vals: list[float] = []
-    for vec in problem.terminal.values():
-        vals.extend(vec)
-    for j in range(problem.d):
-        vals.extend(problem.upper[j].values)
+def _probe_box(upper: np.ndarray, xi: np.ndarray) -> list[float]:
+    """The generator probe grid: the range of the terminal rows ``xi`` and
+    the ``(n_nodes, d)`` upper barriers, its midpoint, and its ends moved
+    out by 1 plus half its width.  The ends are Python's ``min`` and
+    ``max`` over the rows, then the barriers mode by mode."""
+    vals = np.concatenate((xi.ravel(), upper.T.ravel())).tolist()
     lo, hi = min(vals), max(vals)
     pad = 1.0 + 0.5 * (hi - lo)
     return [lo - pad, lo, 0.5 * (lo + hi), hi, hi + pad]
-
-
-def _non_finite_data(problem: ObliqueProblem) -> list[Violation]:
-    """The step length, upper barriers, terminal entries and v increments
-    that are NaN or infinite; a v increment is reported at the node that
-    decides it."""
-    if not math.isfinite(problem.tree.dt):
-        return [Violation("non-finite", f"dt = {problem.tree.dt}")]
-    columns = [*(u.values for u in problem.upper), *(v.values for v in problem.v),
-               *problem.terminal.values()]
-    if all(all(map(math.isfinite, col)) for col in columns):
-        return []
-    out: list[Violation] = []
-    for n in problem.tree.nodes:
-        xi = problem.terminal.get(n.index, ()) if n.is_leaf else ()
-        for j in range(problem.d):
-            data = [("U", problem.upper[j].values[n.index])]
-            if n.children:
-                data.append(("dV", problem.v[j].out_of(n.index)))
-            if j < len(xi):
-                data.append(("xi", xi[j]))
-            out.extend(
-                Violation("non-finite", f"{name}^{j} = {val}", n.node_id, n.t, j)
-                for name, val in data
-                if not math.isfinite(val)
-            )
-    return out
 
 
 CONTINUITY_STEP = 1e-7
@@ -379,12 +343,11 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     if len(problem.generators) != d or len(problem.upper) != d or len(problem.v) != d:
         out.append(Violation("dimension", "per-mode field lengths disagree with d"))
         return out
-    for leaf in tree.leaves:
-        xi = problem.terminal.get(leaf)
-        if xi is not None and len(xi) != d:
-            out.append(Violation("dimension", f"terminal vector has {len(xi)} "
-                                 f"entries, need {d}", tree.node(leaf).node_id,
-                                 tree.n_steps))
+    given, missing, entries = _leaf_entries(tree, problem.terminal)
+    sizes = np.fromiter(map(len, entries), dtype=np.intp, count=len(entries))
+    out.extend(Violation("dimension", f"terminal vector has {size} entries, need {d}",
+                         tree.ids[u], tree.n_steps)
+               for u, size in zip(given[sizes != d].tolist(), sizes[sizes != d].tolist()))
     if out:
         return out
     if problem.costs is not None:
@@ -396,52 +359,32 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
             return out
         out.extend(problem.costs.validate())
 
-    out.extend(_non_finite_data(problem))
+    found = _Findings(tree)
+    upper = _columns_of(problem.upper)
+    xi = np.array(entries, dtype=float).reshape(given.size, d)
+    if not math.isfinite(tree.dt):
+        out.append(Violation("non-finite", f"dt = {tree.dt}"))
+    else:
+        _note_non_finite(found, tree, {"U": upper}, _columns_of(problem.v), given, xi)
+        out.extend(found.take())
     if any(v.code == "non-finite" for v in out):
         return out
-    upper = _columns_of(problem.upper)   # Mokobodzki, with U itself the witness X
-    h_u = _by_level(problem, upper)
-    out.extend(
-        Violation("mokobodzki", f"H^{j}(U) = {h_u[u, j]:.17g} > "
-                  f"X^{j} = {upper[u, j]:.17g}", tree.node(u).node_id,
-                  tree.node(u).t, int(j))
-        for u, j in np.argwhere(h_u > upper + 1e-12)
-    )
+    h_u = _by_level(problem, upper)   # Mokobodzki, with U itself the witness X
+    found.note(0, "mokobodzki", h_u > upper + 1e-12, lambda u, j: (
+        f"H^{j}(U) = {h_u[u, j]:.17g} > X^{j} = {upper[u, j]:.17g}"))
+    out.extend(found.take())
 
-    given = [leaf for leaf in tree.leaves if leaf in problem.terminal]
-    h_given = (_obstacle(problem, tree.n_steps,
-                         np.array([problem.terminal[leaf] for leaf in given]))
-               if given else ())
-    h_at = dict(zip(given, h_given))
-    for leaf in tree.leaves:
-        if leaf not in problem.terminal:
-            out.append(
-                Violation("terminal", "missing terminal vector",
-                          tree.node(leaf).node_id)
-            )
-            continue
-        xi = problem.terminal[leaf]
-        h_xi = h_at[leaf].tolist()
-        for j in range(d):
-            uj = problem.upper[j].values[leaf]
-            if h_xi[j] > xi[j] + 1e-12:
-                out.append(
-                    Violation(
-                        "terminal-sandwich",
-                        f"H^{j}_T(xi) = {h_xi[j]:.17g} > xi^{j} = {xi[j]:.17g}",
-                        tree.node(leaf).node_id, tree.n_steps, j,
-                    )
-                )
-            if xi[j] > uj + 1e-12:
-                out.append(
-                    Violation(
-                        "terminal-sandwich",
-                        f"xi^{j} = {xi[j]:.17g} > U^{j}_T = {uj:.17g}",
-                        tree.node(leaf).node_id, tree.n_steps, j,
-                    )
-                )
+    for u in missing.tolist():
+        found.add((u, -1), Violation("terminal", "missing terminal vector", tree.ids[u]))
+    h_xi = _obstacle(problem, tree.n_steps, xi) if given.size else xi
+    upper_t = upper[given]
+    found.note(0, "terminal-sandwich", h_xi > xi + 1e-12, lambda i, j: (
+        f"H^{j}_T(xi) = {h_xi[i, j]:.17g} > xi^{j} = {xi[i, j]:.17g}"), rows=given)
+    found.note(1, "terminal-sandwich", xi > upper_t + 1e-12, lambda i, j: (
+        f"xi^{j} = {xi[i, j]:.17g} > U^{j}_T = {upper_t[i, j]:.17g}"), rows=given)
+    out.extend(found.take())
 
-    grid = _probe_box(problem)
+    grid = _probe_box(upper, xi)
     # after the moved lines, the diagonal at each grid point and
     # CONTINUITY_STEP above it
     steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
@@ -569,9 +512,8 @@ def _walk_from_starts(
         first = int(np.argmin(found))
         if first:
             step(t, parents[:first], targets[:first], start[:first])
-        node = problem.tree.node(int(parents[first]))
         raise NonMonotoneSweepError(
-            f"node {node.node_id} (t={node.t}): below every corner tried "
+            f"node {problem.tree.ids[parents[first]]} (t={t}): below every corner tried "
             f"(lowered by up to {_CORNER_DROPS[-1]:g})"
         )
 
@@ -603,14 +545,14 @@ def _check_budget(tol: float, budget: int) -> None:
 
 @dataclass(frozen=True)
 class SystemSolution:
-    """Per-mode (Y, dM, K, A) plus the sweep count and final deltas."""
+    """Per-mode (Y, dM, K, A) plus the sweep count and the final delta."""
 
     y: tuple[AdaptedProcess, ...]
     m_increments: tuple[tuple[float, ...], ...]
     k: tuple[PredictableIncrements, ...]
     a: tuple[PredictableIncrements, ...]
     sweeps: int
-    deltas: tuple[float, ...]
+    final_delta: float
 
     @classmethod
     def from_parts(cls, parts: Sequence[ScalarSolution], **log) -> "SystemSolution":
@@ -649,7 +591,6 @@ def picard_solve(
     tree = problem.tree
     upper = _columns_of(problem.upper)
     prev = _columns_of([p.y for p in build_subsolution(problem)])
-    deltas: list[float] = []
     for sweep in range(1, max_sweeps + 1):
 
         def sweep_step(t: int, parents: np.ndarray, targets: np.ndarray):
@@ -671,16 +612,13 @@ def picard_solve(
             raise NonMonotoneSweepError(
                 f"sweep {sweep} decreased by {-rise_floor:.3g}"
             )
-        deltas.append(delta)
         prev = new
         if delta <= tol:
-            result = SystemSolution.from_parts(
-                solutions, sweeps=sweep, deltas=tuple(deltas)
-            )
+            result = SystemSolution.from_parts(solutions, sweeps=sweep, final_delta=delta)
             _require_acyclic(problem, result)
             return result
     raise ConvergenceError(
-        f"delta {deltas[-1]:.3g} > tol {tol:g} after {max_sweeps} sweeps"
+        f"delta {delta:.3g} > tol {tol:g} after {max_sweeps} sweeps"
     )
 
 
@@ -712,8 +650,8 @@ def solve_system(
     parents, the error names the one a node-by-node walk would meet first:
     the highest-index one of the first failing level.
 
-    ``sweeps`` is the largest round count over the nodes and ``deltas``
-    holds the largest final-round change.
+    ``sweeps`` is the largest round count over the nodes and
+    ``final_delta`` the largest final-round change.
     """
     _check_budget(tol, max_rounds)
     report = validate_problem(problem)
@@ -731,7 +669,7 @@ def solve_system(
     result = SystemSolution.from_parts(
         _walk_from_starts(problem, rounds),
         sweeps=max((count for count, _ in stats), default=0),
-        deltas=(functools.reduce(_worse, (change for _, change in stats), 0.0),),
+        final_delta=functools.reduce(_worse, (change for _, change in stats), 0.0),
     )
     _require_acyclic(problem, result)
     return result
@@ -771,8 +709,7 @@ def _level_rounds(
     def fail(i: int, error: type, detail: str) -> None:
         """Name parent ``active[i]`` and drop it and every parent after it."""
         nonlocal active, failure
-        node = tree.node(int(parents[active[i]]))
-        failure = error(f"node {node.node_id} (t={t}): {detail}")
+        failure = error(f"node {tree.ids[parents[active[i]]]} (t={t}): {detail}")
         active = active[:i]
 
     for count in range(1, max_rounds + 1):
@@ -906,7 +843,7 @@ def binding_graph_cycles(
     for u in np.flatnonzero(walks.any(axis=(1, 2))).tolist():
         cyc = _first_cycle([np.flatnonzero(row).tolist() for row in edges[u]])
         if cyc:
-            out.append((tree.node(u).node_id, cyc))
+            out.append((tree.ids[u], cyc))
     return out
 
 
@@ -999,23 +936,18 @@ def verify_minimality(
         problem.v))
     h = _by_level(problem, y)
     sandwich_lower, sandwich_upper = h - y, y - upper
-    found: list[tuple[tuple[int, int, int, int], Violation]] = []
+    found = _Findings(tree)
 
-    def note(check: int, nodes: np.ndarray, values: np.ndarray,
+    def note(check: int, nodes: np.ndarray | None, values: np.ndarray,
              message: Callable[[int, int], str], at: np.ndarray | None = None):
         """Note the entries of ``values`` (rows ``nodes``, mode columns) above
         tol; ``at`` holds the node each row's violation names, when not the
         row's own node."""
-        for i, j in np.argwhere(~(values <= tol)).tolist():
-            named = tree.node(int(nodes[i] if at is None else at[i]))
-            found.append(((int(nodes[i]), j, check, named.index),
-                          Violation(_CHECKS[check], message(i, j), named.node_id,
-                                    named.t, j)))
+        found.note(check, _CHECKS[check], ~(values <= tol), message, nodes, at)
 
-    every = np.arange(tree.n_nodes)
-    note(0, every, sandwich_lower,
+    note(0, None, sandwich_lower,
          lambda i, j: f"H^{j}(Y) - Y^{j} = {sandwich_lower[i, j]:.3g}")
-    note(1, every, sandwich_upper,
+    note(1, None, sandwich_upper,
          lambda i, j: f"Y^{j} - U^{j} = {sandwich_upper[i, j]:.3g}")
 
     worst_id = worst_mart = 0.0
@@ -1057,7 +989,7 @@ def verify_minimality(
         worst_fl = _worse(worst_fl, _worst(flat_lower))
         worst_fu = _worse(worst_fu, _worst(flat_upper))
 
-    violations = [violation for _, violation in sorted(found, key=lambda f: f[0])]
+    violations = found.take()
     cycles = (
         tuple(binding_graph_cycles(problem, solution, tol))
         if problem.costs is not None

@@ -58,7 +58,8 @@ def solution_csv_text(problem: ObliqueProblem, solution: SystemSolution) -> str:
     """The solution as CSV, one row per (node, mode) in node/mode order.
 
     Each column is formatted once: the time per time index, the node id,
-    time index and time per node, and y, dk, da and dm per (node, mode)."""
+    time index and time per node (from the tree's id and time columns),
+    and y, dk, da and dm per (node, mode)."""
     tree = problem.tree
     times = [fmt(t * tree.dt) for t in range(tree.n_steps + 1)]
     modes = list(enumerate(zip((y.values for y in solution.y),
@@ -66,8 +67,8 @@ def solution_csv_text(problem: ObliqueProblem, solution: SystemSolution) -> str:
                                (a.values for a in solution.a),
                                solution.m_increments)))
     lines = [CSV_HEADER]
-    for n in tree.nodes:
-        head, u = f"{n.node_id},{n.t},{times[n.t]},", n.index
+    for u, (node_id, t) in enumerate(zip(tree.ids, tree.arrays.time.tolist())):
+        head = f"{node_id},{t},{times[t]},"
         lines.extend(f"{head}{j},{fmt(y[u])},{fmt(k[u])},{fmt(a[u])},{fmt(m[u])}\n"
                      for j, (y, k, a, m) in modes)
     return "".join(lines)
@@ -125,7 +126,7 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
     missing = np.argwhere(np.frombuffer(seen, dtype=np.uint8).reshape(d, n).T == 0)
     if missing.size:
         u, j = missing[0].tolist()
-        raise ValueError(f"node {tree.node(u).node_id!r} mode {j}: missing row")
+        raise ValueError(f"node {tree.ids[u]!r} mode {j}: missing row")
     cells = np.zeros((d * n, 4))
     cells[np.frombuffer(slots, dtype=np.int64)] = np.frombuffer(rows).reshape(-1, 4)
     y, k, a, m = (cells[:, col].reshape(d, n).tolist() for col in range(4))
@@ -135,7 +136,7 @@ def load_solution_csv(path: Path, problem: ObliqueProblem) -> SystemSolution:
         k=tuple(PredictableIncrements(tree, tuple(vals)) for vals in k),
         a=tuple(PredictableIncrements(tree, tuple(vals)) for vals in a),
         sweeps=0,
-        deltas=(),
+        final_delta=0.0,
     )
 
 

@@ -46,7 +46,11 @@ oracle's start-node steps.
 ``_probe`` is the package's one generator probe.
 :meth:`ScalarRBSDEProblem.validate` probes g with it at every node before
 the horizon, :mod:`orbsde.oblique` and :mod:`orbsde.switching` the system's
-generators at every time index.
+generators at every time index.  Both problem validators also share one
+data check: the data as ``(n_nodes, d)`` columns (d = 1 here), scanned for
+NaN and infinity with one argwhere (``_note_non_finite``), and orderings
+as array comparisons, each finding named from the tree's columns by
+``_Findings``, which :func:`orbsde.oblique.verify_minimality` uses too.
 """
 
 from __future__ import annotations
@@ -284,6 +288,75 @@ def implicit_step(
     return _root_find(lambda y: y - g(t, y) * dt - target, target, tol)
 
 
+class _Findings:
+    """Violations found at the true entries of arrays over (row, mode, ...),
+    each named from the tree's id and time columns (no :class:`Node` is
+    made), and listed by node, then mode, then check rank, then named node,
+    then the remaining axes.  Without ``modes`` (the scalar problem, the
+    one-mode case) a violation names no mode."""
+
+    def __init__(self, tree: EventTree, modes: bool = True):
+        self.ids, self.time, self.modes = tree.ids, tree.arrays.time, modes
+        self._found: list[tuple[tuple, Violation]] = []
+
+    def add(self, key: tuple, violation: Violation) -> None:
+        self._found.append((key, violation))
+
+    def note(self, check: int, code: str, bad: np.ndarray,
+             message: Callable[..., str], rows=None, at=None) -> None:
+        """Note each true entry ``(i, j, ...)`` of ``bad`` with rank
+        ``check`` and message ``message(i, j, ...)``.  Row i is node
+        ``rows[i]`` (node i when ``rows`` is None), which the violation
+        names unless ``at[i]`` names another."""
+        for i, j, *rest in np.argwhere(bad).tolist():
+            u = i if rows is None else int(rows[i])
+            named = u if at is None else int(at[i])
+            self.add((u, j, check, *rest, named),
+                     Violation(code, message(i, j, *rest), self.ids[named],
+                               int(self.time[named]), j if self.modes else None))
+
+    def take(self) -> list[Violation]:
+        """The violations noted so far, in key order; forgets them."""
+        found, self._found = self._found, []
+        return [violation for _, violation in sorted(found, key=lambda f: f[0])]
+
+
+def _leaf_entries(
+    tree: EventTree, terminal: Mapping
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """The leaves that have an entry in ``terminal`` and those that have
+    none (both ascending), and the entries in leaf order; keys that are
+    not leaves are ignored."""
+    leaves = np.array(tree.leaves, dtype=np.intp)
+    has = np.fromiter(map(terminal.__contains__, tree.leaves), bool, leaves.size)
+    given = leaves[has]
+    return given, leaves[~has], list(map(terminal.__getitem__, given.tolist()))
+
+
+def _note_non_finite(
+    found: _Findings, tree: EventTree, columns: Mapping[str, np.ndarray],
+    dv: np.ndarray, given: np.ndarray, xi: np.ndarray,
+) -> None:
+    """Note the problem data that are NaN or infinite: the ``(n_nodes, d)``
+    ``columns`` at every node, the increments ``dv`` (on the edge into each
+    node) at the parent that decides them, and the terminal rows ``xi`` at
+    the leaves ``given``.  One argwhere, in (node, mode, datum) order; the
+    message is ``name^j = value``, or ``name = value`` without modes."""
+    arrays, n = tree.arrays, tree.n_nodes
+    decided, at_leaves = np.zeros(dv.shape), np.zeros(dv.shape)
+    decided[arrays.child_owner] = dv[arrays.child_first]   # a parent's first child
+    at_leaves[given] = xi
+    names = [*columns, "dV", "xi"]
+    values = np.stack([*columns.values(), decided, at_leaves], axis=2)
+    read = np.ones((n, len(names)), dtype=bool)   # where each datum is given
+    read[:, -2] = np.diff(arrays.child_ptr) > 0
+    read[:, -1] = False
+    read[given, -1] = True
+    bad = read[:, None, :] & ~np.isfinite(values)
+    found.note(0, "non-finite", bad, lambda u, j, k: (
+        f"{names[k]}{f'^{j}' if found.modes else ''} = {values[u, j, k]}"))
+
+
 @dataclass(frozen=True)
 class ScalarRBSDEProblem:
     """Terminal data, generator, drift increments, and optional barriers.
@@ -320,48 +393,32 @@ class ScalarRBSDEProblem:
             out.append(Violation("dt", "step length must be positive"))
         elif not math.isfinite(tree.dt):
             out.append(Violation("non-finite", f"dt = {tree.dt}"))
-        for leaf in tree.leaves:
-            if leaf not in self.terminal:
-                out.append(
-                    Violation(
-                        "terminal", "missing terminal value", tree.node(leaf).node_id
-                    )
-                )
-        non_finite = self._non_finite_data()
+        given, missing, entries = _leaf_entries(tree, self.terminal)
+        out.extend(Violation("terminal", "missing terminal value", tree.ids[u])
+                   for u in missing.tolist())
+        barriers = {name: np.array(b.values, dtype=float)[:, None]
+                    for name, b in (("L", self.lower), ("U", self.upper))
+                    if b is not None}
+        xi = np.array(entries, dtype=float)[:, None]
+        found = _Findings(tree, modes=False)
+        _note_non_finite(found, tree, barriers, np.array(self.v().values)[:, None],
+                         given, xi)
+        non_finite = found.take()
         if non_finite:
             return out + non_finite
-        for n in tree.nodes:
-            lo = self.lower.values[n.index] if self.lower is not None else None
-            hi = self.upper.values[n.index] if self.upper is not None else None
-            if lo is not None and hi is not None and lo > hi:
-                out.append(
-                    Violation(
-                        "barrier-order",
-                        f"lower {lo} above upper {hi}",
-                        n.node_id,
-                        n.t,
-                    )
-                )
-            if n.is_leaf and n.index in self.terminal:
-                xi = self.terminal[n.index]
-                if lo is not None and xi < lo - 1e-12:
-                    out.append(
-                        Violation(
-                            "terminal-sandwich",
-                            f"terminal {xi} below barrier {lo}",
-                            n.node_id,
-                            n.t,
-                        )
-                    )
-                if hi is not None and xi > hi + 1e-12:
-                    out.append(
-                        Violation(
-                            "terminal-sandwich",
-                            f"terminal {xi} above barrier {hi}",
-                            n.node_id,
-                            n.t,
-                        )
-                    )
+        lo, hi = barriers.get("L"), barriers.get("U")
+        if lo is not None and hi is not None:
+            found.note(0, "barrier-order", lo > hi, lambda u, _: (
+                f"lower {self.lower.values[u]} above upper {self.upper.values[u]}"))
+        if lo is not None:
+            found.note(1, "terminal-sandwich", xi < lo[given] - 1e-12, lambda i, _: (
+                f"terminal {entries[i]} below barrier {self.lower.values[given[i]]}"),
+                rows=given)
+        if hi is not None:
+            found.note(2, "terminal-sandwich", xi > hi[given] + 1e-12, lambda i, _: (
+                f"terminal {entries[i]} above barrier {self.upper.values[given[i]]}"),
+                rows=given)
+        out.extend(found.take())
         for t in range(tree.n_steps):  # the first finding per time index
             nodes = np.array(tree.level(t))
             table = np.array([
@@ -369,32 +426,15 @@ class ScalarRBSDEProblem:
                                 nodes.shape)
                 for y in _MONOTONE_PROBE_YS
             ]).T.tolist()
-            for n, values in zip(map(tree.node, tree.level(t)), table):
+            for u, values in zip(tree.level(t), table):
                 at = dict(zip(_MONOTONE_PROBE_YS, values))
                 _, bad, rises = _probe(at.__getitem__, _MONOTONE_PROBE_YS)
                 if bad is not None or rises:
                     code, what = (("non-finite", f"= {bad} at a probe point")
                                   if bad is not None else
                                   ("generator-monotone", f"increases in y near {rises[0]}"))
-                    out.append(Violation(code, f"generator {what}", n.node_id, t))
+                    out.append(Violation(code, f"generator {what}", tree.ids[u], t))
                     break
-        return out
-
-    def _non_finite_data(self) -> list[Violation]:
-        """The barrier values, terminal values and v increments that are NaN
-        or infinite; a v increment is reported at the node that decides it."""
-        v = self.v()
-        out: list[Violation] = []
-        for n in self.tree.nodes:
-            data = [(name, barrier.values[n.index])
-                    for name, barrier in (("L", self.lower), ("U", self.upper))
-                    if barrier is not None]
-            if n.children:
-                data.append(("dV", v.out_of(n.index)))
-            if n.is_leaf and n.index in self.terminal:
-                data.append(("xi", self.terminal[n.index]))
-            out.extend(Violation("non-finite", f"{name} = {val}", n.node_id, n.t)
-                       for name, val in data if not math.isfinite(val))
         return out
 
 

@@ -58,11 +58,19 @@ from .oblique import (
     BINDING_TOL,
     ObliqueProblem,
     SystemSolution,
-    _binding_graph,
+    _binding_edges,
+    _columns_of,
     _moved_lines,
     _probe_box,
 )
-from .scalar import PROBE_TOL, RESIDUAL_TOL, _root_find, _root_find_batch, _worse
+from .scalar import (
+    PROBE_TOL,
+    RESIDUAL_TOL,
+    _leaf_entries,
+    _root_find,
+    _root_find_batch,
+    _worse,
+)
 from .tree import EventTree
 
 __all__ = [
@@ -132,7 +140,9 @@ def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
     (``oblique._moved_lines``), each with another component moved must be
     finite and constant within ``PROBE_TOL``."""
     out: list[Violation] = []
-    grid, d = _probe_box(problem), problem.d
+    _, _, entries = _leaf_entries(problem.tree, problem.terminal)
+    grid = _probe_box(_columns_of(problem.upper), np.array(entries, dtype=float))
+    d = problem.d
     for j, f in enumerate(problem.generators):
         for t in range(problem.tree.n_steps):
             moved = _moved_lines(f, t, grid, d, j)
@@ -367,6 +377,7 @@ def construct_optimal_strategy(
     """
     _require_cost_form(problem)
     tree = problem.tree
+    edges = _binding_edges(problem.costs, tree.arrays.time, _columns_of(solution.y), tol)
     modes: dict[int, int] = {start: start_mode}
     for u in tree.subtree(start):
         if u == start:
@@ -376,7 +387,7 @@ def construct_optimal_strategy(
         yv = solution.y_vector(u)
         h = problem.H(n.t, yv)
         if abs(yv[m] - h[m]) <= tol:
-            attaining = _binding_graph(problem.costs, n.t, yv, tol)[m]
+            attaining = np.flatnonzero(edges[u, m]).tolist()
             if not attaining:
                 raise InternalConsistencyError(
                     f"obstacle binds at node {n.node_id} in mode {m} but no "

@@ -290,6 +290,11 @@ class EventTree:
         return len(self._cols.ids)
 
     @property
+    def ids(self) -> tuple[str, ...]:
+        """The node ids in index order."""
+        return self._cols.ids
+
+    @property
     def n_steps(self) -> int:
         return self._n_steps
 

@@ -205,7 +205,7 @@ def test_criterion_5_picard_monotone_convergence(record):
         )
         walks.clear()
         solution = picard_solve(problem, tol=1e-10, max_sweeps=200)
-        assert solution.deltas[-1] <= 1e-10
+        assert solution.final_delta <= 1e-10
         worst_sweeps = max(worst_sweeps, solution.sweeps)
         history = walks[1:]  # the first walk is the subsolution
         for prev, cur in zip(history, history[1:]):

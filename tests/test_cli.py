@@ -18,7 +18,8 @@ Core claims:
       non-finite value, and a NaN barrier, generator coefficient or v
       increment all exit 2 with coordinates; of two bad rows the first in
       the file is named, and a mode is read as int() reads it ("01" and
-      " 1" are mode 1, "1.0" is refused)
+      " 1" are mode 1, "1.0" is refused); a dk column that differs between
+      siblings or is nonzero at the root exits 2 with the loader's message
     - a failed solver invariant (binding cycle, binding obstacle with no
       attaining mode) exits 3 with kind internal-consistency and its node
     - a sweep budget below 1 or a NaN or negative tolerance, from a flag
@@ -26,6 +27,8 @@ Core claims:
       subsolution_slack exits 2 as unknown; a NaN, infinite or descending
       table knot exits 2 naming the generator; brute-force on coupled
       generators exits 2 with the generator-coupled findings
+    - solve and verify --solution on a coupled binomial scenario make no
+      Node object (validate_problem neither)
     - every command validates its problem once, verify and brute-force take
       the decoupling verdict once, sweep-penalization walks the tree once
       for the solve and once per mode for its whole (p, q) ladder, and
@@ -51,6 +54,7 @@ from pathlib import Path
 import pytest
 
 from orbsde.cli import main
+from orbsde.oblique import validate_problem
 from orbsde.scenario import Scenario
 
 
@@ -477,6 +481,35 @@ def test_verify_rejects_malformed_solution_csv(scenarios_dir, tmp_path, case):
     assert f"node '{node_id}' mode {mode}: {detail}" in diag["error"]["detail"]
 
 
+# a dk column the loader refuses once every row is read: rd's edge differs
+# from its sibling ru's, or the root's slot is not 0
+INCREMENT_REFUSALS = {
+    "sibling-unequal-dk": (lambda rows: [*rows[:2], _with_cell(rows[2], 5, "0.125"),
+                                         *rows[3:]],
+                           "increment not parent-measurable at node r"),
+    "nonzero-root-dk": (lambda rows: [_with_cell(rows[0], 5, "0.5"), *rows[1:]],
+                        "root slot of predictable increments must be 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCREMENT_REFUSALS))
+def test_verify_refuses_increments_not_decided_at_the_parent(scenarios_dir, tmp_path,
+                                                             case):
+    edit, detail = INCREMENT_REFUSALS[case]
+    out = tmp_path / "out"
+    assert run("solve", scenarios_dir / "switch2x2.json", "--out", out) == 0
+    csv_path = out / "solution.csv"
+    header, *rows = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text(header + "".join(edit(rows)))
+    code = run(
+        "verify", scenarios_dir / "switch2x2.json",
+        "--solution", csv_path, "--out", tmp_path / "v",
+    )
+    assert code == 2
+    error = read_json(tmp_path / "v" / "diagnostic.json")["error"]
+    assert (error["kind"], error["detail"]) == ("solution-file", detail)
+
+
 @pytest.mark.parametrize("spelling", ["01", " 1", "1 ", "+1"])
 def test_verify_reads_a_mode_as_int_does(scenarios_dir, tmp_path, spelling):
     out = tmp_path / "out"
@@ -564,12 +597,13 @@ def test_binding_cycle_exits_3_with_node(scenarios_dir, tmp_path, monkeypatch):
 
 def test_missing_attaining_mode_exits_3_with_node(scenarios_dir, tmp_path,
                                                   monkeypatch):
-    from orbsde.oblique import CostMatrix
+    import orbsde.switching
+    from orbsde.oblique import CostMatrix, _binding_edges
 
     # the greedy strategy's attaining-mode test reads costs 1 above the
     # obstacle's, so the obstacle binding at rd in mode 0 has no attainer
-    at = CostMatrix.at
-    monkeypatch.setattr(CostMatrix, "at", lambda self, t, j, k: at(self, t, j, k) + 1.0)
+    monkeypatch.setattr(orbsde.switching, "_binding_edges", lambda costs, *args: (
+        _binding_edges(CostMatrix(costs.values + 1.0), *args)))
     out = tmp_path / "out"
     assert run("verify", scenarios_dir / "switch2x2.json", "--out", out) == 3
     error = read_json(out / "diagnostic.json")["error"]
@@ -704,6 +738,25 @@ def test_each_command_validates_once(scenarios_dir, tmp_path, record, command):
                for module in (orbsde.cli, orbsde.oblique)]
     assert run(command.split()[0], scenario, *flags) == 0
     assert sum(map(len, reports)) == 1
+
+
+def test_solve_and_verify_solution_make_no_node(tmp_path, record):
+    # the coupled benchmark shape at five steps, deeper than the
+    # stopping-time enumeration cap, so verify --solution runs no oracle
+    # that walks Node objects; validation, the solve, the CSV writer and
+    # loader and the minimality check read the tree's columns only
+    spec = benchmark_shaped_scenario("picard-coupled")
+    spec["tree"]["steps"] = 5
+    path = tmp_path / "coupled-5.json"
+    path.write_text(json.dumps(spec))
+    problem = Scenario.from_file(path).build_problem()
+    assert validate_problem(problem) == []
+    assert "nodes" not in vars(problem.tree)
+    built = record(Scenario, "build_problem")
+    assert run("solve", path, "--out", tmp_path / "solved") == 0
+    assert run("verify", path, "--solution", tmp_path / "solved" / "solution.csv",
+               "--out", tmp_path / "verified") == 0
+    assert ["nodes" in vars(p.tree) for p in built] == [False, False]
 
 
 @pytest.mark.parametrize("command", ["verify", "verify --solution", "brute-force"])

@@ -16,7 +16,9 @@ Core claims:
     - a solve evaluates the obstacle once per parent per sweep; non-finite
       dt, costs, barriers, terminals, v increments and generator values
       are rejected with coordinates, and a terminal vector of the wrong
-      length is a dimension finding naming the leaf
+      length is a dimension finding naming the leaf; several findings are
+      listed by node, mode and datum (non-finite data), and the Mokobodzki
+      findings before the terminal ones
     - both validators probe the generators at every time index: a rise at
       any single time index is flagged there, and solve_system refuses
       such a problem instead of failing inside the solve
@@ -410,7 +412,7 @@ def _with_k_bump(solution: SystemSolution, tree, j, node) -> SystemSolution:
         k=tuple(new_k),
         a=solution.a,
         sweeps=solution.sweeps,
-        deltas=solution.deltas,
+        final_delta=solution.final_delta,
     )
 
 
@@ -450,7 +452,7 @@ def test_sandwich_violation_reported():
         k=solution.k,
         a=solution.a,
         sweeps=solution.sweeps,
-        deltas=solution.deltas,
+        final_delta=solution.final_delta,
     )
     report = verify_minimality(problem, corrupted)
     assert any(v.code == "sandwich-lower" for v in report.violations)
@@ -542,6 +544,79 @@ def test_non_finite_data_rejected_with_coordinates():
         assert report[0].code == "non-finite"
         with pytest.raises(InvalidProblemError):
             picard_solve(problem)
+
+
+def _faults_system(upper: dict, terminal: dict, dv: dict | None = None) -> ObliqueProblem:
+    """A three-mode system on a depth-2 binary tree: costs 0.5, generators
+    -y^j, upper barriers 1 except at the (node id, mode) pairs ``upper``
+    names, the terminal vectors ``terminal`` (the leaves it leaves out have
+    none) and the drifts ``dv`` out of (parent id, mode)."""
+    tree = EventTree.binary(2, 0.5)
+    ids = [n.node_id for n in tree.nodes]
+    d = 3
+    return ObliqueProblem(
+        tree=tree,
+        d=d,
+        terminal={tree.index_of(k): x for k, x in terminal.items()},
+        generators=tuple(lambda t, y, j=j: -y[j] for j in range(d)),
+        v=tuple(PredictableIncrements.from_parent_values(tree, {
+            tree.index_of(k): x for (k, mode), x in (dv or {}).items() if mode == j})
+            for j in range(d)),
+        upper=tuple(AdaptedProcess(tree, tuple(upper.get((i, j), 1.0) for i in ids))
+                    for j in range(d)),
+        costs=CostMatrix.constant(2, [[0.5 * (a != b) for b in range(d)]
+                                      for a in range(d)]),
+    )
+
+
+def _findings(report) -> list[tuple]:
+    return [(v.code, v.message, v.node_id, v.time_index, v.mode) for v in report]
+
+
+def test_non_finite_data_listed_by_node_mode_and_datum():
+    inf, nan = float("inf"), float("nan")
+    zero = (0.0, 0.0, 0.0)
+    problem = _faults_system(
+        upper={("r", 2): nan, ("rd", 1): -inf, ("ruu", 0): inf},
+        terminal={"rdd": zero, "rdu": (nan, 0.0, inf), "rud": zero,
+                  "ruu": (0.0, -inf, 0.0)},
+        dv={("r", 0): inf, ("rd", 1): nan, ("ru", 2): -inf})
+    assert _findings(validate_problem(problem)) == [
+        ("non-finite", "dV^0 = inf", "r", 0, 0),
+        ("non-finite", "U^2 = nan", "r", 0, 2),
+        ("non-finite", "U^1 = -inf", "rd", 1, 1),
+        ("non-finite", "dV^1 = nan", "rd", 1, 1),
+        ("non-finite", "dV^2 = -inf", "ru", 1, 2),
+        ("non-finite", "xi^0 = nan", "rdu", 2, 0),
+        ("non-finite", "xi^2 = inf", "rdu", 2, 2),
+        ("non-finite", "U^0 = inf", "ruu", 2, 0),
+        ("non-finite", "xi^1 = -inf", "ruu", 2, 1),
+    ]
+
+
+def test_mokobodzki_then_terminal_findings_by_leaf_and_mode():
+    # U^0 = 2 at r, U^1 = 3 at rd and U^0 = 5 at rud lift the other modes'
+    # obstacles above their barriers; rdd and ruu break both sandwiches,
+    # and rdu has no terminal vector
+    problem = _faults_system(
+        upper={("r", 0): 2.0, ("rd", 1): 3.0, ("rud", 0): 5.0},
+        terminal={"rdd": (0.0, 2.0, 0.0), "rud": (0.0, 0.0, 0.0),
+                  "ruu": (0.9, 0.9, 3.0)})
+    assert _findings(validate_problem(problem)) == [
+        ("mokobodzki", "H^1(U) = 1.5 > X^1 = 1", "r", 0, 1),
+        ("mokobodzki", "H^2(U) = 1.5 > X^2 = 1", "r", 0, 2),
+        ("mokobodzki", "H^0(U) = 2.5 > X^0 = 1", "rd", 1, 0),
+        ("mokobodzki", "H^2(U) = 2.5 > X^2 = 1", "rd", 1, 2),
+        ("mokobodzki", "H^1(U) = 4.5 > X^1 = 1", "rud", 2, 1),
+        ("mokobodzki", "H^2(U) = 4.5 > X^2 = 1", "rud", 2, 2),
+        ("terminal-sandwich", "H^0_T(xi) = 1.5 > xi^0 = 0", "rdd", 2, 0),
+        ("terminal-sandwich", "xi^1 = 2 > U^1_T = 1", "rdd", 2, 1),
+        ("terminal-sandwich", "H^2_T(xi) = 1.5 > xi^2 = 0", "rdd", 2, 2),
+        ("terminal", "missing terminal vector", "rdu", None, None),
+        ("terminal-sandwich", "H^0_T(xi) = 2.5 > xi^0 = 0.90000000000000002", "ruu", 2, 0),
+        ("terminal-sandwich", "H^1_T(xi) = 2.5 > xi^1 = 0.90000000000000002", "ruu", 2, 1),
+        ("terminal-sandwich", "xi^2 = 3 > U^2_T = 1", "ruu", 2, 2),
+    ]
 
 
 def test_exactly_one_obstacle_form_required():
@@ -706,7 +781,7 @@ def test_solve_system_round_count_on_switch2x2(scenarios_dir):
     # constant generators: the first round leaves the corner, the second
     # applies the obstacle, the third changes nothing
     assert solution.sweeps == 3
-    assert solution.deltas == (0.0,)
+    assert solution.final_delta == 0.0
 
 
 def test_solve_system_round_budget_names_the_node():

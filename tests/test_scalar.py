@@ -20,7 +20,8 @@ Core claims:
       element by element, through every branch, and raises where it raises
     - results are bit-identical under permuted input node order
     - validation rejects NaN or infinite data and generator values with
-      the node and time index, before any comparison a NaN would pass
+      the node and time index, before any comparison a NaN would pass, and
+      lists several findings by node, then datum or check
     - the stopped-payoff representation gap is NaN when a payoff is NaN
 """
 
@@ -503,6 +504,59 @@ def test_non_finite_data_rejected_with_node_and_time():
             ("non-finite", where.node_id, where.t)]
         with pytest.raises(InvalidProblemError):
             solve_lower(problem) if problem.upper is None else solve_upper(problem)
+
+
+def _faults_case(lower: dict, upper: dict, terminal: dict,
+                 dv: dict | None = None) -> ScalarRBSDEProblem:
+    """A depth-2 binary problem with barriers -1 and 1 except at the node
+    ids ``lower`` and ``upper`` name, the terminal values ``terminal`` (the
+    leaves it leaves out have none) and the drifts ``dv`` out of parents."""
+    tree = EventTree.binary(2, 0.5)
+    ids = [n.node_id for n in tree.nodes]
+    return ScalarRBSDEProblem(
+        tree=tree,
+        terminal={tree.index_of(k): x for k, x in terminal.items()},
+        generator=lambda t, nodes, y: -y,
+        v_increments=PredictableIncrements.from_parent_values(
+            tree, {tree.index_of(k): x for k, x in (dv or {}).items()}),
+        lower=AdaptedProcess(tree, tuple(lower.get(i, -1.0) for i in ids)),
+        upper=AdaptedProcess(tree, tuple(upper.get(i, 1.0) for i in ids)),
+    )
+
+
+def _findings(report) -> list[tuple]:
+    return [(v.code, v.message, v.node_id, v.time_index, v.mode) for v in report]
+
+
+def test_validation_lists_every_non_finite_datum_in_node_order():
+    problem = _faults_case(
+        lower={"r": math.nan, "ruu": math.nan}, upper={"rd": math.inf},
+        terminal={"rdu": math.nan, "rud": 0.0, "ruu": math.inf},
+        dv={"ru": -math.inf})
+    assert _findings(problem.validate()) == [
+        ("terminal", "missing terminal value", "rdd", None, None),
+        ("non-finite", "L = nan", "r", 0, None),
+        ("non-finite", "U = inf", "rd", 1, None),
+        ("non-finite", "dV = -inf", "ru", 1, None),
+        ("non-finite", "xi = nan", "rdu", 2, None),
+        ("non-finite", "L = nan", "ruu", 2, None),
+        ("non-finite", "xi = inf", "ruu", 2, None),
+    ]
+
+
+def test_validation_lists_barrier_order_and_both_sandwiches_by_node():
+    problem = _faults_case(
+        lower={"rd": 2.0, "ruu": 0.5}, upper={"ruu": 0.25},
+        terminal={"rdu": -3.0, "rud": 3.0, "ruu": 0.4})
+    assert _findings(problem.validate()) == [
+        ("terminal", "missing terminal value", "rdd", None, None),
+        ("barrier-order", "lower 2.0 above upper 1.0", "rd", 1, None),
+        ("terminal-sandwich", "terminal -3.0 below barrier -1.0", "rdu", 2, None),
+        ("terminal-sandwich", "terminal 3.0 above barrier 1.0", "rud", 2, None),
+        ("barrier-order", "lower 0.5 above upper 0.25", "ruu", 2, None),
+        ("terminal-sandwich", "terminal 0.4 below barrier 0.5", "ruu", 2, None),
+        ("terminal-sandwich", "terminal 0.4 above barrier 0.25", "ruu", 2, None),
+    ]
 
 
 # -- solution invariants ---------------------------------------------------------

@@ -564,7 +564,7 @@ def test_switched_martingale_detects_corruption():
         k=solution.k,
         a=solution.a,
         sweeps=solution.sweeps,
-        deltas=solution.deltas,
+        final_delta=solution.final_delta,
     )
     report = check_switched_martingale(
         problem, corrupted, constant_strategy(problem, tree.root, 0)

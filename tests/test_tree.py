@@ -555,6 +555,7 @@ def test_tree_arrays_are_the_nodes_as_arrays():
             assert set(arrays.child_owner[span].tolist()) <= {n.index}
             assert set(arrays.child_first[span].tolist()) <= set(n.children[:1])
             assert arrays.time[n.index] == n.t
+        assert tree.ids == tuple(n.node_id for n in tree.nodes)
         for t in range(tree.n_steps + 1):
             assert tuple(arrays.parents[t]) == tuple(
                 u for u in reversed(tree.level(t)) if tree.children(u))
