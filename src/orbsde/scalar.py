@@ -682,14 +682,16 @@ def _penalized_solve(
 
     solutions = _solve_columns(problem, p.size, step)
     # the masses: sums over the parents in index order, one term at a time
-    parents = [n.index for n in tree.nodes if not n.is_leaf]
-    first_kids = tree.arrays.child_index[tree.arrays.child_ptr[parents]]
+    ptr = tree.arrays.child_ptr
+    parents = np.flatnonzero(np.diff(ptr) > 0)
+    first_kids = tree.arrays.child_index[ptr[parents]]
+    weights = tree.node_probabilities(parents).tolist()
     masses = []
     for field in ("k", "a"):
         out = np.array([getattr(s, field).values for s in solutions])[:, first_kids]
         mass = np.zeros(p.size)
-        for u, column in zip(parents, out.T):
-            mass += tree.node_probability(u) * column
+        for w, column in zip(weights, out.T):
+            mass += w * column
         masses.append(mass.tolist())
     return tuple(
         PenalizedSolution(s.y, s.m_increments, s.k, s.a, lower_mass, upper_mass)

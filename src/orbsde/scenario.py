@@ -467,7 +467,11 @@ def _make_barrier(spec: dict, tree: EventTree, dt: float) -> AdaptedProcess:
         return AdaptedProcess.constant(tree, spec["value"])
     if spec["kind"] == "linear":
         a, s = spec["intercept"], spec["slope"]
-        return AdaptedProcess(tree, tuple((a + s * (tree.arrays.time * dt)).tolist()))
+        # an infinite or huge dt makes 0 * inf or an overflow here; the
+        # validators refuse the non-finite dt or barrier with coordinates
+        with np.errstate(invalid="ignore", over="ignore"):
+            values = a + s * (tree.arrays.time * dt)
+        return AdaptedProcess(tree, tuple(values.tolist()))
     vals = spec["values"]
     missing = [n.node_id for n in tree.nodes if n.node_id not in vals]
     _require(not missing, f"barrier table misses nodes {missing}")

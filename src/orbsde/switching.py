@@ -15,12 +15,17 @@ which is the scalar implicit machinery with the switch costs folded into
 the continuation (they are decided at the children, so they sit inside the
 expectation, not in the predictable drift).
 
-Strategies are solved in chunks, as arrays: ``_eval_strategy`` walks a
-chunk's mode matrix backward, groups the chunk by mode at each parent and
-finds each group's roots with one :func:`orbsde.scalar._root_find_batch`,
-which gives the scalar finder's roots bit for bit.  A generator that the
-oracle evaluates is therefore called with a d-tuple of equal float64 arrays
-and must return an array of their shape or a scalar.
+A strategy's value at node u depends only on the modes in the subtree of
+u, so ``_eval_strategy`` solves strategies subtree by subtree: bottom-up,
+each node once for every mode assignment of its subtree, which is its own
+mode times the product of its children's assignments.  Each (node, mode)
+gathers its children's stored values into the continuation, in child
+order, and finds its roots with :func:`orbsde.scalar._root_find_batch`
+(which gives the scalar finder's roots bit for bit) in blocks of
+``_BLOCK`` assignments.  A generator that the oracle evaluates is therefore
+called with a d-tuple of equal float64 arrays and must return an array of
+their shape or a scalar.  The walk takes no maximum below the start node:
+the enumeration values every strategy, and only the start compares them.
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
@@ -175,23 +180,25 @@ def _require_cost_form(problem: ObliqueProblem) -> None:
         raise InvalidProblemError(coupled)
 
 
-# Strategies per _eval_strategy call in brute_force_value, set by peak RSS:
-# the oracle's first numpy calls add about 0.35 MB to a process whatever the
-# chunk, and its arrays about 0.15 MB more at 512, 0.4 MB at 1,024 and 2 MB
-# at 4,096, while the per-chunk Python overhead shrinks as chunks grow.
-_CHUNK = 512
+# Subtree assignments per root find in ``_eval_strategy``: a node's values
+# over its children's product grid are combined and solved in blocks of
+# this size, so the root finder's temporaries stay bounded at any cap; what
+# grows with the cap is the stored values, a few floats per strategy.  At
+# 1,024 the traced peak of brute force on the benchmark's 15- and 9-node
+# oracle trees is about 0.3 MiB; at 16,384 it is 2.5 MiB there, for no
+# measurable gain in time.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class _SubtreeCtx:
-    """One subtree's data as the arrays the chunked strategy solve reads."""
+    """One subtree's data by position (ascending index order)."""
 
     problem: ObliqueProblem
     nodes: tuple[int, ...]                  # ascending index order
-    children: tuple[tuple[int, ...], ...]   # positions
+    children: tuple[tuple[int, ...], ...]   # positions, in child order
     probs: tuple[tuple[float, ...], ...]
     times: tuple[int, ...]
-    is_leaf: tuple[bool, ...]
     upper: np.ndarray                       # [mode, pos]
     xi: np.ndarray                          # [mode, pos], 0 off the leaves
     dv_out: np.ndarray                      # [mode, pos]
@@ -199,78 +206,124 @@ class _SubtreeCtx:
 
 
 def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
-    tree = problem.tree
+    """The subtree of ``start`` read off ``tree.arrays``."""
+    tree, arrays, d = problem.tree, problem.tree.arrays, problem.d
     nodes = tree.subtree(start)
     pos = {u: i for i, u in enumerate(nodes)}
-    d = problem.d
+    at = np.array(nodes, dtype=np.intp)
+    ptr = arrays.child_ptr
+    spans = list(zip(ptr[at].tolist(), ptr[at + 1].tolist()))
+    first = [int(arrays.child_index[a]) if b > a else None for a, b in spans]
     costs = np.array(problem.costs.values, dtype=np.float64)
     costs[:, range(d), range(d)] = 0.0
     return _SubtreeCtx(
         problem,
         nodes,
-        tuple(tuple(pos[c] for c in tree.children(u)) for u in nodes),
-        tuple(tuple(tree.node(c).prob for c in tree.children(u)) for u in nodes),
-        tuple(tree.node(u).t for u in nodes),
-        tuple(tree.node(u).is_leaf for u in nodes),
+        tuple(tuple(map(pos.__getitem__, arrays.child_index[a:b].tolist()))
+              for a, b in spans),
+        tuple(tuple(arrays.child_prob[a:b].tolist()) for a, b in spans),
+        tuple(arrays.time[at].tolist()),
         np.array([[problem.upper[j].values[u] for u in nodes] for j in range(d)]),
-        np.array([[problem.terminal[u][j] if tree.node(u).is_leaf else 0.0
-                   for u in nodes] for j in range(d)]),
-        np.array([[problem.v[j].out_of(u) for u in nodes] for j in range(d)]),
+        np.array([[problem.terminal[u][j] if c is None else 0.0
+                   for u, c in zip(nodes, first)] for j in range(d)]),
+        np.array([[0.0 if c is None else problem.v[j].values[c] for c in first]
+                  for j in range(d)]),
         costs,
     )
 
 
+def _implicit_step(
+    ctx: _SubtreeCtx, i: int, m: int, target: np.ndarray, push: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Position i's step in mode m at each continuation of ``target``:
+    R = min(U^m, y*) with y* = target + f^m(t, y*) dt, and the dD the cap
+    takes (computed only if ``push``; zero otherwise)."""
+    problem, t = ctx.problem, ctx.times[i]
+    f, d, dt = problem.generators[m], problem.d, problem.tree.dt
+
+    def phi(y, idx):
+        return y - f(t, (y,) * d) * dt - target[idx]
+
+    ystar = _root_find_batch(phi, target, RESIDUAL_TOL)
+    cap = ctx.upper[m, i]
+    over = np.flatnonzero(ystar > cap)
+    ystar[over] = cap
+    dd = np.zeros(target.size)
+    if push and over.size:
+        lack = -phi(np.full(over.size, cap), over)
+        dd[over] = np.where(lack > 0.0, lack, 0.0)
+    return ystar, dd
+
+
 def _eval_strategy(
-    ctx: _SubtreeCtx, modes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward solve of a chunk of strategies at once.
+    ctx: _SubtreeCtx, allowed: list[list[int]], single: bool = False
+) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray]:
+    """Values of every mode assignment of each position's subtree, solved
+    bottom-up, each (position, mode) once.
 
-    ``modes[s, i]`` is strategy s's mode at position i.  At each parent the
-    chunk is grouped by mode; each group's implicit steps are one
-    :func:`_root_find_batch`, whose residual calls the mode's generator once
-    with a d-tuple of equal arrays.  Returns (r, dm, dd), each indexed
-    [strategy, position], equal bit for bit to solving each strategy alone.
+    ``allowed[i]`` lists the modes position i may take.  Position i's
+    values are in product order: its own mode (in ``allowed[i]`` order) is
+    the leading digit, then each child's assignments follow in child order
+    (:func:`_digit_exponents`).  The continuation sums the children in
+    child order, as a one-strategy walk does, so every value is bit for bit
+    that strategy's own value.  A child's values are dropped once its
+    parent is solved, unless ``single`` (one mode per position): then every
+    position keeps its value, and the dM and dD of the edge into each later
+    position are returned too (zero otherwise).
     """
-    gens = ctx.problem.generators
-    d, dt = ctx.problem.d, ctx.problem.tree.dt
-    cols = modes.T
-    r, dm, dd = (np.zeros(cols.shape) for _ in range(3))
-    for i in range(len(ctx.nodes) - 1, -1, -1):
-        if ctx.is_leaf[i]:
-            r[i] = ctx.xi[cols[i], i]
-            continue
-        t, kids = ctx.times[i], ctx.children[i]
-        for m in range(d):
-            sel = np.flatnonzero(cols[i] == m)
-            if not sel.size:
-                continue
-            cost = ctx.costs[t + 1, m]
-            arrivals = [r[c, sel] - cost[cols[c, sel]] for c in kids]
-            e = np.zeros(sel.size)
-            for p, arrive in zip(ctx.probs[i], arrivals):
-                e += p * arrive
-            target = e + ctx.dv_out[m, i]
+    n = len(ctx.nodes)
+    values: list[np.ndarray | None] = [None] * n
+    dm, dd = np.zeros(n), np.zeros(n)
 
-            def phi(y, idx, f=gens[m]):
-                return y - f(t, (y,) * d) * dt - target[idx]
+    def solve(i: int, modes: list[int], kids: tuple[int, ...]) -> np.ndarray:
+        t = ctx.times[i]
+        sizes = [values[c].size for c in kids]
+        strides = [math.prod(sizes[k + 1:]) for k in range(len(kids))]
+        grid = math.prod(sizes)
+        # arrivals[j][k]: child k's values less the switch cost from modes[j]
+        arrivals = [[(values[c].reshape(len(allowed[c]), -1)
+                      - ctx.costs[t + 1, m][allowed[c]][:, None]).ravel()
+                     for c in kids] for m in modes]
+        if not single:
+            for c in kids:
+                values[c] = None
+        out = np.empty(len(modes) * grid)
+        for lo in range(0, grid, _BLOCK):
+            flat = np.arange(lo, min(lo + _BLOCK, grid))
+            picks = [flat // s % z for s, z in zip(strides, sizes)]
+            for j, m in enumerate(modes):
+                e = np.zeros(flat.size)
+                for p, arrive, pick in zip(ctx.probs[i], arrivals[j], picks):
+                    e += p * arrive[pick]
+                r, push = _implicit_step(ctx, i, m, e + ctx.dv_out[m, i], single)
+                out[j * grid + lo:j * grid + lo + flat.size] = r
+                if single:
+                    for c, arrive in zip(kids, arrivals[j]):
+                        dm[c], dd[c] = arrive[0] - e[0], push[0]
+        return out
 
-            ystar = _root_find_batch(phi, target, RESIDUAL_TOL)
-            cap = ctx.upper[m, i]
-            over = np.flatnonzero(ystar > cap)
-            ystar[over] = cap
-            push = np.zeros(sel.size)
-            if over.size:
-                lack = -phi(np.full(over.size, cap), over)
-                push[over] = np.where(lack > 0.0, lack, 0.0)
-            r[i, sel] = ystar
-            for c, arrive in zip(kids, arrivals):
-                dd[c, sel] = push
-                dm[c, sel] = arrive - e
-    return r.T, dm.T, dd.T
+    for i in range(n - 1, -1, -1):
+        kids = ctx.children[i]
+        values[i] = solve(i, allowed[i], kids) if kids else ctx.xi[allowed[i], i]
+    return values, dm, dd
 
 
-def _mode_dtype(d: int) -> np.dtype:
-    return np.min_scalar_type(d - 1)   # uint8 up to 256 modes
+def _digit_exponents(ctx: _SubtreeCtx) -> np.ndarray:
+    """The power of d at which each later position's mode sits in the
+    start's product-order index of a walk with d modes at every later
+    position: a node's own digit, then its children's subtrees in child
+    order."""
+    n = len(ctx.nodes)
+    size = [1] * n
+    for i in range(n - 1, -1, -1):
+        size[i] += sum(size[c] for c in ctx.children[i])
+    exponent = [size[0] - 1] + [0] * (n - 1)
+    for i in range(n):   # a parent's position precedes its children's
+        below = exponent[i]
+        for c in ctx.children[i]:
+            exponent[c] = below - 1
+            below -= size[c]
+    return np.array(exponent[1:], dtype=np.int64)
 
 
 def solve_for_strategy(
@@ -283,9 +336,9 @@ def solve_for_strategy(
     """
     _require_cost_form(problem)
     ctx = _subtree_ctx(problem, strategy.start)
-    modes = np.array([[strategy.modes[u] for u in ctx.nodes]],
-                     dtype=_mode_dtype(problem.d))
-    r, dm, dd = (a[0].tolist() for a in _eval_strategy(ctx, modes))
+    values, dm, dd = _eval_strategy(
+        ctx, [[strategy.modes[u]] for u in ctx.nodes], single=True)
+    r, dm, dd = np.concatenate(values).tolist(), dm.tolist(), dd.tolist()
     later = range(1, len(ctx.nodes))   # position 0 is the start
     return StrategyValue(
         r=dict(zip(ctx.nodes, r)),
@@ -331,32 +384,29 @@ def brute_force_value(
     """Max start value over every strategy, by exhaustive enumeration.
 
     Strategy k of the enumeration order (:func:`iter_strategies`) has the
-    base-d digits of k as the modes of the nodes after the start; chunks of
-    ``_CHUNK`` consecutive strategies are solved at once.  Ties resolve to
-    the first maximum in that order, deterministically, and a NaN start
-    value never wins.
+    base-d digits of k as the modes of the nodes after the start.
+    ``_eval_strategy`` values every strategy at the start node, and the
+    maximum is taken there alone.  Ties resolve to the first maximum in
+    enumeration order, deterministically, and a NaN start value never wins.
     """
     _require_cost_form(problem)
     nodes = _check_cap(problem, start, cap)
     ctx = _subtree_ctx(problem, start)
     d, free = problem.d, len(nodes) - 1
-    total = d ** free
-    place = d ** np.arange(free - 1, -1, -1)   # digit weights, start excluded
-    best, best_k = -math.inf, None
-    for first in range(0, total, _CHUNK):
-        k = np.arange(first, min(first + _CHUNK, total))
-        modes = np.empty((k.size, len(nodes)), dtype=_mode_dtype(d))
-        modes[:, 0] = start_mode
-        modes[:, 1:] = k[:, None] // place % d
-        value = _eval_strategy(ctx, modes)[0][:, 0]
-        top = int(np.argmax(np.where(np.isnan(value), -math.inf, value)))
-        if value[top] > best:
-            best, best_k = float(value[top]), first + top
-    if best_k is None:
+    value = _eval_strategy(ctx, [[start_mode]] + [list(range(d))] * free)[0][0]
+    score = np.where(np.isnan(value), -math.inf, value)
+    top = score.max()
+    if not top > -math.inf:
         raise ValueError("no strategy has a start value above -inf")
-    mapping = dict(zip(nodes[1:], (best_k // place % d).tolist()))
+    # the tied strategies' modes, read off their product-order index, and
+    # their enumeration index k
+    tied = np.flatnonzero(score == top)
+    modes = tied[:, None] // d ** _digit_exponents(ctx) % d
+    first = int(np.argmin(modes @ d ** np.arange(free - 1, -1, -1, dtype=np.int64)))
+    mapping = dict(zip(nodes[1:], modes[first].tolist()))
     mapping[start] = start_mode
-    return best, SwitchingStrategy(problem.tree, start, start_mode, mapping)
+    return (float(value[tied[first]]),
+            SwitchingStrategy(problem.tree, start, start_mode, mapping))
 
 
 def construct_optimal_strategy(

@@ -330,22 +330,30 @@ class EventTree:
 
     def node_probability(self, i: int) -> float:
         """Unconditional probability of reaching node i from the root."""
-        p = 1.0
-        n = self.nodes[i]
-        while n.parent is not None:
-            p *= n.prob
-            n = self.nodes[n.parent]
+        return float(self.node_probabilities([i])[0])
+
+    def node_probabilities(self, nodes: Sequence[int]) -> np.ndarray:
+        """:meth:`node_probability` of each of ``nodes``: the edge
+        probabilities multiplied from the node up to the root, in that
+        order, read off the columns (no :class:`Node` is made)."""
+        parent, prob = self._cols.parent, self._cols.prob
+        at = np.array(nodes, dtype=np.intp)
+        p = np.ones(at.size)
+        up = parent[at] >= 0
+        while up.any():
+            p[up] *= prob[at[up]]
+            at[up] = parent[at[up]]
+            up = parent[at] >= 0
         return p
 
     def subtree(self, i: int) -> tuple[int, ...]:
-        """Indices of the subtree rooted at i, in ascending index order."""
-        seen = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for c in self.nodes[u].children:
-                seen.add(c)
-                stack.append(c)
+        """Indices of the subtree rooted at i, in ascending index order,
+        read off the CSR arrays (no :class:`Node` is made)."""
+        ptr, kids = self._arrays.child_ptr, self._arrays.child_index
+        level, seen = [i], [i]
+        while level:
+            level = [c for u in level for c in kids[ptr[u]:ptr[u + 1]].tolist()]
+            seen.extend(level)
         return tuple(sorted(seen))
 
     def path_from_root(self, i: int) -> tuple[int, ...]:

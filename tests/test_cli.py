@@ -19,7 +19,9 @@ Core claims:
       increment all exit 2 with coordinates; of two bad rows the first in
       the file is named, and a mode is read as int() reads it ("01" and
       " 1" are mode 1, "1.0" is refused); a dk column that differs between
-      siblings or is nonzero at the root exits 2 with the loader's message
+      siblings or is nonzero at the root exits 2 with the loader's message;
+      an infinite or overflowing dt under a linear barrier exits 2 with no
+      numpy warning
     - a failed solver invariant (binding cycle, binding obstacle with no
       attaining mode) exits 3 with kind internal-consistency and its node
     - a sweep budget below 1 or a NaN or negative tolerance, from a flag
@@ -28,7 +30,8 @@ Core claims:
       table knot exits 2 naming the generator; brute-force on coupled
       generators exits 2 with the generator-coupled findings
     - solve and verify --solution on a coupled binomial scenario make no
-      Node object (validate_problem neither)
+      Node object (validate_problem neither), nor does sweep-penalization on
+      a binomial scenario
     - every command validates its problem once, verify and brute-force take
       the decoupling verdict once, sweep-penalization walks the tree once
       for the solve and once per mode for its whole (p, q) ladder, and
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -562,6 +566,29 @@ def test_nan_barrier_exits_2_with_coordinates(scenarios_dir, tmp_path):
     assert flagged == {(n.node_id, n.t, 0) for n in tree.nodes}
 
 
+@pytest.mark.parametrize("dt, first", [
+    (float("inf"), {"code": "non-finite", "message": "dt = inf"}),
+    (1e308, {"code": "non-finite", "message": "U^0 = inf", "mode": 0,
+             "node_id": "rdd", "time_index": 2}),
+])
+def test_linear_barrier_of_a_non_finite_time_warns_nothing(scenarios_dir, tmp_path,
+                                                          capsys, dt, first):
+    # t * dt is 0 * inf at the root, or overflows: the barrier is refused as
+    # data, with no numpy warning on the way
+    spec = read_json(scenarios_dir / "switch2x2.json")
+    spec["tree"]["dt"] = dt
+    path = tmp_path / "dt.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", path, "--out", out) == 2
+    assert "Warning" not in capsys.readouterr().err
+    diag = read_json(out / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    assert diag["violations"][0] == first
+
+
 @pytest.mark.parametrize("where", ["generator", "v_increment"])
 def test_nan_coefficient_exits_2_with_coordinates(scenarios_dir, tmp_path, where):
     spec = read_json(scenarios_dir / "switch2x2.json")
@@ -757,6 +784,17 @@ def test_solve_and_verify_solution_make_no_node(tmp_path, record):
     assert run("verify", path, "--solution", tmp_path / "solved" / "solution.csv",
                "--out", tmp_path / "verified") == 0
     assert ["nodes" in vars(p.tree) for p in built] == [False, False]
+
+
+def test_sweep_makes_no_node(tmp_path, record):
+    # the benchmark's penalty-table shape: the solve, the penalty ladder and
+    # its K and A masses (each parent weighed by its reach probability) read
+    # the tree's columns only
+    path = tmp_path / "penalty-table-2.json"
+    path.write_text(json.dumps(penalty_table_scenario()))
+    built = record(Scenario, "build_problem")
+    assert run("sweep-penalization", path, "--out", tmp_path / "out") == 0
+    assert ["nodes" in vars(p.tree) for p in built] == [False]
 
 
 @pytest.mark.parametrize("command", ["verify", "verify --solution", "brute-force"])

@@ -5,6 +5,9 @@ Core claims:
       and pathwise) and the never-switch value is the plain upper solve
     - enumeration is exhaustive with the pinned start (d^(nodes-1)),
       refuses above the cap and runs at it
+    - brute force values every strategy as a one-strategy recursion does,
+      bit for bit, and returns the first maximum in enumeration order;
+      its traced memory stays bounded at a cap of 2^18
     - brute force equals the system root value whenever the lower
       reflection is inactive at the start, always equals the reachable
       (push-stripped) start value, and is attained by the greedy strategy
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -42,6 +46,7 @@ from orbsde import (
     unconstrained_start_value,
 )
 from orbsde.oblique import CostMatrix
+from orbsde.scalar import RESIDUAL_TOL, _root_find
 from gen import random_oblique_problem
 from oracles import pathwise_strategy_value, recursive_strategy_value
 
@@ -256,6 +261,136 @@ def test_enumeration_cap_enforced():
         brute_force_value(problem, tree.root, 0, cap=63)
     assert len(enumerate_strategies(problem, tree.root, 0, cap=64)) == 64
     brute_force_value(problem, tree.root, 0, cap=64)
+
+
+# -- the subtree-shared enumeration against per-strategy recursions ----------
+
+
+def sequential_strategy_value(problem, strategy) -> float:
+    """A strategy's start value by plain recursion, one strategy at a time:
+    children summed one term at a time in index order, roots by the scalar
+    finder, the cap taken as the enumeration takes it.  The enumeration
+    must give this value bit for bit."""
+    tree, d = problem.tree, problem.d
+
+    def value(u: int) -> float:
+        n, m = tree.node(u), strategy.modes[u]
+        if n.is_leaf:
+            return problem.terminal[u][m]
+        e = 0.0
+        for c in n.children:
+            mc = strategy.modes[c]
+            cost = problem.costs.at(n.t + 1, m, mc) if mc != m else 0.0
+            e += tree.node(c).prob * (value(c) - cost)
+        target = e + problem.v[m].out_of(u)
+        f = problem.generators[m]
+        y = _root_find(lambda y: y - f(n.t, (y,) * d) * tree.dt - target,
+                       target, RESIDUAL_TOL)
+        cap = problem.upper[m].values[u]
+        return cap if y > cap else y
+
+    return value(strategy.start)
+
+
+def ternary_tree(dt: float, deep: bool) -> EventTree:
+    """Three children of unequal weight at the root, each with one child
+    of its own if ``deep``."""
+    nodes = [{"id": "r", "t": 0, "parent": None}]
+    for k, p in enumerate((0.2, 0.3, 0.5)):
+        nodes.append({"id": f"r{k}", "t": 1, "parent": "r", "p": p})
+        if deep:
+            nodes.append({"id": f"r{k}0", "t": 2, "parent": f"r{k}"})
+    return EventTree.build(nodes, dt)
+
+
+def judge_problems():
+    """30 small decoupled problems, d 2-3, on binomial, chain and ternary
+    trees, with costs small enough that switching often pays; each has at
+    most 81 strategies per start mode."""
+    rng = random.Random(71)
+    shapes = [
+        (2, lambda dt: EventTree.binary(2, dt)),
+        (2, lambda dt: EventTree.chain(5, dt)),
+        (2, lambda dt: ternary_tree(dt, deep=True)),
+        (3, lambda dt: EventTree.binary(1, dt)),
+        (3, lambda dt: EventTree.chain(4, dt)),
+        (3, lambda dt: ternary_tree(dt, deep=False)),
+    ]
+    return [
+        random_oblique_problem(rng, d=d, tree=shape(rng.uniform(0.25, 1.0)),
+                               cost_band=(0.05, 0.3), drift_scale=0.8)
+        for d, shape in shapes for _ in range(5)
+    ]
+
+
+def test_brute_force_is_the_max_over_independent_recursions():
+    for problem in judge_problems():
+        root = problem.tree.root
+        for j in range(problem.d):
+            value, _ = brute_force_value(problem, root, j)
+            best = max(recursive_strategy_value(problem, s)
+                       for s in enumerate_strategies(problem, root, j))
+            assert value == pytest.approx(best, abs=1e-10)
+
+
+def test_brute_force_argmax_is_the_first_maximum_bit_for_bit():
+    switched = 0
+    for problem in judge_problems():
+        root = problem.tree.root
+        for j in range(problem.d):
+            value, argmax = brute_force_value(problem, root, j)
+            strategies = enumerate_strategies(problem, root, j)
+            k = [s.modes for s in strategies].index(argmax.modes)
+            values = [sequential_strategy_value(problem, s) for s in strategies]
+            assert solve_for_strategy(problem, argmax).r[root] == value
+            assert values[k] == value
+            assert all(v < value for v in values[:k])   # none earlier reaches it
+            assert max(values) == value
+            switched += bool(argmax.switch_events())
+    assert switched >= 10   # the judges see switching optima, not only k = 0
+
+
+def test_exact_tie_goes_to_the_first_strategy_in_enumeration_order():
+    # the leaf values of modes 0 and 1 differ by exactly the switching cost,
+    # so from mode 1 at n1 both leaf modes arrive at 0.75, and mode 1's
+    # drift makes these two strategies, (n1, n2) = (1, 0) and (1, 1), the
+    # best: k = 2 and k = 3 tie, and k = 2 is the earlier one
+    tree = EventTree.chain(2, 1.0)
+    n1, n2 = tree.index_of("n1"), tree.index_of("n2")
+    zero = PredictableIncrements.zero(tree)
+    problem = ObliqueProblem(
+        tree=tree,
+        d=2,
+        terminal={n2: (1.0, 0.75)},
+        generators=(lambda t, y: 0.0, lambda t, y: 1.0),
+        v=(zero, zero),
+        upper=(AdaptedProcess.constant(tree, BIG), AdaptedProcess.constant(tree, BIG)),
+        costs=CostMatrix.constant(2, [[0.0, 0.25], [0.25, 0.0]]),
+    )
+    values = [sequential_strategy_value(problem, s)
+              for s in enumerate_strategies(problem, tree.root, 0)]
+    assert values == [1.0, 0.5, 1.5, 1.5]
+    value, argmax = brute_force_value(problem, tree.root, 0)
+    assert value == 1.5
+    assert argmax.modes == {tree.root: 0, n1: 1, n2: 0}
+
+
+def test_brute_force_memory_stays_bounded_at_a_large_cap():
+    # a 19-node chain with d = 2: 2^18 strategies, every one valued; the
+    # root finds run in blocks, so the traced peak is the stored values
+    # (a few floats per strategy), not the finder's temporaries
+    rng = random.Random(73)
+    tree = EventTree.chain(18, 0.5)
+    problem = random_oblique_problem(rng, d=2, tree=tree, cost_band=(0.05, 0.3))
+    solve_for_strategy(problem, constant_strategy(problem, tree.root, 0))  # verdict
+    tracemalloc.start()
+    try:
+        value, argmax = brute_force_value(problem, tree.root, 0, cap=2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+    assert solve_for_strategy(problem, argmax).r[tree.root] == value
 
 
 # -- brute force vs system solution ------------------------------------------------
