@@ -340,11 +340,12 @@ def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
     root = problem.tree.root
     lines = ["p,q,mode,root_y,projected_root_y\n"]
     pairs = [(p, q) for p in PENALTY_LADDER for q in PENALTY_LADDER]
+    ladders = _penalized_solve(   # one walk: every mode's ladder, mode by mode
+        [mode_problem(problem, solution, j) for j in range(problem.d)], *zip(*pairs))
+    roots = ladders.y[root].reshape(problem.d, len(pairs)).tolist()
     for j in range(problem.d):
         projected = solution.y[j].values[root]
-        roots = [pen.y.values[root] for pen in _penalized_solve(
-            mode_problem(problem, solution, j), *zip(*pairs))]   # one walk
-        for (p, q), value in zip(pairs, roots):
+        for (p, q), value in zip(pairs, roots[j]):
             lines.append(f"{fmt(p)},{fmt(q)},{j},{fmt(value)},{fmt(projected)}\n")
     write_text(out / "penalization.csv", "".join(lines))
     write_json(
@@ -375,7 +376,7 @@ def _cmd_brute_force(scenario, problem, out: Path) -> int:
                 "argmax_strategy": strategy.as_id_dict(),
                 "switch_events": [
                     {
-                        "node_id": tree.node(u).node_id,
+                        "node_id": tree.ids[u],
                         "time_index": t,
                         "from_mode": m0,
                         "to_mode": m1,

@@ -253,6 +253,12 @@ class ObliqueProblem:
             return evaluate_H(self.costs, t, y)
         return tuple(self.obstacle(t, y))
 
+    @functools.cached_property
+    def upper_columns(self) -> np.ndarray:
+        """The upper barriers as a read-only ``(n_nodes, d)`` array, made on
+        first use."""
+        return _read_only_columns(self.upper)
+
 
 Row = tuple[float, ...]
 
@@ -279,6 +285,14 @@ def _columns_of(per_mode: Sequence) -> np.ndarray:
     """One value sequence per mode (processes, increments or tuples) as an
     ``(n_nodes, d)`` array."""
     return np.array([getattr(col, "values", col) for col in per_mode], dtype=float).T
+
+
+def _read_only_columns(per_mode: Sequence) -> np.ndarray:
+    """:func:`_columns_of`, read-only, for the columns a problem or a
+    solution keeps."""
+    columns = _columns_of(per_mode)
+    columns.flags.writeable = False
+    return columns
 
 
 def _by_level(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
@@ -360,7 +374,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         out.extend(problem.costs.validate())
 
     found = _Findings(tree)
-    upper = _columns_of(problem.upper)
+    upper = problem.upper_columns
     xi = np.array(entries, dtype=float).reshape(given.size, d)
     if not math.isfinite(tree.dt):
         out.append(Violation("non-finite", f"dt = {tree.dt}"))
@@ -456,7 +470,7 @@ def _level_start(
 def _corner(problem: ObliqueProblem) -> Row:
     """1 below every terminal entry, upper barrier and ``H(U)`` entry, per
     mode: the row the start rule lowers."""
-    upper = _columns_of(problem.upper)
+    upper = problem.upper_columns
     xi = np.array(list(problem.terminal.values()), dtype=float)
     lows = np.vstack([xi, upper, _by_level(problem, upper)]).min(axis=0)
     return tuple((lows - 1.0).tolist())
@@ -527,7 +541,7 @@ def build_subsolution(problem: ObliqueProblem) -> tuple[ScalarSolution, ...]:
     Picard sweep rises.  Returns one ScalarSolution per mode, K identically
     zero.
     """
-    upper = _columns_of(problem.upper)
+    upper = problem.upper_columns
 
     def frozen(t, parents, targets, start):
         return _jacobi_step(problem, t, targets, start,
@@ -568,6 +582,11 @@ class SystemSolution:
     def y_vector(self, u: int) -> tuple[float, ...]:
         return tuple(yj.values[u] for yj in self.y)
 
+    @functools.cached_property
+    def y_columns(self) -> np.ndarray:
+        """Y as a read-only ``(n_nodes, d)`` array, made on first use."""
+        return _read_only_columns(self.y)
+
 
 def picard_solve(
     problem: ObliqueProblem, tol: float = 1e-10, max_sweeps: int = 200
@@ -589,7 +608,7 @@ def picard_solve(
     if report:
         raise InvalidProblemError(report)
     tree = problem.tree
-    upper = _columns_of(problem.upper)
+    upper = problem.upper_columns
     prev = _columns_of([p.y for p in build_subsolution(problem)])
     for sweep in range(1, max_sweeps + 1):
 
@@ -657,7 +676,7 @@ def solve_system(
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
-    upper = _columns_of(problem.upper)
+    upper = problem.upper_columns
     stats: list[tuple[int, float]] = []
 
     def rounds(t, parents, targets, start):
@@ -757,7 +776,7 @@ def mode_problem(
     ``solution.y[j]``.
     """
     tree, f = problem.tree, problem.generators[j]
-    rows = _columns_of(solution.y)
+    rows = solution.y_columns
     columns = tuple(rows.T)
 
     def generator(t: int, nodes: np.ndarray, c: np.ndarray):
@@ -834,8 +853,7 @@ def binding_graph_cycles(
     """
     assert problem.costs is not None
     tree = problem.tree
-    edges = _binding_edges(problem.costs, tree.arrays.time, _columns_of(solution.y),
-                           tol)
+    edges = _binding_edges(problem.costs, tree.arrays.time, solution.y_columns, tol)
     walks = edges   # walks[u, j, k]: a walk from j to k, one edge longer per pass
     for _ in range(problem.d - 1):
         walks = (walks[:, :, :, None] & edges[:, None, :, :]).any(axis=2)
@@ -931,9 +949,9 @@ def verify_minimality(
     tree = problem.tree
     arrays = tree.arrays
     dt = tree.dt
-    y, k, a, m, upper, v = map(_columns_of, (
-        solution.y, solution.k, solution.a, solution.m_increments, problem.upper,
-        problem.v))
+    y, upper = solution.y_columns, problem.upper_columns
+    k, a, m, v = map(_columns_of, (
+        solution.k, solution.a, solution.m_increments, problem.v))
     h = _by_level(problem, y)
     sandwich_lower, sandwich_upper = h - y, y - upper
     found = _Findings(tree)

@@ -28,20 +28,32 @@ generators constant in y this coincides with the naive assignment
 is what lets the implicit step run on bracketed bisection with no
 derivative information.
 
-``_backward_solve`` is the package's one backward walk.  It runs one
+``_backward_walk`` is the package's one backward walk.  It runs one
 level at a time on the tree's arrays (``EventTree.arrays``) and carries
 any number of columns: it sums each parent's children into the
 conditional-expectation targets of the level, an ``(m, columns)`` array,
-hands them to a step function and stores the returned values and pushes.
-The solvers here solve a level's implicit steps with one batched root
-find (``_root_find_batch``): the projected solves walk one column,
-projecting the roots into the barriers (``_project_batch``, which the
-oblique steps share), and the penalized scheme walks one column per
-weight pair (the penalty in the generator and the penalty integrals as
-its pushes), so a whole (p, q) ladder is one walk.  :mod:`orbsde.oblique`
-walks all d modes at once with its own level steps.  The scalar
-``_root_find`` remains for :func:`implicit_step` and the strategy
-oracle's start-node steps.
+hands them to a step function and returns the ``(n_nodes, columns)``
+arrays of values and pushes; ``_backward_solve`` wraps them as one
+ScalarSolution per column.  The solvers here solve a level's implicit
+steps with one batched root find (``_root_find_batch``): the projected
+solves walk one column, projecting the roots into the barriers
+(``_project_batch``, which the oblique steps share), and the penalized
+scheme walks one column per problem and weight pair (the penalty in the
+generator and the penalty integrals as its pushes), so the (p, q)
+ladders of several problems on one tree, every mode of a system for
+``sweep-penalization``, are one walk.  :mod:`orbsde.oblique` walks all d
+modes at once with its own level steps.  The scalar ``_root_find``
+remains for :func:`implicit_step` and the strategy oracle's start-node
+steps.
+
+The batched finder bisects in blocks: while few elements are left
+bisecting, one residual call evaluates the next (up to six) halvings of
+each at the mids of its bracket's bisection tree, and each element then
+walks down its tree as the scalar loop would.  A residual therefore gets
+repeated indices and points past an element's root, and must be
+elementwise.  ``_blockwise`` gives each problem's (or mode's) contiguous
+block of elements to its own generator, for the residuals that span
+several.
 
 ``_probe`` is the package's one generator probe.
 :meth:`ScalarRBSDEProblem.validate` probes g with it at every node before
@@ -195,6 +207,18 @@ def _root_find_batch(
     bisection and stall guard, so every root equals the scalar root bit for
     bit; an element leaves the active set as soon as it is done.  Raises
     BracketingError wherever the scalar finder would raise for some element.
+
+    Bisection runs in blocks: one ``phi`` call evaluates the next k
+    halvings of every element still bisecting, at the 2^k - 1 mids of its
+    bracket's depth-k bisection tree in ascending order
+    (:func:`_bisection_edges`), and each
+    element then walks down its tree as the scalar loop would, finishing
+    at the node where the scalar loop returns.  k is the deepest tree, at
+    most 6 levels, that keeps a call at 1,024 points (:func:`_block_depth`),
+    so a long tail of few elements costs about a sixth of the calls, and a
+    tail of more than 341 elements keeps one halving per call.  ``idx``
+    is therefore non-decreasing but may repeat an element, once per point
+    of its tree, and ``phi`` sees points beyond where an element stops.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     root = np.empty_like(x0)
@@ -262,13 +286,86 @@ def _root_find_batch(
         step *= 2.0
 
     while idx.size:
-        mid = 0.5 * (lo + hi)
-        fm = phi(mid, idx)
-        done = (np.abs(fm) <= tight(mid)) | (
-            hi - lo <= 4e-16 * np.fmax(np.fmax(1.0, np.abs(lo)), np.abs(hi)))
-        up = fm > 0.0
-        lo, hi = retire(done, mid, np.where(up, lo, mid), np.where(up, mid, hi))
+        depth = _block_depth(idx.size)
+        edges = _bisection_edges(lo, hi, depth)
+        mids = edges[:, 1:-1]
+        fs = phi(mids.ravel(), np.repeat(idx, mids.shape[1])).reshape(mids.shape)
+        # the scalar loop's exit tests and its step at every mid, by column
+        below, above = _node_brackets(depth)
+        tree_lo, tree_hi = edges[:, below], edges[:, above]
+        stop, down = np.zeros(edges.shape, bool), np.zeros(edges.shape, bool)
+        stop[:, 1:-1] = (np.abs(fs) <= tight(mids)) | (tree_hi - tree_lo <= 4e-16 * (
+            np.fmax(np.fmax(1.0, np.abs(tree_lo)), np.abs(tree_hi))))
+        # f > 0 takes the lower half; anything else, NaN included, the upper
+        down[:, 1:-1] = fs > 0.0
+        stop, down, flat = stop.ravel(), down.ravel(), edges.ravel()
+        # each element down its tree, its bracket's lower end a flat column
+        left = np.arange(idx.size) * edges.shape[1]
+        path = np.empty((depth, idx.size), dtype=np.intp)
+        for level in range(depth):
+            path[level] = mid = left + 2 ** (depth - 1 - level)
+            left = np.where(down[mid], left, mid)
+        stops = stop[path]   # an element ends at the first mid on its path that stops
+        end = path[stops.argmax(axis=0), np.arange(idx.size)]
+        lo, hi = retire(stops.any(axis=0), flat[end], flat[left], flat[left + 1])
     return root
+
+
+# halvings per residual call while bisecting: the deepest bisection tree of
+# at most _BLOCK_DEPTH levels whose mids, over every element still
+# bisecting, number at most _BLOCK_POINTS
+_BLOCK_DEPTH = 6
+_BLOCK_POINTS = 1024
+
+
+def _block_depth(n: int) -> int:
+    """The largest k <= _BLOCK_DEPTH with n (2^k - 1) <= _BLOCK_POINTS, and
+    at least 1."""
+    return max(1, min(_BLOCK_DEPTH, (_BLOCK_POINTS // n + 1).bit_length() - 1))
+
+
+def _bisection_edges(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Each bracket's depth-``depth`` bisection tree as the ``(n, 2^depth +
+    1)`` array of its nodes' ends and mids in ascending order: column 0 is
+    lo, column 2^depth is hi, and column q between them is the mid of the
+    node bracketed by columns q - h and q + h, h the lowest set bit of q,
+    computed as ``0.5 * (lo + hi)`` of that bracket.  The node's lower half
+    is the node at q - h/2 and its upper half the node at q + h/2."""
+    edges = np.empty((lo.size, 2**depth + 1))
+    edges[:, 0], edges[:, -1] = lo, hi
+    for level in range(depth):
+        step = 2 ** (depth - level)   # the width of a level's brackets
+        mid = edges[:, step // 2::step]
+        np.add(edges[:, :-1:step], edges[:, step::step], out=mid)
+        np.multiply(0.5, mid, out=mid)
+    return edges
+
+
+@functools.lru_cache(maxsize=None)
+def _node_brackets(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the lower and upper end of the bracket of the node
+    at each mid column 1, ..., 2^depth - 1 of :func:`_bisection_edges`."""
+    q = np.arange(1, 2**depth)
+    below, above = q - (q & -q), q + (q & -q)
+    below.flags.writeable = above.flags.writeable = False
+    return below, above
+
+
+def _blockwise(fns: Sequence[Callable], block: int, x: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+    """A residual's values over elements in contiguous blocks of ``block``,
+    block b (elements ``b * block`` to ``(b + 1) * block - 1``) owned by
+    ``fns[b]``: ``fns[b](x, idx)`` at the ascending ``idx`` in that block,
+    one call per block that has any, as one array (a lone block's own
+    result)."""
+    if len(fns) == 1:
+        return fns[0](x, idx)
+    out = np.empty(x.size)
+    at = np.searchsorted(idx, np.arange(len(fns) + 1) * block).tolist()
+    for fn, a, b in zip(fns, at, at[1:]):
+        if b > a:
+            out[a:b] = fn(x[a:b], idx[a:b])
+    return out
 
 
 def implicit_step(
@@ -480,28 +577,30 @@ class PenalizedSolution:
     upper_mass: float
 
 
-def _backward_solve(
+def _backward_walk(
     tree: EventTree,
-    terminal: Mapping[int, Sequence[float]],
-    dv: Sequence[PredictableIncrements],
+    terminal: np.ndarray,
+    dv: np.ndarray,
     step: Callable[[int, np.ndarray, np.ndarray], tuple],
-) -> tuple[ScalarSolution, ...]:
-    """The package's one backward walk, over ``len(dv)`` columns, one level
-    at a time.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one backward walk, over the columns of the
+    ``(n_nodes, columns)`` array ``dv`` (the drift on the edge into each
+    node), one level at a time.
 
-    Leaves take the row ``terminal[leaf]``.  At level t, with ``parents``
-    the level's parents (``tree.arrays.parents[t]``, descending index order)
-    and ``targets[i, j] = E[Y^j_{t+1} | parents[i]] + dV^j`` (the children
-    summed in index order, as :func:`orbsde.tree.one_step_expectation`
-    does), ``step(t, parents, targets)`` returns the arrays Y, dK and dA of
-    the level, each of the shape of ``targets``.  Returns one
-    ScalarSolution per column.
+    The leaves take the rows of ``terminal``, in leaf order.  At level t,
+    with ``parents`` the level's parents (``tree.arrays.parents[t]``,
+    descending index order) and ``targets[i, j] = E[Y^j_{t+1} | parents[i]]
+    + dV^j`` (the children summed in index order, as
+    :func:`orbsde.tree.one_step_expectation` does), ``step(t, parents,
+    targets)`` returns the arrays Y, dK and dA of the level, each of the
+    shape of ``targets``.  Returns the
+    ``(n_nodes, columns)`` arrays Y, dM, dK and dA, each increment on the
+    edge into a node.
     """
     arrays = tree.arrays
-    n, cols = tree.n_nodes, len(dv)
+    n, cols = dv.shape
     y, k, a, m = (np.zeros((n, cols)) for _ in range(4))
-    y[list(tree.leaves)] = [terminal[leaf] for leaf in tree.leaves]
-    dv_in = np.array([inc.values for inc in dv]).T   # on the edge into a node
+    y[list(tree.leaves)] = terminal
     for t in range(tree.n_steps - 1, -1, -1):
         parents = arrays.parents[t]
         first = arrays.child_ptr[parents]
@@ -513,26 +612,33 @@ def _backward_solve(
             kids = arrays.child_index[first[rows] + slot]
             e[rows] += arrays.child_prob[first[rows] + slot, None] * y[kids]
             slots.append((rows, kids))
-        level_y, dk, da = step(t, parents, e + dv_in[arrays.child_index[first]])
+        level_y, dk, da = step(t, parents, e + dv[arrays.child_index[first]])
         y[parents] = level_y
         for rows, kids in slots:
             k[kids], a[kids], m[kids] = dk[rows], da[rows], y[kids] - e[rows]
-    return tuple(
-        ScalarSolution(AdaptedProcess(tree, tuple(y[:, j].tolist())),
-                       tuple(m[:, j].tolist()),
-                       PredictableIncrements(tree, tuple(k[:, j].tolist())),
-                       PredictableIncrements(tree, tuple(a[:, j].tolist())))
-        for j in range(cols)
-    )
+    return y, m, k, a
 
 
-def _solve_columns(
-    problem: ScalarRBSDEProblem, cols: int, step: Callable[..., tuple]
+def _column(tree: EventTree, y, m, k, a, j: int) -> tuple:
+    """Column j of the walk's arrays as the fields (Y, dM, dK, dA) of a
+    solution."""
+    return (AdaptedProcess(tree, tuple(y[:, j].tolist())), tuple(m[:, j].tolist()),
+            PredictableIncrements(tree, tuple(k[:, j].tolist())),
+            PredictableIncrements(tree, tuple(a[:, j].tolist())))
+
+
+def _backward_solve(
+    tree: EventTree,
+    terminal: Mapping[int, Sequence[float]],
+    dv: Sequence[PredictableIncrements],
+    step: Callable[[int, np.ndarray, np.ndarray], tuple],
 ) -> tuple[ScalarSolution, ...]:
-    """The walk over ``cols`` columns that all start from the problem's
-    terminal values and carry its drift."""
-    rows = {leaf: (problem.terminal[leaf],) * cols for leaf in problem.tree.leaves}
-    return _backward_solve(problem.tree, rows, (problem.v(),) * cols, step)
+    """:func:`_backward_walk` with leaf rows ``terminal[leaf]`` and one
+    drift per column, one ScalarSolution per column."""
+    xi = np.array([terminal[leaf] for leaf in tree.leaves], dtype=float)
+    walk = _backward_walk(tree, xi.reshape(len(tree.leaves), len(dv)),
+                          np.array([inc.values for inc in dv]).T, step)
+    return tuple(ScalarSolution(*_column(tree, *walk, j)) for j in range(len(dv)))
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -590,7 +696,8 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
         y, dk, da = _project_batch(phi, target, lower[parents], upper[parents])
         return y[:, None], dk[:, None], da[:, None]
 
-    return _solve_columns(problem, 1, step)[0]
+    rows = {leaf: (problem.terminal[leaf],) for leaf in problem.tree.leaves}
+    return _backward_solve(problem.tree, rows, (problem.v(),), step)[0]
 
 
 def solve_lower(problem: ScalarRBSDEProblem) -> ScalarSolution:
@@ -638,65 +745,105 @@ def solve_penalized(
     if params.q > 0 and problem.upper is None:
         raise ValueError("upper penalty needs an upper barrier")
     _require_valid(problem)
-    return _penalized_solve(problem, [params.p], [params.q])[0]
+    return _penalized_solve([problem], [params.p], [params.q]).solution(problem.tree, 0)
+
+
+@dataclass(frozen=True)
+class _PenalizedColumns:
+    """The penalized scheme's walk: the ``(n_nodes, columns)`` arrays Y,
+    dM and the penalty integrals dK and dA, and each column's masses."""
+
+    y: np.ndarray
+    m: np.ndarray
+    k: np.ndarray
+    a: np.ndarray
+    lower_mass: np.ndarray
+    upper_mass: np.ndarray
+
+    def solution(self, tree: EventTree, j: int) -> PenalizedSolution:
+        """Column j as a PenalizedSolution."""
+        return PenalizedSolution(*_column(tree, self.y, self.m, self.k, self.a, j),
+                                 float(self.lower_mass[j]), float(self.upper_mass[j]))
 
 
 def _penalized_solve(
-    problem: ScalarRBSDEProblem, p: Sequence[float], q: Sequence[float]
-) -> tuple[PenalizedSolution, ...]:
-    """The penalized scheme on a problem taken as valid, for every weight
-    pair ``(p[i], q[i])`` at once: one walk whose column i is pair i, each
-    level's implicit steps one :func:`_root_find_batch`.  A weight of zero
-    drops its penalty term, and a barrier the problem lacks drops it too.
+    problems: Sequence[ScalarRBSDEProblem], p: Sequence[float], q: Sequence[float]
+) -> _PenalizedColumns:
+    """The penalized scheme on problems taken as valid, all on one tree,
+    for every weight pair ``(p[i], q[i])`` at once: one walk whose columns
+    go problem by problem, then pair by pair (column ``b * len(p) + i`` is
+    pair i of problem b).  Each level's implicit steps are one
+    :func:`_root_find_batch`, whose residual hands each problem's
+    contiguous block of elements to that problem's generator.  A weight of
+    zero drops its penalty term, and a barrier the problem lacks drops it
+    too.
     """
-    tree, g, dt = problem.tree, problem.generator, problem.tree.dt
-    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    lower, upper = (None if b is None else np.array(b.values)
-                    for b in (problem.lower, problem.upper))
+    tree, dt = problems[0].tree, problems[0].tree.dt
+    pairs, cols = len(p), len(problems) * len(p)
+
+    def by_problem(barriers: list, weights: Sequence[float]) -> tuple:
+        """The barriers as a ``(problems, n_nodes)`` array and each column's
+        weight, zero where its problem lacks the barrier; None and None if
+        no problem has one."""
+        if all(b is None for b in barriers):
+            return None, None
+        weights = np.asarray(weights, dtype=np.float64)
+        return (np.array([np.zeros(tree.n_nodes) if b is None else b.values
+                          for b in barriers]),
+                np.concatenate([np.zeros(pairs) if b is None else weights
+                                for b in barriers]))
+
+    lower, p_col = by_problem([pb.lower for pb in problems], p)
+    upper, q_col = by_problem([pb.upper for pb in problems], q)
+    generators = [pb.generator for pb in problems]
 
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
-        # column-major: pair by pair, each pair over the level's parents
-        nodes = np.tile(parents, p.size)
-        pw, qw = np.repeat(p, parents.size), np.repeat(q, parents.size)
+        # column-major: column by column, each over the level's parents
+        size = parents.size
+        nodes = np.tile(parents, cols)
+        owner = np.repeat(np.arange(len(problems)), pairs * size)
+        if lower is not None:
+            pw, low = np.repeat(p_col, size), lower[owner, nodes]
+        if upper is not None:
+            qw, high = np.repeat(q_col, size), upper[owner, nodes]
         target = targets.T.ravel()
+        level_generators = [lambda x, idx, g=g: g(t, nodes[idx], x) for g in generators]
 
         def penalized(x, idx):
-            val = g(t, nodes[idx], x)
+            val = _blockwise(level_generators, pairs * size, x, idx)
             if lower is not None:
-                val = np.where(pw[idx] > 0, val + pw[idx] * _positive(
-                    lower[nodes[idx]] - x), val)
+                w = pw[idx]
+                val = np.where(w > 0, val + w * _positive(low[idx] - x), val)
             if upper is not None:
-                val = np.where(qw[idx] > 0, val - qw[idx] * _positive(
-                    x - upper[nodes[idx]]), val)
+                w = qw[idx]
+                val = np.where(w > 0, val - w * _positive(x - high[idx]), val)
             return val
 
         def phi(x, idx):
             return x - penalized(x, idx) * dt - target[idx]
 
         y = _root_find_batch(phi, target, RESIDUAL_TOL)
-        dk = (np.where(pw > 0, pw * _positive(lower[nodes] - y) * dt, 0.0)
+        dk = (np.where(pw > 0, pw * _positive(low - y) * dt, 0.0)
               if lower is not None else np.zeros(y.size))
-        da = (np.where(qw > 0, qw * _positive(y - upper[nodes]) * dt, 0.0)
+        da = (np.where(qw > 0, qw * _positive(y - high) * dt, 0.0)
               if upper is not None else np.zeros(y.size))
-        return (a.reshape(p.size, parents.size).T for a in (y, dk, da))
+        return (a.reshape(cols, size).T for a in (y, dk, da))
 
-    solutions = _solve_columns(problem, p.size, step)
+    y, m, k, a = _backward_walk(tree, np.repeat(
+        [[pb.terminal[leaf] for pb in problems] for leaf in tree.leaves], pairs, axis=1),
+        np.repeat(np.array([pb.v().values for pb in problems]).T, pairs, axis=1), step)
     # the masses: sums over the parents in index order, one term at a time
     ptr = tree.arrays.child_ptr
     parents = np.flatnonzero(np.diff(ptr) > 0)
     first_kids = tree.arrays.child_index[ptr[parents]]
     weights = tree.node_probabilities(parents).tolist()
     masses = []
-    for field in ("k", "a"):
-        out = np.array([getattr(s, field).values for s in solutions])[:, first_kids]
-        mass = np.zeros(p.size)
-        for w, column in zip(weights, out.T):
-            mass += w * column
-        masses.append(mass.tolist())
-    return tuple(
-        PenalizedSolution(s.y, s.m_increments, s.k, s.a, lower_mass, upper_mass)
-        for s, lower_mass, upper_mass in zip(solutions, *masses)
-    )
+    for pushes in (k, a):
+        mass = np.zeros(cols)
+        for w, row in zip(weights, pushes[first_kids]):
+            mass += w * row
+        masses.append(mass)
+    return _PenalizedColumns(y, m, k, a, *masses)
 
 
 def verify_snell_representation(
@@ -737,15 +884,17 @@ def verify_snell_representation(
         for u, rate in zip(tree.level(t), at.tolist()):
             rates[u] = rate
 
+    prob = np.zeros(tree.n_nodes)   # the probability of the edge into each node
+    prob[tree.arrays.child_index] = tree.arrays.child_prob
+    prob = prob.tolist()
+
     def stopped_value(st, u: int) -> float:
-        node = tree.node(u)
+        kids = tree.children(u)
         if u in st.stopped:
-            return float(problem.terminal[u]) if node.is_leaf else lower[u]
+            return lower[u] if kids else float(problem.terminal[u])
         acc = rates[u] * dt
-        for c in node.children:
-            acc += tree.node(c).prob * (
-                dv.values[c] - da.values[c] + stopped_value(st, c)
-            )
+        for c in kids:
+            acc += prob[c] * (dv.values[c] - da.values[c] + stopped_value(st, c))
         return acc
 
     worst = 0.0

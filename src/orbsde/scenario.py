@@ -393,7 +393,7 @@ class Scenario:
         if self.terminal["kind"] == "table":
             vals = self.terminal["values"]
             for leaf in tree.leaves:
-                nid = tree.node(leaf).node_id
+                nid = tree.ids[leaf]
                 _require(nid in vals, f"terminal table misses leaf {nid!r}")
                 terminal[leaf] = tuple(vals[nid])
         else:

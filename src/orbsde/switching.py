@@ -20,12 +20,13 @@ u, so ``_eval_strategy`` solves strategies subtree by subtree: bottom-up,
 each node once for every mode assignment of its subtree, which is its own
 mode times the product of its children's assignments.  Each (node, mode)
 gathers its children's stored values into the continuation, in child
-order, and finds its roots with :func:`orbsde.scalar._root_find_batch`
-(which gives the scalar finder's roots bit for bit) in blocks of
-``_BLOCK`` assignments.  A generator that the oracle evaluates is therefore
-called with a d-tuple of equal float64 arrays and must return an array of
-their shape or a scalar.  The walk takes no maximum below the start node:
-the enumeration values every strategy, and only the start compares them.
+order, and a node finds the roots of all its modes at once with
+:func:`orbsde.scalar._root_find_batch` (which gives the scalar finder's
+roots bit for bit), in blocks of ``_BLOCK`` assignments per mode.  A
+generator that the oracle evaluates is therefore called with a d-tuple of
+equal float64 arrays and must return an array of their shape or a scalar.
+The walk takes no maximum below the start node: the enumeration values
+every strategy, and only the start compares them.
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
@@ -64,13 +65,13 @@ from .oblique import (
     ObliqueProblem,
     SystemSolution,
     _binding_edges,
-    _columns_of,
     _moved_lines,
     _probe_box,
 )
 from .scalar import (
     PROBE_TOL,
     RESIDUAL_TOL,
+    _blockwise,
     _leaf_entries,
     _root_find,
     _root_find_batch,
@@ -113,21 +114,19 @@ class SwitchingStrategy:
 
     def switch_events(self) -> list[tuple[int, int, int, int]]:
         """Edges where the mode changes: (node, t, from_mode, to_mode)."""
-        out = []
-        for u in self.tree.subtree(self.start):
-            n = self.tree.node(u)
-            if u == self.start or n.parent not in self.modes:
+        tree, out = self.tree, []
+        for u in tree.subtree(self.start):
+            parent = tree.parent(u)
+            if u == self.start or parent not in self.modes:
                 continue
-            m_from = self.modes[n.parent]
+            m_from = self.modes[parent]
             m_to = self.modes[u]
             if m_from != m_to:
-                out.append((u, n.t, m_from, m_to))
+                out.append((u, int(tree.arrays.time[u]), m_from, m_to))
         return out
 
     def as_id_dict(self) -> dict[str, int]:
-        return {
-            self.tree.node(u).node_id: m for u, m in sorted(self.modes.items())
-        }
+        return {self.tree.ids[u]: m for u, m in sorted(self.modes.items())}
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
     finite and constant within ``PROBE_TOL``."""
     out: list[Violation] = []
     _, _, entries = _leaf_entries(problem.tree, problem.terminal)
-    grid = _probe_box(_columns_of(problem.upper), np.array(entries, dtype=float))
+    grid = _probe_box(problem.upper_columns, np.array(entries, dtype=float))
     d = problem.d
     for j, f in enumerate(problem.generators):
         for t in range(problem.tree.n_steps):
@@ -180,13 +179,15 @@ def _require_cost_form(problem: ObliqueProblem) -> None:
         raise InvalidProblemError(coupled)
 
 
-# Subtree assignments per root find in ``_eval_strategy``: a node's values
-# over its children's product grid are combined and solved in blocks of
-# this size, so the root finder's temporaries stay bounded at any cap; what
-# grows with the cap is the stored values, a few floats per strategy.  At
-# 1,024 the traced peak of brute force on the benchmark's 15- and 9-node
-# oracle trees is about 0.3 MiB; at 16,384 it is 2.5 MiB there, for no
-# measurable gain in time.
+# Subtree assignments per mode and root find in ``_eval_strategy``: a
+# node's values over its children's product grid are combined and solved
+# in blocks of this size, every mode of the node in one root find, so the
+# root finder's temporaries stay bounded at any cap; what grows with the
+# cap is the stored values, a few floats per strategy.  At 1,024 the traced
+# peak of brute force on the benchmark's 15- and 9-node oracle trees is
+# about 0.3 and 0.55 MiB (d = 2 and 3 modes per root find); at 16,384 it
+# was 2.5 MiB there with one mode per root find, for no measurable gain in
+# time.
 _BLOCK = 1024
 
 
@@ -233,24 +234,27 @@ def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
 
 
 def _implicit_step(
-    ctx: _SubtreeCtx, i: int, m: int, target: np.ndarray, push: bool
+    ctx: _SubtreeCtx, i: int, modes: list[int], target: np.ndarray, push: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Position i's step in mode m at each continuation of ``target``:
+    """Position i's steps in each of ``modes`` at the continuations
+    ``target``, mode by mode in equal contiguous blocks, as one root find:
     R = min(U^m, y*) with y* = target + f^m(t, y*) dt, and the dD the cap
     takes (computed only if ``push``; zero otherwise)."""
     problem, t = ctx.problem, ctx.times[i]
-    f, d, dt = problem.generators[m], problem.d, problem.tree.dt
+    d, dt = problem.d, problem.tree.dt
+    size = target.size // len(modes)
+    steps = [lambda y, idx, f=problem.generators[m]: f(t, (y,) * d) for m in modes]
 
     def phi(y, idx):
-        return y - f(t, (y,) * d) * dt - target[idx]
+        return y - _blockwise(steps, size, y, idx) * dt - target[idx]
 
     ystar = _root_find_batch(phi, target, RESIDUAL_TOL)
-    cap = ctx.upper[m, i]
+    cap = np.repeat(ctx.upper[modes, i], size)
     over = np.flatnonzero(ystar > cap)
-    ystar[over] = cap
+    ystar[over] = cap[over]
     dd = np.zeros(target.size)
     if push and over.size:
-        lack = -phi(np.full(over.size, cap), over)
+        lack = -phi(cap[over], over)
         dd[over] = np.where(lack > 0.0, lack, 0.0)
     return ystar, dd
 
@@ -259,7 +263,7 @@ def _eval_strategy(
     ctx: _SubtreeCtx, allowed: list[list[int]], single: bool = False
 ) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray]:
     """Values of every mode assignment of each position's subtree, solved
-    bottom-up, each (position, mode) once.
+    bottom-up, each position once over all its modes.
 
     ``allowed[i]`` lists the modes position i may take.  Position i's
     values are in product order: its own mode (in ``allowed[i]`` order) is
@@ -287,20 +291,23 @@ def _eval_strategy(
         if not single:
             for c in kids:
                 values[c] = None
-        out = np.empty(len(modes) * grid)
+        out = np.empty((len(modes), grid))
         for lo in range(0, grid, _BLOCK):
             flat = np.arange(lo, min(lo + _BLOCK, grid))
             picks = [flat // s % z for s, z in zip(strides, sizes)]
+            conts = []   # each mode's continuation, the children in child order
             for j, m in enumerate(modes):
                 e = np.zeros(flat.size)
                 for p, arrive, pick in zip(ctx.probs[i], arrivals[j], picks):
                     e += p * arrive[pick]
-                r, push = _implicit_step(ctx, i, m, e + ctx.dv_out[m, i], single)
-                out[j * grid + lo:j * grid + lo + flat.size] = r
-                if single:
-                    for c, arrive in zip(kids, arrivals[j]):
-                        dm[c], dd[c] = arrive[0] - e[0], push[0]
-        return out
+                conts.append(e)
+            r, push = _implicit_step(ctx, i, modes, np.concatenate(
+                [e + ctx.dv_out[m, i] for m, e in zip(modes, conts)]), single)
+            out[:, lo:lo + flat.size] = r.reshape(len(modes), flat.size)
+            if single:
+                for c, arrive in zip(kids, arrivals[0]):
+                    dm[c], dd[c] = arrive[0] - conts[0][0], push[0]
+        return out.ravel()
 
     for i in range(n - 1, -1, -1):
         kids = ctx.children[i]
@@ -427,22 +434,21 @@ def construct_optimal_strategy(
     """
     _require_cost_form(problem)
     tree = problem.tree
-    edges = _binding_edges(problem.costs, tree.arrays.time, _columns_of(solution.y), tol)
+    edges = _binding_edges(problem.costs, tree.arrays.time, solution.y_columns, tol)
     modes: dict[int, int] = {start: start_mode}
     for u in tree.subtree(start):
         if u == start:
             continue
-        n = tree.node(u)
-        m = modes[n.parent]
+        m = modes[tree.parent(u)]
         yv = solution.y_vector(u)
-        h = problem.H(n.t, yv)
+        h = problem.H(int(tree.arrays.time[u]), yv)
         if abs(yv[m] - h[m]) <= tol:
             attaining = np.flatnonzero(edges[u, m]).tolist()
             if not attaining:
                 raise InternalConsistencyError(
-                    f"obstacle binds at node {n.node_id} in mode {m} but no "
+                    f"obstacle binds at node {tree.ids[u]} in mode {m} but no "
                     "attaining index found",
-                    n.node_id,
+                    tree.ids[u],
                 )
             modes[u] = attaining[0]
         else:
@@ -472,23 +478,27 @@ def check_switched_martingale(
     worst = 0.0
     violations: list[Violation] = []
     for u in tree.subtree(strategy.start):
-        n = tree.node(u)
-        if n.is_leaf:
+        if not tree.children(u):
             continue
         m = strategy.modes[u]
-        acc = math.fsum(
-            tree.node(c).prob * solution.m_increments[m][c] for c in n.children
-        )
+        acc = math.fsum(p * solution.m_increments[m][c] for c, p in _edges(tree, u))
         worst = _worse(worst, abs(acc))
         if not abs(acc) <= tol:
             violations.append(
                 Violation(
                     "switched-martingale",
                     f"E[dM | parent] = {acc:.3g}",
-                    n.node_id, n.t, m,
+                    tree.ids[u], int(tree.arrays.time[u]), m,
                 )
             )
     return SwitchedMartingaleReport(worst=worst, violations=tuple(violations))
+
+
+def _edges(tree: EventTree, u: int) -> list[tuple[int, float]]:
+    """Node u's (child, edge probability) pairs, in index order."""
+    a, b = tree.arrays.child_ptr[u:u + 2].tolist()
+    return list(zip(tree.arrays.child_index[a:b].tolist(),
+                    tree.arrays.child_prob[a:b].tolist()))
 
 
 def worst_case_switching_cost(problem: ObliqueProblem, start: int | None = None) -> float:
@@ -524,17 +534,14 @@ def unconstrained_start_value(
     whenever the obstacle push is inactive there.
     """
     tree = problem.tree
-    n = tree.node(start)
-    if n.is_leaf:
+    if not tree.children(start):
         return problem.terminal[start][mode]
-    e = math.fsum(
-        tree.node(c).prob * solution.y[mode].values[c] for c in n.children
-    )
+    e = math.fsum(p * solution.y[mode].values[c] for c, p in _edges(tree, start))
     f = problem.generators[mode]
-    d = problem.d
+    d, t = problem.d, int(tree.arrays.time[start])
     dt = tree.dt
     target = e + problem.v[mode].out_of(start)
     ystar = _root_find(
-        lambda y: y - f(n.t, (y,) * d) * dt - target, target, RESIDUAL_TOL
+        lambda y: y - f(t, (y,) * d) * dt - target, target, RESIDUAL_TOL
     )
     return min(problem.upper[mode].values[start], ystar)

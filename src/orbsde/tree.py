@@ -222,11 +222,19 @@ class EventTree:
     def nodes(self) -> tuple[Node, ...]:
         """The nodes in index order, made on first use."""
         cols = self._cols
-        ptr, kids = cols.child_ptr.tolist(), cols.child_index.tolist()
         return tuple(map(Node, range(len(cols.ids)), cols.ids, cols.time.tolist(),
-                         [None if p < 0 else p for p in cols.parent.tolist()],
-                         [tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:])],
-                         cols.prob.tolist()))
+                         self._parent_of, self._children_of, cols.prob.tolist()))
+
+    @functools.cached_property
+    def _children_of(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children, in index order, read off the CSR arrays."""
+        ptr, kids = self._cols.child_ptr.tolist(), self._cols.child_index.tolist()
+        return tuple(tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    @functools.cached_property
+    def _parent_of(self) -> tuple[int | None, ...]:
+        """Each node's parent, None at the root."""
+        return tuple(None if p < 0 else p for p in self._cols.parent.tolist())
 
     # -- construction ------------------------------------------------------
 
@@ -326,7 +334,12 @@ class EventTree:
         return MappingProxyType(self._index_of)
 
     def children(self, i: int) -> tuple[int, ...]:
-        return self.nodes[i].children
+        """Node i's children in index order (no :class:`Node` is made)."""
+        return self._children_of[i]
+
+    def parent(self, i: int) -> int | None:
+        """Node i's parent, None at the root (no :class:`Node` is made)."""
+        return self._parent_of[i]
 
     def node_probability(self, i: int) -> float:
         """Unconditional probability of reaching node i from the root."""
@@ -347,21 +360,19 @@ class EventTree:
         return p
 
     def subtree(self, i: int) -> tuple[int, ...]:
-        """Indices of the subtree rooted at i, in ascending index order,
-        read off the CSR arrays (no :class:`Node` is made)."""
-        ptr, kids = self._arrays.child_ptr, self._arrays.child_index
+        """Indices of the subtree rooted at i, in ascending index order
+        (no :class:`Node` is made)."""
+        kids = self._children_of
         level, seen = [i], [i]
         while level:
-            level = [c for u in level for c in kids[ptr[u]:ptr[u + 1]].tolist()]
+            level = [c for u in level for c in kids[u]]
             seen.extend(level)
         return tuple(sorted(seen))
 
     def path_from_root(self, i: int) -> tuple[int, ...]:
         path = [i]
-        n = self.nodes[i]
-        while n.parent is not None:
-            path.append(n.parent)
-            n = self.nodes[n.parent]
+        while self._parent_of[path[-1]] is not None:
+            path.append(self._parent_of[path[-1]])
         return tuple(reversed(path))
 
 
@@ -485,7 +496,7 @@ class PredictableIncrements:
         if differ.any():
             u = int(arrays.child_owner[differ].min())
             raise ValueError(
-                f"increment not parent-measurable at node {self.tree.node(u).node_id}"
+                f"increment not parent-measurable at node {self.tree.ids[u]}"
             )
 
     def __getitem__(self, i: int) -> float:
@@ -535,9 +546,9 @@ class StoppingTime:
     start: int = 0
 
     def __post_init__(self):
-        sub = self.tree.subtree(self.start)
-        for leaf in sub:
-            if not self.tree.node(leaf).is_leaf:
+        tree = self.tree
+        for leaf in tree.subtree(self.start):
+            if tree.children(leaf):
                 continue
             hits = 0
             u = leaf
@@ -546,11 +557,9 @@ class StoppingTime:
                     hits += 1
                 if u == self.start:
                     break
-                u = self.tree.node(u).parent
+                u = tree.parent(u)
             if hits != 1:
-                raise ValueError(
-                    f"path to leaf {self.tree.node(leaf).node_id} has {hits} stops"
-                )
+                raise ValueError(f"path to leaf {tree.ids[leaf]} has {hits} stops")
 
     def stop_node_on_path(self, leaf: int) -> int:
         u = leaf
@@ -559,7 +568,7 @@ class StoppingTime:
                 return u
             if u == self.start:
                 raise AssertionError("unreachable: validated at construction")
-            u = self.tree.node(u).parent
+            u = self.tree.parent(u)
 
 
 @dataclass(frozen=True)
@@ -652,11 +661,11 @@ def stopping_time_count(tree: EventTree, start: int | None = None) -> int:
     start = tree.root if start is None else start
 
     def count(u: int) -> int:
-        n = tree.node(u)
-        if n.is_leaf:
+        kids = tree.children(u)
+        if not kids:
             return 1
         prod = 1
-        for c in n.children:
+        for c in kids:
             prod *= count(c)
         return 1 + prod
 
@@ -689,10 +698,10 @@ def enumerate_stopping_times(
 
     def enum(u: int) -> list[frozenset[int]]:
         out = [frozenset({u})]
-        n = tree.node(u)
-        if n.is_leaf:
+        kids = tree.children(u)
+        if not kids:
             return out
-        per_child = [enum(c) for c in n.children]
+        per_child = [enum(c) for c in kids]
         combos = [frozenset()]
         for choices in per_child:
             combos = [base | extra for base in combos for extra in choices]

@@ -299,6 +299,29 @@ def penalty_table_scenario() -> dict:
     }
 
 
+def oracle_binomial_scenario() -> dict:
+    """The shape of the benchmark's oracle-binomial scenario: two modes
+    with decoupled linear generators on a 3-step binomial tree (2^14
+    strategies per start mode), fixed shocks of +-0.15."""
+    parents = ["r", "rd", "ru", "rdd", "rdu", "rud", "ruu"]
+    signs = ["-+-++--", "+--+-++"]
+    return {
+        "format": 1,
+        "name": "oracle-binomial-3",
+        "tree": {"kind": "binomial", "steps": 3, "dt": 0.5,
+                 "p_up": 0.5, "x0": 1.0, "up": 1.2, "down": 0.85},
+        "modes": 2,
+        "generators": [{"family": "linear", "a": 0.3, "b": 0.2},
+                       {"family": "linear", "a": -0.1, "b": 0.1}],
+        "costs": [[0.0, 0.15], [0.2, 0.0]],
+        "barriers": [{"kind": "constant", "value": 4.0}] * 2,
+        "terminal": {"kind": "price-affine", "a": [0.0, 0.05], "b": [1.0, 0.95]},
+        "v_increments": [{pid: 0.15 if sign == "+" else -0.15
+                          for pid, sign in zip(parents, row)} for row in signs],
+        "solver": {"stopping_depth_cap": 8},
+    }
+
+
 # sha256 of the strategy oracle's outputs on table generators, recorded
 # while the oracle still solved one strategy at a time
 PINNED_TABLE_OUTPUTS = {
@@ -786,6 +809,46 @@ def test_solve_and_verify_solution_make_no_node(tmp_path, record):
     assert ["nodes" in vars(p.tree) for p in built] == [False, False]
 
 
+@pytest.mark.parametrize("command", ["solve", "verify --solution"])
+def test_commands_convert_the_upper_barriers_and_y_once(
+        scenarios_dir, tmp_path, record, command):
+    import numpy as np
+
+    import orbsde.cli
+    import orbsde.oblique
+
+    scenario = scenarios_dir / "switch2x2.json"
+    flags = ["--out", tmp_path / "out"]
+    if command == "verify --solution":
+        assert run("solve", scenario, "--out", tmp_path / "solved") == 0
+        flags += ["--solution", tmp_path / "solved" / "solution.csv"]
+    problems = record(Scenario, "build_problem")
+    solutions = record(orbsde.cli, "solve_system" if command == "solve"
+                       else "load_solution_csv")
+    columns = record(orbsde.oblique, "_columns_of")
+    assert run(command.split()[0], scenario, *flags) == 0
+    (problem,), (solution,) = problems, solutions
+    for once in (problem.upper_columns, solution.y_columns):
+        assert not once.flags.writeable
+        assert sum(np.array_equal(c, once) for c in columns) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "brute-force"])
+def test_oracle_commands_make_no_node(tmp_path, record, command):
+    # the benchmark's oracle-binomial shape: the stopping-time and strategy
+    # enumerations, the greedy strategy, the switched-martingale check and
+    # the brute-force report read the tree's columns only
+    spec = oracle_binomial_scenario()
+    path = tmp_path / "oracle-binomial-3.json"
+    path.write_text(json.dumps(spec))
+    built = record(Scenario, "build_problem")
+    assert run(command, path, "--out", tmp_path / "out") == 0
+    assert ["nodes" in vars(p.tree) for p in built] == [False]
+    if command == "verify":   # every oracle ran: none was skipped
+        report = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert report["notes"] == [] and report["mismatches"] == []
+
+
 def test_sweep_makes_no_node(tmp_path, record):
     # the benchmark's penalty-table shape: the solve, the penalty ladder and
     # its K and A masses (each parent weighed by its reach probability) read
@@ -813,16 +876,38 @@ def test_switching_commands_take_the_decoupling_verdict_once(
 
 
 def test_sweep_walks_once_per_mode(scenarios_dir, tmp_path, record):
-    import orbsde.oblique
     import orbsde.scalar
 
-    walks = [record(module, "_backward_solve")
-             for module in (orbsde.oblique, orbsde.scalar)]
+    walks = record(orbsde.scalar, "_backward_walk")
     assert run("sweep-penalization", scenarios_dir / "switch2x2.json",
                "--out", tmp_path / "out") == 0
-    solve, ladders = walks
-    assert (len(solve), len(ladders)) == (1, 2)   # solve_system, then d modes
-    assert {len(ladder) for ladder in ladders} == {25}
+    # solve_system over the d = 2 modes, then every mode's 25 pairs at once
+    assert [y.shape[1] for y, *_ in walks] == [2, 25 * 2]
+
+
+def test_sweep_ladder_columns_equal_each_modes_own_ladder(tmp_path):
+    # the sweep's one ladder walk over every mode, on the benchmark's
+    # kinked-table shape (bisection roots): each mode's columns equal its
+    # own single-mode ladder bit for bit, Y at every node, dK, dA and both
+    # masses
+    from orbsde.oblique import mode_problem, solve_system
+    from orbsde.scalar import _penalized_solve
+    from orbsde.scenario import PENALTY_LADDER
+
+    path = tmp_path / "penalty-table-3.json"
+    path.write_text(json.dumps(benchmark_shaped_scenario("penalty-table")))
+    problem = Scenario.from_file(path).build_problem()
+    solution = solve_system(problem)
+    pairs = [(p, q) for p in PENALTY_LADDER for q in PENALTY_LADDER]
+    modes = [mode_problem(problem, solution, j) for j in range(problem.d)]
+    fused = _penalized_solve(modes, *zip(*pairs))
+    for j, mode in enumerate(modes):
+        alone = _penalized_solve([mode], *zip(*pairs))
+        cols = slice(j * len(pairs), (j + 1) * len(pairs))
+        for field in ("y", "k", "a", "lower_mass", "upper_mass"):
+            ours, own = getattr(fused, field)[..., cols], getattr(alone, field)
+            assert ours.shape == own.shape
+            assert ours.tobytes() == own.tobytes(), (j, field)
 
 
 def test_non_finite_json_values_are_strings(scenarios_dir, tmp_path, monkeypatch):

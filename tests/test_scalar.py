@@ -253,6 +253,112 @@ def test_batched_root_finder_runs_every_branch():
     assert _batch_roots(cases) == _scalar_roots(cases)
 
 
+def _logged(phi, log):
+    """``phi`` recording the index array of every call in ``log``."""
+    def logged(x, idx):
+        log.append(idx.copy())
+        return phi(x, idx)
+    return logged
+
+
+def _scalar_points(params, x0):
+    """The points at which the scalar finder evaluates one residual."""
+    xs = []
+
+    def phi(y):
+        xs.append(y)
+        return _residual(y, *params)
+
+    _root_find(phi, x0, RESIDUAL_TOL)
+    return xs
+
+
+def _halvings_per_call(n: int) -> int:
+    """The largest k <= 6 with n (2^k - 1) <= 1,024, and at least 1."""
+    return max([1] + [k for k in range(1, 7) if n * (2**k - 1) <= 1024])
+
+
+@pytest.mark.parametrize("tail", [1, 7, 1100])
+def test_block_bisection_tails_equal_the_scalar_finder(tail):
+    # cubic residuals that all bisect at once: a tail of one element takes
+    # 6 halvings per call (63 points), 7 elements 6 halvings (441 points),
+    # and more than 1,024 elements keep one halving per call
+    rng = random.Random(tail)
+    cases = [((1.0, rng.uniform(0.5, 3.0), 0.0, 0.0, 0.0, rng.uniform(-20.0, 20.0),
+               rng.uniform(0.1, 1.0)), rng.uniform(-20.0, 20.0)) for _ in range(tail)]
+    assert all(_branches(*case) == {"bisection"} for case in cases)
+    columns = np.array([params for params, _ in cases]).T
+    log = []
+    roots = _root_find_batch(_logged(lambda y, idx: _residual(y, *columns[:, idx]), log),
+                             np.array([x0 for _, x0 in cases]), RESIDUAL_TOL)
+    assert roots.tolist() == _scalar_roots(cases)
+    # after the probe and the secant, every call bisects: a whole tree per
+    # element still bisecting, the first one over every element
+    assert np.array_equal(np.unique(log[3]), np.arange(tail))
+    assert log[3].size == tail * {1: 63, 7: 63, 1100: 1}[tail]
+    for idx in log[3:]:
+        n = np.unique(idx).size
+        assert idx.size == n * (2 ** _halvings_per_call(n) - 1)
+        assert (np.diff(idx) >= 0).all()
+
+
+def test_block_bisection_takes_the_upper_half_at_a_nan_inside_a_block():
+    # a residual that is NaN in a narrow band around the scalar finder's
+    # 9th bisection mid, which is the 3rd level of a block: the scalar loop
+    # takes the upper half there, and so does the block walk
+    params, x0 = (1.0, 2.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5
+    assert _branches(params, x0) == {"bisection"}
+    band = _scalar_points(params, x0)[3 + 8]   # after the three probes
+
+    def nan_band(y):
+        return np.where(np.abs(y - band) < 1e-12, math.nan, _residual(y, *params))
+
+    xs = []
+
+    def scalar_phi(y):
+        xs.append(y)
+        return float(nan_band(y))
+
+    expected = _root_find(scalar_phi, x0, RESIDUAL_TOL)
+    assert math.isnan(scalar_phi(xs[3 + 8]))
+    got = _root_find_batch(lambda y, idx: nan_band(y), np.array([x0]), RESIDUAL_TOL)
+    assert got.tolist() == [expected]
+
+
+def test_block_bisection_stall_guard_finishes_part_way_through_a_block():
+    # the stiff kink ends on the ulp-width stall guard after 58 halvings:
+    # the 4th level of the 10th block of 6, not a block's last level
+    params, x0 = (1.0, 0.0, 1e6, 0.0, 0.2, 1.5, 0.5), -30.0
+    assert _branches(params, x0) == {"bisection", "stall guard"}
+    halvings = len(_scalar_points(params, x0)) - 3
+    assert (halvings, halvings % 6) == (58, 4)
+    log = []
+    got = _root_find_batch(_logged(lambda y, idx: _residual(y, *params), log),
+                           np.array([x0]), RESIDUAL_TOL)
+    assert got.tolist() == [_root_find(lambda y: _residual(y, *params), x0,
+                                       RESIDUAL_TOL)]
+    assert [idx.size for idx in log] == [1, 1, 1] + [63] * 10
+
+
+def test_kinked_table_batch_bisects_in_few_residual_calls():
+    # the benchmark's kinked table generator at dt = 1/8 on 128 targets:
+    # most elements end at the probe or the secant, and the few left
+    # bisect about 42 times; one halving per call took 47 calls here
+    grid = np.array([-4.0 + 0.5 * i for i in range(17)])
+    table = 0.1 - 0.4 * grid - 0.15 * grid * np.abs(grid)
+    target, dt = np.linspace(-2.0, 2.0, 128), 0.125
+
+    def phi(x, idx):
+        return x - np.interp(x, grid, table) * dt - target[idx]
+
+    log = []
+    roots = _root_find_batch(_logged(phi, log), target, RESIDUAL_TOL)
+    assert len(log) <= 15
+    assert roots.tolist() == [
+        _root_find(lambda y: float(phi(np.array([y]), np.array([i]))[0]), x0,
+                   RESIDUAL_TOL) for i, x0 in enumerate(target.tolist())]
+
+
 # -- lower barrier -------------------------------------------------------------
 
 
@@ -691,16 +797,43 @@ def test_penalized_ladder_matches_the_scipy_oracle(seed):
     problem = random_scalar_problem(rng, tree=tree, barriers="both",
                                     allow_nonlinear=True)
     pairs = [(p, q) for p in LADDER for q in LADDER]
-    ladder = _penalized_solve(problem, *zip(*pairs))
-    assert len(ladder) == len(pairs)
-    for (p, q), pen in zip(pairs, ladder):
+    ladder = _penalized_solve([problem], *zip(*pairs))
+    assert ladder.y.shape == (tree.n_nodes, len(pairs))
+    for i, (p, q) in enumerate(pairs):
+        pen = ladder.solution(tree, i)
         oracle = penalized_values(problem, p, q)
         assert max(abs(a - b) for a, b in zip(pen.y.values, oracle)) <= 1e-10, (p, q)
-        alone = _penalized_solve(problem, [p], [q])[0]
+        alone = _penalized_solve([problem], [p], [q]).solution(tree, 0)
         assert (pen.y.values, pen.m_increments, pen.k.values, pen.a.values,
                 pen.lower_mass, pen.upper_mass) == (
             alone.y.values, alone.m_increments, alone.k.values, alone.a.values,
             alone.lower_mass, alone.upper_mass)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fused_ladders_equal_each_problems_own_ladder():
+    # problems on one tree with every barrier set, walked as one ladder
+    # (columns problem by problem, then pair by pair): each problem's
+    # columns are its own ladder's, bit for bit
+    rng = random.Random(97)
+    pairs = [(p, q) for p in LADDER for q in LADDER]
+    for _ in range(8):
+        tree = random_tree(rng, max_depth=3, max_branching=3)
+        problems = [random_scalar_problem(rng, tree=tree, barriers=barriers,
+                                          allow_nonlinear=True)
+                    for barriers in ("both", "lower", "upper", "none", "both")]
+        fused = _penalized_solve(problems, *zip(*pairs))
+        assert fused.y.shape == (tree.n_nodes, len(problems) * len(pairs))
+        for b, problem in enumerate(problems):
+            alone = _penalized_solve([problem], *zip(*pairs))
+            cols = slice(b * len(pairs), (b + 1) * len(pairs))
+            for field in ("y", "m", "k", "a", "lower_mass", "upper_mass"):
+                assert _same_bits(getattr(fused, field)[..., cols],
+                                  getattr(alone, field)), (b, field)
 
 
 def test_walk_expectations_are_one_step_expectations():
