@@ -69,6 +69,7 @@ from .switching import (
     unconstrained_start_value,
     worst_case_switching_cost,
 )
+from .tree import _check_stopping_caps
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -250,6 +251,9 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
     depth_cap = scenario.solver["stopping_depth_cap"]
     count_cap = scenario.solver["stopping_count_cap"]
     try:
+        # the root's subtree is the deepest and largest, so the caps refuse
+        # there first; checked before the d mode problems are built
+        _check_stopping_caps(tree, tree.root, depth_cap, count_cap)
         worst_gap = 0.0
         for j in range(d):
             column = ScalarSolution(solution.y[j], solution.m_increments[j],

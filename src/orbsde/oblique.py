@@ -23,9 +23,10 @@ return one value per node (a generator may return a scalar, which is
 broadcast).
 
 Two solvers share the package's one backward walk
-``scalar._backward_solve`` over the d modes, one batched projection
-(``scalar._project_batch``: a mode's implicit steps at a level's parents as
-one ``_root_find_batch``, projected into their barriers) and one start
+``scalar._backward_solve`` over the d modes, one implicit step (a mode's
+residual at a level's parents, ``_mode_residual``, solved by one
+``_root_find_batch`` and projected into the barriers by
+``scalar._project``) and one start
 rule (``_level_start``): at each parent, the low corner of the state box,
 lowered tenfold (at most seven times) until every mode's upper-only step
 with the generator frozen there lies at or above it.  The lowered corner
@@ -40,7 +41,10 @@ with its own level step:
   ``y_j = min(U_j, max(ystar_j(y), H^j(y)))`` at every parent of the level
   by Gauss-Seidel rounds over the modes (``_level_rounds``), all parents
   at once, started from their start rows; a parent leaves the rounds when
-  a round changes it by no more than the tolerance.  A failing parent is
+  a round changes it by no more than the tolerance.  A mode's root is
+  found again only where a component its generator reads
+  (``ObliqueProblem.reads``) has moved; between, the kept root is
+  projected again.  A failing parent is
   named as a node-by-node walk (descending index order) would name it:
   the highest-index failing parent of the first failing level, whatever
   round it failed in.
@@ -75,6 +79,8 @@ from .errors import (
     Violation,
 )
 from .scalar import (
+    PROBE_TOL,
+    RESIDUAL_TOL,
     ScalarRBSDEProblem,
     ScalarSolution,
     _backward_solve,
@@ -82,7 +88,8 @@ from .scalar import (
     _leaf_entries,
     _note_non_finite,
     _probe,
-    _project_batch,
+    _project,
+    _root_find_batch,
     _worse,
 )
 from .tree import AdaptedProcess, EventTree, PredictableIncrements
@@ -230,6 +237,12 @@ class ObliqueProblem:
     via ``obstacle`` (existence-mode solves only: the switching layer and
     its oracles require the cost form).  It takes the same arguments and
     returns d columns, ``H^j`` in slot j.
+
+    ``reads[j]`` lists the other components that ``generators[j]`` reads;
+    None (the default) means every one.  :func:`solve_system` finds mode
+    j's implicit root again only where one of them has moved, so f^j must
+    give the same bits whatever the components it does not declare hold;
+    :func:`validate_problem` refuses a declaration its probes contradict.
     """
 
     tree: EventTree
@@ -240,6 +253,7 @@ class ObliqueProblem:
     upper: tuple[AdaptedProcess, ...]
     costs: CostMatrix | None = None
     obstacle: ObstacleFn | None = None
+    reads: tuple[tuple[int, ...], ...] | None = None
     # verdicts of checks taken once per problem (the problem is immutable)
     _verdicts: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
@@ -333,6 +347,14 @@ def _moved_lines(
     ]
 
 
+def _seen_reading(lines: Sequence[tuple], ks: Sequence[int]) -> list[int]:
+    """The components k of ``ks`` that f^j is seen to read: its
+    :func:`_moved_lines` line k is not finite, or moves f^j by more than
+    PROBE_TOL."""
+    return [k for k in ks if lines[k][1] is not None
+            or max(lines[k][0]) - min(lines[k][0]) > PROBE_TOL]
+
+
 def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     """All structural hypotheses, reported with node/time coordinates.
 
@@ -343,7 +365,8 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     and, at every time index before the horizon, that the generators are
     finite at the probe points, with finite-difference spot-checks of their
     monotonicity directions (decreasing in the own component,
-    nondecreasing in the others) and continuity.  Non-finite data stop the
+    nondecreasing in the others) and continuity, and that f^j moves with
+    no component its ``reads`` leave out.  Non-finite data stop the
     report before the Mokobodzki check, and non-finite generator values
     before the monotonicity probes: NaN would silently pass the
     comparisons of either.
@@ -354,7 +377,8 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     if d < 2:
         out.append(Violation("dimension", f"need d >= 2 modes, got {d}"))
         return out
-    if len(problem.generators) != d or len(problem.upper) != d or len(problem.v) != d:
+    if (len(problem.generators) != d or len(problem.upper) != d or len(problem.v) != d
+            or problem.reads is not None and len(problem.reads) != d):
         out.append(Violation("dimension", "per-mode field lengths disagree with d"))
         return out
     given, missing, entries = _leaf_entries(tree, problem.terminal)
@@ -416,6 +440,8 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
                                         time_index=t, mode=j))
     if non_finite:
         return out + non_finite
+    readers = _readers(problem)
+    unread = [[k for k in range(d) if k != j and j not in readers[k]] for j in range(d)]
     for (j, t), (*moved, (diagonal, _, _)) in probes.items():
         for k, (_, _, against) in enumerate(moved):
             code, how = (
@@ -431,6 +457,9 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
             for y0, at, above in zip(grid, diagonal[0::2], diagonal[1::2])
             if abs(above - at) > 1.0
         )
+        out.extend(Violation("generator-reads", f"f^{j} reads component {k}, "
+                             "which its declared reads leave out", time_index=t, mode=j)
+                   for k in _seen_reading(moved, unread[j]))
     return out
 
 
@@ -476,13 +505,11 @@ def _corner(problem: ObliqueProblem) -> Row:
     return tuple((lows - 1.0).tolist())
 
 
-def _mode_step(
-    problem: ObliqueProblem, t: int, rows: np.ndarray, j: int,
-    target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode j's implicit step ``c - f^j(t, row with c in slot j) dt =
-    target`` at every row of ``rows``, projected into [``lo``, ``hi``]
-    (:func:`scalar._project_batch`): returns the arrays (Y, dK, dA)."""
+def _mode_residual(
+    problem: ObliqueProblem, t: int, rows: np.ndarray, j: int, target: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The residual ``phi(x, idx) = x - f^j(t, row with x in slot j) dt -
+    target`` of mode j's implicit step at the rows ``idx`` of ``rows``."""
     f, dt = problem.generators[j], problem.tree.dt
     cols = tuple(rows.T)
 
@@ -490,7 +517,7 @@ def _mode_step(
         return x - f(t, tuple(x if k == j else col[idx]
                               for k, col in enumerate(cols))) * dt - target[idx]
 
-    return _project_batch(phi, target, lo, hi)
+    return phi
 
 
 def _jacobi_step(
@@ -499,11 +526,12 @@ def _jacobi_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every mode's step at a level's parents with the generator frozen at
     ``rows``, projected into [``lower``, ``upper``] (``(m, d)`` arrays,
-    -inf for no lower barrier): one batched projection per mode, the modes
-    independent within the step, as in a Jacobi sweep.  Returns the
-    ``(m, d)`` arrays Y, dK and dA."""
-    steps = [_mode_step(problem, t, rows, j, targets[:, j], lower[:, j], upper[:, j])
-             for j in range(problem.d)]
+    -inf for no lower barrier): one batched root find and projection per
+    mode, the modes independent within the step, as in a Jacobi sweep.
+    Returns the ``(m, d)`` arrays Y, dK and dA."""
+    phis = [_mode_residual(problem, t, rows, j, targets[:, j]) for j in range(problem.d)]
+    steps = [_project(phi, _root_find_batch(phi, targets[:, j], RESIDUAL_TOL),
+                      lower[:, j], upper[:, j]) for j, phi in enumerate(phis)]
     return tuple(np.column_stack(parts) for parts in zip(*steps))
 
 
@@ -661,7 +689,9 @@ def solve_system(
 
     The rounds run at all parents of a level at once (``_level_rounds``),
     each mode update one batched projection over the parents still in the
-    rounds, from the :func:`_level_start` rows.  A round that still lowers
+    rounds, from the :func:`_level_start` rows, of roots found again only
+    where a component the mode's generator reads has moved.  A round that
+    still lowers
     a component, or a node below every corner tried, raises
     NonMonotoneSweepError naming the node.  A node is done when a round
     changes no component by more than ``tol``; ``ConvergenceError`` names
@@ -707,61 +737,98 @@ def _level_rounds(
     """Gauss-Seidel rounds at a level's parents from their subsolution rows
     ``start``, all parents at once.
 
-    Each mode update is one :func:`_mode_step` over the parents still in
-    the rounds; a parent leaves them after the first round that changes
-    no component by more than ``tol``.  A parent that fails (a round
-    lowers one of its components, or ``max_rounds`` rounds are not enough)
-    leaves them too, with every parent after it in the walk's order, whose
-    failures a node-by-node walk would not reach; once the rounds are over,
-    the error of the first failing parent is raised.  Returns the
-    ``(m, d)`` arrays Y, dK and dA, and per parent the round count and the
+    Mode j's root at a parent depends only on t, its target and the
+    components its generator reads (``problem.reads``), so the rounds keep
+    each parent's roots with a stale mask, all stale at round 1.  Each mode
+    update finds the stale roots (one ``_root_find_batch``), projects the
+    kept roots into [H^j(row), U^j] (``scalar._project``), and marks
+    stale, wherever y_j's bit pattern changed (0.0 to -0.0 and NaN
+    included), the root of every mode that reads component j.  Every root
+    is the one a new root find would give, bit for bit.  A parent leaves
+    the rounds after the first round that changes no component by more
+    than ``tol``.  A parent that fails (a round lowers one of its
+    components, or ``max_rounds`` rounds are not enough) leaves them too,
+    with every parent after it in the walk's order, whose failures a
+    node-by-node walk would not reach; once the rounds are over, the error
+    of the first failing parent is raised.  The parents still in the
+    rounds keep their data in arrays of their own, cut as parents leave,
+    so an update reads and writes whole columns.  Returns the ``(m, d)``
+    arrays Y, dK and dA, and per parent the round count and the
     final-round change.
     """
     tree = problem.tree
-    rows = start.copy()
-    dk, da = np.zeros(rows.shape), np.zeros(rows.shape)
-    counts = np.zeros(len(rows), dtype=int)
-    changes = np.zeros(len(rows))
-    active = np.arange(len(rows))
+    y, dk, da = np.zeros(start.shape), np.zeros(start.shape), np.zeros(start.shape)
+    counts = np.zeros(len(start), dtype=int)
+    changes = np.zeros(len(start))
+    readers = _readers(problem)
+    # the parents still in the rounds, in the walk's order: their indices,
+    # then their rows, pushes, targets, upper barriers, roots and stale masks
+    live = [np.arange(len(start)), start.copy(), np.zeros(start.shape),
+            np.zeros(start.shape), targets, upper, np.zeros(start.shape),
+            np.ones(start.shape, dtype=bool)]
     failure: Exception | None = None
 
     def fail(i: int, error: type, detail: str) -> None:
-        """Name parent ``active[i]`` and drop it and every parent after it."""
-        nonlocal active, failure
-        failure = error(f"node {tree.ids[parents[active[i]]]} (t={t}): {detail}")
-        active = active[:i]
+        """Name live parent i and drop it and every parent after it."""
+        nonlocal failure
+        failure = error(f"node {tree.ids[parents[live[0][i]]]} (t={t}): {detail}")
+        live[:] = [a[:i] for a in live]
 
     for count in range(1, max_rounds + 1):
-        change = np.zeros(active.size)
+        change = np.zeros(len(live[0]))
         for j in range(problem.d):
+            active, rows, pk, pa, tg, up, roots, stale = live
             if not active.size:
                 break
-            now = rows[active]
-            val, pk, pa = _mode_step(problem, t, now, j, targets[active, j],
-                                     _obstacle_column(problem, t, now, j),
-                                     upper[active, j])
-            rise = val - now[:, j]
+            phi = _mode_residual(problem, t, rows, j, tg[:, j])
+            if stale[:, j].all():
+                roots[:, j] = _root_find_batch(phi, tg[:, j], RESIDUAL_TOL)
+            elif stale[:, j].any():
+                find = np.flatnonzero(stale[:, j])
+                roots[find, j] = _root_find_batch(lambda x, i: phi(x, find[i]),
+                                                  tg[find, j], RESIDUAL_TOL)
+            stale[:, j] = False
+            val, pk[:, j], pa[:, j] = _project(phi, roots[:, j].copy(),
+                                               _obstacle_column(problem, t, rows, j), up[:, j])
+            rise = val - rows[:, j]
             # the slack of picard_solve's monotonicity check
-            fell = np.flatnonzero(rise < -np.fmax(1e-12, 1e-13 * np.abs(now[:, j])))
+            fell = np.flatnonzero(rise < -np.fmax(1e-12, 1e-13 * np.abs(rows[:, j])))
             if fell.size:
                 i = fell[0]
                 fail(i, NonMonotoneSweepError,
                      f"round {count} lowered mode {j} by {-rise[i]:.3g}")
-                val, pk, pa, rise, change = (a[:i] for a in (val, pk, pa, rise, change))
+                val, rise, change = val[:i], rise[:i], change[:i]
+                rows, stale = live[1], live[7]
             size = np.abs(rise)
             change = np.where((size > change) | (size != size), size, change)   # _worse
-            rows[active, j], dk[active, j], da[active, j] = val, pk, pa
+            moved = val.view(np.int64) != rows[:, j].view(np.int64)
+            for i in readers[j]:
+                stale[:, i] |= moved
+            rows[:, j] = val
         done = change <= tol
-        counts[active[done]], changes[active[done]] = count, change[done]
-        active, change = active[~done], change[~done]
-        if not active.size:
+        if done.any():
+            active, rows, pk, pa = live[:4]
+            leave = active[done]
+            counts[leave], changes[leave] = count, change[done]
+            y[leave], dk[leave], da[leave] = rows[done], pk[done], pa[done]
+            live[:] = [a[~done] for a in live]
+            change = change[~done]
+        if not live[0].size:
             break
-    if active.size:
+    if live[0].size:
         fail(0, ConvergenceError, f"round change {change[0]:.3g} > tol {tol:g} "
              f"after {max_rounds} rounds")
     if failure is not None:
         raise failure
-    return rows, dk, da, counts, changes
+    return y, dk, da, counts, changes
+
+
+def _readers(problem: ObliqueProblem) -> list[list[int]]:
+    """``readers[k]``: the modes j != k whose generator reads component k,
+    by ``problem.reads`` (every mode j != k when it is None)."""
+    reads, d = problem.reads, problem.d
+    return [[j for j in range(d) if j != k and (reads is None or k in reads[j])]
+            for k in range(d)]
 
 
 def mode_problem(

@@ -37,7 +37,7 @@ arrays of values and pushes; ``_backward_solve`` wraps them as one
 ScalarSolution per column.  The solvers here solve a level's implicit
 steps with one batched root find (``_root_find_batch``): the projected
 solves walk one column, projecting the roots into the barriers
-(``_project_batch``, which the oblique steps share), and the penalized
+(``_project``, which the oblique steps share), and the penalized
 scheme walks one column per problem and weight pair (the penalty in the
 generator and the penalty integrals as its pushes), so the (p, q)
 ladders of several problems on one tree, every mode of a system for
@@ -647,20 +647,19 @@ def _positive(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _project_batch(
+def _project(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    target: np.ndarray,
+    y: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The implicit steps ``phi(x, idx) = 0`` of a batch (the roots of
-    :func:`_root_find_batch` from ``target``), each projected into
-    [``lo``, ``hi``]; -inf and inf stand for an absent barrier.  Returns
-    the arrays (Y, dK, dA): a root below ``lo`` is lifted to it with
+    """The roots ``y`` of a batch's implicit steps ``phi(x, idx) = 0`` (as
+    :func:`_root_find_batch` finds them), projected into [``lo``, ``hi``]
+    in place; -inf and inf stand for an absent barrier.  Returns the
+    arrays (Y, dK, dA): a root below ``lo`` is lifted to it with
     dK = phi(lo)^+, and otherwise a root above ``hi`` is lowered to it
     with dA = (-phi(hi))^+, the pushes that make the step's identity exact
     at the projected value."""
-    y = _root_find_batch(phi, target, RESIDUAL_TOL)
     below = np.flatnonzero(y < lo)
     above = np.flatnonzero((y > hi) & ~(y < lo))
     dk, da = np.zeros(y.size), np.zeros(y.size)
@@ -680,7 +679,7 @@ def _require_valid(problem: ScalarRBSDEProblem) -> None:
 
 def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
     """The validated problem with each level's implicit steps projected
-    into whichever barriers it has (:func:`_project_batch`)."""
+    into whichever barriers it has (:func:`_project`)."""
     _require_valid(problem)
     g, dt = problem.generator, problem.tree.dt
     lower, upper = (np.full(problem.tree.n_nodes, bound) if b is None
@@ -693,7 +692,8 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
         def phi(x, idx):
             return x - g(t, parents[idx], x) * dt - target[idx]
 
-        y, dk, da = _project_batch(phi, target, lower[parents], upper[parents])
+        y, dk, da = _project(phi, _root_find_batch(phi, target, RESIDUAL_TOL),
+                             lower[parents], upper[parents])
         return y[:, None], dk[:, None], da[:, None]
 
     rows = {leaf: (problem.terminal[leaf],) for leaf in problem.tree.leaves}
@@ -795,38 +795,46 @@ def _penalized_solve(
 
     lower, p_col = by_problem([pb.lower for pb in problems], p)
     upper, q_col = by_problem([pb.upper for pb in problems], q)
+    p_w, q_w = (None if w is None else w.reshape(-1, pairs, 1) for w in (p_col, q_col))
     generators = [pb.generator for pb in problems]
+    owner = np.repeat(np.arange(len(problems)), pairs)   # each column's problem
 
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
-        # column-major: column by column, each over the level's parents
+        # column-major: column by column, each over the level's parents;
+        # the barriers are kept per problem and parent and the weights per
+        # column, and each residual call gathers them by its columns' runs
         size = parents.size
+        low = lower[:, parents].ravel() if lower is not None else None
+        high = upper[:, parents].ravel() if upper is not None else None
         nodes = np.tile(parents, cols)
-        owner = np.repeat(np.arange(len(problems)), pairs * size)
-        if lower is not None:
-            pw, low = np.repeat(p_col, size), lower[owner, nodes]
-        if upper is not None:
-            qw, high = np.repeat(q_col, size), upper[owner, nodes]
+        # column c holds elements first[c] to first[c + 1] - 1, and element
+        # e of it reads its problem's barriers at e - shift[c]
+        first = np.arange(cols + 1) * size
+        shift = first[:-1] - owner * size
         target = targets.T.ravel()
         level_generators = [lambda x, idx, g=g: g(t, nodes[idx], x) for g in generators]
 
         def penalized(x, idx):
             val = _blockwise(level_generators, pairs * size, x, idx)
-            if lower is not None:
-                w = pw[idx]
-                val = np.where(w > 0, val + w * _positive(low[idx] - x), val)
-            if upper is not None:
-                w = qw[idx]
-                val = np.where(w > 0, val - w * _positive(x - high[idx]), val)
+            counts = np.diff(np.searchsorted(idx, first))   # idx ascends
+            at = idx - np.repeat(shift, counts)
+            if low is not None:
+                w = np.repeat(p_col, counts)
+                val = np.where(w > 0, val + w * _positive(low[at] - x), val)
+            if high is not None:
+                w = np.repeat(q_col, counts)
+                val = np.where(w > 0, val - w * _positive(x - high[at]), val)
             return val
 
         def phi(x, idx):
             return x - penalized(x, idx) * dt - target[idx]
 
-        y = _root_find_batch(phi, target, RESIDUAL_TOL)
-        dk = (np.where(pw > 0, pw * _positive(low - y) * dt, 0.0)
-              if lower is not None else np.zeros(y.size))
-        da = (np.where(qw > 0, qw * _positive(y - high) * dt, 0.0)
-              if upper is not None else np.zeros(y.size))
+        # as (problems, pairs, size): each problem's barriers, each pair's weights
+        y = _root_find_batch(phi, target, RESIDUAL_TOL).reshape(-1, pairs, size)
+        dk = (np.where(p_w > 0, p_w * _positive(low.reshape(-1, 1, size) - y) * dt, 0.0)
+              if low is not None else np.zeros(y.shape))
+        da = (np.where(q_w > 0, q_w * _positive(y - high.reshape(-1, 1, size)) * dt, 0.0)
+              if high is not None else np.zeros(y.shape))
         return (a.reshape(cols, size).T for a in (y, dk, da))
 
     y, m, k, a = _backward_walk(tree, np.repeat(

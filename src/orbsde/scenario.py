@@ -419,7 +419,16 @@ class Scenario:
             v=tuple(v),
             upper=upper,
             costs=costs,
+            reads=tuple(_reads(spec, j) for j, spec in enumerate(self.generators)),
         )
+
+
+def _reads(spec: dict, mode: int) -> tuple[int, ...]:
+    """The other components a generator of the family reads: none for
+    constant, linear and table, the weighted ones for affine-coupled."""
+    if spec["family"] != "affine-coupled":
+        return ()
+    return tuple(k for k, w in enumerate(spec["g"]) if k != mode and w != 0.0)
 
 
 def _make_generator(spec: dict, mode: int, dt: float):

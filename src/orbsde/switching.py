@@ -67,9 +67,9 @@ from .oblique import (
     _binding_edges,
     _moved_lines,
     _probe_box,
+    _seen_reading,
 )
 from .scalar import (
-    PROBE_TOL,
     RESIDUAL_TOL,
     _blockwise,
     _leaf_entries,
@@ -142,16 +142,15 @@ def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
     """Probe that each f^j ignores the off-diagonal components at every
     time index: of the validator's moved-component probe lines
     (``oblique._moved_lines``), each with another component moved must be
-    finite and constant within ``PROBE_TOL``."""
+    finite and constant within ``PROBE_TOL`` (``oblique._seen_reading``)."""
     out: list[Violation] = []
     _, _, entries = _leaf_entries(problem.tree, problem.terminal)
     grid = _probe_box(problem.upper_columns, np.array(entries, dtype=float))
     d = problem.d
     for j, f in enumerate(problem.generators):
+        others = [k for k in range(d) if k != j]
         for t in range(problem.tree.n_steps):
-            moved = _moved_lines(f, t, grid, d, j)
-            coupled = [k for k, (values, bad, _) in enumerate(moved) if k != j and (
-                bad is not None or max(values) - min(values) > PROBE_TOL)]
+            coupled = _seen_reading(_moved_lines(f, t, grid, d, j), others)
             if coupled:
                 out.append(
                     Violation(

@@ -672,6 +672,24 @@ def stopping_time_count(tree: EventTree, start: int | None = None) -> int:
     return count(start)
 
 
+def _check_stopping_caps(tree: EventTree, start: int, max_depth: int,
+                         max_count: int) -> int:
+    """Raise EnumerationCapError if the subtree of ``start`` is deeper than
+    ``max_depth`` or has more than ``max_count`` stopping times (the depth
+    is checked first, and the count only under it); returns the count."""
+    depth = tree.n_steps - int(tree.arrays.time[start])
+    if depth > max_depth:
+        raise EnumerationCapError(
+            f"subtree depth {depth} exceeds enumeration bound {max_depth}"
+        )
+    total = stopping_time_count(tree, start)
+    if total > max_count:
+        raise EnumerationCapError(
+            f"{total} stopping times exceed enumeration cap {max_count}"
+        )
+    return total
+
+
 def enumerate_stopping_times(
     tree: EventTree,
     start: int | None = None,
@@ -685,16 +703,7 @@ def enumerate_stopping_times(
     depth or count caps; exhaustive or absent, never sampled.
     """
     start = tree.root if start is None else start
-    depth = tree.n_steps - int(tree.arrays.time[start])
-    if depth > max_depth:
-        raise EnumerationCapError(
-            f"subtree depth {depth} exceeds enumeration bound {max_depth}"
-        )
-    total = stopping_time_count(tree, start)
-    if total > max_count:
-        raise EnumerationCapError(
-            f"{total} stopping times exceed enumeration cap {max_count}"
-        )
+    total = _check_stopping_caps(tree, start, max_depth, max_count)
 
     def enum(u: int) -> list[frozenset[int]]:
         out = [frozenset({u})]

@@ -154,7 +154,8 @@ def random_oblique_problem(
     cost_band: tuple[float, float] = (0.8, 1.2),
     v_scale: float = 0.15,
 ) -> ObliqueProblem:
-    """Random system satisfying every structural hypothesis by construction.
+    """Random system satisfying every structural hypothesis by construction,
+    each generator's reads declared.
 
     Upper barriers share a common random walk with per-mode offsets kept
     inside 0.4x the minimal cost, and terminals sit below the barrier with
@@ -184,7 +185,7 @@ def random_oblique_problem(
         terminal[leaf] = tuple(
             upper[j].values[leaf] - subs[j] for j in range(d)
         )
-    gens = []
+    gens, reads = [], []
     for j in range(d):
         a = rng.uniform(-drift_scale, drift_scale)
         b = rng.uniform(0.0, 0.5)
@@ -202,8 +203,10 @@ def random_oblique_problem(
                 return acc
 
             gens.append(gen)
+            reads.append(tuple(k for k, w in enumerate(g) if w != 0.0))
         else:
             gens.append(lambda t, y, _a=a, _b=b, _j=j: _a - _b * y[_j])
+            reads.append(())
     v = tuple(random_v(rng, tree, scale=v_scale) for _ in range(d))
     return ObliqueProblem(
         tree=tree,
@@ -213,6 +216,7 @@ def random_oblique_problem(
         v=v,
         upper=upper,
         costs=costs,
+        reads=tuple(reads),
     )
 
 
@@ -231,6 +235,7 @@ def zero_cost_cycle(problem: ObliqueProblem) -> ObliqueProblem:
     return dataclasses.replace(
         problem,
         costs=None,
+        reads=None,
         obstacle=lambda t, y: tuple(y[(j + 1) % d] for j in range(d)),
         generators=tuple(
             lambda t, y, _j=j: f(t, tuple(y[_j:]) + tuple(y[:_j])) for j in range(d)

@@ -57,6 +57,7 @@ from pathlib import Path
 
 import pytest
 
+import orbsde.cli
 from orbsde.cli import main
 from orbsde.oblique import validate_problem
 from orbsde.scenario import Scenario
@@ -908,6 +909,57 @@ def test_sweep_ladder_columns_equal_each_modes_own_ladder(tmp_path):
             ours, own = getattr(fused, field)[..., cols], getattr(alone, field)
             assert ours.shape == own.shape
             assert ours.tobytes() == own.tobytes(), (j, field)
+
+
+def test_solve_finds_one_root_per_mode_per_level(tmp_path, record):
+    # the benchmark's penalty-table shape: the table generators read no
+    # other component, so each mode's root at a parent is found once, in
+    # round 1, however many rounds the obstacle takes (levels t = 2, 1, 0
+    # with 4, 2 and 1 parents)
+    import orbsde.oblique
+
+    path = tmp_path / "penalty-table-3.json"
+    path.write_text(json.dumps(benchmark_shaped_scenario("penalty-table")))
+    finds = record(orbsde.oblique, "_root_find_batch")
+    solutions = record(orbsde.cli, "solve_system")
+    assert run("solve", path, "--out", tmp_path / "out") == 0
+    assert solutions[0].sweeps > 1
+    assert [roots.size for roots in finds] == [4] * 3 + [2] * 3 + [1] * 3
+
+
+def test_scenario_declares_what_each_generator_reads():
+    # constant, linear and table read no other component; affine-coupled
+    # reads each other component of nonzero weight (its own weight is b's)
+    spec = benchmark_shaped_scenario("penalty-table")
+    problem = Scenario.from_dict(spec).build_problem()
+    assert problem.reads == ((), (), ())
+    spec["generators"] = [
+        {"family": "constant", "a": 0.1},
+        {"family": "linear", "a": 0.0, "b": 0.2},
+        {"family": "affine-coupled", "a": 0.0, "b": 0.3, "g": [0.1, 0.0, 0.7]},
+    ]
+    problem = Scenario.from_dict(spec).build_problem()
+    assert problem.reads == ((), (), (0,))
+    assert validate_problem(problem) == []
+    coupled = Scenario.from_dict(benchmark_shaped_scenario("picard-coupled"))
+    assert coupled.build_problem().reads == ((1, 2), (0, 2), (0, 1))
+
+
+def test_verify_past_the_stopping_caps_builds_no_mode_problem(tmp_path, record):
+    # picard-coupled's shape with the depth cap below the tree's depth: the
+    # representation check is skipped before any mode problem is built
+    spec = benchmark_shaped_scenario("picard-coupled")
+    spec["solver"] = {"stopping_depth_cap": 2}
+    path = tmp_path / "picard-coupled-3.json"
+    path.write_text(json.dumps(spec))
+    assert run("solve", path, "--out", tmp_path / "solved") == 0
+    built = record(orbsde.cli, "mode_problem")
+    assert run("verify", path, "--solution", tmp_path / "solved" / "solution.csv",
+               "--out", tmp_path / "out") == 0
+    assert built == []
+    report = read_json(tmp_path / "out" / "verification.json")
+    assert report["notes"][0] == ("representation check skipped: subtree depth 3 "
+                                  "exceeds enumeration bound 2")
 
 
 def test_non_finite_json_values_are_strings(scenarios_dir, tmp_path, monkeypatch):

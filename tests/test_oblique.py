@@ -176,6 +176,23 @@ def test_mokobodzki_witness_defaults_to_upper_barrier():
     assert [v for v in validate_problem(problem) if v.code == "mokobodzki"] == []
 
 
+def test_a_declaration_that_leaves_out_a_read_component_is_refused():
+    base = random_oblique_problem(random.Random(7), d=2, max_depth=2)
+    coupled = dataclasses.replace(
+        base, generators=(lambda t, y: -0.2 * y[0] + 0.1 * y[1], base.generators[1]))
+    assert validate_problem(dataclasses.replace(coupled, reads=((1,), ()))) == []
+    assert validate_problem(dataclasses.replace(coupled, reads=None)) == []
+    assert base.reads == ((), ()) and validate_problem(base) == []
+    wrong = dataclasses.replace(coupled, reads=((), ()))
+    assert [(v.code, v.message, v.time_index, v.mode) for v in validate_problem(wrong)] == [
+        ("generator-reads", "f^0 reads component 1, which its declared reads leave out",
+         t, 0) for t in range(base.tree.n_steps)]
+    with pytest.raises(InvalidProblemError):
+        solve_system(wrong)
+    short = dataclasses.replace(base, reads=((),))
+    assert [v.code for v in validate_problem(short)] == ["dimension"]
+
+
 def test_coupled_increasing_generator_flagged():
     rng = random.Random(7)
     base = random_oblique_problem(rng, d=2)
@@ -1039,6 +1056,69 @@ def test_solvers_match_the_active_set_oracle(seed, d, coupling, v_scale, cycle):
         gap = max(abs(solution.y[j].values[u] - exact[u][j])
                   for u in range(problem.tree.n_nodes) for j in range(d))
         assert gap <= 1e-10, (solver.__name__, gap)
+
+
+def _solution_bits(solution: SystemSolution) -> list:
+    """Y, dK and dA as int64 bit patterns, the round count and the final
+    change's bit pattern."""
+    return [*(np.array([p.values for p in field]).view(np.int64).tolist()
+              for field in (solution.y, solution.k, solution.a)),
+            solution.sweeps, np.float64(solution.final_delta).view(np.int64)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 3),
+    coupling=st.sampled_from([0.0, 0.3, 0.9]),
+    v_scale=st.sampled_from([0.15, 3.0, 20.0]),
+)
+def test_declared_reads_change_no_bit(seed, d, coupling, v_scale):
+    # the rounds find a root again only where a component its generator
+    # declares it reads has moved; with every component read (None) they
+    # find every root again, and the two give the same bits
+    problem = random_oblique_problem(random.Random(seed), d=d, coupling=coupling,
+                                     v_scale=v_scale, max_branching=3)
+    outcomes = []
+    for reads in (problem.reads, None):
+        try:
+            outcomes.append(_solution_bits(solve_system(
+                dataclasses.replace(problem, reads=reads), tol=1e-13,
+                max_rounds=AGREEMENT_BUDGET)))
+        except SOLVER_ERRORS as err:
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_move_from_zero_to_negative_zero_marks_its_readers_stale(record):
+    # a 1-step chain, dt = 0.5: mode 1 (f = 0, target -0.0) moves from its
+    # start 0.0 to -0.0 in round 1, after mode 0 (which reads component 1
+    # and tells the zeros apart: f = 1 at -0.0, 0 at 0.0) found its root 1
+    # there; equal as values, the two zeros differ in bits, so round 2 finds
+    # mode 0's root again, 1.5
+    tree = EventTree.chain(1, 0.5)
+    problem = ObliqueProblem(
+        tree=tree,
+        d=2,
+        terminal={tree.leaves[0]: (0.0, 0.0)},
+        generators=(lambda t, y: np.signbit(y[1]) * 1.0, lambda t, y: 0.0),
+        v=(PredictableIncrements.zero(tree),) * 2,
+        upper=(AdaptedProcess.constant(tree, 100.0),) * 2,
+        costs=CostMatrix.constant(1, [[0.0, 10.0], [10.0, 0.0]]),
+        reads=((1,), ()),
+    )
+    finds = record(orbsde.oblique, "_root_find_batch")
+    outcomes = []
+    for reads in (problem.reads, None):
+        y, dk, da, counts, changes = orbsde.oblique._level_rounds(
+            dataclasses.replace(problem, reads=reads), 0, np.array([tree.root]),
+            np.array([[1.0, -0.0]]), np.array([[-5.0, 0.0]]),
+            np.array([[100.0, 100.0]]), 1e-10, 10)
+        outcomes.append((y.view(np.int64).tolist(), counts.tolist()))
+    assert outcomes[0] == outcomes[1] == (
+        np.array([[1.5, -0.0]]).view(np.int64).tolist(), [3])
+    # declared: both modes in round 1, mode 0 again in round 2
+    assert len(finds) == 3 + 4
 
 
 def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
