@@ -208,7 +208,7 @@ def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
     root = problem.tree.root
     summary = {
         "scenario": scenario.name,
-        "root_values": [solution.y[j].values[root] for j in range(problem.d)],
+        "root_values": solution.y_columns[root].tolist(),
         "sweeps": solution.sweeps,
         "final_delta": solution.final_delta,
         "max_flat_off_residual": max(
@@ -326,9 +326,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
         summary_text(
             {
                 "scenario": scenario.name,
-                "root_values": [
-                    solution.y[j].values[tree.root] for j in range(d)
-                ],
+                "root_values": solution.y_columns[tree.root].tolist(),
                 "worst_residual": minimality.worst_residual,
                 "notes": notes + mismatches,
             }
@@ -347,8 +345,8 @@ def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
     ladders = _penalized_solve(   # one walk: every mode's ladder, mode by mode
         [mode_problem(problem, solution, j) for j in range(problem.d)], *zip(*pairs))
     roots = ladders.y[root].reshape(problem.d, len(pairs)).tolist()
-    for j in range(problem.d):
-        projected = solution.y[j].values[root]
+    root_values = solution.y_columns[root].tolist()
+    for j, projected in enumerate(root_values):
         for (p, q), value in zip(pairs, roots[j]):
             lines.append(f"{fmt(p)},{fmt(q)},{j},{fmt(value)},{fmt(projected)}\n")
     write_text(out / "penalization.csv", "".join(lines))
@@ -357,9 +355,7 @@ def _cmd_sweep(scenario, problem, tol, max_sweeps, out: Path) -> int:
         {
             "scenario": scenario.name,
             "ladder": list(PENALTY_LADDER),
-            "root_values": [
-                solution.y[j].values[root] for j in range(problem.d)
-            ],
+            "root_values": root_values,
         },
     )
     return EXIT_OK

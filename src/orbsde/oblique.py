@@ -23,7 +23,8 @@ return one value per node (a generator may return a scalar, which is
 broadcast).
 
 Two solvers share the package's one backward walk
-``scalar._backward_solve`` over the d modes, one implicit step (a mode's
+``scalar._backward_walk`` over the d modes (:func:`_backward_solve`, whose
+arrays are the :class:`SystemSolution`'s), one implicit step (a mode's
 residual at a level's parents, ``_mode_residual``, solved by one
 ``_root_find_batch`` and projected into the barriers by
 ``scalar._project``) and one start
@@ -59,11 +60,14 @@ with its own level step:
 
 :func:`verify_minimality` and :func:`binding_graph_cycles` recompute their
 residuals a level at a time on the same arrays, adding the children slot
-by slot in the walk's order.
+by slot in the walk's order.  A solution is its ``(n_nodes, d)`` arrays
+Y, dK, dA and dM; its per-mode views are made only where the library or
+an oracle asks for them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -82,8 +86,6 @@ from .scalar import (
     PROBE_TOL,
     RESIDUAL_TOL,
     ScalarRBSDEProblem,
-    ScalarSolution,
-    _backward_solve,
     _Findings,
     _leaf_entries,
     _note_non_finite,
@@ -92,7 +94,8 @@ from .scalar import (
     _root_find_batch,
     _worse,
 )
-from .tree import AdaptedProcess, EventTree, PredictableIncrements
+from . import scalar
+from .tree import AdaptedProcess, EventTree, PredictableIncrements, _check_predictable
 
 __all__ = [
     "CostMatrix",
@@ -271,7 +274,21 @@ class ObliqueProblem:
     def upper_columns(self) -> np.ndarray:
         """The upper barriers as a read-only ``(n_nodes, d)`` array, made on
         first use."""
-        return _read_only_columns(self.upper)
+        return _columns_of(self.upper)
+
+    @functools.cached_property
+    def v_columns(self) -> np.ndarray:
+        """The drifts as a read-only ``(n_nodes, d)`` array (the increment
+        on the edge into each node), made on first use."""
+        return _columns_of(self.v)
+
+    @functools.cached_property
+    def terminal_rows(self) -> np.ndarray:
+        """The terminal vectors as a ``(leaves, d)`` array in leaf order,
+        made on first use (of a problem that has one at every leaf)."""
+        rows = np.array([self.terminal[leaf] for leaf in self.tree.leaves], dtype=float)
+        rows.flags.writeable = False
+        return rows
 
 
 Row = tuple[float, ...]
@@ -296,15 +313,9 @@ def _obstacle_column(problem: ObliqueProblem, t: int, rows: np.ndarray,
 
 
 def _columns_of(per_mode: Sequence) -> np.ndarray:
-    """One value sequence per mode (processes, increments or tuples) as an
+    """A problem's per-mode processes or increments as one read-only
     ``(n_nodes, d)`` array."""
-    return np.array([getattr(col, "values", col) for col in per_mode], dtype=float).T
-
-
-def _read_only_columns(per_mode: Sequence) -> np.ndarray:
-    """:func:`_columns_of`, read-only, for the columns a problem or a
-    solution keeps."""
-    columns = _columns_of(per_mode)
+    columns = np.array([col.values for col in per_mode], dtype=float).T
     columns.flags.writeable = False
     return columns
 
@@ -403,7 +414,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
     if not math.isfinite(tree.dt):
         out.append(Violation("non-finite", f"dt = {tree.dt}"))
     else:
-        _note_non_finite(found, tree, {"U": upper}, _columns_of(problem.v), given, xi)
+        _note_non_finite(found, tree, {"U": upper}, problem.v_columns, given, xi)
         out.extend(found.take())
     if any(v.code == "non-finite" for v in out):
         return out
@@ -500,8 +511,8 @@ def _corner(problem: ObliqueProblem) -> Row:
     """1 below every terminal entry, upper barrier and ``H(U)`` entry, per
     mode: the row the start rule lowers."""
     upper = problem.upper_columns
-    xi = np.array(list(problem.terminal.values()), dtype=float)
-    lows = np.vstack([xi, upper, _by_level(problem, upper)]).min(axis=0)
+    rows = [problem.terminal_rows, upper, _by_level(problem, upper)]
+    lows = np.vstack(rows).min(axis=0)
     return tuple((lows - 1.0).tolist())
 
 
@@ -535,16 +546,27 @@ def _jacobi_step(
     return tuple(np.column_stack(parts) for parts in zip(*steps))
 
 
+def _backward_solve(
+    problem: ObliqueProblem, step: Callable[[int, np.ndarray, np.ndarray], tuple]
+) -> "SystemSolution":
+    """``scalar._backward_walk`` over the d modes, from the terminal rows
+    with the drifts ``v``: the walk's arrays are the solution's.  (Called
+    through the module, the one binding of every walk of the package.)"""
+    y, m, k, a = scalar._backward_walk(problem.tree, problem.terminal_rows,
+                                       problem.v_columns, step)
+    return SystemSolution(problem.tree, y, k, a, m)
+
+
 def _walk_from_starts(
     problem: ObliqueProblem,
     step: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple],
-) -> tuple[ScalarSolution, ...]:
+) -> "SystemSolution":
     """The backward walk with the start rule: the corner computed once, and
     at each level ``step(t, parents, targets, start)`` run from the
     :func:`_level_start` rows.  When a parent lies below every corner, the
     step still runs at the parents before it in the walk's order, whose
     errors a node-by-node walk would meet first, and then the parent is
-    named.  Returns one ScalarSolution per mode."""
+    named."""
     corner = _corner(problem)
 
     def started(t: int, parents: np.ndarray, targets: np.ndarray):
@@ -559,15 +581,14 @@ def _walk_from_starts(
             f"(lowered by up to {_CORNER_DROPS[-1]:g})"
         )
 
-    return _backward_solve(problem.tree, problem.terminal, problem.v, started)
+    return _backward_solve(problem, started)
 
 
-def build_subsolution(problem: ObliqueProblem) -> tuple[ScalarSolution, ...]:
+def build_subsolution(problem: ObliqueProblem) -> "SystemSolution":
     """Per-mode upper-barrier solves with each generator frozen at the
     node's :func:`_level_start` row, which the node's value lies at or
     above: a subsolution from which, by off-diagonal monotonicity, every
-    Picard sweep rises.  Returns one ScalarSolution per mode, K identically
-    zero.
+    Picard sweep rises.  K is identically zero.
     """
     upper = problem.upper_columns
 
@@ -585,35 +606,67 @@ def _check_budget(tol: float, budget: int) -> None:
                          f"a number >= 0, got {budget} and {tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSolution:
-    """Per-mode (Y, dM, K, A) plus the sweep count and the final delta."""
+    """Y, dK, dA and dM as ``(n_nodes, d)`` float64 arrays (column j is
+    mode j, each increment on the edge into a node), plus the sweep count
+    and the final delta.
 
-    y: tuple[AdaptedProcess, ...]
-    m_increments: tuple[tuple[float, ...], ...]
-    k: tuple[PredictableIncrements, ...]
-    a: tuple[PredictableIncrements, ...]
-    sweeps: int
-    final_delta: float
+    The arrays are taken over without a copy and made read-only.  dK and dA
+    must be predictable: construction raises the ValueError of
+    :class:`~orbsde.tree.PredictableIncrements` for the first column that
+    is not (dK before dA, mode by mode).  The per-mode views ``y``, ``k``,
+    ``a`` and ``m_increments`` are made on first use, for the library API
+    and the oracles.
+    """
 
-    @classmethod
-    def from_parts(cls, parts: Sequence[ScalarSolution], **log) -> "SystemSolution":
-        """The system assembled from one ScalarSolution per mode."""
-        return cls(
-            y=tuple(p.y for p in parts),
-            m_increments=tuple(p.m_increments for p in parts),
-            k=tuple(p.k for p in parts),
-            a=tuple(p.a for p in parts),
-            **log,
-        )
+    tree: EventTree
+    y_columns: np.ndarray
+    k_columns: np.ndarray
+    a_columns: np.ndarray
+    m_columns: np.ndarray
+    sweeps: int = 0
+    final_delta: float = 0.0
+
+    def __post_init__(self):
+        n = self.tree.n_nodes
+        shape = None
+        for name in ("y_columns", "k_columns", "a_columns", "m_columns"):
+            columns = np.asarray(getattr(self, name), dtype=np.float64)
+            shape = shape or columns.shape
+            if columns.ndim != 2 or columns.shape != shape or shape[0] != n:
+                raise ValueError(f"expected ({n}, d) arrays, got {name} of shape "
+                                 f"{columns.shape}")
+            columns.flags.writeable = False
+            object.__setattr__(self, name, columns)
+        _check_predictable(self.tree, self.k_columns)
+        _check_predictable(self.tree, self.a_columns)
 
     def y_vector(self, u: int) -> tuple[float, ...]:
-        return tuple(yj.values[u] for yj in self.y)
+        return tuple(self.y_columns[u].tolist())
 
     @functools.cached_property
-    def y_columns(self) -> np.ndarray:
-        """Y as a read-only ``(n_nodes, d)`` array, made on first use."""
-        return _read_only_columns(self.y)
+    def y(self) -> tuple[AdaptedProcess, ...]:
+        """Y per mode, made on first use."""
+        return tuple(AdaptedProcess(self.tree, tuple(col))
+                     for col in self.y_columns.T.tolist())
+
+    @functools.cached_property
+    def k(self) -> tuple[PredictableIncrements, ...]:
+        """dK per mode, made on first use."""
+        return tuple(PredictableIncrements(self.tree, tuple(col))
+                     for col in self.k_columns.T.tolist())
+
+    @functools.cached_property
+    def a(self) -> tuple[PredictableIncrements, ...]:
+        """dA per mode, made on first use."""
+        return tuple(PredictableIncrements(self.tree, tuple(col))
+                     for col in self.a_columns.T.tolist())
+
+    @functools.cached_property
+    def m_increments(self) -> tuple[tuple[float, ...], ...]:
+        """dM per mode, made on first use."""
+        return tuple(map(tuple, self.m_columns.T.tolist()))
 
 
 def picard_solve(
@@ -635,9 +688,8 @@ def picard_solve(
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)
-    tree = problem.tree
     upper = problem.upper_columns
-    prev = _columns_of([p.y for p in build_subsolution(problem)])
+    prev = build_subsolution(problem).y_columns
     for sweep in range(1, max_sweeps + 1):
 
         def sweep_step(t: int, parents: np.ndarray, targets: np.ndarray):
@@ -645,8 +697,8 @@ def picard_solve(
             return _jacobi_step(problem, t, targets, rows,
                                 _obstacle(problem, t, rows), upper[parents])
 
-        solutions = _backward_solve(tree, problem.terminal, problem.v, sweep_step)
-        new = _columns_of([s.y for s in solutions])
+        walk = _backward_solve(problem, sweep_step)
+        new = walk.y_columns
         # Python's max and min over the (node, mode) pairs: NaN is skipped
         diff = new - prev
         seen = ~np.isnan(diff)
@@ -661,7 +713,7 @@ def picard_solve(
             )
         prev = new
         if delta <= tol:
-            result = SystemSolution.from_parts(solutions, sweeps=sweep, final_delta=delta)
+            result = dataclasses.replace(walk, sweeps=sweep, final_delta=delta)
             _require_acyclic(problem, result)
             return result
     raise ConvergenceError(
@@ -715,7 +767,7 @@ def solve_system(
         stats.append((int(counts.max(initial=0)), float(changes.max(initial=0.0))))
         return y, dk, da
 
-    result = SystemSolution.from_parts(
+    result = dataclasses.replace(
         _walk_from_starts(problem, rounds),
         sweeps=max((count for count, _ in stats), default=0),
         final_delta=functools.reduce(_worse, (change for _, change in stats), 0.0),
@@ -1016,9 +1068,9 @@ def verify_minimality(
     tree = problem.tree
     arrays = tree.arrays
     dt = tree.dt
-    y, upper = solution.y_columns, problem.upper_columns
-    k, a, m, v = map(_columns_of, (
-        solution.k, solution.a, solution.m_increments, problem.v))
+    y, k, a, m = (solution.y_columns, solution.k_columns, solution.a_columns,
+                  solution.m_columns)
+    upper, v = problem.upper_columns, problem.v_columns
     h = _by_level(problem, y)
     sandwich_lower, sandwich_upper = h - y, y - upper
     found = _Findings(tree)

@@ -34,7 +34,11 @@ import numpy as np
 from .oblique import CostMatrix, ObliqueProblem
 from .tree import AdaptedProcess, EventTree, PredictableIncrements
 
-__all__ = ["Scenario", "ScenarioError", "SOLVER_DEFAULTS"]
+__all__ = ["Scenario", "ScenarioError", "SOLVER_DEFAULTS", "MAX_NODES"]
+
+# the most nodes a chain or binomial tree spec may expand to (2^18; the
+# 17-step binomial tree has 2^18 - 1), checked before the tree is built
+MAX_NODES = 2**18
 
 SOLVER_DEFAULTS = {
     "tol": 1e-10,
@@ -54,6 +58,11 @@ class ScenarioError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ScenarioError(msg)
+
+
+def _require_node_cap(kind: str, steps: int, nodes: int) -> None:
+    _require(nodes <= MAX_NODES, f"steps = {steps} makes a {kind} tree of more "
+             f"than {MAX_NODES} nodes")
 
 
 def _poly_eval(coeffs: Sequence[float], x: float) -> float:
@@ -213,11 +222,16 @@ class Scenario:
         if kind == "chain":
             steps = int(spec["steps"])
             _require(steps >= 1, "chain needs steps >= 1")
+            _require_node_cap(kind, steps, steps + 1)
             return {"kind": "chain", "steps": steps, "dt": dt,
                     "x0": float(spec.get("x0", 1.0))}
         if kind == "binomial":
             steps = int(spec["steps"])
             _require(steps >= 1, "binomial needs steps >= 1")
+            # 2^(steps + 1) - 1 nodes; the exponent is clipped, so that a
+            # huge steps makes no huge integer
+            _require_node_cap(kind, steps,
+                              2 ** min(steps + 1, MAX_NODES.bit_length()) - 1)
             p_up = float(spec.get("p_up", 0.5))
             _require(0.0 < p_up < 1.0, "p_up must lie in (0, 1)")
             return {
@@ -359,8 +373,11 @@ class Scenario:
             # 'd' child and then its 'u' child
             factors = np.array([spec["down"], spec["up"]])
             levels = [np.array([spec["x0"]])]
-            for _ in range(spec["steps"]):
-                levels.append((levels[-1][:, None] * factors).ravel())
+            # a price that overflows is inf, which the validators refuse
+            # with coordinates
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(spec["steps"]):
+                    levels.append((levels[-1][:, None] * factors).ravel())
             return tree, np.concatenate(levels)
         nodes = spec["nodes"]
         tree = EventTree.build(nodes, dt)

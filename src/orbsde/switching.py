@@ -394,6 +394,9 @@ def brute_force_value(
     ``_eval_strategy`` values every strategy at the start node, and the
     maximum is taken there alone.  Ties resolve to the first maximum in
     enumeration order, deterministically, and a NaN start value never wins.
+    When no start value is above -inf (data whose sums overflow), raises
+    InvalidProblemError with one ``strategy-values`` finding at the start
+    node and mode.
     """
     _require_cost_form(problem)
     nodes = _check_cap(problem, start, cap)
@@ -403,7 +406,10 @@ def brute_force_value(
     score = np.where(np.isnan(value), -math.inf, value)
     top = score.max()
     if not top > -math.inf:
-        raise ValueError("no strategy has a start value above -inf")
+        tree = problem.tree
+        raise InvalidProblemError([Violation(
+            "strategy-values", "no strategy has a start value above -inf",
+            tree.ids[start], int(tree.arrays.time[start]), start_mode)])
     # the tied strategies' modes, read off their product-order index, and
     # their enumeration index k
     tied = np.flatnonzero(score == top)
@@ -503,21 +509,32 @@ def _edges(tree: EventTree, u: int) -> list[tuple[int, float]]:
 def worst_case_switching_cost(problem: ObliqueProblem, start: int | None = None) -> float:
     """Largest total cost any strategy could pay: the per-step maximal cost
     summed over the remaining steps.  Purely diagnostic; summability is
-    automatic on a finite tree."""
+    automatic on a finite tree.  A total that overflows raises
+    InvalidProblemError with one ``cost-overflow`` finding, naming the
+    maximal cost at which the running total first overflows (the strategy
+    oracle cannot value strategies that pay such costs)."""
     if problem.costs is None:
         raise ValueError("diagnostic requires the cost-matrix obstacle form")
     tree = problem.tree
     t0 = int(tree.arrays.time[tree.root if start is None else start])
     d = problem.d
-    return math.fsum(
-        max(
-            problem.costs.at(t, j, k)
-            for j in range(d)
-            for k in range(d)
-            if j != k
-        )
-        for t in range(t0 + 1, tree.n_steps + 1)
-    )
+    steps = range(t0 + 1, tree.n_steps + 1)
+    worst = [
+        max((problem.costs.at(t, j, k), j, k) for j in range(d) for k in range(d)
+            if j != k)
+        for t in steps
+    ]
+    try:
+        return math.fsum(c for c, _, _ in worst)
+    except OverflowError:
+        total = 0.0
+        for t, (c, j, k) in zip(steps, worst):
+            total += c
+            if total == math.inf:
+                break
+        raise InvalidProblemError([Violation(
+            "cost-overflow", f"c[{j}][{k}] = {c!r} makes the worst-case switching "
+            "cost overflow", time_index=t, mode=j)]) from None
 
 
 def unconstrained_start_value(

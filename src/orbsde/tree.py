@@ -466,6 +466,27 @@ class AdaptedProcess:
         return {n.node_id: self.values[n.index] for n in self.tree.nodes}
 
 
+def _check_predictable(tree: EventTree, columns: np.ndarray) -> None:
+    """Refuse increments that are not predictable: ``columns`` is an
+    ``(n_nodes, m)`` array, one increment per column on the edge into each
+    node.  Column by column, raises ValueError if the root slot is not 0,
+    then if a child's increment differs from its first sibling's, naming
+    the lowest-index parent where one does.  A NaN shared by all siblings
+    is decided at the parent, and the problem validators report it as
+    non-finite data."""
+    arrays = tree.arrays
+    kid, first = columns[arrays.child_index], columns[arrays.child_first]
+    differ = (kid != first) & ~(np.isnan(kid) & np.isnan(first))
+    rooted = columns[tree.root] != 0.0
+    bad = rooted | differ.any(axis=0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if rooted[j]:
+            raise ValueError("root slot of predictable increments must be 0")
+        u = int(arrays.child_owner[differ[:, j]].min())
+        raise ValueError(f"increment not parent-measurable at node {tree.ids[u]}")
+
+
 @dataclass(frozen=True)
 class PredictableIncrements:
     """Per-edge increments decided at the parent (sibling edges identical).
@@ -484,20 +505,7 @@ class PredictableIncrements:
             raise ValueError(
                 f"expected {self.tree.n_nodes} values, got {len(self.values)}"
             )
-        if self.values[self.tree.root] != 0.0:
-            raise ValueError("root slot of predictable increments must be 0")
-        # each child against its first sibling; a NaN shared by all siblings
-        # is decided at the parent, and the problem validators report it as
-        # non-finite data
-        arrays = self.tree.arrays
-        values = np.array(self.values, dtype=np.float64)
-        kid, first = values[arrays.child_index], values[arrays.child_first]
-        differ = (kid != first) & ~(np.isnan(kid) & np.isnan(first))
-        if differ.any():
-            u = int(arrays.child_owner[differ].min())
-            raise ValueError(
-                f"increment not parent-measurable at node {self.tree.ids[u]}"
-            )
+        _check_predictable(self.tree, np.array(self.values, dtype=np.float64)[:, None])
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]

@@ -55,11 +55,12 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbsde.cli
 from orbsde.cli import main
-from orbsde.oblique import validate_problem
+from orbsde.oblique import SystemSolution, validate_problem
 from orbsde.scenario import Scenario
 
 
@@ -555,6 +556,174 @@ def test_verify_reads_a_mode_as_int_does(scenarios_dir, tmp_path, spelling):
     assert all(a.read_bytes() == b.read_bytes() for a, b in zip(plain, spelled_out))
 
 
+# the loader's two paths: solve-emitted files, and edits that either path
+# must read as the row-by-row loader reads them, or refuse with its message;
+# True where the canonical fast path reads the edited file itself
+LOADER_EDITS = {
+    "as-written": (lambda rows: rows, True),
+    "reordered-rows": (lambda rows: [rows[1], rows[0], *rows[2:]], False),
+    "reversed-rows": (lambda rows: rows[::-1], False),
+    "crlf": (lambda rows: [row.replace("\n", "\r\n") for row in rows], True),
+    "trailing-blank-line": (lambda rows: [*rows, "\n"], False),
+    "no-final-newline": (lambda rows: [*rows[:-1], rows[-1].rstrip("\n")], False),
+    "padded-value": (lambda rows: [_with_cell(rows[0], 4, " 1.5 "), *rows[1:]], True),
+    "underscore-value": (lambda rows: [_with_cell(rows[0], 4, "1_5"), *rows[1:]], True),
+    "edited-time-columns": (lambda rows: [_with_cell(_with_cell(row, 1, "9"), 2, "x")
+                                          for row in rows], True),
+    "mode-01": (lambda rows: [rows[0], _with_cell(rows[1], 3, "01"), *rows[2:]], False),
+    "duplicate-row": (lambda rows: [rows[0], rows[0], *rows[2:]], False),
+    "missing-row": (lambda rows: rows[:-1], False),
+    "extra-row": (lambda rows: [*rows, rows[0]], False),
+    "nan-value": (lambda rows: [_with_cell(rows[0], 7, "nan"), *rows[1:]], False),
+    "seven-fields": (lambda rows: [rows[0].rsplit(",", 1)[0] + "\n", *rows[1:]], False),
+    "unknown-node": (lambda rows: [_with_cell(rows[0], 0, "nowhere"), *rows[1:]], False),
+    "sibling-unequal-dk": (lambda rows: [*rows[:-1], _with_cell(rows[-1], 5, "0.25")],
+                           True),
+}
+
+
+def _loaded(load, path, problem):
+    """The bits of the arrays Y, dK, dA and dM that ``load`` gives (as a
+    tuple or a SystemSolution), or its ValueError message."""
+    try:
+        loaded = load(path, problem)
+    except ValueError as err:
+        return str(err)
+    if isinstance(loaded, SystemSolution):
+        loaded = (loaded.y_columns, loaded.k_columns, loaded.a_columns,
+                  loaded.m_columns)
+    return [columns.view(np.int64).tolist() for columns in loaded]
+
+
+def _row_by_row(path, problem):
+    """The loader's slow path called directly: the row-by-row read and the
+    solution's checks."""
+    from orbsde.reporting import _load_rows
+
+    return SystemSolution(problem.tree, *_load_rows(path, problem))
+
+
+@pytest.mark.parametrize("block", [64, None])
+@pytest.mark.parametrize("name", ["decoupled", "switch2x2", "picard-coupled",
+                                  "penalty-table"])
+def test_fast_load_path_is_bit_equal_to_the_row_loader(scenarios_dir, tmp_path,
+                                                       monkeypatch, name, block):
+    # every bundled scenario that solve solves (counterexample has no
+    # solution), the benchmark's shapes, and blocks cut anywhere in a row group
+    import orbsde.reporting as reporting
+
+    if block is not None:
+        monkeypatch.setattr(reporting, "LOAD_BLOCK", block)
+    path = scenarios_dir / f"{name}.json"
+    if not path.is_file():
+        path = tmp_path / f"{name}.json"
+        spec = benchmark_shaped_scenario(name)
+        spec["tree"]["steps"] = 5
+        path.write_text(json.dumps(spec))
+    assert run("solve", path, "--out", tmp_path / "out") == 0
+    problem = Scenario.from_file(path).build_problem()
+    csv_path = tmp_path / "out" / "solution.csv"
+    fast = reporting._load_canonical(csv_path, problem)
+    assert fast is not None
+    assert ([columns.view(np.int64).tolist() for columns in fast]
+            == _loaded(reporting._load_rows, csv_path, problem))
+
+
+def test_the_unsolvable_bundled_scenario_has_no_solution_file(scenarios_dir, tmp_path):
+    assert run("solve", scenarios_dir / "counterexample.json", "--out", tmp_path) == 2
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("block", [64, None])
+@pytest.mark.parametrize("case", sorted(LOADER_EDITS))
+def test_edited_files_load_or_refuse_as_the_row_loader_does(scenarios_dir, tmp_path,
+                                                            monkeypatch, case, block):
+    import orbsde.reporting as reporting
+
+    if block is not None:
+        monkeypatch.setattr(reporting, "LOAD_BLOCK", block)
+    edit, fast = LOADER_EDITS[case]
+    scenario = scenarios_dir / "switch2x2.json"
+    assert run("solve", scenario, "--out", tmp_path / "out") == 0
+    header, *rows = (tmp_path / "out" / "solution.csv").read_text().splitlines(
+        keepends=True)
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes((header + "".join(edit(rows))).encode())
+    problem = Scenario.from_file(scenario).build_problem()
+    assert (_loaded(reporting.load_solution_csv, edited, problem)
+            == _loaded(_row_by_row, edited, problem))
+    assert (reporting._load_canonical(edited, problem) is not None) == fast
+
+
+@pytest.mark.parametrize("block", [1, 2, 256])
+def test_csv_writer_matches_a_row_by_row_format(tmp_path, monkeypatch, block):
+    # the writer's blocks of one-pass templates against every value
+    # formatted on its own with fmt, on the coupled benchmark shape
+    import orbsde.reporting as reporting
+    from orbsde.oblique import solve_system
+    from orbsde.reporting import CSV_HEADER, fmt
+
+    monkeypatch.setattr(reporting, "FORMAT_BLOCK", block)
+    path = tmp_path / "coupled-3.json"
+    path.write_text(json.dumps(benchmark_shaped_scenario("picard-coupled")))
+    problem = Scenario.from_file(path).build_problem()
+    solution = solve_system(problem)
+    tree = problem.tree
+    expected = [CSV_HEADER] + [
+        f"{tree.ids[u]},{t},{fmt(t * tree.dt)},{j},{fmt(solution.y[j][u])},"
+        f"{fmt(solution.k[j][u])},{fmt(solution.a[j][u])},"
+        f"{fmt(solution.m_increments[j][u])}\n"
+        for u, t in enumerate(tree.arrays.time.tolist()) for j in range(problem.d)]
+    assert reporting.solution_csv_text(problem, solution) == "".join(expected)
+
+
+def test_rows_of_seven_and_nine_fields_are_refused_whatever_their_ids(tmp_path):
+    # on a chain whose ids are its time indices, a row of 7 fields followed
+    # by one of 9 leaves every id and mode column in place; the row loader
+    # still names the short row
+    import orbsde.reporting as reporting
+
+    spec = {
+        "format": 1,
+        "tree": {"kind": "explicit", "dt": 0.5, "nodes": [
+            {"id": "0", "t": 0, "parent": None}, {"id": "1", "t": 1, "parent": "0"},
+            {"id": "2", "t": 2, "parent": "1"}]},
+        "modes": 2,
+        "generators": [{"family": "constant", "a": 0.1}] * 2,
+        "costs": [[0, 0.3], [0.3, 0]],
+        "barriers": [{"kind": "constant", "value": 2.0}] * 2,
+        "terminal": {"kind": "table", "values": {"2": [0.5, 0.4]}},
+    }
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(spec))
+    assert run("solve", path, "--out", tmp_path / "out") == 0
+    header, *rows = (tmp_path / "out" / "solution.csv").read_text().splitlines(
+        keepends=True)
+    short = rows[1].rsplit(",", 1)[0] + "\n"           # node 0, mode 1
+    long_ = ",".join(["1", "1", "0.5", "0", "0", "0", "0", "0", "0"]) + "\n"
+    edited = tmp_path / "edited.csv"
+    edited.write_text(header + "".join([rows[0], short, long_, *rows[3:]]))
+    problem = Scenario.from_file(path).build_problem()
+    assert reporting._load_canonical(edited, problem) is None
+    with pytest.raises(ValueError, match="expected 8 fields, got 7"):
+        reporting.load_solution_csv(edited, problem)
+
+
+def test_verify_of_reordered_rows_writes_what_the_written_order_does(scenarios_dir,
+                                                                    tmp_path):
+    scenario = scenarios_dir / "switch2x2.json"
+    assert run("solve", scenario, "--out", tmp_path / "out") == 0
+    header, *rows = (tmp_path / "out" / "solution.csv").read_text().splitlines(
+        keepends=True)
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_text(header + "".join(rows[::-1]))
+    for name, path in (("written", tmp_path / "out" / "solution.csv"),
+                       ("reordered", reordered)):
+        assert run("verify", scenario, "--solution", path, "--out", tmp_path / name) == 0
+    assert ((tmp_path / "written" / "verification.json").read_bytes()
+            == (tmp_path / "reordered" / "verification.json").read_bytes())
+
+
 # -- exit-code contract -------------------------------------------------------------
 
 
@@ -757,6 +926,139 @@ def test_brute_force_cap_exits_2(tmp_path):
     assert read_json(out / "diagnostic.json")["error"]["kind"] == "enumeration-cap"
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(*argv, address_space_mb: int | None = None):
+    """``orbsde argv`` in a new interpreter that imports this checkout's
+    package, its address space capped at ``address_space_mb`` MiB when
+    given; the completed process, its output as text."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        limit = address_space_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "orbsde.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=None if address_space_mb is None else cap)
+
+
+def oracle_chain_scenario() -> dict:
+    """The shape of the benchmark's oracle-chain scenario: three modes with
+    decoupled linear generators on an 8-step chain (3^8 strategies per
+    start mode), fixed shocks of +-0.15."""
+    signs = ["+-+--++-", "-++-+--+", "--+++-+-"]
+    return {
+        "format": 1,
+        "name": "oracle-chain-8",
+        "tree": {"kind": "chain", "steps": 8, "dt": 0.125},
+        "modes": 3,
+        "generators": [{"family": "linear", "a": 0.1 * j, "b": 0.2 + 0.1 * j}
+                       for j in range(3)],
+        "costs": [[0.0 if j == k else 0.1 for k in range(3)] for j in range(3)],
+        "barriers": [{"kind": "constant", "value": 4.0}] * 3,
+        "terminal": {"kind": "table", "values": {"n8": [1.0, 1.02, 1.04]}},
+        "v_increments": [{f"n{i}": 0.15 if sign == "+" else -0.15
+                          for i, sign in enumerate(row)} for row in signs],
+        "solver": {"stopping_depth_cap": 8},
+    }
+
+
+def test_brute_force_refuses_strategy_values_that_overflow(tmp_path):
+    # a drift of -1e308 into mode 1's first edge: every strategy that
+    # starts in mode 1 sums to -inf or NaN
+    spec = oracle_chain_scenario()
+    spec["v_increments"][1]["n0"] = -1e308
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec))
+    done = run_process("brute-force", path, "--out", tmp_path / "out")
+    assert (done.returncode, "Traceback" in done.stderr) == (2, False)
+    diag = read_json(tmp_path / "out" / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    assert diag["violations"] == [{
+        "code": "strategy-values", "message": "no strategy has a start value above -inf",
+        "node_id": "n0", "time_index": 0, "mode": 1}]
+
+
+def test_verify_refuses_costs_whose_worst_case_total_overflows(tmp_path):
+    # two steps of the largest cost, 1e308, overflow the diagnostic's sum,
+    # and the strategy oracle could not value strategies that pay them
+    spec = oracle_binomial_scenario()
+    spec["costs"][0][1] = 1e308
+    path = tmp_path / "binomial.json"
+    path.write_text(json.dumps(spec))
+    assert run("verify", path, "--out", tmp_path / "out") == 2
+    diag = read_json(tmp_path / "out" / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    assert diag["violations"] == [{
+        "code": "cost-overflow",
+        "message": "c[0][1] = 1e+308 makes the worst-case switching cost overflow",
+        "time_index": 2, "mode": 0}]
+    # a total that does not overflow is still summed exactly
+    spec["costs"][0][1] = 1e307
+    path.write_text(json.dumps(spec))
+    assert run("verify", path, "--out", tmp_path / "fits") == 0
+    report = read_json(tmp_path / "fits" / "verification.json")
+    assert report["worst_case_switching_cost"] == 3e307
+
+
+def test_overflowing_binomial_price_warns_nothing(tmp_path):
+    # the price 1e200^2 overflows: the terminal is refused as data, and no
+    # numpy warning is printed before the refusal
+    spec = oracle_binomial_scenario()
+    spec["tree"]["up"] = 1e200
+    path = tmp_path / "price.json"
+    path.write_text(json.dumps(spec))
+    done = run_process("solve", path, "--out", tmp_path / "out")
+    assert done.returncode == 2
+    assert "Warning" not in done.stderr
+    assert read_json(tmp_path / "out" / "diagnostic.json")["violations"][0]["code"] == (
+        "non-finite")
+
+
+@pytest.mark.parametrize("kind, steps, nodes", [("binomial", 40, "binomial tree"),
+                                                ("chain", 10**9, "chain tree")])
+def test_tree_past_the_node_cap_exits_2_before_it_is_built(tmp_path, kind, steps,
+                                                           nodes):
+    # in a process of 512 MiB of address space: building the tree would end
+    # in a MemoryError traceback there, not in a machine out of memory
+    from orbsde.scenario import MAX_NODES
+
+    spec = oracle_binomial_scenario() if kind == "binomial" else oracle_chain_scenario()
+    spec["tree"]["steps"] = steps
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    done = run_process("solve", path, "--out", tmp_path / "out", address_space_mb=512)
+    assert (done.returncode, "Traceback" in done.stderr) == (2, False)
+    error = read_json(tmp_path / "out" / "diagnostic.json")["error"]
+    assert error == {"kind": "scenario", "detail": f"tree: steps = {steps} makes a "
+                     f"{nodes} of more than {MAX_NODES} nodes"}
+
+
+def test_node_cap_admits_the_17_step_binomial_tree():
+    # checked on the spec alone: no tree is built here
+    from orbsde.scenario import MAX_NODES, ScenarioError
+
+    spec = oracle_binomial_scenario()
+    for steps in (16, 17):
+        spec["tree"]["steps"] = steps
+        assert Scenario.from_dict(spec).tree_spec["steps"] == steps
+    spec["tree"]["steps"] = 18
+    with pytest.raises(ScenarioError, match="steps = 18 makes a binomial tree"):
+        Scenario.from_dict(spec)
+    chain = oracle_chain_scenario()
+    chain["tree"]["steps"] = MAX_NODES - 1
+    assert Scenario.from_dict(chain).tree_spec["steps"] == MAX_NODES - 1
+    chain["tree"]["steps"] = MAX_NODES
+    with pytest.raises(ScenarioError, match="makes a chain tree"):
+        Scenario.from_dict(chain)
+
+
 def test_brute_force_on_coupled_generators_exits_2(scenarios_dir, tmp_path):
     spec = read_json(scenarios_dir / "switch2x2.json")
     spec["generators"][0] = {"family": "affine-coupled", "a": 0.1, "b": 0.1,
@@ -813,8 +1115,9 @@ def test_solve_and_verify_solution_make_no_node(tmp_path, record):
 @pytest.mark.parametrize("command", ["solve", "verify --solution"])
 def test_commands_convert_the_upper_barriers_and_y_once(
         scenarios_dir, tmp_path, record, command):
-    import numpy as np
-
+    # the problem's per-mode upper barriers and drifts become arrays once
+    # each, and nothing else does: the solution's arrays are the walk's or
+    # the loader's own
     import orbsde.cli
     import orbsde.oblique
 
@@ -829,9 +1132,40 @@ def test_commands_convert_the_upper_barriers_and_y_once(
     columns = record(orbsde.oblique, "_columns_of")
     assert run(command.split()[0], scenario, *flags) == 0
     (problem,), (solution,) = problems, solutions
-    for once in (problem.upper_columns, solution.y_columns):
+    assert sorted(map(id, columns)) == sorted(
+        map(id, (problem.upper_columns, problem.v_columns)))
+    for once in (problem.upper_columns, problem.v_columns, solution.y_columns,
+                 solution.k_columns, solution.a_columns, solution.m_columns):
         assert not once.flags.writeable
-        assert sum(np.array_equal(c, once) for c in columns) == 1
+
+
+def test_solve_and_verify_solution_build_no_per_mode_view(tmp_path, record):
+    # the coupled benchmark shape at five steps, past the oracles' caps:
+    # solve, the CSV writer, the loader (both paths) and verify --solution
+    # read the solution's arrays only, and make none of its per-mode
+    # AdaptedProcess, PredictableIncrements or tuple views
+    import orbsde.cli
+    import orbsde.reporting
+
+    spec = benchmark_shaped_scenario("picard-coupled")
+    spec["tree"]["steps"] = 5
+    path = tmp_path / "coupled-5.json"
+    path.write_text(json.dumps(spec))
+    solved = record(orbsde.cli, "solve_system")
+    loaded = record(orbsde.cli, "load_solution_csv")
+    slow = record(orbsde.reporting, "_load_rows")
+    csv_path = tmp_path / "solved" / "solution.csv"
+    assert run("solve", path, "--out", tmp_path / "solved") == 0
+    text = csv_path.read_text()
+    reordered = tmp_path / "reordered.csv"
+    header, first, second, *rows = text.splitlines(keepends=True)
+    reordered.write_text(header + second + first + "".join(rows))
+    for source in (csv_path, reordered):
+        assert run("verify", path, "--solution", source,
+                   "--out", tmp_path / "verified") == 0
+    assert len(slow) == 1   # the reordered file only
+    views = {"y", "k", "a", "m_increments"}
+    assert [views & set(vars(s)) for s in solved + loaded] == [set()] * 3
 
 
 @pytest.mark.parametrize("command", ["verify", "brute-force"])
@@ -1100,6 +1434,35 @@ def test_explicit_tree_and_table_specs(tmp_path):
     spec["generators"][0]["values"][0] = [0.1, 0.5, -0.4]
     path.write_text(json.dumps(spec))
     assert run("solve", path, "--out", out) == 2
+
+
+def test_node_ids_with_a_percent_sign_round_trip(tmp_path):
+    # the CSV writer formats every value into one template: an id holding
+    # "%" is written as it is, and verify --solution reads it back
+    ids = ["50%", "lo%d", "hi%%"]
+    spec = {
+        "format": 1,
+        "tree": {"kind": "explicit", "dt": 0.5, "nodes": [
+            {"id": ids[0], "t": 0, "parent": None},
+            {"id": ids[1], "t": 1, "parent": ids[0], "p": 0.4},
+            {"id": ids[2], "t": 1, "parent": ids[0], "p": 0.6},
+        ]},
+        "modes": 2,
+        "generators": [{"family": "linear", "a": 0.1, "b": 0.2},
+                       {"family": "constant", "a": 0.1}],
+        "costs": [[0, 0.3], [0.3, 0]],
+        "barriers": [{"kind": "constant", "value": 2.0}] * 2,
+        "terminal": {"kind": "table", "values": {ids[1]: [0.5, 0.4],
+                                                 ids[2]: [0.9, 1.0]}},
+    }
+    path = tmp_path / "percent.json"
+    path.write_text(json.dumps(spec))
+    assert run("solve", path, "--out", tmp_path / "out") == 0
+    csv_path = tmp_path / "out" / "solution.csv"
+    rows = csv_path.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        ids[0], ids[0], ids[2], ids[2], ids[1], ids[1]]
+    assert run("verify", path, "--solution", csv_path, "--out", tmp_path / "v") == 0
 
 
 @pytest.mark.parametrize("field, knots", [

@@ -232,10 +232,10 @@ def test_subsolution_of_decoupled_problem_is_upper_solve():
             )
         )
         gap = max(
-            abs(a - b) for a, b in zip(parts[j].y.values, direct.y.values)
+            abs(a - b) for a, b in zip(parts.y[j].values, direct.y.values)
         )
         assert gap <= 1e-12
-        assert max(parts[j].k.values) == 0.0
+        assert max(parts.k[j].values) == 0.0
 
 
 def test_subsolution_sits_below_picard_limit():
@@ -245,8 +245,8 @@ def test_subsolution_sits_below_picard_limit():
     solution = picard_solve(problem, tol=1e-12)
     for j in range(2):
         for u in range(problem.tree.n_nodes):
-            assert parts[j].y.values[u] <= solution.y[j].values[u] + 1e-12
-            assert parts[j].y.values[u] <= problem.upper[j].values[u] + 1e-12
+            assert parts.y[j].values[u] <= solution.y[j].values[u] + 1e-12
+            assert parts.y[j].values[u] <= problem.upper[j].values[u] + 1e-12
 
 
 # -- picard solver -----------------------------------------------------------------
@@ -311,11 +311,9 @@ def test_monotone_sweeps_and_growing_upper_increments(record):
         picard_solve(problem, tol=1e-12)
         history = walks[1:]  # the first walk is the subsolution
         for prev, cur in zip(history, history[1:]):
-            for j in range(2):
-                for a, b in zip(prev[j].y.values, cur[j].y.values):
-                    assert b >= a - 1e-12
-                for a, b in zip(prev[j].a.values, cur[j].a.values):
-                    assert b >= a - 1e-12  # A increments grow sweepwise
+            assert (cur.y_columns >= prev.y_columns - 1e-12).all()
+            # A increments grow sweepwise
+            assert (cur.a_columns >= prev.a_columns - 1e-12).all()
 
 
 def test_picard_matches_brute_force_on_small_instance():
@@ -418,19 +416,9 @@ def test_verify_minimality_clean_on_solver_output():
 
 
 def _with_k_bump(solution: SystemSolution, tree, j, node) -> SystemSolution:
-    k_vals = list(solution.k[j].values)
-    for c in tree.children(node):
-        k_vals[c] += 1.0
-    new_k = list(solution.k)
-    new_k[j] = PredictableIncrements(tree, tuple(k_vals))
-    return SystemSolution(
-        y=solution.y,
-        m_increments=solution.m_increments,
-        k=tuple(new_k),
-        a=solution.a,
-        sweeps=solution.sweeps,
-        final_delta=solution.final_delta,
-    )
+    k = solution.k_columns.copy()
+    k[list(tree.children(node)), j] += 1.0
+    return dataclasses.replace(solution, k_columns=k)
 
 
 def test_corrupted_k_reported_as_flat_off_violation():
@@ -460,17 +448,10 @@ def test_sandwich_violation_reported():
     problem = random_oblique_problem(rng, d=2)
     solution = picard_solve(problem, tol=1e-12)
     tree = problem.tree
-    y0 = list(solution.y[0].values)
+    y = solution.y_columns.copy()
     target = tree.root
-    y0[target] = problem.H(0, solution.y_vector(target))[0] - 1.0
-    corrupted = SystemSolution(
-        y=(AdaptedProcess(tree, tuple(y0)), solution.y[1]),
-        m_increments=solution.m_increments,
-        k=solution.k,
-        a=solution.a,
-        sweeps=solution.sweeps,
-        final_delta=solution.final_delta,
-    )
+    y[target, 0] = problem.H(0, solution.y_vector(target))[0] - 1.0
+    corrupted = dataclasses.replace(solution, y_columns=y)
     report = verify_minimality(problem, corrupted)
     assert any(v.code == "sandwich-lower" for v in report.violations)
 
@@ -738,15 +719,45 @@ def test_non_finite_dt_and_generator_values_rejected():
     assert [v.code for v in validate_problem(infinite_dt)] == ["non-finite"]
 
 
+def test_system_solution_arrays_views_and_increment_checks(scenarios_dir):
+    # the arrays are read-only, the per-mode views read them, and dK and dA
+    # are refused as PredictableIncrements refuses them: dK before dA, mode
+    # by mode, the root slot before the siblings
+    problem = Scenario.from_file(scenarios_dir / "switch2x2.json").build_problem()
+    solution = picard_solve(problem)
+    tree = problem.tree
+    for name in ("y", "k", "a"):
+        columns = getattr(solution, f"{name}_columns")
+        assert not columns.flags.writeable
+        assert [view.values for view in getattr(solution, name)] == [
+            tuple(col) for col in columns.T.tolist()]
+    assert solution.m_increments == tuple(map(tuple, solution.m_columns.T.tolist()))
+    first = tree.children(tree.root)[0]
+    k, a = solution.k_columns.copy(), solution.a_columns.copy()
+    a[tree.root, 0] = 1.0
+    k[first, 1] += 1.0
+    refusals = [
+        ({"k_columns": k, "a_columns": a}, "increment not parent-measurable at node r"),
+        ({"a_columns": a}, "root slot of predictable increments must be 0"),
+    ]
+    for changes, message in refusals:
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(solution, **changes)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as per_mode:
+            for column in (*changes.get("k_columns", solution.k_columns).T,
+                           *changes.get("a_columns", solution.a_columns).T):
+                PredictableIncrements(tree, tuple(column.tolist()))
+        assert str(per_mode.value) == message
+
+
 def test_verify_minimality_fails_on_nan(scenarios_dir):
     problem = Scenario.from_file(scenarios_dir / "switch2x2.json").build_problem()
     solution = picard_solve(problem)
     root = problem.tree.root
-    y0 = list(solution.y[0].values)
-    y0[root] = float("nan")
-    corrupted = dataclasses.replace(
-        solution, y=(AdaptedProcess(problem.tree, tuple(y0)), solution.y[1])
-    )
+    y = solution.y_columns.copy()
+    y[root, 0] = float("nan")
+    corrupted = dataclasses.replace(solution, y_columns=y)
     report = verify_minimality(problem, corrupted)
     assert not report.ok(1e-10)
     assert report.worst_residual != report.worst_residual  # NaN

@@ -684,23 +684,16 @@ def test_switched_martingale_arbitrary_strategy():
 
 
 def test_switched_martingale_detects_corruption():
-    from orbsde.oblique import SystemSolution
+    import dataclasses
 
     rng = random.Random(61)
     problem = small_problem(rng)
     solution = picard_solve(problem, tol=1e-12)
     tree = problem.tree
-    m0 = [list(col) for col in solution.m_increments]
+    m = solution.m_columns.copy()
     victim = tree.children(tree.root)[0]
-    m0[0][victim] += 0.5
-    corrupted = SystemSolution(
-        y=solution.y,
-        m_increments=tuple(tuple(col) for col in m0),
-        k=solution.k,
-        a=solution.a,
-        sweeps=solution.sweeps,
-        final_delta=solution.final_delta,
-    )
+    m[victim, 0] += 0.5
+    corrupted = dataclasses.replace(solution, m_columns=m)
     report = check_switched_martingale(
         problem, corrupted, constant_strategy(problem, tree.root, 0)
     )
@@ -719,9 +712,9 @@ def test_switched_martingale_reports_a_nan_increment(scenarios_dir):
     solution = picard_solve(problem, tol=1e-12)
     tree = problem.tree
     first = tree.node(tree.root).children[0]
-    m = [list(col) for col in solution.m_increments]
-    m[0][first] = math.nan
-    corrupted = dataclasses.replace(solution, m_increments=tuple(map(tuple, m)))
+    m = solution.m_columns.copy()
+    m[first, 0] = math.nan
+    corrupted = dataclasses.replace(solution, m_columns=m)
     strategy = construct_optimal_strategy(problem, solution, tree.root, 0)
     # max() would keep the finite residuals and pass the check
     report = check_switched_martingale(problem, corrupted, strategy)
