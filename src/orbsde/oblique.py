@@ -617,7 +617,8 @@ class SystemSolution:
     :class:`~orbsde.tree.PredictableIncrements` for the first column that
     is not (dK before dA, mode by mode).  The per-mode views ``y``, ``k``,
     ``a`` and ``m_increments`` are made on first use, for the library API
-    and the oracles.
+    and the oracles, and :func:`binding_graph_cycles` keeps its last search
+    in the instance too.
     """
 
     tree: EventTree
@@ -969,8 +970,15 @@ def binding_graph_cycles(
     cycle exactly when it has a walk of d edges, so the depth-first search
     runs only at the nodes whose d-th adjacency power is not zero; the
     first cycle of each node is listed, in node order.
+
+    The search is kept with the solution, for its problem and tol, so
+    that a solver's check and :func:`verify_minimality` of the solution it
+    returned search once.
     """
     assert problem.costs is not None
+    kept = vars(solution).get("_cycle_search")
+    if kept is not None and kept[0] is problem and kept[1] == tol:
+        return list(kept[2])
     tree = problem.tree
     edges = _binding_edges(problem.costs, tree.arrays.time, solution.y_columns, tol)
     walks = edges   # walks[u, j, k]: a walk from j to k, one edge longer per pass
@@ -981,6 +989,7 @@ def binding_graph_cycles(
         cyc = _first_cycle([np.flatnonzero(row).tolist() for row in edges[u]])
         if cyc:
             out.append((tree.ids[u], cyc))
+    vars(solution)["_cycle_search"] = (problem, tol, tuple(out))
     return out
 
 

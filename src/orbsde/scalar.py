@@ -49,7 +49,8 @@ steps.
 The batched finder bisects in blocks: while few elements are left
 bisecting, one residual call evaluates the next (up to six) halvings of
 each at the mids of its bracket's bisection tree, and each element then
-walks down its tree as the scalar loop would.  A residual therefore gets
+walks down its tree as the scalar loop would; while many are, a call is
+one halving of each, the scalar loop's own step.  A residual therefore gets
 repeated indices and points past an element's root, and must be
 elementwise.  ``_blockwise`` gives each problem's (or mode's) contiguous
 block of elements to its own generator, for the residuals that span
@@ -215,10 +216,12 @@ def _root_find_batch(
     element then walks down its tree as the scalar loop would, finishing
     at the node where the scalar loop returns.  k is the deepest tree, at
     most 6 levels, that keeps a call at 1,024 points (:func:`_block_depth`),
-    so a long tail of few elements costs about a sixth of the calls, and a
-    tail of more than 341 elements keeps one halving per call.  ``idx``
-    is therefore non-decreasing but may repeat an element, once per point
-    of its tree, and ``phi`` sees points beyond where an element stops.
+    so a long tail of few elements costs about a sixth of the calls.  With
+    more than 341 elements bisecting k is 1, and a call is the scalar
+    loop's own step on each element (the mid, its exit tests and the new
+    bracket), with no tree to build or walk.  ``idx`` is therefore
+    non-decreasing but may repeat an element, once per point of its tree,
+    and ``phi`` sees points beyond where an element stops.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     root = np.empty_like(x0)
@@ -229,17 +232,20 @@ def _root_find_batch(
 
     def retire(done, x, *active):
         """Store ``x`` as the root of the done elements and return the
-        ``active`` arrays cut to the elements still running."""
+        ``active`` arrays cut to the elements still running (the arrays
+        themselves when none is done)."""
         nonlocal idx
+        if not done.any():
+            return active
         root[idx[done]] = x[done]
         keep = ~done
         idx = idx[keep]
         return [a[keep] for a in active]
 
     f0 = phi(x0, idx)
-    bad = ~np.isfinite(f0)
-    if bad.any():
-        raise BracketingError(f"residual not finite at {float(x0[bad][0])}")
+    if not np.isfinite(f0).all():
+        bad = float(x0[~np.isfinite(f0)][0])
+        raise BracketingError(f"residual not finite at {bad}")
     x0, f0 = retire(np.abs(f0) <= tight(x0), x0, x0, f0)
     if not idx.size:   # every probe exact: no residual call on empty arrays
         return root
@@ -248,11 +254,16 @@ def _root_find_batch(
     x0, f0, x1, f1 = retire(np.abs(f1) <= tight(x1), x1, x0, f0, x1, f1)
     if not idx.size:
         return root
-    x2, f2 = x1.copy(), f1.copy()
-    sec = np.flatnonzero(f1 != f0)
-    if sec.size:
-        x2[sec] = x1[sec] - f1[sec] * (x1[sec] - x0[sec]) / (f1[sec] - f0[sec])
-        f2[sec] = phi(x2[sec], idx[sec])
+    # the secant step where f1 != f0, elsewhere (x2, f2) = (x1, f1); with
+    # every element stepping (the common case) the points are not copied
+    sec = f1 != f0
+    x2 = np.where(sec, x1 - f1 * (x1 - x0) / (f1 - f0), x1)
+    if sec.all():
+        f2 = phi(x2, idx)
+    else:
+        f2, sec = f1.copy(), np.flatnonzero(sec)
+        if sec.size:
+            f2[sec] = phi(x2[sec], idx[sec])
     x0, f0, x1, f1, x2, f2 = retire(np.abs(f2) <= tight(x2), x2,
                                     x0, f0, x1, f1, x2, f2)
     if not idx.size:
@@ -287,6 +298,16 @@ def _root_find_batch(
 
     while idx.size:
         depth = _block_depth(idx.size)
+        if depth == 1:   # one halving per call: the scalar loop's own step
+            mid = 0.5 * (lo + hi)
+            fm = phi(mid, idx)
+            # the bracket's larger magnitude is max(-lo, hi) when lo <= hi;
+            # otherwise hi - lo < 0 and the stall guard holds either way
+            stop = (np.abs(fm) <= tight(mid)) | (
+                hi - lo <= 4e-16 * np.fmax(np.fmax(1.0, -lo), hi))
+            down = fm > 0.0
+            lo, hi = retire(stop, mid, np.where(down, lo, mid), np.where(down, mid, hi))
+            continue
         edges = _bisection_edges(lo, hi, depth)
         mids = edges[:, 1:-1]
         fs = phi(mids.ravel(), np.repeat(idx, mids.shape[1])).reshape(mids.shape)
@@ -745,24 +766,43 @@ def solve_penalized(
     if params.q > 0 and problem.upper is None:
         raise ValueError("upper penalty needs an upper barrier")
     _require_valid(problem)
-    return _penalized_solve([problem], [params.p], [params.q]).solution(problem.tree, 0)
+    return _penalized_solve([problem], [params.p], [params.q]).solution(0)
 
 
 @dataclass(frozen=True)
 class _PenalizedColumns:
-    """The penalized scheme's walk: the ``(n_nodes, columns)`` arrays Y,
-    dM and the penalty integrals dK and dA, and each column's masses."""
+    """The penalized scheme's walk on ``tree``: the ``(n_nodes, columns)``
+    arrays Y, dM and the penalty integrals dK and dA.  Each column's masses
+    are computed on first use."""
 
+    tree: EventTree
     y: np.ndarray
     m: np.ndarray
     k: np.ndarray
     a: np.ndarray
-    lower_mass: np.ndarray
-    upper_mass: np.ndarray
 
-    def solution(self, tree: EventTree, j: int) -> PenalizedSolution:
+    def _masses(self, pushes: np.ndarray) -> np.ndarray:
+        """Each column's expected total of ``pushes``: a sum over the
+        parents in index order, one term at a time."""
+        ptr = self.tree.arrays.child_ptr
+        parents = np.flatnonzero(np.diff(ptr) > 0)
+        rows = pushes[self.tree.arrays.child_index[ptr[parents]]]
+        mass = np.zeros(pushes.shape[1])
+        for w, row in zip(self.tree.node_probabilities(parents).tolist(), rows):
+            mass += w * row
+        return mass
+
+    @functools.cached_property
+    def lower_mass(self) -> np.ndarray:
+        return self._masses(self.k)
+
+    @functools.cached_property
+    def upper_mass(self) -> np.ndarray:
+        return self._masses(self.a)
+
+    def solution(self, j: int) -> PenalizedSolution:
         """Column j as a PenalizedSolution."""
-        return PenalizedSolution(*_column(tree, self.y, self.m, self.k, self.a, j),
+        return PenalizedSolution(*_column(self.tree, self.y, self.m, self.k, self.a, j),
                                  float(self.lower_mass[j]), float(self.upper_mass[j]))
 
 
@@ -774,9 +814,11 @@ def _penalized_solve(
     go problem by problem, then pair by pair (column ``b * len(p) + i`` is
     pair i of problem b).  Each level's implicit steps are one
     :func:`_root_find_batch`, whose residual hands each problem's
-    contiguous block of elements to that problem's generator.  A weight of
-    zero drops its penalty term, and a barrier the problem lacks drops it
-    too.
+    contiguous block of elements to that problem's generator and reads
+    each element's barriers and weights from arrays gathered once per
+    level.  A weight of zero drops its penalty term, and a barrier the
+    problem lacks drops it too.  The masses are computed only when a
+    column is asked for as a PenalizedSolution.
     """
     tree, dt = problems[0].tree, problems[0].tree.dt
     pairs, cols = len(p), len(problems) * len(p)
@@ -795,63 +837,52 @@ def _penalized_solve(
 
     lower, p_col = by_problem([pb.lower for pb in problems], p)
     upper, q_col = by_problem([pb.upper for pb in problems], q)
-    p_w, q_w = (None if w is None else w.reshape(-1, pairs, 1) for w in (p_col, q_col))
+    # with every weight positive (as on the sweep's ladder) no term is dropped
+    p_all, q_all = (w is not None and bool((w > 0).all()) for w in (p_col, q_col))
     generators = [pb.generator for pb in problems]
-    owner = np.repeat(np.arange(len(problems)), pairs)   # each column's problem
 
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
-        # column-major: column by column, each over the level's parents;
-        # the barriers are kept per problem and parent and the weights per
-        # column, and each residual call gathers them by its columns' runs
+        # column-major: element (b * pairs + i) * size + s is pair i of
+        # problem b at parents[s]; its barriers and weights are gathered
+        # once here, so that a residual call reads them at its indices
         size = parents.size
-        low = lower[:, parents].ravel() if lower is not None else None
-        high = upper[:, parents].ravel() if upper is not None else None
         nodes = np.tile(parents, cols)
-        # column c holds elements first[c] to first[c + 1] - 1, and element
-        # e of it reads its problem's barriers at e - shift[c]
-        first = np.arange(cols + 1) * size
-        shift = first[:-1] - owner * size
         target = targets.T.ravel()
         level_generators = [lambda x, idx, g=g: g(t, nodes[idx], x) for g in generators]
 
+        def by_element(barriers, weights):
+            if barriers is None:
+                return None, None
+            return (np.repeat(barriers[:, parents], pairs, axis=0).ravel(),
+                    np.repeat(weights, size))
+
+        low, p_el = by_element(lower, p_col)
+        high, q_el = by_element(upper, q_col)
+
         def penalized(x, idx):
             val = _blockwise(level_generators, pairs * size, x, idx)
-            counts = np.diff(np.searchsorted(idx, first))   # idx ascends
-            at = idx - np.repeat(shift, counts)
             if low is not None:
-                w = np.repeat(p_col, counts)
-                val = np.where(w > 0, val + w * _positive(low[at] - x), val)
+                term = val + p_el[idx] * _positive(low[idx] - x)
+                val = term if p_all else np.where(p_el[idx] > 0, term, val)
             if high is not None:
-                w = np.repeat(q_col, counts)
-                val = np.where(w > 0, val - w * _positive(x - high[at]), val)
+                term = val - q_el[idx] * _positive(x - high[idx])
+                val = term if q_all else np.where(q_el[idx] > 0, term, val)
             return val
 
         def phi(x, idx):
             return x - penalized(x, idx) * dt - target[idx]
 
-        # as (problems, pairs, size): each problem's barriers, each pair's weights
-        y = _root_find_batch(phi, target, RESIDUAL_TOL).reshape(-1, pairs, size)
-        dk = (np.where(p_w > 0, p_w * _positive(low.reshape(-1, 1, size) - y) * dt, 0.0)
-              if low is not None else np.zeros(y.shape))
-        da = (np.where(q_w > 0, q_w * _positive(y - high.reshape(-1, 1, size)) * dt, 0.0)
-              if high is not None else np.zeros(y.shape))
+        y = _root_find_batch(phi, target, RESIDUAL_TOL)
+        dk = (np.where(p_el > 0, p_el * _positive(low - y) * dt, 0.0)
+              if low is not None else np.zeros(y.size))
+        da = (np.where(q_el > 0, q_el * _positive(y - high) * dt, 0.0)
+              if high is not None else np.zeros(y.size))
         return (a.reshape(cols, size).T for a in (y, dk, da))
 
     y, m, k, a = _backward_walk(tree, np.repeat(
         [[pb.terminal[leaf] for pb in problems] for leaf in tree.leaves], pairs, axis=1),
         np.repeat(np.array([pb.v().values for pb in problems]).T, pairs, axis=1), step)
-    # the masses: sums over the parents in index order, one term at a time
-    ptr = tree.arrays.child_ptr
-    parents = np.flatnonzero(np.diff(ptr) > 0)
-    first_kids = tree.arrays.child_index[ptr[parents]]
-    weights = tree.node_probabilities(parents).tolist()
-    masses = []
-    for pushes in (k, a):
-        mass = np.zeros(cols)
-        for w, row in zip(weights, pushes[first_kids]):
-            mass += w * row
-        masses.append(mass)
-    return _PenalizedColumns(y, m, k, a, *masses)
+    return _PenalizedColumns(tree, y, m, k, a)
 
 
 def verify_snell_representation(

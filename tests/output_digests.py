@@ -128,7 +128,9 @@ def _scenarios() -> list[tuple[str, dict]]:
     for seed in (1, 7):
         shaped += [(f"{name}-11-s{seed}", spec)
                    for name, spec in workloads.picard_coupled(seed)]
-    shaped += [(f"{name}-8-s1", spec) for name, spec in workloads.penalty_table(1)]
+    for seed in (1, 2, 7):
+        shaped += [(f"{name}-8-s{seed}", spec)
+                   for name, spec in workloads.penalty_table(seed)]
     return bundled + shaped
 
 

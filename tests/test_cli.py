@@ -815,6 +815,23 @@ def test_binding_cycle_exits_3_with_node(scenarios_dir, tmp_path, monkeypatch):
     assert (error["kind"], error["node_id"]) == ("internal-consistency", "rd")
 
 
+def test_solve_and_verify_search_for_binding_cycles_once(scenarios_dir, tmp_path,
+                                                         monkeypatch):
+    # the solver's acyclicity check and verify_minimality of its answer
+    # share one search
+    import orbsde.oblique
+
+    searches = []
+    edges = orbsde.oblique._binding_edges
+    monkeypatch.setattr(orbsde.oblique, "_binding_edges",
+                        lambda *args: searches.append(args) or edges(*args))
+    for command in ("solve", "verify"):
+        searches.clear()
+        assert run(command, scenarios_dir / "switch2x2.json", "--out",
+                   tmp_path / command) == 0
+        assert len(searches) == 1
+
+
 def test_missing_attaining_mode_exits_3_with_node(scenarios_dir, tmp_path,
                                                   monkeypatch):
     import orbsde.switching

@@ -247,6 +247,7 @@ def test_batched_root_finder_runs_every_branch():
         ((1.0, 2.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5),     # bisection
         ((1.0, 0.0, 1e6, 0.0, 0.2, 1.5, 0.5), -30.0),   # stiff kink: stall guard
         ((1e-4, 0.0, 0.0, 5.0, 0.0, 1.0, 1.0), -3.0),   # 13 bracket expansions
+        ((0.0, 0.0, 0.0, 2.0, 0.0, -1.0, 0.5), 5.0),    # flat at x0, x1: no secant
     ]
     assert set().union(*(_branches(*case) for case in cases)) == {
         "probe", "x1", "secant", "bisection", "stall guard", "expansion"}
@@ -338,6 +339,69 @@ def test_block_bisection_stall_guard_finishes_part_way_through_a_block():
     assert got.tolist() == [_root_find(lambda y: _residual(y, *params), x0,
                                        RESIDUAL_TOL)]
     assert [idx.size for idx in log] == [1, 1, 1] + [63] * 10
+
+
+def _retired_in_one_halving_calls(log):
+    """The elements that end in a call of one halving each (no element
+    repeated), after the probe and the secant: present in that call's
+    indices and absent from the next call's."""
+    out = set()
+    for idx, after in zip(log[3:], log[4:] + [np.array([], dtype=np.intp)]):
+        if np.unique(idx).size == idx.size:
+            out.update(np.setdiff1d(idx, after).tolist())
+    return out
+
+
+def test_one_halving_per_call_ends_on_the_stall_guard_as_the_scalar_finder():
+    # stiff kinks (k = 1e6): 422 of 500 bisect at once, so each call takes
+    # one halving of each (422 * 3 > 1,024) until 341 are left, and every
+    # one ends on the ulp-width stall guard after 56 to 58 halvings, more
+    # than half of them in those calls
+    rng = random.Random(22)
+    cases = [((1.0, 0.0, 1e6, 0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.5),
+               rng.uniform(0.2, 0.8)), rng.uniform(-40.0, -20.0)) for _ in range(500)]
+    stalled = [i for i, case in enumerate(cases)
+               if _branches(*case) == {"bisection", "stall guard"}]
+    assert len(stalled) == 422
+    columns = np.array([params for params, _ in cases]).T
+    log = []
+    roots = _root_find_batch(_logged(lambda y, idx: _residual(y, *columns[:, idx]), log),
+                             np.array([x0 for _, x0 in cases]), RESIDUAL_TOL)
+    assert roots.tolist() == _scalar_roots(cases)
+    assert np.array_equal(log[3], stalled)   # the first halving of each
+    assert len(set(stalled) & _retired_in_one_halving_calls(log)) > 422 // 2
+    for idx in log[3:]:
+        n = np.unique(idx).size
+        assert idx.size == n * (2 ** _halvings_per_call(n) - 1)
+
+
+def test_one_halving_per_call_takes_the_upper_half_at_a_nan_as_the_scalar_finder():
+    # 400 cubic residuals that bisect at once, each NaN in a narrow band
+    # around its own 9th bisection mid: all 400 are still bisecting there,
+    # one halving per call, and each takes the upper half as the scalar
+    # loop does
+    rng = random.Random(9)
+    cases = [((1.0, rng.uniform(0.5, 3.0), 0.0, 0.0, 0.0, rng.uniform(-20.0, 20.0),
+               rng.uniform(0.1, 1.0)), rng.uniform(-20.0, 20.0)) for _ in range(400)]
+    assert all(_branches(*case) == {"bisection"} for case in cases)
+    columns = np.array([params for params, _ in cases]).T
+    bands = np.array([_scalar_points(*case)[3 + 8] for case in cases])
+
+    def nan_band(y, idx):
+        return np.where(np.abs(y - bands[idx]) < 1e-12, math.nan,
+                        _residual(y, *columns[:, idx]))
+
+    expected = []
+    for i, (params, x0) in enumerate(cases):
+        def scalar_phi(y, i=i):
+            return float(nan_band(np.array([y]), np.array([i]))[0])
+        assert math.isnan(scalar_phi(bands[i]))
+        expected.append(_root_find(scalar_phi, x0, RESIDUAL_TOL))
+    log = []
+    got = _root_find_batch(_logged(nan_band, log), np.array([x0 for _, x0 in cases]),
+                           RESIDUAL_TOL)
+    assert got.tolist() == expected
+    assert np.array_equal(log[3 + 8], np.arange(400))   # the NaN mids' call
 
 
 def test_kinked_table_batch_bisects_in_few_residual_calls():
@@ -800,10 +864,10 @@ def test_penalized_ladder_matches_the_scipy_oracle(seed):
     ladder = _penalized_solve([problem], *zip(*pairs))
     assert ladder.y.shape == (tree.n_nodes, len(pairs))
     for i, (p, q) in enumerate(pairs):
-        pen = ladder.solution(tree, i)
+        pen = ladder.solution(i)
         oracle = penalized_values(problem, p, q)
         assert max(abs(a - b) for a, b in zip(pen.y.values, oracle)) <= 1e-10, (p, q)
-        alone = _penalized_solve([problem], [p], [q]).solution(tree, 0)
+        alone = _penalized_solve([problem], [p], [q]).solution(0)
         assert (pen.y.values, pen.m_increments, pen.k.values, pen.a.values,
                 pen.lower_mass, pen.upper_mass) == (
             alone.y.values, alone.m_increments, alone.k.values, alone.a.values,
