@@ -13,8 +13,9 @@ a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
 :func:`validate_problem` checks these hypotheses with the scalar
-validator's array-native data check, and probes every generator at every
-time index before the horizon with ``scalar._probe``.
+validator's array-native data check, and probes each generator with one
+call per time index before the horizon (``_probe_table``, which the
+problem keeps for the switching layer's decoupling verdict).
 
 Generators and obstacles are called a level at a time: ``f^j(t, y)`` and
 ``H(t, y)`` take a time index and a d-tuple ``y`` of columns, equal-length
@@ -344,23 +345,41 @@ def _probe_box(upper: np.ndarray, xi: np.ndarray) -> list[float]:
 CONTINUITY_STEP = 1e-7
 
 
-def _moved_lines(
-    f: VecGeneratorFn, t: int, grid: Sequence[float], d: int, j: int
-) -> list[tuple]:
-    """The ``scalar._probe`` lines of f = f^j at time t: line k moves
-    component k over ``grid`` from the grid midpoint, with the pairs where
-    f rises in y^j or falls in another y^k."""
-    mid = grid[2]
-    return [
-        _probe(lambda y, k=k: f(t, [mid] * k + [y] + [mid] * (d - 1 - k)), grid,
-               1.0 if k == j else -1.0)
-        for k in range(d)
-    ]
+def _probe_table(problem: ObliqueProblem) -> tuple[list[float], dict]:
+    """The :func:`_probe_box` grid and the ``scalar._probe`` lines (values,
+    first non-finite value, rising pairs) of each f^j at each time index
+    before the horizon, from one call at a d-tuple of columns, kept in
+    ``problem._verdicts``.  Line k moves component k over the grid from its
+    midpoint, with the pairs where f^j rises in y^j or falls in another
+    y^k; line d is the diagonal at each grid point and CONTINUITY_STEP
+    above it."""
+    if "probes" not in problem._verdicts:
+        d, tree = problem.d, problem.tree
+        _, _, entries = _leaf_entries(tree, problem.terminal)
+        grid = _probe_box(problem.upper_columns, np.array(entries, dtype=float))
+        steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
+        n = len(grid)
+        points = np.full((d, d * n + len(steps)), grid[2])
+        for k in range(d):
+            points[k, k * n:(k + 1) * n] = grid
+        points[:, d * n:] = steps
+        table = {}
+        for j, f in enumerate(problem.generators):
+            for t in range(tree.n_steps):
+                with np.errstate(all="ignore"):
+                    values = f(t, tuple(points))
+                values = np.broadcast_to(values, points.shape[1:]).tolist()
+                lines = [values[k * n:(k + 1) * n] for k in range(d)] + [values[d * n:]]
+                table[j, t] = [(line, *_probe(line, steps if k == d else grid,
+                                              -1.0 if k not in (j, d) else 1.0))
+                               for k, line in enumerate(lines)]
+        problem._verdicts["probes"] = grid, table
+    return problem._verdicts["probes"]
 
 
 def _seen_reading(lines: Sequence[tuple], ks: Sequence[int]) -> list[int]:
     """The components k of ``ks`` that f^j is seen to read: its
-    :func:`_moved_lines` line k is not finite, or moves f^j by more than
+    :func:`_probe_table` line k is not finite, or moves f^j by more than
     PROBE_TOL."""
     return [k for k in ks if lines[k][1] is not None
             or max(lines[k][0]) - min(lines[k][0]) > PROBE_TOL]
@@ -433,22 +452,11 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         f"xi^{j} = {xi[i, j]:.17g} > U^{j}_T = {upper_t[i, j]:.17g}"), rows=given)
     out.extend(found.take())
 
-    grid = _probe_box(upper, xi)
-    # after the moved lines, the diagonal at each grid point and
-    # CONTINUITY_STEP above it
-    steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
-    probes = {
-        (j, t): _moved_lines(f, t, grid, d, j)
-        + [_probe(lambda y: f(t, [y] * d), steps)]
-        for j, f in enumerate(problem.generators)
-        for t in range(tree.n_steps)
-    }
-    non_finite: list[Violation] = []
-    for (j, t), lines in probes.items():
-        bad = [b for _, b, _ in lines if b is not None]
-        if bad:
-            non_finite.append(Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
-                                        time_index=t, mode=j))
+    grid, probes = _probe_table(problem)
+    non_finite = [Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
+                            time_index=t, mode=j)
+                  for (j, t), lines in probes.items()
+                  if (bad := [b for _, b, _ in lines if b is not None])]
     if non_finite:
         return out + non_finite
     readers = _readers(problem)

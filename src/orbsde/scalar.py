@@ -56,10 +56,10 @@ elementwise.  ``_blockwise`` gives each problem's (or mode's) contiguous
 block of elements to its own generator, for the residuals that span
 several.
 
-``_probe`` is the package's one generator probe.
-:meth:`ScalarRBSDEProblem.validate` probes g with it at every node before
-the horizon, :mod:`orbsde.oblique` and :mod:`orbsde.switching` the system's
-generators at every time index.  Both problem validators also share one
+``_probe`` is the package's one generator probe; it reads values the
+caller has taken.  :meth:`ScalarRBSDEProblem.validate` gives it g's values
+at every node before the horizon, :mod:`orbsde.oblique` those of one call
+per system generator and time index.  Both problem validators also share one
 data check: the data as ``(n_nodes, d)`` columns (d = 1 here), scanned for
 NaN and infinity with one argwhere (``_note_non_finite``), and orderings
 as array comparisons, each finding named from the tree's columns by
@@ -110,17 +110,16 @@ def _worse(worst: float, value: float) -> float:
     return value if value > worst or value != value else worst
 
 
-def _probe(fn: Callable[[float], float], ys: Sequence[float], sign: float = 1.0
-           ) -> tuple[list[float], float | None, list[tuple[float, float]]]:
-    """``fn`` evaluated once at each of ``ys``: the values, the first one
-    that is not finite (or None), and the pairs (y_lo, y_hi), y_lo < y_hi,
-    over which ``sign`` times the value rises by more than PROBE_TOL (none
-    when a value is not finite: NaN would pass every comparison)."""
-    values = [fn(y) for y in ys]
+def _probe(values: Sequence[float], ys: Sequence[float], sign: float = 1.0
+           ) -> tuple[float | None, list[tuple[float, float]]]:
+    """Of a function's ``values`` at ``ys``: the first value that is not
+    finite (or None), and the pairs (y_lo, y_hi), y_lo < y_hi, over which
+    ``sign`` times the value rises by more than PROBE_TOL (none when a
+    value is not finite: NaN would pass every comparison)."""
     bad = next((v for v in values if not math.isfinite(v)), None)
     pts = list(zip(ys, values)) if bad is None else []
-    return values, bad, [(y0, y1) for y0, g0 in pts for y1, g1 in pts
-                         if y0 < y1 and sign * (g1 - g0) > PROBE_TOL]
+    return bad, [(y0, y1) for y0, g0 in pts for y1, g1 in pts
+                 if y0 < y1 and sign * (g1 - g0) > PROBE_TOL]
 
 
 def _root_find(phi: Callable[[float], float], x0: float, tol: float) -> float:
@@ -545,8 +544,7 @@ class ScalarRBSDEProblem:
                 for y in _MONOTONE_PROBE_YS
             ]).T.tolist()
             for u, values in zip(tree.level(t), table):
-                at = dict(zip(_MONOTONE_PROBE_YS, values))
-                _, bad, rises = _probe(at.__getitem__, _MONOTONE_PROBE_YS)
+                bad, rises = _probe(values, _MONOTONE_PROBE_YS)
                 if bad is not None or rises:
                     code, what = (("non-finite", f"= {bad} at a probe point")
                                   if bad is not None else

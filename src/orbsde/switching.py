@@ -30,8 +30,9 @@ every strategy, and only the start compares them.
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
-off the validator's moved-component probe lines at every time index, and
-the oracle takes that verdict once per problem (``_decoupling_verdict``).  A
+off the validator's probe table (``oblique._probe_table``: one generator
+call per mode and time index, kept with the problem), and the oracle
+takes that verdict once per problem (``_decoupling_verdict``).  A
 start node with n nodes in its subtree has d^(n-1) strategies (the start
 mode is pinned), and the enumerations refuse a count above their cap.
 
@@ -65,14 +66,12 @@ from .oblique import (
     ObliqueProblem,
     SystemSolution,
     _binding_edges,
-    _moved_lines,
-    _probe_box,
+    _probe_table,
     _seen_reading,
 )
 from .scalar import (
     RESIDUAL_TOL,
     _blockwise,
-    _leaf_entries,
     _root_find,
     _root_find_batch,
     _worse,
@@ -139,27 +138,16 @@ class StrategyValue:
 
 
 def decoupling_violations(problem: ObliqueProblem) -> list[Violation]:
-    """Probe that each f^j ignores the off-diagonal components at every
-    time index: of the validator's moved-component probe lines
-    (``oblique._moved_lines``), each with another component moved must be
-    finite and constant within ``PROBE_TOL`` (``oblique._seen_reading``)."""
-    out: list[Violation] = []
-    _, _, entries = _leaf_entries(problem.tree, problem.terminal)
-    grid = _probe_box(problem.upper_columns, np.array(entries, dtype=float))
+    """Check that each f^j ignores the off-diagonal components at every
+    time index: of the validator's probe lines (``oblique._probe_table``,
+    made here if the problem was never validated), each with another
+    component moved must be finite and constant within ``PROBE_TOL``
+    (``oblique._seen_reading``)."""
     d = problem.d
-    for j, f in enumerate(problem.generators):
-        others = [k for k in range(d) if k != j]
-        for t in range(problem.tree.n_steps):
-            coupled = _seen_reading(_moved_lines(f, t, grid, d, j), others)
-            if coupled:
-                out.append(
-                    Violation(
-                        "generator-coupled",
-                        f"f^{j} depends on component {coupled[0]}",
-                        time_index=t, mode=j,
-                    )
-                )
-    return out
+    return [Violation("generator-coupled", f"f^{j} depends on component {coupled[0]}",
+                      time_index=t, mode=j)
+            for (j, t), lines in _probe_table(problem)[1].items()
+            if (coupled := _seen_reading(lines, [k for k in range(d) if k != j]))]
 
 
 def _decoupling_verdict(problem: ObliqueProblem) -> tuple[Violation, ...]:

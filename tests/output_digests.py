@@ -135,7 +135,8 @@ def _scenarios() -> list[tuple[str, dict]]:
 
 
 def _refused() -> list[tuple[str, str, dict]]:
-    """(label, command, scenario) of inputs the commands refuse."""
+    """(label, command, scenario) of inputs at the edge of what the commands
+    accept: all but one of them refused."""
     oracle = dict(workloads.oracle_small(1))
     cases = []
     chain = copy.deepcopy(oracle["oracle-chain"])
@@ -153,6 +154,19 @@ def _refused() -> list[tuple[str, str, dict]]:
     huge = copy.deepcopy(oracle["oracle-chain"])
     huge["costs"][1][2] = 1e308
     cases.append(("chain-cost-1e308", "verify", huge))
+    # the scenario parser refuses every generator family that is not
+    # monotone, so the CLI reaches the generator probes' findings through an
+    # overflow at the probe points
+    steep = copy.deepcopy(oracle["oracle-chain"])
+    steep["generators"][2]["b"] = 1e308
+    cases += [("chain-b-1e308", cmd, steep)
+              for cmd in ("solve", "verify", "brute-force")]
+    # accepted, not refused: a table row must not increase, so 1e308 fits
+    # only at the grid's left end, and no probe point falls in its segment
+    (_, table), = workloads.penalty_table(1, 4)
+    table = copy.deepcopy(table)
+    table["generators"][0]["values"][0][0] = 1e308
+    cases.append(("table-value-1e308", "sweep-penalization", table))
     return cases
 
 

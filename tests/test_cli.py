@@ -57,6 +57,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbsde.cli
 from orbsde.cli import main
@@ -1074,6 +1076,64 @@ def test_node_cap_admits_the_17_step_binomial_tree():
     chain["tree"]["steps"] = MAX_NODES
     with pytest.raises(ScenarioError, match="makes a chain tree"):
         Scenario.from_dict(chain)
+
+
+FUZZ_SECTIONS = ("generators", "barriers", "terminal", "v_increments", "costs")
+FUZZ_VALUES = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-308, 1e308, -1e308,
+               float("inf"), float("-inf"), float("nan"))
+
+
+def _numeric_leaves(node, path=()):
+    """The paths to the numbers under ``node``, a parsed JSON value."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _numeric_leaves(child, path + (key,))
+
+
+def _fuzz_bases() -> list[dict]:
+    """The bundled scenarios and small ones of the benchmark's shapes."""
+    bundled = sorted((SRC.parent / "scenarios").glob("*.json"))
+    return [read_json(path) for path in bundled] + [
+        benchmark_shaped_scenario("picard-coupled"),
+        benchmark_shaped_scenario("penalty-table"),
+        oracle_binomial_scenario(),
+        oracle_chain_scenario(),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_mutated_number_is_solved_or_refused_without_a_traceback(data):
+    # one number of the data (never the tree's steps) set to a nasty value
+    # or scaled, then a command run in process: no exception escapes main,
+    # no warning is raised, and the exit code is a documented one (exits 3
+    # and 4 on data whose sums overflow included)
+    import copy
+    import tempfile
+
+    spec = copy.deepcopy(data.draw(st.sampled_from(_fuzz_bases()), label="base"))
+    *path, last = data.draw(st.sampled_from([
+        (section,) + leaf for section in FUZZ_SECTIONS
+        for leaf in _numeric_leaves(spec.get(section))]), label="leaf")
+    node = spec
+    for key in path:
+        node = node[key]
+    node[last] = data.draw(st.one_of(
+        st.sampled_from(FUZZ_VALUES),
+        st.sampled_from((-1.0, 10.0, 1e6, 1e-6, 1e300)).map(lambda c: c * node[last]),
+    ), label="value")
+    command = data.draw(st.sampled_from(
+        ["solve", "verify", "sweep-penalization", "brute-force"]), label="command")
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(spec))
+        code = run(command, scenario, "--out", Path(tmp) / "out")
+    assert [str(w.message) for w in seen] == []
+    assert code in (0, 2, 3, 4)
 
 
 def test_brute_force_on_coupled_generators_exits_2(scenarios_dir, tmp_path):

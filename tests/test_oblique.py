@@ -719,6 +719,47 @@ def test_non_finite_dt_and_generator_values_rejected():
     assert [v.code for v in validate_problem(infinite_dt)] == ["non-finite"]
 
 
+def test_validation_and_decoupling_verdict_call_each_generator_once_per_time_index():
+    # one probe table per problem: validate_problem makes it, one call of
+    # f^j per time index before the horizon, and the decoupling verdict
+    # reads it
+    from orbsde.switching import decoupling_violations
+
+    base = random_oblique_problem(random.Random(7), d=3, max_depth=3, coupling=0.3)
+    calls = []
+
+    def counted(j, f):
+        def generator(t, y):
+            calls.append((j, t))
+            return f(t, y)
+        return generator
+
+    problem = dataclasses.replace(base, generators=tuple(
+        counted(j, f) for j, f in enumerate(base.generators)))
+    assert validate_problem(problem) == []
+    decoupling_violations(problem)
+    steps = problem.tree.n_steps
+    assert steps >= 2
+    assert sorted(calls) == [(j, t) for j in range(3) for t in range(steps)]
+
+
+def test_generator_overflow_at_the_probes_is_non_finite_and_warns_nothing():
+    # the scenario's linear family a - b * y^j with b = 1e308 overflows at
+    # the probe grid's ends: refused at every time index, and the overflow
+    # raises no numpy warning
+    import warnings
+
+    base = random_oblique_problem(random.Random(5), d=2, max_depth=2)
+    steep = dataclasses.replace(
+        base, generators=(base.generators[0], lambda t, y: 0.1 - 1e308 * y[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_problem(steep)
+    assert [(v.code, v.time_index, v.mode) for v in report] == [
+        ("non-finite", t, 1) for t in range(base.tree.n_steps)]
+    assert {v.message for v in report} == {"f^1 = -inf at a probe point"}
+
+
 def test_system_solution_arrays_views_and_increment_checks(scenarios_dir):
     # the arrays are read-only, the per-mode views read them, and dK and dA
     # are refused as PredictableIncrements refuses them: dK before dA, mode

@@ -193,6 +193,8 @@ def test_decoupling_verdict_reads_the_validator_probe_table():
     import dataclasses
     import math
 
+    import numpy as np
+
     from orbsde.switching import decoupling_violations
 
     problem = small_problem(random.Random(5))
@@ -209,7 +211,7 @@ def test_decoupling_verdict_reads_the_validator_probe_table():
     assert found[0].message == "f^0 depends on component 1"
     # NaN at the top of a moved row counts as coupled (max and min of the
     # row would skip it and call the row constant)
-    nan_off = with_gen0(lambda t, y: math.nan if y[1] > y[0] else -y[0])
+    nan_off = with_gen0(lambda t, y: np.where(y[1] > y[0], math.nan, -y[0]))
     assert decoupling_violations(nan_off)
 
 
