@@ -280,7 +280,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
                     problem, tree.root, j, scenario.solver["strategy_cap"]
                 )
                 reachable = unconstrained_start_value(problem, solution, tree.root, j)
-                y_root = solution.y[j].values[tree.root]
+                y_root = solution.y[j][tree.root]
                 push = solution.k[j].out_of(tree.root)
                 bf_results.append(
                     {

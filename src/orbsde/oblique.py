@@ -96,7 +96,8 @@ from .scalar import (
     _worse,
 )
 from . import scalar
-from .tree import AdaptedProcess, EventTree, PredictableIncrements, _check_predictable
+from .tree import (AdaptedProcess, EventTree, PredictableIncrements, _check_predictable,
+                   _read_only)
 
 __all__ = [
     "CostMatrix",
@@ -284,12 +285,17 @@ class ObliqueProblem:
         return _columns_of(self.v)
 
     @functools.cached_property
+    def upper_obstacle(self) -> np.ndarray:
+        """``H(t_u, U_u)`` at every node u as a read-only ``(n_nodes, d)``
+        array, made on first use (for the Mokobodzki check and the corner)."""
+        return _read_only(_by_level(self, self.upper_columns))
+
+    @functools.cached_property
     def terminal_rows(self) -> np.ndarray:
         """The terminal vectors as a ``(leaves, d)`` array in leaf order,
         made on first use (of a problem that has one at every leaf)."""
-        rows = np.array([self.terminal[leaf] for leaf in self.tree.leaves], dtype=float)
-        rows.flags.writeable = False
-        return rows
+        return _read_only(np.array([self.terminal[leaf] for leaf in self.tree.leaves],
+                                   dtype=float))
 
 
 Row = tuple[float, ...]
@@ -316,9 +322,7 @@ def _obstacle_column(problem: ObliqueProblem, t: int, rows: np.ndarray,
 def _columns_of(per_mode: Sequence) -> np.ndarray:
     """A problem's per-mode processes or increments as one read-only
     ``(n_nodes, d)`` array."""
-    columns = np.array([col.values for col in per_mode], dtype=float).T
-    columns.flags.writeable = False
-    return columns
+    return _read_only(np.column_stack([col.values for col in per_mode]))
 
 
 def _by_level(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
@@ -437,7 +441,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         out.extend(found.take())
     if any(v.code == "non-finite" for v in out):
         return out
-    h_u = _by_level(problem, upper)   # Mokobodzki, with U itself the witness X
+    h_u = problem.upper_obstacle   # Mokobodzki, with U itself the witness X
     found.note(0, "mokobodzki", h_u > upper + 1e-12, lambda u, j: (
         f"H^{j}(U) = {h_u[u, j]:.17g} > X^{j} = {upper[u, j]:.17g}"))
     out.extend(found.take())
@@ -518,8 +522,7 @@ def _level_start(
 def _corner(problem: ObliqueProblem) -> Row:
     """1 below every terminal entry, upper barrier and ``H(U)`` entry, per
     mode: the row the start rule lowers."""
-    upper = problem.upper_columns
-    rows = [problem.terminal_rows, upper, _by_level(problem, upper)]
+    rows = [problem.terminal_rows, problem.upper_columns, problem.upper_obstacle]
     lows = np.vstack(rows).min(axis=0)
     return tuple((lows - 1.0).tolist())
 
@@ -646,8 +649,7 @@ class SystemSolution:
             if columns.ndim != 2 or columns.shape != shape or shape[0] != n:
                 raise ValueError(f"expected ({n}, d) arrays, got {name} of shape "
                                  f"{columns.shape}")
-            columns.flags.writeable = False
-            object.__setattr__(self, name, columns)
+            object.__setattr__(self, name, _read_only(columns))
         _check_predictable(self.tree, self.k_columns)
         _check_predictable(self.tree, self.a_columns)
 
@@ -657,25 +659,22 @@ class SystemSolution:
     @functools.cached_property
     def y(self) -> tuple[AdaptedProcess, ...]:
         """Y per mode, made on first use."""
-        return tuple(AdaptedProcess(self.tree, tuple(col))
-                     for col in self.y_columns.T.tolist())
+        return tuple(AdaptedProcess(self.tree, col) for col in self.y_columns.T)
 
     @functools.cached_property
     def k(self) -> tuple[PredictableIncrements, ...]:
         """dK per mode, made on first use."""
-        return tuple(PredictableIncrements(self.tree, tuple(col))
-                     for col in self.k_columns.T.tolist())
+        return tuple(PredictableIncrements(self.tree, col) for col in self.k_columns.T)
 
     @functools.cached_property
     def a(self) -> tuple[PredictableIncrements, ...]:
         """dA per mode, made on first use."""
-        return tuple(PredictableIncrements(self.tree, tuple(col))
-                     for col in self.a_columns.T.tolist())
+        return tuple(PredictableIncrements(self.tree, col) for col in self.a_columns.T)
 
     @functools.cached_property
-    def m_increments(self) -> tuple[tuple[float, ...], ...]:
-        """dM per mode, made on first use."""
-        return tuple(map(tuple, self.m_columns.T.tolist()))
+    def m_increments(self) -> tuple[np.ndarray, ...]:
+        """dM per mode, as read-only views of ``m_columns``."""
+        return tuple(self.m_columns.T)
 
 
 def picard_solve(
@@ -919,7 +918,7 @@ def mode_problem(
         terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
         generator=generator,
         v_increments=problem.v[j],
-        lower=AdaptedProcess(tree, tuple(lower.tolist())),
+        lower=AdaptedProcess(tree, lower),
         upper=problem.upper[j],
     )
 

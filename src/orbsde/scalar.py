@@ -80,6 +80,7 @@ from .tree import (
     AdaptedProcess,
     EventTree,
     PredictableIncrements,
+    _read_only,
     enumerate_stopping_times,
 )
 
@@ -513,27 +514,26 @@ class ScalarRBSDEProblem:
         given, missing, entries = _leaf_entries(tree, self.terminal)
         out.extend(Violation("terminal", "missing terminal value", tree.ids[u])
                    for u in missing.tolist())
-        barriers = {name: np.array(b.values, dtype=float)[:, None]
+        barriers = {name: b.values[:, None]
                     for name, b in (("L", self.lower), ("U", self.upper))
                     if b is not None}
         xi = np.array(entries, dtype=float)[:, None]
         found = _Findings(tree, modes=False)
-        _note_non_finite(found, tree, barriers, np.array(self.v().values)[:, None],
-                         given, xi)
+        _note_non_finite(found, tree, barriers, self.v().values[:, None], given, xi)
         non_finite = found.take()
         if non_finite:
             return out + non_finite
         lo, hi = barriers.get("L"), barriers.get("U")
         if lo is not None and hi is not None:
             found.note(0, "barrier-order", lo > hi, lambda u, _: (
-                f"lower {self.lower.values[u]} above upper {self.upper.values[u]}"))
+                f"lower {self.lower[u]} above upper {self.upper[u]}"))
         if lo is not None:
             found.note(1, "terminal-sandwich", xi < lo[given] - 1e-12, lambda i, _: (
-                f"terminal {entries[i]} below barrier {self.lower.values[given[i]]}"),
+                f"terminal {entries[i]} below barrier {self.lower[given[i]]}"),
                 rows=given)
         if hi is not None:
             found.note(2, "terminal-sandwich", xi > hi[given] + 1e-12, lambda i, _: (
-                f"terminal {entries[i]} above barrier {self.upper.values[given[i]]}"),
+                f"terminal {entries[i]} above barrier {self.upper[given[i]]}"),
                 rows=given)
         out.extend(found.take())
         for t in range(tree.n_steps):  # the first finding per time index
@@ -561,7 +561,7 @@ class ScalarSolution:
     parent they act at)."""
 
     y: AdaptedProcess
-    m_increments: tuple[float, ...]
+    m_increments: np.ndarray
     k: PredictableIncrements
     a: PredictableIncrements
 
@@ -589,7 +589,7 @@ class PenalizedSolution:
     """
 
     y: AdaptedProcess
-    m_increments: tuple[float, ...]
+    m_increments: np.ndarray
     k: PredictableIncrements
     a: PredictableIncrements
     lower_mass: float
@@ -612,7 +612,7 @@ def _backward_walk(
     + dV^j`` (the children summed in index order, as
     :func:`orbsde.tree.one_step_expectation` does), ``step(t, parents,
     targets)`` returns the arrays Y, dK and dA of the level, each of the
-    shape of ``targets``.  Returns the
+    shape of ``targets``.  Returns the read-only
     ``(n_nodes, columns)`` arrays Y, dM, dK and dA, each increment on the
     edge into a node.
     """
@@ -635,15 +635,15 @@ def _backward_walk(
         y[parents] = level_y
         for rows, kids in slots:
             k[kids], a[kids], m[kids] = dk[rows], da[rows], y[kids] - e[rows]
+    _read_only(y, m, k, a)
     return y, m, k, a
 
 
 def _column(tree: EventTree, y, m, k, a, j: int) -> tuple:
     """Column j of the walk's arrays as the fields (Y, dM, dK, dA) of a
-    solution."""
-    return (AdaptedProcess(tree, tuple(y[:, j].tolist())), tuple(m[:, j].tolist()),
-            PredictableIncrements(tree, tuple(k[:, j].tolist())),
-            PredictableIncrements(tree, tuple(a[:, j].tolist())))
+    solution, dM a read-only view."""
+    return (AdaptedProcess(tree, y[:, j]), m[:, j], PredictableIncrements(tree, k[:, j]),
+            PredictableIncrements(tree, a[:, j]))
 
 
 def _backward_solve(
@@ -656,7 +656,7 @@ def _backward_solve(
     drift per column, one ScalarSolution per column."""
     xi = np.array([terminal[leaf] for leaf in tree.leaves], dtype=float)
     walk = _backward_walk(tree, xi.reshape(len(tree.leaves), len(dv)),
-                          np.array([inc.values for inc in dv]).T, step)
+                          np.column_stack([inc.values for inc in dv]), step)
     return tuple(ScalarSolution(*_column(tree, *walk, j)) for j in range(len(dv)))
 
 
@@ -701,8 +701,7 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
     into whichever barriers it has (:func:`_project`)."""
     _require_valid(problem)
     g, dt = problem.generator, problem.tree.dt
-    lower, upper = (np.full(problem.tree.n_nodes, bound) if b is None
-                    else np.array(b.values)
+    lower, upper = (np.full(problem.tree.n_nodes, bound) if b is None else b.values
                     for b, bound in ((problem.lower, -np.inf), (problem.upper, np.inf)))
 
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
@@ -828,7 +827,7 @@ def _penalized_solve(
         if all(b is None for b in barriers):
             return None, None
         weights = np.asarray(weights, dtype=np.float64)
-        return (np.array([np.zeros(tree.n_nodes) if b is None else b.values
+        return (np.stack([np.zeros(tree.n_nodes) if b is None else b.values
                           for b in barriers]),
                 np.concatenate([np.zeros(pairs) if b is None else weights
                                 for b in barriers]))
@@ -879,7 +878,7 @@ def _penalized_solve(
 
     y, m, k, a = _backward_walk(tree, np.repeat(
         [[pb.terminal[leaf] for pb in problems] for leaf in tree.leaves], pairs, axis=1),
-        np.repeat(np.array([pb.v().values for pb in problems]).T, pairs, axis=1), step)
+        np.repeat(np.column_stack([pb.v().values for pb in problems]), pairs, 1), step)
     return _PenalizedColumns(tree, y, m, k, a)
 
 
@@ -909,17 +908,14 @@ def verify_snell_representation(
     tree = problem.tree
     dt = tree.dt
     g = problem.generator
-    y = solution.y.values
-    dv = problem.v()
-    da = solution.a
-    lower = problem.lower.values
-    rates = [0.0] * tree.n_nodes   # a leaf is always stopped
-    y_at = np.array(y)
+    y = solution.y.values.tolist()
+    drift = (problem.v().values - solution.a.values).tolist()
+    lower = problem.lower.values.tolist()
+    rates = np.zeros(tree.n_nodes)   # a leaf is always stopped
     for t in range(tree.n_steps):
         nodes = np.array(tree.level(t))
-        at = np.broadcast_to(g(t, nodes, y_at[nodes]), nodes.shape)
-        for u, rate in zip(tree.level(t), at.tolist()):
-            rates[u] = rate
+        rates[nodes] = np.broadcast_to(g(t, nodes, solution.y.values[nodes]), nodes.shape)
+    rates = rates.tolist()
 
     prob = np.zeros(tree.n_nodes)   # the probability of the edge into each node
     prob[tree.arrays.child_index] = tree.arrays.child_prob
@@ -931,7 +927,7 @@ def verify_snell_representation(
             return lower[u] if kids else float(problem.terminal[u])
         acc = rates[u] * dt
         for c in kids:
-            acc += prob[c] * (dv.values[c] - da.values[c] + stopped_value(st, c))
+            acc += prob[c] * (drift[c] + stopped_value(st, c))
         return acc
 
     worst = 0.0

@@ -497,8 +497,8 @@ def _make_barrier(spec: dict, tree: EventTree, dt: float) -> AdaptedProcess:
         # validators refuse the non-finite dt or barrier with coordinates
         with np.errstate(invalid="ignore", over="ignore"):
             values = a + s * (tree.arrays.time * dt)
-        return AdaptedProcess(tree, tuple(values.tolist()))
+        return AdaptedProcess(tree, values)
     vals = spec["values"]
-    missing = [n.node_id for n in tree.nodes if n.node_id not in vals]
+    missing = [nid for nid in tree.ids if nid not in vals]
     _require(not missing, f"barrier table misses nodes {missing}")
     return AdaptedProcess.from_dict(tree, vals)

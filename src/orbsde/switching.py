@@ -211,10 +211,10 @@ def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
               for a, b in spans),
         tuple(tuple(arrays.child_prob[a:b].tolist()) for a, b in spans),
         tuple(arrays.time[at].tolist()),
-        np.array([[problem.upper[j].values[u] for u in nodes] for j in range(d)]),
+        problem.upper_columns[at].T,
         np.array([[problem.terminal[u][j] if c is None else 0.0
                    for u, c in zip(nodes, first)] for j in range(d)]),
-        np.array([[0.0 if c is None else problem.v[j].values[c] for c in first]
+        np.array([[0.0 if c is None else problem.v[j][c] for c in first]
                   for j in range(d)]),
         costs,
     )
@@ -468,13 +468,14 @@ def check_switched_martingale(
     E[dM | parent] = 0 at every subtree node; a NaN increment makes the
     worst residual NaN, which fails every tolerance."""
     tree = problem.tree
+    dm = solution.m_columns.tolist()
     worst = 0.0
     violations: list[Violation] = []
     for u in tree.subtree(strategy.start):
         if not tree.children(u):
             continue
         m = strategy.modes[u]
-        acc = math.fsum(p * solution.m_increments[m][c] for c, p in _edges(tree, u))
+        acc = math.fsum(p * dm[c][m] for c, p in _edges(tree, u))
         worst = _worse(worst, abs(acc))
         if not abs(acc) <= tol:
             violations.append(
@@ -540,7 +541,7 @@ def unconstrained_start_value(
     tree = problem.tree
     if not tree.children(start):
         return problem.terminal[start][mode]
-    e = math.fsum(p * solution.y[mode].values[c] for c, p in _edges(tree, start))
+    e = math.fsum(p * solution.y[mode][c] for c, p in _edges(tree, start))
     f = problem.generators[mode]
     d, t = problem.d, int(tree.arrays.time[start])
     dt = tree.dt
@@ -548,4 +549,4 @@ def unconstrained_start_value(
     ystar = _root_find(
         lambda y: y - f(t, (y,) * d) * dt - target, target, RESIDUAL_TOL
     )
-    return min(problem.upper[mode].values[start], ystar)
+    return min(problem.upper[mode][start], ystar)

@@ -15,6 +15,11 @@ checks of :func:`validate_tree` and the exact renormalization of each
 sibling block both run on the columns, before any :class:`Node` is made,
 and :class:`TreeArrays` is the same tree as read-only arrays.
 
+An :class:`AdaptedProcess` or :class:`PredictableIncrements` stores its
+values as a read-only ``(n_nodes,)`` float64 array copied from the sequence
+it is given, so that no caller's array aliases it; indexing one gives a
+Python float, and it equals only itself.
+
 Conventions used throughout the package:
 
 * node indices are canonical: sorted by ``(t, node_id)``, so identical
@@ -77,9 +82,11 @@ class Node:
         return not self.children
 
 
-def _read_only(*arrays: np.ndarray) -> None:
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Make ``arrays`` read-only; returns the first."""
     for arr in arrays:
         arr.flags.writeable = False
+    return arrays[0]
 
 
 class _Columns:
@@ -431,39 +438,42 @@ def _violations(cols: _Columns, dt: float) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """One real value per node (a process adapted to the tree filtration)."""
+@dataclass(frozen=True, eq=False)
+class _PerNode:
+    """What both per-node kinds store (see the module docstring)."""
 
     tree: EventTree
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.tree.n_nodes:
-            raise ValueError(
-                f"expected {self.tree.n_nodes} values, got {len(self.values)}"
-            )
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or values.size != self.tree.n_nodes:
+            got = len(values) if values.ndim == 1 else f"shape {values.shape}"
+            raise ValueError(f"expected {self.tree.n_nodes} values, got {got}")
+        object.__setattr__(self, "values", _read_only(values))
 
     def __getitem__(self, i: int) -> float:
-        return self.values[i]
+        return self.values.item(i)
+
+
+@dataclass(frozen=True, eq=False)
+class AdaptedProcess(_PerNode):
+    """One real value per node (a process adapted to the tree filtration)."""
 
     @classmethod
     def constant(cls, tree: EventTree, c: float) -> "AdaptedProcess":
-        return cls(tree, (float(c),) * tree.n_nodes)
+        return cls(tree, np.full(tree.n_nodes, float(c)))
 
     @classmethod
     def from_fn(cls, tree: EventTree, fn: Callable[[Node], float]) -> "AdaptedProcess":
-        return cls(tree, tuple(float(fn(n)) for n in tree.nodes))
+        return cls(tree, [float(fn(n)) for n in tree.nodes])
 
     @classmethod
     def from_dict(cls, tree: EventTree, values: Mapping[str, float]) -> "AdaptedProcess":
-        missing = [n.node_id for n in tree.nodes if n.node_id not in values]
+        missing = [nid for nid in tree.ids if nid not in values]
         if missing:
             raise ValueError(f"missing values for nodes {missing}")
-        return cls(tree, tuple(float(values[n.node_id]) for n in tree.nodes))
-
-    def as_dict(self) -> dict[str, float]:
-        return {n.node_id: self.values[n.index] for n in self.tree.nodes}
+        return cls(tree, [float(values[nid]) for nid in tree.ids])
 
 
 def _check_predictable(tree: EventTree, columns: np.ndarray) -> None:
@@ -487,8 +497,8 @@ def _check_predictable(tree: EventTree, columns: np.ndarray) -> None:
         raise ValueError(f"increment not parent-measurable at node {tree.ids[u]}")
 
 
-@dataclass(frozen=True)
-class PredictableIncrements:
+@dataclass(frozen=True, eq=False)
+class PredictableIncrements(_PerNode):
     """Per-edge increments decided at the parent (sibling edges identical).
 
     values[c] is the increment over the edge into node c; the root slot is 0.
@@ -497,46 +507,36 @@ class PredictableIncrements:
     their meaning.
     """
 
-    tree: EventTree
-    values: tuple[float, ...]
-
     def __post_init__(self):
-        if len(self.values) != self.tree.n_nodes:
-            raise ValueError(
-                f"expected {self.tree.n_nodes} values, got {len(self.values)}"
-            )
-        _check_predictable(self.tree, np.array(self.values, dtype=np.float64)[:, None])
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+        super().__post_init__()
+        _check_predictable(self.tree, self.values[:, None])
 
     @classmethod
     def zero(cls, tree: EventTree) -> "PredictableIncrements":
-        return cls(tree, (0.0,) * tree.n_nodes)
+        return cls(tree, np.zeros(tree.n_nodes))
 
     @classmethod
     def from_parent_values(
         cls, tree: EventTree, per_parent: Mapping[int, float]
     ) -> "PredictableIncrements":
         """Build from {parent index: increment on its outgoing edges}."""
-        arrays = tree.arrays
         out_of = np.zeros(tree.n_nodes)
         out_of[list(per_parent)] = [float(v) for v in per_parent.values()]
-        vals = np.zeros(tree.n_nodes)
-        vals[arrays.child_index] = out_of[arrays.child_owner]
-        return cls(tree, tuple(vals.tolist()))
+        parent = tree._cols.parent
+        return cls(tree, np.where(parent >= 0, out_of[parent], 0.0))
 
     def out_of(self, u: int) -> float:
         """Increment on the edges leaving node u (0 at leaves)."""
         cs = self.tree.children(u)
-        return self.values[cs[0]] if cs else 0.0
+        return self[cs[0]] if cs else 0.0
 
     def cumulative(self) -> AdaptedProcess:
+        # child slots go by parent in index order: a parent's sum comes first
+        inc, arrays = self.values.tolist(), self.tree.arrays
         vals = [0.0] * self.tree.n_nodes
-        for n in self.tree.nodes:
-            if n.parent is not None:
-                vals[n.index] = vals[n.parent] + self.values[n.index]
-        return AdaptedProcess(self.tree, tuple(vals))
+        for c, u in zip(arrays.child_index.tolist(), arrays.child_owner.tolist()):
+            vals[c] = vals[u] + inc[c]
+        return AdaptedProcess(self.tree, vals)
 
 
 @dataclass(frozen=True)
@@ -605,7 +605,8 @@ def conditional_expectation(tree: EventTree, x: AdaptedProcess, s: int) -> dict[
     """
     if not 0 <= s < tree.n_steps:
         raise ValueError(f"time index {s} has no successor level")
-    return {u: one_step_expectation(tree, x.values, u) for u in tree.level(s)}
+    values = x.values.tolist()
+    return {u: one_step_expectation(tree, values, u) for u in tree.level(s)}
 
 
 def doob_decomposition(tree: EventTree, x: AdaptedProcess) -> DoobDecomposition:
@@ -616,19 +617,20 @@ def doob_decomposition(tree: EventTree, x: AdaptedProcess) -> DoobDecomposition:
     increment on the edge into c is ``X_c - E[X_{t+1} | u]``.  Reconstruction
     is exact by construction.
     """
+    xs = x.values.tolist()
     m = [0.0] * tree.n_nodes
     c_inc = [0.0] * tree.n_nodes
     for n in tree.nodes:
         if n.is_leaf:
             continue
-        e = one_step_expectation(tree, x.values, n.index)
-        step = e - x.values[n.index]
+        e = one_step_expectation(tree, xs, n.index)
+        step = e - xs[n.index]
         for c in n.children:
             c_inc[c] = step
-            m[c] = m[n.index] + (x.values[c] - e)
+            m[c] = m[n.index] + (xs[c] - e)
     return DoobDecomposition(
-        martingale=AdaptedProcess(tree, tuple(m)),
-        predictable=PredictableIncrements(tree, tuple(c_inc)),
+        martingale=AdaptedProcess(tree, m),
+        predictable=PredictableIncrements(tree, c_inc),
     )
 
 
@@ -642,23 +644,24 @@ def snell_envelope(
     stops at the first node (along each path) where the envelope touches the
     reward.
     """
+    rewards = reward.values.tolist()
     env = [0.0] * tree.n_nodes
     for i in range(tree.n_nodes - 1, -1, -1):
         n = tree.node(i)
         if n.is_leaf:
-            env[i] = reward.values[i]
+            env[i] = rewards[i]
         else:
             cont = one_step_expectation(tree, env, i)
-            env[i] = max(reward.values[i], cont)
+            env[i] = max(rewards[i], cont)
     flagged: set[int] = set()
     stack = [tree.root]
     while stack:
         u = stack.pop()
-        if env[u] <= reward.values[u]:
+        if env[u] <= rewards[u]:
             flagged.add(u)
         else:
             stack.extend(tree.children(u))
-    return AdaptedProcess(tree, tuple(env)), StoppingTime(tree, frozenset(flagged))
+    return AdaptedProcess(tree, env), StoppingTime(tree, frozenset(flagged))
 
 
 def stopping_time_count(tree: EventTree, start: int | None = None) -> int:

@@ -112,13 +112,15 @@ def random_scalar_problem(
             tree,
             tuple(m + rng.uniform(gap_floor, 1.0) for m in mid),
         )
+    lows = None if lower is None else lower.values.tolist()
+    highs = None if upper is None else upper.values.tolist()
     terminal = {}
     for leaf in tree.leaves:
         xi = mid[leaf] + rng.uniform(-0.8, 0.8)
-        if lower is not None:
-            xi = max(xi, lower.values[leaf])
-        if upper is not None:
-            xi = min(xi, upper.values[leaf])
+        if lows is not None:
+            xi = max(xi, lows[leaf])
+        if highs is not None:
+            xi = min(xi, highs[leaf])
         terminal[leaf] = xi
     return ScalarRBSDEProblem(
         tree=tree,
@@ -179,11 +181,12 @@ def random_oblique_problem(
         AdaptedProcess(tree, tuple(c + offsets[j] for c in common))
         for j in range(d)
     )
+    highs = [u.values.tolist() for u in upper]
     terminal = {}
     for leaf in tree.leaves:
         subs = [rng.uniform(0.1, 0.1 + band) for _ in range(d)]
         terminal[leaf] = tuple(
-            upper[j].values[leaf] - subs[j] for j in range(d)
+            highs[j][leaf] - subs[j] for j in range(d)
         )
     gens, reads = [], []
     for j in range(d):

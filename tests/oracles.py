@@ -115,6 +115,7 @@ def recursive_strategy_value(
     tree = problem.tree
     dt = tree.dt
     d = problem.d
+    uppers = [u.values.tolist() for u in problem.upper]
 
     def value(u: int) -> float:
         n = tree.node(u)
@@ -134,7 +135,7 @@ def recursive_strategy_value(
         def resid(y):
             return y - f(n.t, (y,) * d) * dt - target
 
-        return min(problem.upper[m].values[u], _bracketed_root(resid, target))
+        return min(uppers[m][u], _bracketed_root(resid, target))
 
     return value(strategy.start)
 
@@ -156,6 +157,7 @@ def penalized_values(problem: ScalarRBSDEProblem, p: float, q: float) -> list[fl
     ``math.fsum`` over the children."""
     tree = problem.tree
     dt, g, dv = tree.dt, problem.generator, problem.v()
+    lows, highs = problem.lower.values.tolist(), problem.upper.values.tolist()
     y = [0.0] * tree.n_nodes
     for u in range(tree.n_nodes - 1, -1, -1):
         n = tree.node(u)
@@ -163,7 +165,7 @@ def penalized_values(problem: ScalarRBSDEProblem, p: float, q: float) -> list[fl
             y[u] = problem.terminal[u]
             continue
         target = math.fsum(tree.node(c).prob * y[c] for c in n.children) + dv.out_of(u)
-        low, high = problem.lower.values[u], problem.upper.values[u]
+        low, high = lows[u], highs[u]
 
         def resid(x, t=n.t, nodes=np.array([u])):
             rate = float(np.broadcast_to(g(t, nodes, np.array([x])), 1)[0])
@@ -281,6 +283,7 @@ def active_set_values(problem: ObliqueProblem) -> list[tuple[float, ...]]:
     below every other candidate; the targets are ``math.fsum``
     expectations of the children plus dV, from the leaves back."""
     tree, d = problem.tree, problem.d
+    uppers = [u.values.tolist() for u in problem.upper]
     y: list[tuple[float, ...]] = [()] * tree.n_nodes
     rates = {
         t: [_affine_probe(lambda row, j=j: problem.generators[j](t, row), d,
@@ -294,7 +297,7 @@ def active_set_values(problem: ObliqueProblem) -> list[tuple[float, ...]]:
             continue
         target = [math.fsum(tree.node(c).prob * y[c][j] for c in n.children)
                   + problem.v[j].out_of(u) for j in range(d)]
-        upper = [problem.upper[j].values[u] for j in range(d)]
+        upper = [uppers[j][u] for j in range(d)]
         candidates = _node_candidates(problem, n.t, upper, target, rates[n.t],
                                       _obstacle_pieces(problem, n.t))
         assert candidates, f"no feasible state at node {n.node_id}"

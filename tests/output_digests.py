@@ -13,10 +13,11 @@ The invocations run in process through ``orbsde.cli.main``: ``solve``,
 benchmark's shapes (``perfbench/workloads.py``) at several seeds and
 sizes, ``verify --solution`` on solution files edited in every way the
 loader must either read exactly as before or refuse with the same
-message, and scenarios the commands refuse.  A line holds the invocation's
-label, its exit code (or the exception that escaped ``main``), a hash of
-what it wrote to stderr, the warnings it raised, and a hash of each file
-it wrote.
+message, scenarios the commands refuse, and switch2x2 with a barrier
+given as a node table (whole, and missing a node).  A line holds the
+invocation's label, its exit code (or the exception that escaped
+``main``), a hash of what it wrote to stderr, the warnings it raised, and
+a hash of each file it wrote.
 """
 
 from __future__ import annotations
@@ -170,6 +171,25 @@ def _refused() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _table_barrier() -> list[tuple[str, str, dict]]:
+    """(label, command, scenario) of switch2x2 with barrier 0 given as a
+    ``table`` of its linear values, node by node, and of the same table
+    missing one node, which is refused."""
+    spec = json.loads((ROOT / "scenarios" / "switch2x2.json").read_text())
+    linear, dt = spec["barriers"][0], spec["tree"]["dt"]
+    values, level = {}, ["r"]
+    for t in range(spec["tree"]["steps"] + 1):
+        values.update((nid, linear["intercept"] + linear["slope"] * (t * dt))
+                      for nid in level)
+        level = [nid + tag for nid in level for tag in "du"]
+    spec["barriers"][0] = {"kind": "table", "values": values}
+    short = copy.deepcopy(spec)
+    del short["barriers"][0]["values"]["rud"]
+    return ([("switch2x2-table-barrier", cmd, spec)
+             for cmd in ("solve", "verify", "sweep-penalization")]
+            + [("switch2x2-table-barrier-missing-node", "solve", short)])
+
+
 def main_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -195,7 +215,7 @@ def main_digests() -> None:
                 lines.append(invoke(f"{label} verify --solution {name}",
                                     ["verify", path, "--solution", edited],
                                     work / f"v{i}-{name}"))
-        for i, (label, command, spec) in enumerate(_refused()):
+        for i, (label, command, spec) in enumerate(_refused() + _table_barrier()):
             path = work / f"r{i}.json"
             path.write_text(json.dumps(spec))
             lines.append(invoke(f"{label} {command}", [command, path], work / f"ro{i}"))

@@ -299,7 +299,7 @@ def test_symmetric_modes_produce_identical_components():
         costs=CostMatrix.constant(tree.n_steps, [[0.0, 0.4], [0.4, 0.0]]),
     )
     solution = picard_solve(problem, tol=1e-12)
-    assert solution.y[0].values == solution.y[1].values
+    assert solution.y[0].values.tolist() == solution.y[1].values.tolist()
 
 
 def test_monotone_sweeps_and_growing_upper_increments(record):
@@ -504,9 +504,9 @@ def test_one_obstacle_evaluation_per_node_per_sweep():
     solution = picard_solve(problem)
     n_nodes, n_leaves = problem.tree.n_nodes, len(problem.tree.leaves)
     n_parents = n_nodes - n_leaves
-    # validator (Mokobodzki at every node, sandwich at every leaf), then
-    # H(U) for the corner, then one obstacle row per parent per sweep
-    assert calls == (n_nodes + n_leaves) + n_nodes + solution.sweeps * n_parents
+    # validator (Mokobodzki at every node, sandwich at every leaf), whose
+    # H(U) the corner reads again, then one obstacle row per parent per sweep
+    assert calls == (n_nodes + n_leaves) + solution.sweeps * n_parents
 
 
 def test_non_finite_data_rejected_with_coordinates():
@@ -770,9 +770,9 @@ def test_system_solution_arrays_views_and_increment_checks(scenarios_dir):
     for name in ("y", "k", "a"):
         columns = getattr(solution, f"{name}_columns")
         assert not columns.flags.writeable
-        assert [view.values for view in getattr(solution, name)] == [
-            tuple(col) for col in columns.T.tolist()]
-    assert solution.m_increments == tuple(map(tuple, solution.m_columns.T.tolist()))
+        assert [view.values.tolist() for view in getattr(solution, name)] == (
+            columns.T.tolist())
+    assert [dm.tolist() for dm in solution.m_increments] == solution.m_columns.T.tolist()
     first = tree.children(tree.root)[0]
     k, a = solution.k_columns.copy(), solution.a_columns.copy()
     a[tree.root, 0] = 1.0

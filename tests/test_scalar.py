@@ -466,7 +466,7 @@ def test_lower_solve_is_snell_envelope_nodewise():
             ),
         )
         env, _ = snell_envelope(tree, reward)
-        assert sol.y.values == env.values  # bit-identical
+        assert sol.y.values.tolist() == env.values.tolist()  # bit-identical
 
 
 def test_lower_chain_barrier_push_at_final_step():
@@ -516,8 +516,8 @@ def test_upper_is_sign_flipped_lower():
             ),
         )
         flipped = solve_lower(reflected)
-        assert sol.y.values == tuple(-v for v in flipped.y.values)
-        assert sol.a.values == flipped.k.values
+        assert sol.y.values.tolist() == [-v for v in flipped.y.values.tolist()]
+        assert sol.a.values.tolist() == flipped.k.values.tolist()
 
 
 def test_upper_caps_on_two_node_chain():
@@ -868,10 +868,11 @@ def test_penalized_ladder_matches_the_scipy_oracle(seed):
         oracle = penalized_values(problem, p, q)
         assert max(abs(a - b) for a, b in zip(pen.y.values, oracle)) <= 1e-10, (p, q)
         alone = _penalized_solve([problem], [p], [q]).solution(0)
-        assert (pen.y.values, pen.m_increments, pen.k.values, pen.a.values,
-                pen.lower_mass, pen.upper_mass) == (
-            alone.y.values, alone.m_increments, alone.k.values, alone.a.values,
-            alone.lower_mass, alone.upper_mass)
+        assert [pen.y.values.tolist(), pen.m_increments.tolist(), pen.k.values.tolist(),
+                pen.a.values.tolist(), pen.lower_mass, pen.upper_mass] == [
+            alone.y.values.tolist(), alone.m_increments.tolist(),
+            alone.k.values.tolist(), alone.a.values.tolist(),
+            alone.lower_mass, alone.upper_mass]
 
 
 def _same_bits(a, b) -> bool:
@@ -1008,7 +1009,7 @@ def test_bitwise_identical_under_permuted_node_order():
         return solve_two_barrier(problem)
 
     s1, s2 = solve_on(nodes), solve_on(shuffled)
-    assert s1.y.values == s2.y.values
-    assert s1.k.values == s2.k.values
-    assert s1.a.values == s2.a.values
-    assert s1.m_increments == s2.m_increments
+    assert s1.y.values.tolist() == s2.y.values.tolist()
+    assert s1.k.values.tolist() == s2.k.values.tolist()
+    assert s1.a.values.tolist() == s2.a.values.tolist()
+    assert s1.m_increments.tolist() == s2.m_increments.tolist()

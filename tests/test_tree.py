@@ -19,6 +19,8 @@ Core claims:
     - predictable increments name the lowest-index parent whose siblings
       differ; a NaN shared by all siblings passes, a NaN beside a number
       does not
+    - every way of making a process or increments stores one read-only
+      float64 array of one value per node, which no source array aliases
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +50,7 @@ from orbsde import (
 )
 from gen import random_tree, random_walk_process
 from oracles import count_stopping_times, path_probability, stopped_expectation
+from orbsde.oblique import SystemSolution
 from orbsde.tree import one_step_expectation
 
 
@@ -252,7 +256,7 @@ def test_snell_decreasing_deterministic_reward_stops_at_root():
     tree = EventTree.chain(3, 1.0)
     reward = AdaptedProcess.from_fn(tree, lambda n: 10.0 - n.t)
     env, stop = snell_envelope(tree, reward)
-    assert env.values == reward.values
+    assert env.values.tolist() == reward.values.tolist()
     assert stop.stopped == frozenset({tree.root})
 
 
@@ -528,6 +532,60 @@ def test_adapted_process_requires_full_support():
         AdaptedProcess(tree, (0.0, 1.0))
     with pytest.raises(ValueError):
         AdaptedProcess.from_dict(tree, {"r": 0.0, "ru": 1.0})
+
+
+def _decided_at_parents(tree):
+    """A writable array of per-node values decided at the parent (0 at the
+    root): data for either kind of per-node object."""
+    src = np.zeros(tree.n_nodes)
+    src[tree.arrays.child_index] = 0.25 + tree.arrays.child_owner
+    return src
+
+
+def _solution_of(tree, src):
+    cols = np.column_stack([src, -src])
+    return SystemSolution(tree, cols, cols, cols, cols)
+
+
+PER_NODE_FORMS = {
+    "AdaptedProcess(tuple)": lambda tree, src: AdaptedProcess(tree, tuple(src.tolist())),
+    "AdaptedProcess(array)": lambda tree, src: AdaptedProcess(tree, src),
+    "PredictableIncrements(array)": lambda tree, src: PredictableIncrements(tree, src),
+    "constant": lambda tree, src: AdaptedProcess.constant(tree, 1.5),
+    "from_fn": lambda tree, src: AdaptedProcess.from_fn(tree, lambda n: src[n.index]),
+    "from_dict": lambda tree, src: AdaptedProcess.from_dict(
+        tree, dict(zip(tree.ids, src.tolist()))),
+    "zero": lambda tree, src: PredictableIncrements.zero(tree),
+    "from_parent_values": lambda tree, src: PredictableIncrements.from_parent_values(
+        tree, {u: src[tree.children(u)[0]] for u in range(tree.n_nodes)
+               if tree.children(u)}),
+    "SystemSolution.y": lambda tree, src: _solution_of(tree, src).y[1],
+    "SystemSolution.k": lambda tree, src: _solution_of(tree, src).k[1],
+    "SystemSolution.a": lambda tree, src: _solution_of(tree, src).a[1],
+}
+
+
+@pytest.mark.parametrize("form", PER_NODE_FORMS)
+def test_per_node_values_are_one_read_only_array(form):
+    # every way of making a process or increments stores one read-only
+    # float64 (n_nodes,) array that no source array aliases, and refuses
+    # an array of any other shape
+    tree = EventTree.binary(2, 0.5)
+    src = _decided_at_parents(tree)
+    made = PER_NODE_FORMS[form](tree, src)
+    values = made.values
+    assert isinstance(values, np.ndarray)
+    assert (values.dtype, values.shape) == (np.float64, (tree.n_nodes,))
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1.0
+    before = values.tolist()
+    assert [made[i] for i in range(tree.n_nodes)] == before
+    assert all(type(made[i]) is float for i in range(tree.n_nodes))
+    src[:] = 99.0
+    assert made.values.tolist() == before
+    with pytest.raises(ValueError, match=rf"expected {tree.n_nodes} values, got shape"):
+        type(made)(tree, np.zeros((tree.n_nodes, 2)))
 
 
 def test_path_probabilities_multiply_along_paths():
