@@ -25,9 +25,10 @@ broadcast).
 
 Two solvers share the package's one backward walk
 ``scalar._backward_walk`` over the d modes (:func:`_backward_solve`, whose
-arrays are the :class:`SystemSolution`'s), one implicit step (a mode's
-residual at a level's parents, ``_mode_residual``, solved by one
-``_root_find_batch`` and projected into the barriers by
+arrays are the :class:`SystemSolution`'s), one implicit step (the
+residual of one or more modes at a level's parents, ``_mode_residual``,
+in mode-major blocks, each block's generator its own mode's, solved by
+one ``_root_find_batch`` and projected into the barriers by
 ``scalar._project``) and one start
 rule (``_level_start``): at each parent, the low corner of the state box,
 lowered tenfold (at most seven times) until every mode's upper-only step
@@ -46,14 +47,17 @@ with its own level step:
   a round changes it by no more than the tolerance.  A mode's root is
   found again only where a component its generator reads
   (``ObliqueProblem.reads``) has moved; between, the kept root is
-  projected again.  A failing parent is
+  projected again.  The modes that read no mode before them in a round
+  find their stale roots in one batch at the start of the round.  A
+  failing parent is
   named as a node-by-node walk (descending index order) would name it:
   the highest-index failing parent of the first failing level, whatever
   round it failed in.
 * :func:`picard_solve` is the independent oracle: a monotone Picard
   iteration over the whole tree.  The subsolution and every sweep are one
   walk each with the frozen step (``_jacobi_step``: every mode projected
-  with the generator frozen at the level's rows), frozen at the start rows
+  with the generator frozen at the level's rows, all modes in one root
+  find and one projection), frozen at the start rows
   with no lower barrier for the subsolution, and at the previous sweep's
   rows with lower barrier ``H(t, previous rows)`` for a sweep.  By
   off-diagonal monotonicity every sweep rises, to the least solution; a
@@ -88,6 +92,7 @@ from .scalar import (
     RESIDUAL_TOL,
     ScalarRBSDEProblem,
     _Findings,
+    _blockwise,
     _leaf_entries,
     _note_non_finite,
     _probe,
@@ -528,18 +533,54 @@ def _corner(problem: ObliqueProblem) -> Row:
 
 
 def _mode_residual(
-    problem: ObliqueProblem, t: int, rows: np.ndarray, j: int, target: np.ndarray
+    problem: ObliqueProblem, t: int, rows: np.ndarray, modes: Sequence[int],
+    target: np.ndarray,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The residual ``phi(x, idx) = x - f^j(t, row with x in slot j) dt -
-    target`` of mode j's implicit step at the rows ``idx`` of ``rows``."""
-    f, dt = problem.generators[j], problem.tree.dt
+    target`` of the implicit steps of ``modes`` at the ``(m, d)`` array
+    ``rows``, in mode-major blocks: element ``b * m + s`` is mode
+    ``modes[b]`` at row s, with target ``target[b * m + s]``.  Each block
+    goes to its own mode's generator (``scalar._blockwise``); one mode is
+    the one-block case."""
+    dt, m = problem.tree.dt, len(rows)
     cols = tuple(rows.T)
 
+    def block(b: int, j: int):
+        f = problem.generators[j]
+
+        def fj(x, idx):
+            at = idx - b * m if b else idx
+            return f(t, tuple(x if k == j else col[at] for k, col in enumerate(cols)))
+
+        return fj
+
+    fns = [block(b, j) for b, j in enumerate(modes)]
+
     def phi(x, idx):
-        return x - f(t, tuple(x if k == j else col[idx]
-                              for k, col in enumerate(cols))) * dt - target[idx]
+        return x - _blockwise(fns, m, x, idx) * dt - target[idx]
 
     return phi
+
+
+def _by_mode(columns: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """The ``modes`` columns of an ``(m, d)`` array in mode-major order, the
+    element order of :func:`_mode_residual`."""
+    return columns[:, modes].T.ravel()
+
+
+def _projected_steps(
+    problem: ObliqueProblem, t: int, targets: np.ndarray, rows: np.ndarray,
+    lower: np.ndarray, upper: np.ndarray, modes: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of ``modes`` at a level's parents with the generator
+    frozen at ``rows``, projected into [``lower``, ``upper``]: one root
+    find and one projection over their mode-major elements.  Returns the
+    ``(m, len(modes))`` arrays Y, dK and dA."""
+    target = _by_mode(targets, modes)
+    phi = _mode_residual(problem, t, rows, modes, target)
+    steps = _project(phi, _root_find_batch(phi, target, RESIDUAL_TOL),
+                     _by_mode(lower, modes), _by_mode(upper, modes))
+    return tuple(a.reshape(len(modes), -1).T for a in steps)
 
 
 def _jacobi_step(
@@ -548,13 +589,18 @@ def _jacobi_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every mode's step at a level's parents with the generator frozen at
     ``rows``, projected into [``lower``, ``upper``] (``(m, d)`` arrays,
-    -inf for no lower barrier): one batched root find and projection per
-    mode, the modes independent within the step, as in a Jacobi sweep.
-    Returns the ``(m, d)`` arrays Y, dK and dA."""
-    phis = [_mode_residual(problem, t, rows, j, targets[:, j]) for j in range(problem.d)]
-    steps = [_project(phi, _root_find_batch(phi, targets[:, j], RESIDUAL_TOL),
-                      lower[:, j], upper[:, j]) for j, phi in enumerate(phis)]
-    return tuple(np.column_stack(parts) for parts in zip(*steps))
+    -inf for no lower barrier): the modes are independent within the step,
+    as in a Jacobi sweep, so one batched root find and one projection
+    serve them all.  If that raises, the modes run one by one in order, so
+    that the error is the one the first failing mode meets.  Returns the
+    ``(m, d)`` arrays Y, dK and dA."""
+    try:
+        return _projected_steps(problem, t, targets, rows, lower, upper,
+                                range(problem.d))
+    except Exception:
+        steps = [_projected_steps(problem, t, targets, rows, lower, upper, [j])
+                 for j in range(problem.d)]
+        return tuple(np.hstack(parts) for parts in zip(*steps))
 
 
 def _backward_solve(
@@ -687,7 +733,8 @@ def picard_solve(
     whose level step projects every mode j, with generator
     ``c -> f^j(t, Y_prev; c)``, into [``H^j(t, Y_prev)``, ``U^j``] at all
     the level's parents at once: the modes stay independent within a sweep
-    (Jacobi).  Stops when the sup-norm delta over nodes and modes drops to
+    (Jacobi), so a level is one batched root find over its (mode, parent)
+    pairs.  Stops when the sup-norm delta over nodes and modes drops to
     ``tol``.  Raises NonMonotoneSweepError if a node is below every corner
     or a sweep decreases somewhere, ConvergenceError if the sweep budget
     runs out.
@@ -750,10 +797,10 @@ def solve_system(
     The rounds run at all parents of a level at once (``_level_rounds``),
     each mode update one batched projection over the parents still in the
     rounds, from the :func:`_level_start` rows, of roots found again only
-    where a component the mode's generator reads has moved.  A round that
-    still lowers
-    a component, or a node below every corner tried, raises
-    NonMonotoneSweepError naming the node.  A node is done when a round
+    where a component the mode's generator reads has moved (those of the
+    modes that read no mode before them in one batch per round).  A round
+    that still lowers a component, or a node below every corner tried,
+    raises NonMonotoneSweepError naming the node.  A node is done when a round
     changes no component by more than ``tol``; ``ConvergenceError`` names
     the node when ``max_rounds`` rounds are not enough.  Of several failing
     parents, the error names the one a node-by-node walk would meet first:
@@ -799,8 +846,13 @@ def _level_rounds(
 
     Mode j's root at a parent depends only on t, its target and the
     components its generator reads (``problem.reads``), so the rounds keep
-    each parent's roots with a stale mask, all stale at round 1.  Each mode
-    update finds the stale roots (one ``_root_find_batch``), projects the
+    each parent's roots with a stale mask, all stale at round 1.  A mode
+    that reads no mode before it (``ahead``) is marked stale by no mode
+    before it and reads no component they move, so its roots at its turn
+    are those at the start of the round: when two or more such modes have
+    stale roots, a round starts by finding them all in one batch
+    (``_find_ahead``).  Each mode update finds the stale roots left (one
+    ``_root_find_batch``), projects the
     kept roots into [H^j(row), U^j] (``scalar._project``), and marks
     stale, wherever y_j's bit pattern changed (0.0 to -0.0 and NaN
     included), the root of every mode that reads component j.  Every root
@@ -821,6 +873,8 @@ def _level_rounds(
     counts = np.zeros(len(start), dtype=int)
     changes = np.zeros(len(start))
     readers = _readers(problem)
+    # the modes whose generator reads no mode before them in a round
+    ahead = [j for j in range(problem.d) if not any(j in readers[k] for k in range(j))]
     # the parents still in the rounds, in the walk's order: their indices,
     # then their rows, pushes, targets, upper barriers, roots and stale masks
     live = [np.arange(len(start)), start.copy(), np.zeros(start.shape),
@@ -836,11 +890,13 @@ def _level_rounds(
 
     for count in range(1, max_rounds + 1):
         change = np.zeros(len(live[0]))
+        if len(ahead) > 1:
+            _find_ahead(problem, t, live, ahead)
         for j in range(problem.d):
             active, rows, pk, pa, tg, up, roots, stale = live
             if not active.size:
                 break
-            phi = _mode_residual(problem, t, rows, j, tg[:, j])
+            phi = _mode_residual(problem, t, rows, [j], tg[:, j])
             if stale[:, j].all():
                 roots[:, j] = _root_find_batch(phi, tg[:, j], RESIDUAL_TOL)
             elif stale[:, j].any():
@@ -883,6 +939,35 @@ def _level_rounds(
     return y, dk, da, counts, changes
 
 
+def _find_ahead(problem: ObliqueProblem, t: int, live: list, modes: Sequence[int]
+                ) -> None:
+    """At the start of a round, find the stale roots of ``modes`` (the
+    modes that read no mode before them) at the rows of the parents still
+    in the rounds (``live``), in one ``_root_find_batch`` over their
+    mode-major elements, and mark them found.  Nothing is done when fewer
+    than two of them have stale roots, or when the batch raises: the roots
+    stay stale, and each mode's own find at its turn raises what that turn
+    meets."""
+    _, rows, _, _, targets, _, roots, stale = live
+    modes = [j for j in modes if stale[:, j].any()]
+    if len(modes) < 2:
+        return
+    target, find = _by_mode(targets, modes), np.flatnonzero(_by_mode(stale, modes))
+    phi = _mode_residual(problem, t, rows, modes, target)
+    try:
+        found = (_root_find_batch(phi, target, RESIDUAL_TOL) if find.size == target.size
+                 else _root_find_batch(lambda x, i: phi(x, find[i]), target[find],
+                                       RESIDUAL_TOL))
+    except Exception:
+        return
+    at = 0
+    for j in modes:
+        n = np.count_nonzero(stale[:, j])
+        roots[stale[:, j], j] = found[at:at + n]
+        at += n
+        stale[:, j] = False
+
+
 def _readers(problem: ObliqueProblem) -> list[list[int]]:
     """``readers[k]``: the modes j != k whose generator reads component k,
     by ``problem.reads`` (every mode j != k when it is None)."""
@@ -897,17 +982,22 @@ def mode_problem(
     """Mode j of the system as one scalar reflected problem, the other
     components frozen at ``solution``: terminal column j, the generator
     ``c -> f^j(t_u, Y_u with c in slot j)`` (f^j gets a d-tuple of arrays:
-    the solution's columns at the nodes, and c in slot j), drift ``v[j]``,
-    lower barrier ``H^j(t_u, Y_u)`` and upper barrier ``U^j``.  On a
-    solution of the system, its two-barrier solve gives back
+    the solution's columns at the nodes for the components ``reads[j]``
+    declares, and c in slot j and every slot it leaves out), drift
+    ``v[j]``, lower barrier ``H^j(t_u, Y_u)`` and upper barrier ``U^j``.
+    On a solution of the system, its two-barrier solve gives back
     ``solution.y[j]``.
     """
     tree, f = problem.tree, problem.generators[j]
     rows = solution.y_columns
-    columns = tuple(rows.T)
+    read = [(k, rows[:, k]) for k in range(problem.d)
+            if k != j and (problem.reads is None or k in problem.reads[j])]
 
     def generator(t: int, nodes: np.ndarray, c: np.ndarray):
-        return f(t, tuple(c if k == j else col[nodes] for k, col in enumerate(columns)))
+        y = [c] * problem.d
+        for k, col in read:
+            y[k] = col[nodes]
+        return f(t, tuple(y))
 
     lower = np.empty(tree.n_nodes)
     for t in range(tree.n_steps + 1):
@@ -966,6 +1056,22 @@ def _first_cycle(adj: list[list[int]]) -> tuple[int, ...] | None:
     return None
 
 
+def _has_d_walk(edges: np.ndarray) -> np.ndarray:
+    """Whether the graph of each ``(d, d)`` adjacency matrix of ``edges``
+    has a walk of d edges.  ``walks[u, j, k]`` (a walk from j to k) grows
+    one edge per pass: a walk from j to m and the edge from m to k, joined
+    one middle mode m at a time, so that no pass makes an ``(n, d, d, d)``
+    array."""
+    d = edges.shape[1]
+    walks = edges
+    for _ in range(d - 1):
+        longer = np.zeros_like(edges)
+        for m in range(d):
+            longer |= walks[:, :, m, None] & edges[:, None, m, :]
+        walks = longer
+    return walks.any(axis=(1, 2))
+
+
 def binding_graph_cycles(
     problem: ObliqueProblem, solution: SystemSolution, tol: float = BINDING_TOL
 ) -> list[tuple[str, tuple[int, ...]]]:
@@ -988,11 +1094,8 @@ def binding_graph_cycles(
         return list(kept[2])
     tree = problem.tree
     edges = _binding_edges(problem.costs, tree.arrays.time, solution.y_columns, tol)
-    walks = edges   # walks[u, j, k]: a walk from j to k, one edge longer per pass
-    for _ in range(problem.d - 1):
-        walks = (walks[:, :, :, None] & edges[:, None, :, :]).any(axis=2)
     out: list[tuple[str, tuple[int, ...]]] = []
-    for u in np.flatnonzero(walks.any(axis=(1, 2))).tolist():
+    for u in np.flatnonzero(_has_d_walk(edges)).tolist():
         cyc = _first_cycle([np.flatnonzero(row).tolist() for row in edges[u]])
         if cyc:
             out.append((tree.ids[u], cyc))

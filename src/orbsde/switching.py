@@ -26,7 +26,11 @@ roots bit for bit), in blocks of ``_BLOCK`` assignments per mode.  A
 generator that the oracle evaluates is therefore called with a d-tuple of
 equal float64 arrays and must return an array of their shape or a scalar.
 The walk takes no maximum below the start node: the enumeration values
-every strategy, and only the start compares them.
+every strategy, and only the start compares them.  Each element's root is
+its own, so one walk with every mode allowed at the start
+(``_brute_force_all``, which ``verify`` and ``brute-force`` use) gives
+each start mode's values in its own row, bit for bit those of a walk
+pinned to that mode (:func:`brute_force_value`, the one-mode case).
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
@@ -51,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -172,9 +176,10 @@ def _require_cost_form(problem: ObliqueProblem) -> None:
 # root finder's temporaries stay bounded at any cap; what grows with the
 # cap is the stored values, a few floats per strategy.  At 1,024 the traced
 # peak of brute force on the benchmark's 15- and 9-node oracle trees is
-# about 0.3 and 0.55 MiB (d = 2 and 3 modes per root find); at 16,384 it
-# was 2.5 MiB there with one mode per root find, for no measurable gain in
-# time.
+# about 0.3 and 0.45 MiB for one start mode, and 0.5 and 0.65 MiB for the
+# enumeration of every start mode, which holds d start rows and solves d
+# modes at the start too (d = 2 and 3); at 16,384 it was 2.5 MiB there
+# with one mode per root find, for no measurable gain in time.
 _BLOCK = 1024
 
 
@@ -372,25 +377,12 @@ def enumerate_strategies(
     return list(iter_strategies(problem, start, start_mode, cap))
 
 
-def brute_force_value(
-    problem: ObliqueProblem, start: int, start_mode: int, cap: int = 10**6
-) -> tuple[float, SwitchingStrategy]:
-    """Max start value over every strategy, by exhaustive enumeration.
-
-    Strategy k of the enumeration order (:func:`iter_strategies`) has the
-    base-d digits of k as the modes of the nodes after the start.
-    ``_eval_strategy`` values every strategy at the start node, and the
-    maximum is taken there alone.  Ties resolve to the first maximum in
-    enumeration order, deterministically, and a NaN start value never wins.
-    When no start value is above -inf (data whose sums overflow), raises
-    InvalidProblemError with one ``strategy-values`` finding at the start
-    node and mode.
-    """
-    _require_cost_form(problem)
-    nodes = _check_cap(problem, start, cap)
-    ctx = _subtree_ctx(problem, start)
+def _best_strategy(ctx: _SubtreeCtx, value: np.ndarray, start_mode: int
+                   ) -> tuple[float, SwitchingStrategy]:
+    """The maximum of one start mode's strategy values ``value`` (product
+    order) and its first maximizer in enumeration order."""
+    problem, nodes, start = ctx.problem, ctx.nodes, ctx.nodes[0]
     d, free = problem.d, len(nodes) - 1
-    value = _eval_strategy(ctx, [[start_mode]] + [list(range(d))] * free)[0][0]
     score = np.where(np.isnan(value), -math.inf, value)
     top = score.max()
     if not top > -math.inf:
@@ -407,6 +399,46 @@ def brute_force_value(
     mapping[start] = start_mode
     return (float(value[tied[first]]),
             SwitchingStrategy(problem.tree, start, start_mode, mapping))
+
+
+def brute_force_value(
+    problem: ObliqueProblem, start: int, start_mode: int, cap: int = 10**6
+) -> tuple[float, SwitchingStrategy]:
+    """Max start value over every strategy, by exhaustive enumeration.
+
+    Strategy k of the enumeration order (:func:`iter_strategies`) has the
+    base-d digits of k as the modes of the nodes after the start.
+    ``_eval_strategy`` values every strategy at the start node, and the
+    maximum is taken there alone.  Ties resolve to the first maximum in
+    enumeration order, deterministically, and a NaN start value never wins.
+    When no start value is above -inf (data whose sums overflow), raises
+    InvalidProblemError with one ``strategy-values`` finding at the start
+    node and mode.  ``_brute_force_all`` gives every start mode's answer
+    from one enumeration.
+    """
+    return _brute_force_all(problem, start, cap, [start_mode])(start_mode)
+
+
+def _brute_force_all(
+    problem: ObliqueProblem, start: int, cap: int = 10**6,
+    start_modes: Sequence[int] | None = None,
+) -> Callable[[int], tuple[float, SwitchingStrategy]]:
+    """Every strategy's start value for every start mode (or those of
+    ``start_modes``), from one ``_eval_strategy`` with those modes allowed
+    at the start and every mode after it.  Returns ``best``, where
+    ``best(j)`` is start mode j's :func:`brute_force_value`, read off its
+    own row of the values (each root is its element's own, so the row is
+    bit for bit an enumeration pinned to j), and raises j's
+    ``strategy-values`` refusal only when asked for j.  The checks that
+    refuse the whole enumeration (the cost form, decoupling and the cap)
+    raise here."""
+    _require_cost_form(problem)
+    nodes = _check_cap(problem, start, cap)
+    ctx = _subtree_ctx(problem, start)
+    modes = list(range(problem.d) if start_modes is None else start_modes)
+    allowed = [modes] + [list(range(problem.d))] * (len(nodes) - 1)
+    rows = _eval_strategy(ctx, allowed)[0][0].reshape(len(modes), -1)
+    return lambda j: _best_strategy(ctx, rows[modes.index(j)], j)
 
 
 def construct_optimal_strategy(

@@ -239,6 +239,13 @@ class EventTree:
         return tuple(tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @functools.cached_property
+    def _child_probs_of(self) -> tuple[tuple[float, ...], ...]:
+        """Each node's child edge probabilities, in the order of its
+        children, read off the CSR arrays."""
+        ptr, probs = self._cols.child_ptr.tolist(), self._arrays.child_prob.tolist()
+        return tuple(tuple(probs[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    @functools.cached_property
     def _parent_of(self) -> tuple[int | None, ...]:
         """Each node's parent, None at the root."""
         return tuple(None if p < 0 else p for p in self._cols.parent.tolist())
@@ -591,10 +598,11 @@ class DoobDecomposition:
 def one_step_expectation(tree: EventTree, values: Sequence[float], u: int) -> float:
     """E[X_{t+1} | node u] with the canonical child summation order: the
     terms added one after the other, from 0.0, in index order (the
-    backward walk's sum, bit for bit)."""
+    backward walk's sum, bit for bit), the probabilities read off the CSR
+    arrays of ``tree.arrays`` (no :class:`Node` is made)."""
     acc = 0.0
-    for c in tree.children(u):
-        acc += tree.node(c).prob * values[c]
+    for c, p in zip(tree.children(u), tree._child_probs_of[u]):
+        acc += p * values[c]
     return acc
 
 
@@ -620,14 +628,14 @@ def doob_decomposition(tree: EventTree, x: AdaptedProcess) -> DoobDecomposition:
     xs = x.values.tolist()
     m = [0.0] * tree.n_nodes
     c_inc = [0.0] * tree.n_nodes
-    for n in tree.nodes:
-        if n.is_leaf:
+    for u in range(tree.n_nodes):
+        if not tree.children(u):
             continue
-        e = one_step_expectation(tree, xs, n.index)
-        step = e - xs[n.index]
-        for c in n.children:
+        e = one_step_expectation(tree, xs, u)
+        step = e - xs[u]
+        for c in tree.children(u):
             c_inc[c] = step
-            m[c] = m[n.index] + (xs[c] - e)
+            m[c] = m[u] + (xs[c] - e)
     return DoobDecomposition(
         martingale=AdaptedProcess(tree, m),
         predictable=PredictableIncrements(tree, c_inc),
@@ -647,8 +655,7 @@ def snell_envelope(
     rewards = reward.values.tolist()
     env = [0.0] * tree.n_nodes
     for i in range(tree.n_nodes - 1, -1, -1):
-        n = tree.node(i)
-        if n.is_leaf:
+        if not tree.children(i):
             env[i] = rewards[i]
         else:
             cont = one_step_expectation(tree, env, i)

@@ -13,8 +13,10 @@ The invocations run in process through ``orbsde.cli.main``: ``solve``,
 benchmark's shapes (``perfbench/workloads.py``) at several seeds and
 sizes, ``verify --solution`` on solution files edited in every way the
 loader must either read exactly as before or refuse with the same
-message, scenarios the commands refuse, and switch2x2 with a barrier
-given as a node table (whole, and missing a node).  A line holds the
+message, scenarios the commands refuse, the oracle shapes with start
+mode 1 refused (not mode 0) under ``brute-force`` and ``verify
+--solution``, and switch2x2 with a barrier given as a node table (whole,
+and missing a node).  A line holds the
 invocation's label, its exit code (or the exception that escaped
 ``main``), a hash of what it wrote to stderr, the warnings it raised, and
 a hash of each file it wrote.
@@ -171,6 +173,22 @@ def _refused() -> list[tuple[str, str, dict]]:
     return cases
 
 
+def _start_mode_1_refused() -> list[tuple[str, dict, dict]]:
+    """(label, scenario, edited scenario) of the two oracle shapes with a
+    drift of -1e308 into mode 1's first edge: every strategy that starts in
+    mode 1 is refused (``strategy-values``), start mode 0 is not.  The
+    edited scenario runs under ``brute-force`` and under ``verify
+    --solution`` with the solution of the unedited one, so the refusal
+    comes after start mode 0's checks."""
+    cases = []
+    for name, first in (("oracle-binomial", "r"), ("oracle-chain", "n0")):
+        spec = dict(workloads.oracle_small(1))[name]
+        edited = copy.deepcopy(spec)
+        edited["v_increments"][1][first] = -1e308
+        cases.append((f"{name}-mode-1-v-1e308", spec, edited))
+    return cases
+
+
 def _table_barrier() -> list[tuple[str, str, dict]]:
     """(label, command, scenario) of switch2x2 with barrier 0 given as a
     ``table`` of its linear values, node by node, and of the same table
@@ -219,6 +237,17 @@ def main_digests() -> None:
             path = work / f"r{i}.json"
             path.write_text(json.dumps(spec))
             lines.append(invoke(f"{label} {command}", [command, path], work / f"ro{i}"))
+        for i, (label, spec, edited) in enumerate(_start_mode_1_refused()):
+            base, path = work / f"m{i}-base.json", work / f"m{i}.json"
+            base.write_text(json.dumps(spec))
+            path.write_text(json.dumps(edited))
+            solved = work / f"mo{i}-solve"
+            lines.append(invoke(f"{label} brute-force", ["brute-force", path],
+                                work / f"mo{i}-brute-force"))
+            main(["solve", str(base), "--out", str(solved)])
+            lines.append(invoke(f"{label} verify --solution",
+                                ["verify", path, "--solution", solved / "solution.csv"],
+                                work / f"mo{i}-verify"))
     print("\n".join(lines))
 
 

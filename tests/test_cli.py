@@ -40,6 +40,10 @@ Core claims:
       verification.json as the string "NaN" (strict JSON)
     - the outputs of the commands the benchmark times keep pinned sha256
       digests on three-step scenarios of the benchmark's shape
+    - verify and brute-force value every start mode in one enumeration
+      (verify then walks the d greedy strategies); when it raises, each
+      start mode's own enumeration gives the same files and refusals, and
+      a refusal of start mode 1 comes after start mode 0's checks
     - arguments the parser refuses exit 2 with kind usage and a diagnostic
       in the --out directory they name, or in orbsde_out; -h exits 0
     - the bundled no-solution discretization exits 2 pinpointing every node
@@ -1004,6 +1008,76 @@ def test_brute_force_refuses_strategy_values_that_overflow(tmp_path):
         "node_id": "n0", "time_index": 0, "mode": 1}]
 
 
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["verify", "brute-force"])
+def test_one_enumeration_serves_every_start_mode(tmp_path, monkeypatch, command):
+    # verify and brute-force value every start mode's strategies in one
+    # enumeration (every mode allowed at the start), then verify walks the
+    # d greedy strategies, one mode per node
+    import orbsde.switching
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(oracle_chain_scenario()))
+    evaluate, starts = orbsde.switching._eval_strategy, []
+
+    def recorded(ctx, allowed, single=False):
+        starts.append(allowed[0])
+        return evaluate(ctx, allowed, single)
+
+    monkeypatch.setattr(orbsde.switching, "_eval_strategy", recorded)
+    assert run(command, path, "--out", tmp_path / "out") == 0
+    greedy = [[0], [1], [2]] if command == "verify" else []
+    assert starts == [[0, 1, 2]] + greedy
+
+
+@pytest.mark.parametrize("command", ["verify", "brute-force"])
+def test_a_failing_joint_enumeration_gives_way_to_each_modes_own(
+        tmp_path, monkeypatch, command):
+    # when the one enumeration of every start mode raises, each start mode
+    # runs its own brute_force_value at its turn: the same files, and the
+    # same refusal of start mode 1 (a drift of -1e308 into its first edge)
+    spec = oracle_chain_scenario()
+    path, refused = tmp_path / "chain.json", tmp_path / "refused.json"
+    path.write_text(json.dumps(spec))
+    spec["v_increments"][1]["n0"] = -1e308
+    refused.write_text(json.dumps(spec))
+    assert run(command, path, "--out", tmp_path / "joint") == 0
+    assert run("brute-force", refused, "--out", tmp_path / "joint-refused") == 2
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("joint enumeration")
+
+    monkeypatch.setattr(orbsde.cli, "_brute_force_all", fails)
+    assert run(command, path, "--out", tmp_path / "own") == 0
+    assert run("brute-force", refused, "--out", tmp_path / "own-refused") == 2
+    assert _outputs(tmp_path / "own") == _outputs(tmp_path / "joint")
+    assert _outputs(tmp_path / "own-refused") == _outputs(tmp_path / "joint-refused")
+
+
+def test_verify_refuses_start_mode_1_after_mode_0s_checks(tmp_path, record):
+    # the solution of the chain, verified against the chain with a drift of
+    # -1e308 into mode 1's first edge: start mode 0's brute force, greedy
+    # walk and martingale check run first, and then start mode 1's
+    # strategy values are refused, as the per-mode enumerations refuse them
+    spec = oracle_chain_scenario()
+    path, refused = tmp_path / "chain.json", tmp_path / "refused.json"
+    path.write_text(json.dumps(spec))
+    spec["v_increments"][1]["n0"] = -1e308
+    refused.write_text(json.dumps(spec))
+    assert run("solve", path, "--out", tmp_path / "solved") == 0
+    greedy = record(orbsde.cli, "construct_optimal_strategy")
+    assert run("verify", refused, "--solution", tmp_path / "solved" / "solution.csv",
+               "--out", tmp_path / "out") == 2
+    assert [strategy.start_mode for strategy in greedy] == [0]
+    diag = read_json(tmp_path / "out" / "diagnostic.json")
+    assert diag["violations"] == [{
+        "code": "strategy-values", "message": "no strategy has a start value above -inf",
+        "node_id": "n0", "time_index": 0, "mode": 1}]
+
+
 def test_verify_refuses_costs_whose_worst_case_total_overflows(tmp_path):
     # two steps of the largest cost, 1e308, overflow the diagnostic's sum,
     # and the strategy oracle could not value strategies that pay them
@@ -1325,8 +1399,9 @@ def test_sweep_ladder_columns_equal_each_modes_own_ladder(tmp_path):
 def test_solve_finds_one_root_per_mode_per_level(tmp_path, record):
     # the benchmark's penalty-table shape: the table generators read no
     # other component, so each mode's root at a parent is found once, in
-    # round 1, however many rounds the obstacle takes (levels t = 2, 1, 0
-    # with 4, 2 and 1 parents)
+    # round 1, however many rounds the obstacle takes, and the 3 modes'
+    # roots in one batched find (levels t = 2, 1, 0 with 4, 2 and 1
+    # parents)
     import orbsde.oblique
 
     path = tmp_path / "penalty-table-3.json"
@@ -1335,7 +1410,7 @@ def test_solve_finds_one_root_per_mode_per_level(tmp_path, record):
     solutions = record(orbsde.cli, "solve_system")
     assert run("solve", path, "--out", tmp_path / "out") == 0
     assert solutions[0].sweeps > 1
-    assert [roots.size for roots in finds] == [4] * 3 + [2] * 3 + [1] * 3
+    assert [roots.size for roots in finds] == [12, 6, 3]
 
 
 def test_scenario_declares_what_each_generator_reads():

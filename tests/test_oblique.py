@@ -36,6 +36,13 @@ Core claims:
     - a sweep budget below 1 or a NaN or negative tolerance is a ValueError
     - a NaN in a solution fails verify_minimality; a binding cycle in a
       solver's output raises InternalConsistencyError with its node
+    - a Picard level step is one batched root find over every mode; the
+      rounds find the modes that read no mode before them in one batch;
+      a batch that raises leaves the error to the first mode that meets
+      it one mode at a time
+    - the d-walk search, one middle mode at a time, gives the one-array
+      join's verdict; mode_problem gathers only the components a generator
+      declares
 """
 
 from __future__ import annotations
@@ -1169,8 +1176,11 @@ def test_a_move_from_zero_to_negative_zero_marks_its_readers_stale(record):
         outcomes.append((y.view(np.int64).tolist(), counts.tolist()))
     assert outcomes[0] == outcomes[1] == (
         np.array([[1.5, -0.0]]).view(np.int64).tolist(), [3])
-    # declared: both modes in round 1, mode 0 again in round 2
-    assert len(finds) == 3 + 4
+    # declared: both modes in round 1 (one batched find: mode 1 reads no
+    # mode before it), mode 0 again in round 2; undeclared: mode 1 reads
+    # mode 0, so each mode finds at its own turn, in rounds 1 and 2
+    assert len(finds) == 2 + 4
+    assert [roots.size for roots in finds] == [2, 1] + [1, 1, 1, 1]
 
 
 def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
@@ -1182,3 +1192,120 @@ def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
         with pytest.raises(InternalConsistencyError) as err:
             solver(problem)
         assert err.value.node_id == node_id
+
+
+def test_picard_finds_every_modes_roots_in_one_batch_per_level_step(record):
+    # the subsolution and every sweep are one walk each, and each level
+    # step of a walk is one batched root find over its d * m (mode,
+    # parent) elements
+    problem = random_oblique_problem(random.Random(23), d=3, coupling=0.4,
+                                     max_branching=3)
+    finds = record(orbsde.oblique, "_root_find_batch")
+    solution = picard_solve(problem, tol=1e-12)
+    sizes = [problem.d * parents.size for parents in problem.tree.arrays.parents[::-1]
+             if parents.size]
+    assert solution.sweeps > 1
+    assert [roots.size for roots in finds] == sizes * (1 + solution.sweeps)
+
+
+def _failing_modes(tree: EventTree, generators, reads) -> ObliqueProblem:
+    d = len(generators)
+    return ObliqueProblem(
+        tree=tree,
+        d=d,
+        terminal={leaf: (0.0,) * d for leaf in tree.leaves},
+        generators=generators,
+        v=(PredictableIncrements.zero(tree),) * d,
+        upper=(AdaptedProcess.constant(tree, 100.0),) * d,
+        costs=CostMatrix.constant(tree.n_steps, [[0.5 * (a != b) for b in range(d)]
+                                                 for a in range(d)]),
+        reads=reads,
+    )
+
+
+def test_a_failing_jacobi_batch_raises_the_first_failing_modes_error():
+    # mode 0's residual, x - 2|x| - 0.5, is negative everywhere (no sign
+    # change in 64 expansions), mode 1's is NaN at its start: the one
+    # batch meets mode 1's NaN first, but the modes one by one meet mode
+    # 0's error first
+    tree = EventTree.chain(1, 0.5)
+    problem = _failing_modes(tree, (lambda t, y: 2.0 * np.abs(y[0]) / 0.5 + 1.0,
+                                    lambda t, y: np.full(np.shape(y[1]), np.nan)), None)
+    rows = np.zeros((1, 2))
+    with pytest.raises(BracketingError, match="no sign change"):
+        orbsde.oblique._jacobi_step(problem, 0, rows, rows, np.full((1, 2), -np.inf),
+                                    np.full((1, 2), 100.0))
+
+
+def test_a_failing_round_batch_leaves_the_error_to_each_modes_turn():
+    # two parents; modes 0 and 1 read no other component, so round 1 finds
+    # both in one batch.  Mode 1's residual is NaN at parent 1 only, and
+    # mode 0's round 1 lowers parent 1 below its start, which drops parent
+    # 1 before mode 1's turn: the rounds name that decrease, as a find at
+    # each mode's turn (reads None, mode 1 then reading mode 0) does, and
+    # not the batch's BracketingError
+    tree = EventTree.binary(1, 0.5)
+    parents = np.array([tree.root, tree.root])
+
+    def nan_at_parent_1(t, y):
+        return np.where(np.arange(np.size(y[1])) % 2 == 1, np.nan, 0.0)
+
+    outcomes = []
+    for reads in (((), ()), None):
+        problem = _failing_modes(tree, (lambda t, y: 0.0 * y[0], nan_at_parent_1), reads)
+        with pytest.raises(Exception) as err:
+            orbsde.oblique._level_rounds(
+                problem, 0, parents, np.array([[1.0, 1.0], [1.0, 1.0]]),
+                np.array([[0.0, 0.0], [5.0, 0.0]]), np.full((2, 2), 100.0), 1e-10, 10)
+        outcomes.append((type(err.value), str(err.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is NonMonotoneSweepError
+    assert "round 1 lowered mode 0" in outcomes[0][1]
+
+
+def _walks_of_d_edges(edges: np.ndarray) -> np.ndarray:
+    """The one-array formulation of ``oblique._has_d_walk``: each pass
+    joins the walks so far and the edges over every middle mode at once."""
+    walks = edges
+    for _ in range(edges.shape[1] - 1):
+        walks = (walks[:, :, :, None] & edges[:, None, :, :]).any(axis=2)
+    return walks.any(axis=(1, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_d_walk_search_mode_by_mode_matches_the_one_array_join(d):
+    rng = np.random.default_rng(d)
+    for density in (0.1, 0.3, 0.5, 0.8):
+        edges = rng.random((200, d, d)) < density
+        edges[:, range(d), range(d)] = False
+        found = orbsde.oblique._has_d_walk(edges)
+        assert found.tolist() == _walks_of_d_edges(edges).tolist()
+        assert 0 < found.sum() < 200 or density in (0.1, 0.8)
+
+
+def test_mode_problem_gathers_only_the_declared_components():
+    # mode 1 reads component 0 and not component 2: the frozen generator
+    # gets the solution's column 0 at the nodes and c itself in slots 1
+    # and 2; with reads None it gets every column, and the two solves
+    # agree bit for bit
+    base = random_oblique_problem(random.Random(29), d=3, coupling=0.0)
+    f = base.generators[1]
+    seen = []
+
+    def reads_zero(t, y):
+        seen.append(y)
+        return f(t, y) + 0.01 * y[0]
+
+    problem = dataclasses.replace(
+        base, generators=(base.generators[0], reads_zero, base.generators[2]),
+        reads=(base.reads[0], (0,), base.reads[2]))
+    solution = solve_system(problem, tol=1e-13)
+    bits = []
+    for reads in (problem.reads, None):
+        seen.clear()
+        scalar = mode_problem(dataclasses.replace(problem, reads=reads), solution, 1)
+        bits.append(solve_two_barrier(scalar).y.values.view(np.int64).tolist())
+        y = seen[-1]
+        assert (y[1] is y[2]) == (reads is not None)
+        assert y[0] is not y[1]
+    assert bits[0] == bits[1]

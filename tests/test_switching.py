@@ -5,6 +5,8 @@ Core claims:
       and pathwise) and the never-switch value is the plain upper solve
     - enumeration is exhaustive with the pinned start (d^(nodes-1)),
       refuses above the cap and runs at it
+    - one enumeration of every start mode gives each start mode's brute
+      force value and first maximizer bit for bit, ties included
     - brute force values every strategy as a one-strategy recursion does,
       bit for bit, and returns the first maximum in enumeration order;
       its traced memory stays bounded at a cap of 2^18
@@ -22,11 +24,16 @@ Core claims:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import struct
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbsde import (
     AdaptedProcess,
@@ -47,7 +54,8 @@ from orbsde import (
 )
 from orbsde.oblique import CostMatrix
 from orbsde.scalar import RESIDUAL_TOL, _root_find
-from gen import random_oblique_problem
+from orbsde.switching import _brute_force_all, _eval_strategy, _subtree_ctx
+from gen import random_oblique_problem, random_tree
 from oracles import pathwise_strategy_value, recursive_strategy_value
 
 BIG = 1e6
@@ -724,3 +732,36 @@ def test_switched_martingale_reports_a_nan_increment(scenarios_dir):
     assert not report.ok(1e-12)
     assert [v.node_id for v in report.violations] == [tree.node(tree.root).node_id]
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+       quantile=st.sampled_from([None, 0.0, 0.5, 0.9]))
+def test_each_start_modes_brute_force_is_its_row_of_the_joint_enumeration(
+        seed, d, quantile):
+    # one enumeration of every start mode gives each start mode's
+    # brute_force_value: the value's bits and the first maximizer.  A cap
+    # at the root at a quantile of every strategy's start value makes the
+    # strategies above it tie (all of them at quantile 0, where the first
+    # maximizer is k = 0: mode 0 after the start)
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_depth=3 if d == 2 else 2, max_branching=2)
+    problem = random_oblique_problem(rng, d=d, tree=tree, cost_band=(0.05, 0.3))
+    root = tree.root
+    if quantile is not None:
+        every = [list(range(d))] * tree.n_nodes
+        starts = _eval_strategy(_subtree_ctx(problem, root), every)[0][0]
+        level = float(np.quantile(starts, quantile))
+        at_root = np.arange(tree.n_nodes) == root
+        problem = dataclasses.replace(problem, upper=tuple(
+            AdaptedProcess(tree, np.where(at_root, level, u.values))
+            for u in problem.upper))
+    best = _brute_force_all(problem, root)
+    for j in range(d):
+        value, strategy = brute_force_value(problem, root, j)
+        joint_value, joint = best(j)
+        assert struct.pack("<d", value) == struct.pack("<d", joint_value)
+        assert (strategy.start, strategy.start_mode, strategy.modes) == (
+            joint.start, joint.start_mode, joint.modes)
+        if quantile == 0.0:
+            assert joint.modes == {u: j if u == root else 0 for u in range(tree.n_nodes)}

@@ -21,6 +21,9 @@ Core claims:
       does not
     - every way of making a process or increments stores one read-only
       float64 array of one value per node, which no source array aliases
+    - snell_envelope, doob_decomposition and conditional_expectation read
+      the child probabilities off the CSR arrays and make no Node, with
+      the bits of the sums taken through Node probabilities
 """
 
 from __future__ import annotations
@@ -635,3 +638,51 @@ def test_one_step_expectation_is_fsum_for_one_or_two_children(p, x):
         binary.node(c).prob * values[c] for c in binary.children(binary.root))
     chain = EventTree.chain(1, 1.0)
     assert one_step_expectation(chain, [0.0, x[0]], chain.root) == math.fsum([x[0]])
+
+
+def _node_expectation(tree: EventTree, values, u: int) -> float:
+    """E[X_{t+1} | u] summed through the children's Node probabilities."""
+    acc = 0.0
+    for c in tree.node(u).children:
+        acc += tree.node(c).prob * values[c]
+    return acc
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expectations_read_the_csr_slots_and_make_no_node(seed):
+    # snell_envelope, doob_decomposition and conditional_expectation on a
+    # tree that has made no Node leave it so, and give the bits of the
+    # same sums taken through Node probabilities on a copy of the tree
+    def fresh():
+        if seed == 0:
+            return EventTree.binary(6, 0.1)
+        return random_tree(random.Random(seed), max_depth=4, max_branching=3)
+
+    tree, nodes = fresh(), fresh()
+    xs = np.random.default_rng(seed).normal(size=tree.n_nodes)
+    x = AdaptedProcess(tree, xs)
+    env, _ = snell_envelope(tree, x)
+    doob = doob_decomposition(tree, x)
+    cond = [conditional_expectation(tree, x, s) for s in range(tree.n_steps)]
+    assert "nodes" not in vars(tree)
+
+    ref_env = xs.tolist()
+    for u in range(nodes.n_nodes - 1, -1, -1):
+        if nodes.node(u).children:
+            ref_env[u] = max(ref_env[u], _node_expectation(nodes, ref_env, u))
+    assert _bits(env.values) == _bits(ref_env)
+    m, inc = [0.0] * nodes.n_nodes, [0.0] * nodes.n_nodes
+    for n in nodes.nodes:
+        e = _node_expectation(nodes, xs.tolist(), n.index)
+        for c in n.children:
+            inc[c], m[c] = e - xs[n.index], m[n.index] + (xs[c] - e)
+    assert _bits(doob.martingale.values) == _bits(m)
+    assert _bits(doob.predictable.values) == _bits(inc)
+    for s, by_node in enumerate(cond):
+        assert list(by_node) == list(nodes.level(s))
+        assert _bits(list(by_node.values())) == _bits(
+            [_node_expectation(nodes, xs.tolist(), u) for u in nodes.level(s)])
