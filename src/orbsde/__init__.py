@@ -68,6 +68,7 @@ from .tree import (
     AdaptedProcess,
     DoobDecomposition,
     EventTree,
+    LeafRows,
     Node,
     PredictableIncrements,
     StoppingTime,

@@ -93,6 +93,7 @@ from .scalar import (
     ScalarRBSDEProblem,
     _Findings,
     _blockwise,
+    _leaf_array,
     _leaf_entries,
     _note_non_finite,
     _probe,
@@ -101,8 +102,8 @@ from .scalar import (
     _worse,
 )
 from . import scalar
-from .tree import (AdaptedProcess, EventTree, PredictableIncrements, _check_predictable,
-                   _read_only)
+from .tree import (AdaptedProcess, EventTree, LeafRows, PredictableIncrements,
+                   _check_predictable, _read_only)
 
 __all__ = [
     "CostMatrix",
@@ -238,7 +239,10 @@ def _binding_edges(
 class ObliqueProblem:
     """Terminal vector, generator family, drifts, upper barriers, obstacle.
 
-    ``terminal`` maps leaf index -> d-vector.  Each ``generators[j]`` takes
+    ``terminal`` maps leaf index -> d-vector; a
+    :class:`~orbsde.tree.LeafRows` of the tree (what a scenario builds) is
+    read as its ``(leaves, d)`` array, any other mapping leaf by leaf.
+    Each ``generators[j]`` takes
     (time index, d-tuple of columns): the columns hold the components of y
     at the nodes of one time index, as equal-length float arrays (floats
     are the one-node case), and the generator returns one value per node
@@ -297,10 +301,10 @@ class ObliqueProblem:
 
     @functools.cached_property
     def terminal_rows(self) -> np.ndarray:
-        """The terminal vectors as a ``(leaves, d)`` array in leaf order,
-        made on first use (of a problem that has one at every leaf)."""
-        return _read_only(np.array([self.terminal[leaf] for leaf in self.tree.leaves],
-                                   dtype=float))
+        """The terminal vectors as a read-only ``(leaves, d)`` array in leaf
+        order (of a problem that has one at every leaf): the array of a
+        :class:`~orbsde.tree.LeafRows` terminal, or one made on first use."""
+        return _read_only(_leaf_array(self.tree, self.terminal))
 
 
 Row = tuple[float, ...]
@@ -330,12 +334,18 @@ def _columns_of(per_mode: Sequence) -> np.ndarray:
     return _read_only(np.column_stack([col.values for col in per_mode]))
 
 
+def _level_slices(tree: EventTree):
+    """(t, the slice of level t's indices) for every time index."""
+    for t in range(tree.n_steps + 1):
+        level = tree.level(t)
+        yield t, slice(level.start, level.stop)
+
+
 def _by_level(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
     """``H(t_u, rows[u])`` at every node u, one obstacle call per time
     index."""
     h = np.empty_like(rows)
-    for t in range(problem.tree.n_steps + 1):
-        nodes = list(problem.tree.level(t))
+    for t, nodes in _level_slices(problem.tree):
         h[nodes] = _obstacle(problem, t, rows[nodes])
     return h
 
@@ -354,18 +364,21 @@ def _probe_box(upper: np.ndarray, xi: np.ndarray) -> list[float]:
 CONTINUITY_STEP = 1e-7
 
 
-def _probe_table(problem: ObliqueProblem) -> tuple[list[float], dict]:
+def _probe_table(problem: ObliqueProblem,
+                 xi: np.ndarray | None = None) -> tuple[list[float], dict]:
     """The :func:`_probe_box` grid and the ``scalar._probe`` lines (values,
     first non-finite value, rising pairs) of each f^j at each time index
     before the horizon, from one call at a d-tuple of columns, kept in
     ``problem._verdicts``.  Line k moves component k over the grid from its
     midpoint, with the pairs where f^j rises in y^j or falls in another
     y^k; line d is the diagonal at each grid point and CONTINUITY_STEP
-    above it."""
+    above it.  ``xi`` is the terminal rows the validator has gathered;
+    without them, they are gathered here."""
     if "probes" not in problem._verdicts:
         d, tree = problem.d, problem.tree
-        _, _, entries = _leaf_entries(tree, problem.terminal)
-        grid = _probe_box(problem.upper_columns, np.array(entries, dtype=float))
+        if xi is None:
+            xi = np.array(_leaf_entries(tree, problem.terminal)[2], dtype=float)
+        grid = _probe_box(problem.upper_columns, xi)
         steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
         n = len(grid)
         points = np.full((d, d * n + len(steps)), grid[2])
@@ -421,7 +434,8 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         out.append(Violation("dimension", "per-mode field lengths disagree with d"))
         return out
     given, missing, entries = _leaf_entries(tree, problem.terminal)
-    sizes = np.fromiter(map(len, entries), dtype=np.intp, count=len(entries))
+    sizes = (np.full(given.size, entries.shape[-1]) if isinstance(entries, np.ndarray)
+             else np.fromiter(map(len, entries), dtype=np.intp, count=len(entries)))
     out.extend(Violation("dimension", f"terminal vector has {size} entries, need {d}",
                          tree.ids[u], tree.n_steps)
                for u, size in zip(given[sizes != d].tolist(), sizes[sizes != d].tolist()))
@@ -438,7 +452,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
 
     found = _Findings(tree)
     upper = problem.upper_columns
-    xi = np.array(entries, dtype=float).reshape(given.size, d)
+    xi = np.asarray(entries, dtype=float).reshape(given.size, d)
     if not math.isfinite(tree.dt):
         out.append(Violation("non-finite", f"dt = {tree.dt}"))
     else:
@@ -461,7 +475,7 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         f"xi^{j} = {xi[i, j]:.17g} > U^{j}_T = {upper_t[i, j]:.17g}"), rows=given)
     out.extend(found.take())
 
-    grid, probes = _probe_table(problem)
+    grid, probes = _probe_table(problem, xi)
     non_finite = [Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
                             time_index=t, mode=j)
                   for (j, t), lines in probes.items()
@@ -1000,12 +1014,11 @@ def mode_problem(
         return f(t, tuple(y))
 
     lower = np.empty(tree.n_nodes)
-    for t in range(tree.n_steps + 1):
-        nodes = list(tree.level(t))
+    for t, nodes in _level_slices(tree):
         lower[nodes] = _obstacle_column(problem, t, rows[nodes], j)
     return ScalarRBSDEProblem(
         tree=tree,
-        terminal={leaf: problem.terminal[leaf][j] for leaf in tree.leaves},
+        terminal=LeafRows(tree, problem.terminal_rows[:, j]),
         generator=generator,
         v_increments=problem.v[j],
         lower=AdaptedProcess(tree, lower),

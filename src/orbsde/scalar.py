@@ -79,6 +79,7 @@ from .errors import BracketingError, InvalidProblemError, Violation
 from .tree import (
     AdaptedProcess,
     EventTree,
+    LeafRows,
     PredictableIncrements,
     _read_only,
     enumerate_stopping_times,
@@ -441,14 +442,26 @@ class _Findings:
 
 def _leaf_entries(
     tree: EventTree, terminal: Mapping
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, "list | np.ndarray"]:
     """The leaves that have an entry in ``terminal`` and those that have
     none (both ascending), and the entries in leaf order; keys that are
-    not leaves are ignored."""
-    leaves = np.array(tree.leaves, dtype=np.intp)
+    not leaves are ignored.  A :class:`LeafRows` of ``tree`` has an entry
+    at every leaf, and its entries are its array."""
+    leaves = tree.arrays.leaves
+    if isinstance(terminal, LeafRows) and terminal.tree is tree:
+        return leaves, leaves[:0], terminal.rows
     has = np.fromiter(map(terminal.__contains__, tree.leaves), bool, leaves.size)
     given = leaves[has]
     return given, leaves[~has], list(map(terminal.__getitem__, given.tolist()))
+
+
+def _leaf_array(tree: EventTree, terminal: Mapping) -> np.ndarray:
+    """The entries of ``terminal`` at every leaf, in leaf order, as a float
+    array: the array of a :class:`LeafRows` of ``tree``, or one looked up
+    leaf by leaf."""
+    if isinstance(terminal, LeafRows) and terminal.tree is tree:
+        return terminal.rows
+    return np.array([terminal[leaf] for leaf in tree.leaves], dtype=float)
 
 
 def _note_non_finite(
@@ -479,7 +492,8 @@ def _note_non_finite(
 class ScalarRBSDEProblem:
     """Terminal data, generator, drift increments, and optional barriers.
 
-    ``terminal`` maps leaf index -> value.  ``generator(t, nodes, y)`` takes
+    ``terminal`` maps leaf index -> value (a :class:`LeafRows` of the tree
+    is read as its array).  ``generator(t, nodes, y)`` takes
     a time index, an array of node indices at that time and an array of
     trial values, one per node, and returns the values as an array of that
     shape or a scalar (the tree's f(t, omega, y); see
@@ -537,7 +551,8 @@ class ScalarRBSDEProblem:
                 rows=given)
         out.extend(found.take())
         for t in range(tree.n_steps):  # the first finding per time index
-            nodes = np.array(tree.level(t))
+            level = tree.level(t)
+            nodes = np.arange(level.start, level.stop)
             table = np.array([
                 np.broadcast_to(self.generator(t, nodes, np.full(nodes.size, y)),
                                 nodes.shape)
@@ -619,7 +634,7 @@ def _backward_walk(
     arrays = tree.arrays
     n, cols = dv.shape
     y, k, a, m = (np.zeros((n, cols)) for _ in range(4))
-    y[list(tree.leaves)] = terminal
+    y[arrays.leaves] = terminal
     for t in range(tree.n_steps - 1, -1, -1):
         parents = arrays.parents[t]
         first = arrays.child_ptr[parents]
@@ -648,15 +663,15 @@ def _column(tree: EventTree, y, m, k, a, j: int) -> tuple:
 
 def _backward_solve(
     tree: EventTree,
-    terminal: Mapping[int, Sequence[float]],
+    terminal: Mapping[int, float | Sequence[float]],
     dv: Sequence[PredictableIncrements],
     step: Callable[[int, np.ndarray, np.ndarray], tuple],
 ) -> tuple[ScalarSolution, ...]:
-    """:func:`_backward_walk` with leaf rows ``terminal[leaf]`` and one
-    drift per column, one ScalarSolution per column."""
-    xi = np.array([terminal[leaf] for leaf in tree.leaves], dtype=float)
-    walk = _backward_walk(tree, xi.reshape(len(tree.leaves), len(dv)),
-                          np.column_stack([inc.values for inc in dv]), step)
+    """:func:`_backward_walk` with leaf rows ``terminal[leaf]`` (one value
+    per column; a float for one column) and one drift per column, one
+    ScalarSolution per column."""
+    xi = _leaf_array(tree, terminal).reshape(len(tree.leaves), len(dv))
+    walk = _backward_walk(tree, xi, np.column_stack([inc.values for inc in dv]), step)
     return tuple(ScalarSolution(*_column(tree, *walk, j)) for j in range(len(dv)))
 
 
@@ -714,8 +729,7 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
                              lower[parents], upper[parents])
         return y[:, None], dk[:, None], da[:, None]
 
-    rows = {leaf: (problem.terminal[leaf],) for leaf in problem.tree.leaves}
-    return _backward_solve(problem.tree, rows, (problem.v(),), step)[0]
+    return _backward_solve(problem.tree, problem.terminal, (problem.v(),), step)[0]
 
 
 def solve_lower(problem: ScalarRBSDEProblem) -> ScalarSolution:
@@ -877,7 +891,7 @@ def _penalized_solve(
         return (a.reshape(cols, size).T for a in (y, dk, da))
 
     y, m, k, a = _backward_walk(tree, np.repeat(
-        [[pb.terminal[leaf] for pb in problems] for leaf in tree.leaves], pairs, axis=1),
+        np.column_stack([_leaf_array(tree, pb.terminal) for pb in problems]), pairs, axis=1),
         np.repeat(np.column_stack([pb.v().values for pb in problems]), pairs, 1), step)
     return _PenalizedColumns(tree, y, m, k, a)
 
@@ -910,10 +924,13 @@ def verify_snell_representation(
     g = problem.generator
     y = solution.y.values.tolist()
     drift = (problem.v().values - solution.a.values).tolist()
-    lower = problem.lower.values.tolist()
+    payoff = problem.lower.values.copy()   # L, and xi at the leaves
+    payoff[tree.arrays.leaves] = _leaf_array(tree, problem.terminal)
+    payoff = payoff.tolist()
     rates = np.zeros(tree.n_nodes)   # a leaf is always stopped
     for t in range(tree.n_steps):
-        nodes = np.array(tree.level(t))
+        level = tree.level(t)
+        nodes = np.arange(level.start, level.stop)
         rates[nodes] = np.broadcast_to(g(t, nodes, solution.y.values[nodes]), nodes.shape)
     rates = rates.tolist()
 
@@ -924,7 +941,7 @@ def verify_snell_representation(
     def stopped_value(st, u: int) -> float:
         kids = tree.children(u)
         if u in st.stopped:
-            return lower[u] if kids else float(problem.terminal[u])
+            return payoff[u]
         acc = rates[u] * dt
         for c in kids:
             acc += prob[c] * (drift[c] + stopped_value(st, c))

@@ -19,6 +19,15 @@ Schema (format 1), fully documented in the README:
     terminal       {"kind": "table" | "price-affine", ...}
     v_increments   optional, per mode: {parent node id: edge increment}
     solver         tolerance, sweep budget, enumeration caps
+
+The path to the problem makes no per-node Python object beyond the tree's
+ids and id-to-index map.  Each mode's v increments are parsed into their
+ids and one float64 array (each value converted by ``float()``), and the
+build scatters them into the mode's ``(n_nodes,)`` increments through one
+lookup of the ids in the tree.  The price-affine or table terminal is
+built once as the ``(leaves, d)`` array in leaf order, and the problem's
+``terminal`` is a read-only :class:`~orbsde.tree.LeafRows` over it.  The
+canonical form (:meth:`Scenario.normalized`) gives the maps back as dicts.
 """
 
 from __future__ import annotations
@@ -27,12 +36,13 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .oblique import CostMatrix, ObliqueProblem
-from .tree import AdaptedProcess, EventTree, PredictableIncrements
+from .tree import AdaptedProcess, EventTree, LeafRows, PredictableIncrements
 
 __all__ = ["Scenario", "ScenarioError", "SOLVER_DEFAULTS", "MAX_NODES"]
 
@@ -109,7 +119,7 @@ class Scenario:
     costs: list[list[dict | float]]
     barriers: list[dict]
     terminal: dict
-    v_increments: list[dict]
+    v_increments: list[tuple[tuple[str, ...], np.ndarray]]
     solver: dict
     name: str = ""
 
@@ -181,8 +191,7 @@ class Scenario:
             "v_increments must list one parent->increment map per mode",
         )
         v_increments = [
-            {str(k): float(v) for k, v in (section(f"v_increments[{j}]", entry)
-                                           or {}).items()}
+            section(f"v_increments[{j}]", entry, _parse_increments)
             for j, entry in enumerate(v_raw)
         ]
         solver = dict(SOLVER_DEFAULTS)
@@ -341,6 +350,10 @@ class Scenario:
 
     # -- canonical form ----------------------------------------------------
 
+    def __eq__(self, other) -> bool:
+        """Scenarios are equal when their canonical forms are."""
+        return isinstance(other, Scenario) and self.normalized() == other.normalized()
+
     def normalized(self) -> dict:
         return {
             "format": 1,
@@ -351,7 +364,8 @@ class Scenario:
             "costs": self.costs,
             "barriers": self.barriers,
             "terminal": self.terminal,
-            "v_increments": self.v_increments,
+            "v_increments": [dict(zip(ids, values.tolist()))
+                             for ids, values in self.v_increments],
             "solver": self.solver,
         }
 
@@ -381,8 +395,10 @@ class Scenario:
             return tree, np.concatenate(levels)
         nodes = spec["nodes"]
         tree = EventTree.build(nodes, dt)
-        prices = {n["id"]: n.get("price", 1.0) for n in nodes}
-        return tree, np.array([prices[n.node_id] for n in tree.nodes])
+        prices = np.empty(tree.n_nodes)
+        prices[tree.indices_of([n["id"] for n in nodes])] = [n.get("price", 1.0)
+                                                              for n in nodes]
+        return tree, prices
 
     def build_problem(self) -> ObliqueProblem:
         """Materialize the validator-ready problem (math checks come later)."""
@@ -402,31 +418,36 @@ class Scenario:
                         cost_values[t, j, k] = _cost_value(self.costs[j][k], t * dt)
         costs = CostMatrix(cost_values)
 
-        upper = tuple(
-            _make_barrier(self.barriers[j], tree, dt) for j in range(d)
-        )
+        upper: list[AdaptedProcess] = []
+        for spec in self.barriers:   # modes of one spec share its read-only process
+            made = [u for s, u in zip(self.barriers, upper) if s == spec]
+            upper.append(made[0] if made else _make_barrier(spec, tree, dt))
 
-        terminal: dict[int, tuple[float, ...]] = {}
+        leaves = tree.arrays.leaves
         if self.terminal["kind"] == "table":
             vals = self.terminal["values"]
-            for leaf in tree.leaves:
-                nid = tree.ids[leaf]
-                _require(nid in vals, f"terminal table misses leaf {nid!r}")
-                terminal[leaf] = tuple(vals[nid])
+            at = tree.indices_of(list(vals))
+            row = np.full(tree.n_nodes, -1)   # each node's row of the table, or -1
+            row[at[at >= 0]] = np.flatnonzero(at >= 0)
+            row = row[leaves]
+            if (row < 0).any():
+                nid = tree.ids[leaves[np.argmax(row < 0)]]
+                raise ScenarioError(f"terminal table misses leaf {nid!r}")
+            table = np.array(list(vals.values()), dtype=float).reshape(len(vals), d)
+            terminal = LeafRows(tree, table[row])
         else:
-            a, b = self.terminal["a"], self.terminal["b"]
-            price = prices[list(tree.leaves)]
-            rows = zip(*((a[j] + b[j] * price).tolist() for j in range(d)))
-            terminal = dict(zip(tree.leaves, rows))
+            a, b = np.array(self.terminal["a"]), np.array(self.terminal["b"])
+            terminal = LeafRows(tree, a + b * prices[leaves, None])
 
         v = []
-        for per_id in self.v_increments:
-            at = list(map(tree.index_map.get, per_id))
-            if None in at:
-                pid = next(pid for pid, u in zip(per_id, at) if u is None)
+        for ids, values in self.v_increments:
+            at = tree.indices_of(ids)
+            if (at < 0).any():
+                pid = ids[np.argmax(at < 0)]
                 raise ScenarioError(f"v_increments references unknown node {pid!r}")
-            v.append(PredictableIncrements.from_parent_values(
-                tree, dict(zip(at, per_id.values()))))
+            out_of = np.zeros(tree.n_nodes)
+            out_of[at] = values
+            v.append(PredictableIncrements.from_out_of(tree, out_of))
 
         return ObliqueProblem(
             tree=tree,
@@ -434,10 +455,22 @@ class Scenario:
             terminal=terminal,
             generators=generators,
             v=tuple(v),
-            upper=upper,
+            upper=tuple(upper),
             costs=costs,
             reads=tuple(_reads(spec, j) for j, spec in enumerate(self.generators)),
         )
+
+
+def _parse_increments(spec: Mapping | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """One mode's ``{parent node id: edge increment}`` map as its ids (each
+    a ``str``) and an array of its increments (each converted by
+    ``float()``), in the map's order; an empty or absent map has none."""
+    spec = spec or {}
+    count = len(spec.items())   # a map, or the AttributeError of one that is not
+    ids = tuple(spec)
+    if not all(map(isinstance, ids, repeat(str))):
+        ids = tuple(map(str, ids))
+    return ids, np.fromiter(map(float, spec.values()), float, count)
 
 
 def _reads(spec: dict, mode: int) -> tuple[int, ...]:

@@ -209,6 +209,8 @@ def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
     first = [int(arrays.child_index[a]) if b > a else None for a, b in spans]
     costs = np.array(problem.costs.values, dtype=np.float64)
     costs[:, range(d), range(d)] = 0.0
+    xi = np.zeros((tree.n_nodes, d))   # the terminal rows at the leaves
+    xi[arrays.leaves] = problem.terminal_rows
     return _SubtreeCtx(
         problem,
         nodes,
@@ -217,8 +219,7 @@ def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
         tuple(tuple(arrays.child_prob[a:b].tolist()) for a, b in spans),
         tuple(arrays.time[at].tolist()),
         problem.upper_columns[at].T,
-        np.array([[problem.terminal[u][j] if c is None else 0.0
-                   for u, c in zip(nodes, first)] for j in range(d)]),
+        xi[at].T,
         np.array([[0.0 if c is None else problem.v[j][c] for c in first]
                   for j in range(d)]),
         costs,

@@ -15,10 +15,17 @@ checks of :func:`validate_tree` and the exact renormalization of each
 sibling block both run on the columns, before any :class:`Node` is made,
 and :class:`TreeArrays` is the same tree as read-only arrays.
 
+Indices sort by time, so level t is one run of indices, kept as a
+``range`` (:meth:`EventTree.level`); so are the leaves whenever they are
+one run, as in every tree :func:`validate_tree` accepts, and they are a
+tuple otherwise.  No level or leaf list holds a Python int per node.
+
 An :class:`AdaptedProcess` or :class:`PredictableIncrements` stores its
 values as a read-only ``(n_nodes,)`` float64 array copied from the sequence
 it is given, so that no caller's array aliases it; indexing one gives a
-Python float, and it equals only itself.
+Python float, and it equals only itself.  A :class:`LeafRows` is a
+read-only mapping of each leaf to its entry of one ``(leaves,)`` or
+``(leaves, d)`` array in leaf order, such as a terminal condition.
 
 Conventions used throughout the package:
 
@@ -35,7 +42,9 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -56,6 +65,7 @@ __all__ = [
     "TreeArrays",
     "AdaptedProcess",
     "PredictableIncrements",
+    "LeafRows",
     "StoppingTime",
     "DoobDecomposition",
     "validate_tree",
@@ -163,9 +173,10 @@ class TreeArrays:
     in index order (CSR), with their edge probabilities at the same
     positions of ``child_prob``; ``child_owner`` holds the parent of each
     of these slots and ``child_first`` the parent's first child.
-    ``time`` is each node's time index.  ``parents[t]`` lists the nodes of
-    level t that have children, in descending index order, the order in
-    which a backward walk visits them.
+    ``time`` is each node's time index and ``leaves`` the nodes with no
+    child, ascending.  ``parents[t]`` lists the nodes of level t that have
+    children, in descending index order, the order in which a backward
+    walk visits them.
     """
 
     child_ptr: np.ndarray
@@ -174,6 +185,7 @@ class TreeArrays:
     child_owner: np.ndarray
     child_first: np.ndarray
     time: np.ndarray
+    leaves: np.ndarray
     parents: tuple[np.ndarray, ...]
 
     @classmethod
@@ -188,12 +200,13 @@ class TreeArrays:
             child_owner=owner,
             child_first=kids[ptr[owner]],
             time=cols.time,
+            leaves=np.flatnonzero(~has_kids),
             parents=tuple(np.flatnonzero(has_kids[lvl.start:lvl.stop])[::-1]
                           + lvl.start for lvl in levels),
         )
         _read_only(arrays.child_ptr, arrays.child_index, arrays.child_prob,
                    arrays.child_owner, arrays.child_first, arrays.time,
-                   *arrays.parents)
+                   arrays.leaves, *arrays.parents)
         return arrays
 
 
@@ -219,11 +232,14 @@ class EventTree:
         self._n_steps = max(cols.time.tolist())
         # the time column ascends: level t is one run of indices
         bounds = np.searchsorted(cols.time, np.arange(self._n_steps + 2)).tolist()
-        levels = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-        self._levels = tuple(tuple(lvl) for lvl in levels)
+        self._levels = tuple(range(a, b) for a, b in zip(bounds, bounds[1:]))
         self._roots = tuple(np.flatnonzero(cols.parent < 0).tolist())
-        self._leaves = tuple(np.flatnonzero(np.diff(cols.child_ptr) == 0).tolist())
-        self._arrays = TreeArrays.of(cols, levels)
+        self._arrays = TreeArrays.of(cols, self._levels)
+        leaves = self._arrays.leaves
+        # the leaves of a tree with no early leaf are the last level's run
+        self._leaves = (range(leaves[0], leaves[-1] + 1)
+                        if leaves.size and leaves[-1] - leaves[0] + 1 == leaves.size
+                        else tuple(leaves.tolist()))
 
     @functools.cached_property
     def nodes(self) -> tuple[Node, ...]:
@@ -325,10 +341,14 @@ class EventTree:
         return self._roots[0]
 
     @property
-    def leaves(self) -> tuple[int, ...]:
+    def leaves(self) -> Sequence[int]:
+        """The leaves in ascending index order: a ``range`` when they are
+        one run of indices (always, for a tree that passes
+        :func:`validate_tree`), a tuple otherwise."""
         return self._leaves
 
-    def level(self, t: int) -> tuple[int, ...]:
+    def level(self, t: int) -> range:
+        """The indices of time index t: one run, since indices sort by t."""
         return self._levels[t]
 
     @property
@@ -346,6 +366,12 @@ class EventTree:
     def index_map(self) -> Mapping[str, int]:
         """Node id -> index, read-only."""
         return MappingProxyType(self._index_of)
+
+    def indices_of(self, node_ids: Sequence[str]) -> np.ndarray:
+        """The index of each of ``node_ids`` as an array, -1 for an id the
+        tree lacks."""
+        return np.fromiter(map(self._index_of.get, node_ids, repeat(-1)), np.intp,
+                           len(node_ids))
 
     def children(self, i: int) -> tuple[int, ...]:
         """Node i's children in index order (no :class:`Node` is made)."""
@@ -529,6 +555,12 @@ class PredictableIncrements(_PerNode):
         """Build from {parent index: increment on its outgoing edges}."""
         out_of = np.zeros(tree.n_nodes)
         out_of[list(per_parent)] = [float(v) for v in per_parent.values()]
+        return cls.from_out_of(tree, out_of)
+
+    @classmethod
+    def from_out_of(cls, tree: EventTree, out_of: np.ndarray) -> "PredictableIncrements":
+        """Build from the ``(n_nodes,)`` array of the increment on the edges
+        out of each node (a leaf's entry is not read)."""
         parent = tree._cols.parent
         return cls(tree, np.where(parent >= 0, out_of[parent], 0.0))
 
@@ -544,6 +576,38 @@ class PredictableIncrements(_PerNode):
         for c, u in zip(arrays.child_index.tolist(), arrays.child_owner.tolist()):
             vals[c] = vals[u] + inc[c]
         return AdaptedProcess(self.tree, vals)
+
+
+class LeafRows(Mapping):
+    """Leaf index -> the leaf's entry of one array in leaf order, read-only:
+    a float of a ``(leaves,)`` array, a tuple of floats of a ``(leaves, d)``
+    one.  The array is ``rows`` (float64, read-only, copied from the one
+    given); an entry is made when it is looked up, and no per-leaf object
+    is stored."""
+
+    def __init__(self, tree: EventTree, rows):
+        rows = np.array(rows, dtype=np.float64)
+        if rows.ndim not in (1, 2) or len(rows) != len(tree.leaves):
+            raise ValueError(f"expected one row per leaf ({len(tree.leaves)}), "
+                             f"got shape {rows.shape}")
+        self.tree, self.rows = tree, _read_only(rows)
+
+    def __getitem__(self, u) -> float | tuple[float, ...]:
+        leaves = self.tree.leaves
+        try:
+            i = bisect_left(leaves, u)
+        except TypeError:
+            raise KeyError(u) from None
+        if i == len(leaves) or leaves[i] != u:
+            raise KeyError(u)
+        row = self.rows[i]
+        return tuple(row.tolist()) if row.ndim else row.item()
+
+    def __iter__(self):
+        return iter(self.tree.leaves)
+
+    def __len__(self) -> int:
+        return len(self.tree.leaves)
 
 
 @dataclass(frozen=True)

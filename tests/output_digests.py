@@ -9,14 +9,16 @@ file (its name does not start with ``test_``).
 
 The invocations run in process through ``orbsde.cli.main``: ``solve``,
 ``verify``, ``verify --solution``, ``sweep-penalization`` and
-``brute-force`` on the bundled scenarios and on scenarios of the
+``brute-force`` on the bundled scenarios, on scenarios of the
 benchmark's shapes (``perfbench/workloads.py``) at several seeds and
-sizes, ``verify --solution`` on solution files edited in every way the
-loader must either read exactly as before or refuse with the same
-message, scenarios the commands refuse, the oracle shapes with start
-mode 1 refused (not mode 0) under ``brute-force`` and ``verify
---solution``, and switch2x2 with a barrier given as a node table (whole,
-and missing a node).  A line holds the
+sizes and on an explicit tree (terminal table or price-affine),
+``verify --solution`` on solution files edited in every way the loader
+must either read exactly as before or refuse with the same message,
+scenarios the commands refuse, oracle-chain with each input of the
+scenario-to-problem path edited (accepted or refused), the oracle shapes
+with start mode 1 refused (not mode 0) under ``brute-force`` and
+``verify --solution``, and switch2x2 with a barrier given as a node
+table (whole, and missing a node).  A line holds the
 invocation's label, its exit code (or the exception that escaped
 ``main``), a hash of what it wrote to stderr, the warnings it raised, and
 a hash of each file it wrote.
@@ -119,6 +121,42 @@ def _edits(text: str) -> dict[str, str]:
     }
 
 
+def _explicit() -> list[tuple[str, dict]]:
+    """Two modes on an explicit tree of 1, 2 and 3 children per parent, its
+    nodes listed out of index order: with a terminal table (and a vector
+    at a non-leaf, ignored) and with a price-affine terminal on the nodes'
+    prices; v increments of mode 0 at every parent and at a leaf
+    (ignored), of mode 1 at two parents."""
+    nodes = [{"id": "r", "t": 0, "price": 1.0},
+             {"id": "b", "t": 1, "parent": "r", "p": 0.3, "price": 1.0},
+             {"id": "a", "t": 1, "parent": "r", "p": 0.3, "price": 1.15},
+             {"id": "c", "t": 1, "parent": "r", "p": 0.4, "price": 0.9},
+             {"id": "ab", "t": 2, "parent": "a", "p": 0.5, "price": 1.1},
+             {"id": "aa", "t": 2, "parent": "a", "p": 0.5, "price": 1.3},
+             {"id": "ba", "t": 2, "parent": "b", "p": 1.0},
+             {"id": "cc", "t": 2, "parent": "c", "p": 0.5, "price": 0.7},
+             {"id": "ca", "t": 2, "parent": "c", "p": 0.2, "price": 1.05},
+             {"id": "cb", "t": 2, "parent": "c", "p": 0.3, "price": 0.85}]
+    table = {"cc": [0.8, 0.78], "aa": [1.35, 1.3], "ab": [1.1, 1.12], "a": [9.0, 9.0],
+             "ba": [1.0, 0.95], "ca": [1.02, 1.0], "cb": [0.9, 0.93]}
+    spec = {
+        "format": 1,
+        "name": "explicit-2",
+        "tree": {"kind": "explicit", "dt": 0.5, "nodes": nodes},
+        "modes": 2,
+        "generators": [{"family": "linear", "a": 0.3, "b": 0.2},
+                       {"family": "linear", "a": -0.1, "b": 0.1}],
+        "costs": [[0.0, 0.15], [0.2, 0.0]],
+        "barriers": [{"kind": "constant", "value": 4.0}] * 2,
+        "terminal": {"kind": "table", "values": table},
+        "v_increments": [{"c": 0.1, "r": 0.1, "a": -0.15, "b": 0.05, "aa": 0.3},
+                         {"c": -0.1, "r": 0.0}],
+    }
+    priced = copy.deepcopy(spec)
+    priced["terminal"] = {"kind": "price-affine", "a": [0.0, 0.05], "b": [1.0, 0.95]}
+    return [("explicit-table", spec), ("explicit-price", priced)]
+
+
 def _scenarios() -> list[tuple[str, dict]]:
     bundled = [(path.stem, json.loads(path.read_text()))
                for path in sorted((ROOT / "scenarios").glob("*.json"))]
@@ -134,7 +172,7 @@ def _scenarios() -> list[tuple[str, dict]]:
     for seed in (1, 2, 7):
         shaped += [(f"{name}-8-s{seed}", spec)
                    for name, spec in workloads.penalty_table(seed)]
-    return bundled + shaped
+    return bundled + shaped + _explicit()
 
 
 def _refused() -> list[tuple[str, str, dict]]:
@@ -170,6 +208,38 @@ def _refused() -> list[tuple[str, str, dict]]:
     table = copy.deepcopy(table)
     table["generators"][0]["values"][0][0] = 1e308
     cases.append(("table-value-1e308", "sweep-penalization", table))
+    return cases + _build_path()
+
+
+def _build_path() -> list[tuple[str, str, dict]]:
+    """(label, command, scenario) of oracle-chain with one input of the
+    scenario-to-problem path edited: v increments that float() reads
+    ("nan" then refused by the validator) or refuses, a list in place of
+    a map, an increment keyed at a leaf or at an unknown node, and a
+    terminal table that misses the leaf or holds a 2-entry vector."""
+    base = dict(workloads.oracle_small(1))["oracle-chain"]
+
+    def v_out_of_n0(value):
+        return lambda spec: spec["v_increments"][0].__setitem__("n0", value)
+
+    edits = {
+        "v-1.5": v_out_of_n0("1.5"), "v-1_5": v_out_of_n0("1_5"),
+        "v-nan": v_out_of_n0("nan"), "v-true": v_out_of_n0(True),
+        "v-x": v_out_of_n0("x"), "v-null": v_out_of_n0(None),
+        "v-list": v_out_of_n0([1]), "v-10**400": v_out_of_n0(10**400),
+        "v-at-leaf": lambda spec: spec["v_increments"][0].__setitem__("n8", 0.5),
+        "v-a-list": lambda spec: spec["v_increments"].__setitem__(0, [0.1]),
+        "v-unknown-node": lambda spec: spec["v_increments"][0].__setitem__("zz", 0.5),
+        "terminal-misses-leaf": lambda spec: spec["terminal"].__setitem__(
+            "values", {"n7": [1.0, 1.0, 1.0]}),
+        "terminal-2-entries": lambda spec: spec["terminal"]["values"].__setitem__(
+            "n8", [1.0, 1.02]),
+    }
+    cases = []
+    for name, edit in edits.items():
+        spec = copy.deepcopy(base)
+        edit(spec)
+        cases.append((f"oracle-chain-{name}", "solve", spec))
     return cases
 
 

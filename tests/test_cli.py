@@ -10,6 +10,12 @@ Core claims:
       float() or int() cannot convert included) exits 2 with kind scenario,
       naming the section and the key; a value a section refuses (a negative
       slope, an unknown kind, a non-finite table value) names the section
+    - v increments are read as float() reads them ("1.5", "1_5", "nan",
+      true), one keyed at a leaf is ignored, and the build path's refusals
+      (a v increment float() refuses, a list for a map, an unknown node, a
+      terminal table that misses a leaf or holds a short vector) keep their
+      messages; the built problem holds no per-node object made by the
+      scenario module
     - verify consumes solve's CSV via --solution and passes; corrupting the
       CSV turns verify into exit 4
     - exit codes: 0 ok, 2 validation (with machine-readable diagnostic and
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -65,6 +72,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbsde.cli
+import orbsde.scenario
 from orbsde.cli import main
 from orbsde.oblique import SystemSolution, validate_problem
 from orbsde.scenario import Scenario
@@ -88,6 +96,7 @@ def test_scenario_normalized_round_trip(scenarios_dir, tmp_path):
         text = sc.to_json()
         again = Scenario.from_dict(json.loads(text))
         assert again.normalized() == sc.normalized()
+        assert again == sc
         assert again.to_json() == text
 
 
@@ -184,6 +193,105 @@ def test_malformed_scenario_names_section_and_key(scenarios_dir, tmp_path, case)
     error = read_json(out / "diagnostic.json")["error"]
     assert error["kind"] == "scenario"
     assert error["detail"].startswith(detail)
+
+
+# -- the build path: scenario file to problem ------------------------------------
+
+
+def _built(edit):
+    """The oracle-chain scenario with ``edit`` applied, through JSON text as
+    the CLI reads it, parsed and built."""
+    spec = oracle_chain_scenario()
+    edit(spec)
+    return Scenario.from_dict(json.loads(json.dumps(spec))).build_problem()
+
+
+def _v_out_of_n0(value):
+    return lambda spec: spec["v_increments"][0].__setitem__("n0", value)
+
+
+@pytest.mark.parametrize("value", ["1.5", "1_5", "nan", True])
+def test_v_increments_are_read_as_float_reads_them(value):
+    # the increment keyed at n0 is mode 0's on the edge into n1; a NaN is
+    # the validator's to refuse, with its coordinates
+    base, problem = _built(lambda spec: None), _built(_v_out_of_n0(value))
+    expected = base.v_columns.copy()
+    expected[1, 0] = float(value)
+    np.testing.assert_array_equal(problem.v_columns, expected)
+    report = [(v.code, v.message, v.node_id) for v in validate_problem(problem)]
+    assert report == ([("non-finite", "dV^0 = nan", "n0")] if value == "nan" else [])
+
+
+def test_a_v_increment_keyed_at_a_leaf_is_ignored():
+    keyed = _built(lambda spec: spec["v_increments"][0].__setitem__("n8", 0.5))
+    assert keyed.v_columns.tobytes() == _built(lambda spec: None).v_columns.tobytes()
+
+
+BUILD_REFUSALS = {
+    "v-increment-a-word": (
+        _v_out_of_n0("x"), "v_increments[0]: could not convert string to float: 'x'"),
+    "v-increment-null": (
+        _v_out_of_n0(None), "v_increments[0]: float() argument must be a string or "
+        "a real number, not 'NoneType'"),
+    "v-increment-a-list": (
+        _v_out_of_n0([1]), "v_increments[0]: float() argument must be a string or "
+        "a real number, not 'list'"),
+    "v-increment-overflows": (
+        _v_out_of_n0(10**400), "v_increments[0]: int too large to convert to float"),
+    "v-increments-a-list": (
+        lambda spec: spec["v_increments"].__setitem__(0, [0.1]),
+        "v_increments[0]: 'list' object has no attribute 'items'"),
+    "v-increment-unknown-node": (
+        lambda spec: spec["v_increments"][0].__setitem__("zz", 0.5),
+        "v_increments references unknown node 'zz'"),
+    "terminal-misses-a-leaf": (
+        lambda spec: spec["terminal"].__setitem__("values", {"n7": [1.0, 1.0, 1.0]}),
+        "terminal table misses leaf 'n8'"),
+    "terminal-vector-of-two": (
+        lambda spec: spec["terminal"]["values"].__setitem__("n8", [1.0, 1.02]),
+        "terminal: terminal vector at 'n8' must have 3 entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_REFUSALS))
+def test_build_path_refusals_keep_their_messages(case):
+    from orbsde.scenario import ScenarioError
+
+    edit, message = BUILD_REFUSALS[case]
+    with pytest.raises(ScenarioError) as refused:
+        _built(edit)
+    assert str(refused.value) == message
+
+
+def _blocks_held_by_the_scenario_module(steps: int) -> int:
+    """The blocks that the scenario module has allocated and that are still
+    held once the coupled benchmark shape at ``steps`` steps (v increments
+    at every parent) is parsed and its problem built."""
+    spec = benchmark_shaped_scenario("picard-coupled")
+    spec["tree"]["steps"] = steps
+    parents = Scenario.from_dict(spec).build_tree()[0].ids[:2**steps - 1]
+    spec["v_increments"] = [{pid: 0.1 if (i + j) % 3 else -0.1
+                             for i, pid in enumerate(parents)} for j in range(3)]
+    text = json.dumps(spec)
+    tracemalloc.start()
+    try:
+        scenario = Scenario.from_dict(json.loads(text))
+        problem = scenario.build_problem()
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, orbsde.scenario.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert problem.terminal_rows.shape == (2**steps, 3)
+    return sum(stat.count for stat in held.statistics("filename"))
+
+
+def test_the_built_problem_holds_no_per_node_object_of_the_scenario_module():
+    # the parsed v increments and the terminal rows are arrays, so what the
+    # scenario module still holds once the problem is built hardly grows
+    # from 31 nodes to 2,047: per-leaf rows would add thousands of blocks,
+    # and numpy's cache of small buffers keeps a few per level of prices
+    small = _blocks_held_by_the_scenario_module(4)
+    assert _blocks_held_by_the_scenario_module(10) < small + 64
 
 
 # -- determinism ------------------------------------------------------------------

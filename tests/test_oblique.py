@@ -21,7 +21,9 @@ Core claims:
       findings before the terminal ones
     - both validators probe the generators at every time index: a rise at
       any single time index is flagged there, and solve_system refuses
-      such a problem instead of failing inside the solve
+      such a problem instead of failing inside the solve; the probe grid
+      comes from the validator's one gather of the terminal rows, and a
+      problem never validated gathers them for its decoupling verdict
     - the single backward pass (solve_system) agrees with Picard at 1e-12
       on the criterion-5 systems, the bundled scenarios and random systems
       (coupled generators, deep v shocks, zero-cost obstacle cycles; both
@@ -76,7 +78,7 @@ from orbsde import (
     validate_problem,
     verify_minimality,
 )
-from orbsde.oblique import CostMatrix, SystemSolution, mode_problem
+from orbsde.oblique import CostMatrix, SystemSolution, _probe_table, mode_problem
 from orbsde.scenario import Scenario
 from gen import random_oblique_problem, zero_cost_cycle
 from oracles import active_set_values
@@ -748,6 +750,24 @@ def test_validation_and_decoupling_verdict_call_each_generator_once_per_time_ind
     steps = problem.tree.n_steps
     assert steps >= 2
     assert sorted(calls) == [(j, t) for j in range(3) for t in range(steps)]
+
+
+def test_the_probe_grid_comes_from_the_validators_gather_of_the_terminal(record):
+    # validate_problem gathers the terminal rows once and the probe table
+    # takes its grid from them; a problem that was never validated gathers
+    # them for the decoupling verdict, and gets the same grid and verdict
+    import orbsde.oblique
+    from orbsde.switching import decoupling_violations
+
+    problem = random_oblique_problem(random.Random(7), d=3, max_depth=3, coupling=0.3)
+    gathers = record(orbsde.oblique, "_leaf_entries")
+    assert validate_problem(problem) == []
+    coupled = decoupling_violations(problem)
+    assert len(gathers) == 1
+    unvalidated = dataclasses.replace(problem)
+    assert decoupling_violations(unvalidated) == coupled != []
+    assert len(gathers) == 2
+    assert _probe_table(unvalidated)[0] == _probe_table(problem)[0]
 
 
 def test_generator_overflow_at_the_probes_is_non_finite_and_warns_nothing():

@@ -21,6 +21,9 @@ Core claims:
       does not
     - every way of making a process or increments stores one read-only
       float64 array of one value per node, which no source array aliases
+    - levels are ranges of indices, and so are the leaves of a tree with no
+      early leaf; LeafRows maps each leaf to its row of one read-only
+      array and nothing else to anything
     - snell_envelope, doob_decomposition and conditional_expectation read
       the child probabilities off the CSR arrays and make no Node, with
       the bits of the sums taken through Node probabilities
@@ -42,6 +45,7 @@ from orbsde import (
     EnumerationCapError,
     EventTree,
     InvalidTreeError,
+    LeafRows,
     PredictableIncrements,
     StoppingTime,
     conditional_expectation,
@@ -515,6 +519,49 @@ def test_sibling_blocks_off_one_renormalize_alike_from_columns_and_specs():
         kids = from_specs.children(from_specs.index_of(pid))
         probs = [from_specs.node(c).prob for c in kids]
         assert probs == [p / math.fsum(ps) for p in ps] != ps
+
+
+def test_levels_and_leaves_are_runs_of_indices():
+    # a level is one run of indices, kept as a range (no per-node int); so
+    # are the leaves of a tree with no early leaf, and the leaves of one
+    # with an early leaf are a tuple
+    specs = [{"id": "r", "t": 0, "parent": None},
+             *({"id": nid, "t": 1, "parent": "r"} for nid in "abc"),
+             {"id": "b0", "t": 2, "parent": "b"}]
+    early = EventTree(specs, 1.0)   # leaves a, c and b0: 1, 3 and 4
+    for tree in (EventTree.binary(4, 0.5), EventTree.chain(4, 0.5),
+                 EventTree.build(_binary_specs(3, 0.3), 0.5), early):
+        time = tree.arrays.time.tolist()
+        for t in range(tree.n_steps + 1):
+            level = tree.level(t)
+            assert type(level) is range and level.step == 1
+            assert list(level) == [u for u in range(tree.n_nodes) if time[u] == t]
+        leaves = [u for u in range(tree.n_nodes) if not tree.children(u)]
+        assert list(tree.leaves) == tree.arrays.leaves.tolist() == leaves
+        assert type(tree.leaves) is (tuple if tree is early else range)
+
+
+def test_leaf_rows_are_a_read_only_mapping_of_one_array():
+    tree = EventTree.binary(2, 0.5)
+    rows = np.arange(8.0).reshape(4, 2)
+    by_leaf = LeafRows(tree, rows)
+    rows[0, 0] = 99.0   # the mapping keeps its own copy
+    assert dict(by_leaf) == {3: (0.0, 1.0), 4: (2.0, 3.0), 5: (4.0, 5.0), 6: (6.0, 7.0)}
+    assert LeafRows(tree, np.arange(4.0))[5] == 2.0
+    assert type(LeafRows(tree, np.arange(4.0))[5]) is float
+    assert not by_leaf.rows.flags.writeable
+    for key in (0, 2, 7, -1, "r", None):
+        assert key not in by_leaf
+        with pytest.raises(KeyError):
+            by_leaf[key]
+    with pytest.raises(ValueError, match="one row per leaf"):
+        LeafRows(tree, np.zeros((3, 2)))
+
+
+def test_indices_of_reads_the_id_index_map():
+    tree = EventTree.binary(2, 0.5)
+    assert tree.indices_of(["ru", "r", "nowhere", "rud"]).tolist() == [2, 0, -1, 5]
+    assert tree.indices_of(()).tolist() == []
 
 
 @pytest.mark.parametrize("dt", [0.0, math.nan])
