@@ -135,6 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first ``main`` call and
+    reused by every later one (parsing leaves it as it was)."""
+    return build_parser()
+
+
 def _fail(out: Path, code: int, kind: str, detail, violations=None,
           node_id=None) -> int:
     """Write ``diagnostic.json`` into ``out`` and return the exit code."""
@@ -151,7 +158,7 @@ def _fail(out: Path, code: int, kind: str, detail, violations=None,
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as err:
         return _fail(_named_out(argv), EXIT_VALIDATION, "usage", str(err))
     out = Path(args.out)

@@ -13,15 +13,20 @@ a finite tree the Mokobodzki condition reduces to the pointwise inequality
 ``H(U) <= U`` (every adapted process is a difference of supermartingales
 via the discrete Doob decomposition, so U itself is the witness).
 :func:`validate_problem` checks these hypotheses with the scalar
-validator's array-native data check, and probes each generator with one
-call per time index before the horizon (``_probe_table``, which the
-problem keeps for the switching layer's decoupling verdict).
+validator's array-native data check and the cost orderings as array
+comparisons, and probes each generator with one call per time index
+before the horizon (``_probe_table``, which the problem keeps for the
+switching layer's decoupling verdict); the verdicts of every probe line
+come from one array comparison.
 
-Generators and obstacles are called a level at a time: ``f^j(t, y)`` and
-``H(t, y)`` take a time index and a d-tuple ``y`` of columns, equal-length
-float arrays with one entry per node (floats are the one-node case), and
-return one value per node (a generator may return a scalar, which is
-broadcast).
+Generators and a general obstacle are called a level at a time:
+``f^j(t, y)`` and ``H(t, y)`` take a time index and a d-tuple ``y`` of
+columns, equal-length float arrays with one entry per node (floats are
+the one-node case), and return one value per node (a generator may
+return a scalar, which is broadcast).  The switching-cost obstacle of
+every node at once (``H(U)`` and the check's ``H(Y)``) is one pass over
+the tree, each cost a column gathered by time index, with the bits of
+the level-at-a-time formula.
 
 Two solvers share the package's one backward walk
 ``scalar._backward_walk`` over the d modes (:func:`_backward_solve`, whose
@@ -64,8 +69,9 @@ with its own level step:
   sweep that decreases anywhere is a fault.
 
 :func:`verify_minimality` and :func:`binding_graph_cycles` recompute their
-residuals a level at a time on the same arrays, adding the children slot
-by slot in the walk's order.  A solution is its ``(n_nodes, d)`` arrays
+residuals on the same arrays, each one array over the whole tree (the
+children added slot by slot in the walk's order, the binding edges one
+mode pair at a time).  A solution is its ``(n_nodes, d)`` arrays
 Y, dK, dA and dM; its per-mode views are made only where the library or
 an oracle asks for them.
 """
@@ -96,7 +102,6 @@ from .scalar import (
     _leaf_array,
     _leaf_entries,
     _note_non_finite,
-    _probe,
     _project,
     _root_find_batch,
     _worse,
@@ -151,6 +156,11 @@ class CostMatrix:
     def at(self, t: int, j: int, k: int) -> float:
         return float(self.values[t, j, k])
 
+    def row_at(self, j: int, times: np.ndarray) -> np.ndarray:
+        """Mode j's costs at each time index of ``times``, as a ``(d, n)``
+        array: row k holds ``c[j][k](times[i])`` in column i."""
+        return np.take(self.values[:, j].T, times, axis=1)
+
     @classmethod
     def constant(cls, n_steps: int, costs: Sequence[Sequence[float]]) -> "CostMatrix":
         base = np.asarray(costs, dtype=float)
@@ -164,47 +174,35 @@ class CostMatrix:
                           time_index=int(t), mode=int(j))
                 for t, j, k in bad
             ]
-        out: list[Violation] = []
-        T, d, _ = self.values.shape
-        for t in range(T):
-            c = self.values[t]
-            for j in range(d):
-                if c[j, j] != 0.0:
-                    out.append(
-                        Violation("cost-diagonal", f"c[{j}][{j}] = {c[j, j]} != 0",
-                                  time_index=t)
-                    )
-                for k in range(d):
-                    if j != k and not c[j, k] > 0.0:
-                        out.append(
-                            Violation(
-                                "cost-positivity",
-                                f"c[{j}][{k}] = {c[j, k]} not positive",
-                                time_index=t,
-                            )
-                        )
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        if len({i, j, k}) == 3 and not c[i, j] + c[j, k] > c[i, k]:
-                            out.append(
-                                Violation(
-                                    "cost-triangle",
-                                    f"c[{i}][{j}] + c[{j}][{k}] = "
-                                    f"{c[i, j] + c[j, k]} <= c[{i}][{k}] = {c[i, k]}",
-                                    time_index=t,
-                                )
-                            )
-        return out
+        # the orderings as array comparisons; the violations in the order of
+        # a loop over t, then (j: diagonal, then k), then triangles (i, j, k)
+        c = self.values
+        d = self.d
+        off = ~np.eye(d, dtype=bool)
+        distinct = off[:, :, None] & off[None] & off[:, None, :]   # i, j, k distinct
+        found = []
+        for t, j in np.argwhere(np.diagonal(c, axis1=1, axis2=2) != 0.0).tolist():
+            found.append(((t, 0, j, -1), Violation(
+                "cost-diagonal", f"c[{j}][{j}] = {c[t, j, j]} != 0", time_index=t)))
+        for t, j, k in np.argwhere(~(c > 0.0) & off).tolist():
+            found.append(((t, 0, j, k), Violation(
+                "cost-positivity", f"c[{j}][{k}] = {c[t, j, k]} not positive",
+                time_index=t)))
+        triangle = c[:, :, :, None] + c[:, None, :, :] > c[:, :, None, :]
+        for t, i, j, k in np.argwhere(~triangle & distinct).tolist():
+            found.append(((t, 1, i, j, k), Violation(
+                "cost-triangle", f"c[{i}][{j}] + c[{j}][{k}] = "
+                f"{c[t, i, j] + c[t, j, k]} <= c[{i}][{k}] = {c[t, i, k]}", time_index=t)))
+        return [violation for _, violation in sorted(found, key=lambda f: f[0])]
 
 
-def _cost_entry(costs: CostMatrix, t: int, y: Sequence, j: int):
-    """``H^j(t, y) = max over k != j of (y^k - c[j][k](t))`` for a d-tuple
-    ``y`` of columns (or floats), the one entry formula of the
+def _cost_entry(y: Sequence, c: Sequence, j: int):
+    """``H^j = max over k != j of (y^k - c[k])`` for a d-tuple ``y`` of
+    columns (or floats) and mode j's costs ``c`` (floats, or a column per
+    mode with one cost per entry of ``y``): the one entry formula of the
     switching-cost obstacle.  The maximum is Python's ``max`` taken
     elementwise: a later candidate replaces the best only when it is
     larger, so ties and NaN resolve as they do for floats."""
-    c = costs._rows[t][j]
     best = None
     for k, ck in enumerate(c):
         if k != j:
@@ -220,7 +218,7 @@ def evaluate_H(costs: CostMatrix, t: int, y: Sequence) -> tuple:
 
     Independent of y^j and nondecreasing in every component of y.
     """
-    return tuple(_cost_entry(costs, t, y, j) for j in range(costs.d))
+    return tuple(_cost_entry(y, costs._rows[t][j], j) for j in range(costs.d))
 
 
 def _binding_edges(
@@ -228,10 +226,14 @@ def _binding_edges(
 ) -> np.ndarray:
     """``edges[i, j, k]``: the switching obstacle of mode k binds mode j in
     row i of the ``(n, d)`` array ``y`` (at time index ``times[i]``):
-    k != j and ``|y^j - (y^k - c[j][k](t))| <= tol``."""
-    edges = np.abs(y[:, :, None] - (y[:, None, :] - costs.values[times])) <= tol
-    modes = np.arange(costs.d)
-    edges[:, modes, modes] = False
+    k != j and ``|y^j - (y^k - c[j][k](t))| <= tol``, one pair (j, k) at a
+    time over ``(n,)`` columns."""
+    edges = np.zeros((len(y), costs.d, costs.d), dtype=bool)
+    for j in range(costs.d):
+        c = costs.row_at(j, times)
+        for k in range(costs.d):
+            if k != j:
+                edges[:, j, k] = np.abs(y[:, j] - (y[:, k] - c[k])) <= tol
     return edges
 
 
@@ -297,7 +299,7 @@ class ObliqueProblem:
     def upper_obstacle(self) -> np.ndarray:
         """``H(t_u, U_u)`` at every node u as a read-only ``(n_nodes, d)``
         array, made on first use (for the Mokobodzki check and the corner)."""
-        return _read_only(_by_level(self, self.upper_columns))
+        return _read_only(_node_obstacle(self, self.upper_columns))
 
     @functools.cached_property
     def terminal_rows(self) -> np.ndarray:
@@ -310,10 +312,16 @@ class ObliqueProblem:
 Row = tuple[float, ...]
 
 
+def _per_row(value, shape: tuple) -> np.ndarray:
+    """A generator's or obstacle's value as one entry per row: the value
+    itself when it has the rows' ``shape``, else broadcast to it."""
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
+
+
 def _obstacle(problem: ObliqueProblem, t: int, rows: np.ndarray) -> np.ndarray:
     """``H(t, row)`` at every row of the ``(m, d)`` array ``rows``, as an
     ``(m, d)`` array: one obstacle call."""
-    return np.column_stack([np.broadcast_to(h, rows.shape[:1])
+    return np.column_stack([_per_row(h, rows.shape[:1])
                             for h in problem.H(t, tuple(rows.T))])
 
 
@@ -324,8 +332,8 @@ def _obstacle_column(problem: ObliqueProblem, t: int, rows: np.ndarray,
     entry."""
     cols = tuple(rows.T)
     h = (problem.H(t, cols)[j] if problem.costs is None
-         else _cost_entry(problem.costs, t, cols, j))
-    return np.broadcast_to(h, rows.shape[:1])
+         else _cost_entry(cols, problem.costs._rows[t][j], j))
+    return _per_row(h, rows.shape[:1])
 
 
 def _columns_of(per_mode: Sequence) -> np.ndarray:
@@ -341,9 +349,15 @@ def _level_slices(tree: EventTree):
         yield t, slice(level.start, level.stop)
 
 
-def _by_level(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
-    """``H(t_u, rows[u])`` at every node u, one obstacle call per time
+def _node_obstacle(problem: ObliqueProblem, rows: np.ndarray) -> np.ndarray:
+    """``H(t_u, rows[u])`` at every node u: the cost form in one pass over
+    the tree, each cost gathered by time index
+    (:meth:`CostMatrix.row_at`), a general obstacle in one call per time
     index."""
+    if problem.costs is not None:
+        cols, times = tuple(rows.T), problem.tree.arrays.time
+        return np.column_stack([_cost_entry(cols, problem.costs.row_at(j, times), j)
+                                for j in range(problem.d)])
     h = np.empty_like(rows)
     for t, nodes in _level_slices(problem.tree):
         h[nodes] = _obstacle(problem, t, rows[nodes])
@@ -354,9 +368,15 @@ def _probe_box(upper: np.ndarray, xi: np.ndarray) -> list[float]:
     """The generator probe grid: the range of the terminal rows ``xi`` and
     the ``(n_nodes, d)`` upper barriers, its midpoint, and its ends moved
     out by 1 plus half its width.  The ends are Python's ``min`` and
-    ``max`` over the rows, then the barriers mode by mode."""
-    vals = np.concatenate((xi.ravel(), upper.T.ravel())).tolist()
-    lo, hi = min(vals), max(vals)
+    ``max`` over the rows, then the barriers mode by mode: without NaN,
+    the first value equal to the array's extreme (of 0.0 and -0.0, the
+    one that comes first); with NaN, whose comparisons make the result
+    depend on the order, Python's own."""
+    vals = np.concatenate((xi.ravel(), upper.T.ravel()))
+    if np.isnan(vals).any():
+        lo, hi = min(vals.tolist()), max(vals.tolist())
+    else:
+        lo, hi = (float(vals[np.argmax(vals == end)]) for end in (vals.min(), vals.max()))
     pad = 1.0 + 0.5 * (hi - lo)
     return [lo - pad, lo, 0.5 * (lo + hi), hi, hi + pad]
 
@@ -372,12 +392,14 @@ def _probe_table(problem: ObliqueProblem,
     ``problem._verdicts``.  Line k moves component k over the grid from its
     midpoint, with the pairs where f^j rises in y^j or falls in another
     y^k; line d is the diagonal at each grid point and CONTINUITY_STEP
-    above it.  ``xi`` is the terminal rows the validator has gathered;
-    without them, they are gathered here."""
+    above it.  The verdicts of every line come from one array comparison
+    over all (mode, time index, line) at once (:func:`_line_verdicts`).
+    ``xi`` is the terminal rows the validator has gathered; without them,
+    they are gathered here."""
     if "probes" not in problem._verdicts:
-        d, tree = problem.d, problem.tree
+        d, n_steps = problem.d, problem.tree.n_steps
         if xi is None:
-            xi = np.array(_leaf_entries(tree, problem.terminal)[2], dtype=float)
+            xi = np.array(_leaf_entries(problem.tree, problem.terminal)[2], dtype=float)
         grid = _probe_box(problem.upper_columns, xi)
         steps = [y for y0 in grid for y in (y0, y0 + CONTINUITY_STEP)]
         n = len(grid)
@@ -385,18 +407,46 @@ def _probe_table(problem: ObliqueProblem,
         for k in range(d):
             points[k, k * n:(k + 1) * n] = grid
         points[:, d * n:] = steps
-        table = {}
+        values = np.empty((d, n_steps, points.shape[1]))
+        lines = {}
         for j, f in enumerate(problem.generators):
-            for t in range(tree.n_steps):
+            for t in range(n_steps):
                 with np.errstate(all="ignore"):
-                    values = f(t, tuple(points))
-                values = np.broadcast_to(values, points.shape[1:]).tolist()
-                lines = [values[k * n:(k + 1) * n] for k in range(d)] + [values[d * n:]]
-                table[j, t] = [(line, *_probe(line, steps if k == d else grid,
-                                              -1.0 if k not in (j, d) else 1.0))
-                               for k, line in enumerate(lines)]
+                    out = _per_row(f(t, tuple(points)), points.shape[1:])
+                values[j, t] = out
+                out = out.tolist()
+                lines[j, t] = [out[k * n:(k + 1) * n] for k in range(d)] + [out[d * n:]]
+        # f^j must not rise in y^j (sign 1) nor fall in another y^k (sign -1)
+        signs = np.where(np.eye(d, dtype=bool), 1.0, -1.0)[:, None, :]
+        verdicts = {}
+        _line_verdicts(verdicts, lines, 0, grid,
+                       values[:, :, :d * n].reshape(d, n_steps, d, n), signs)
+        _line_verdicts(verdicts, lines, d, steps, values[:, :, None, d * n:],
+                       np.ones((1, 1, 1)))
+        table = {key: [(line, *verdicts.get((*key, k), (None, [])))
+                       for k, line in enumerate(rows)] for key, rows in lines.items()}
         problem._verdicts["probes"] = grid, table
     return problem._verdicts["probes"]
+
+
+def _line_verdicts(verdicts: dict, lines: dict, k0: int, ys: list[float],
+                   values: np.ndarray, sign: np.ndarray) -> None:
+    """``scalar._probe`` of every line ``values[j, t, k]`` (line ``k0 + k``
+    of ``lines[j, t]``) at the points ``ys``, times ``sign[j, 0, k]``, at
+    once: ``verdicts[j, t, k0 + k]`` is set to the line's first
+    non-finite value and no pairs, or to None and its rising pairs (y_lo,
+    y_hi), y_lo < y_hi, in the probe's order, for every line that has
+    either."""
+    finite = np.isfinite(values)
+    for j, t, k in np.argwhere(~finite.all(axis=-1)).tolist():
+        first = int(np.argmin(finite[j, t, k]))
+        verdicts[j, t, k0 + k] = lines[j, t][k0 + k][first], []
+    y = np.asarray(ys)
+    with np.errstate(all="ignore"):
+        rises = sign[..., None, None] * (values[..., None, :] - values[..., :, None]) > PROBE_TOL
+    rises &= (y[:, None] < y[None, :]) & finite.all(axis=-1)[..., None, None]
+    for j, t, k, lo, hi in np.argwhere(rises).tolist():
+        verdicts.setdefault((j, t, k0 + k), (None, []))[1].append((ys[lo], ys[hi]))
 
 
 def _seen_reading(lines: Sequence[tuple], ks: Sequence[int]) -> list[int]:
@@ -554,10 +604,19 @@ def _mode_residual(
     target`` of the implicit steps of ``modes`` at the ``(m, d)`` array
     ``rows``, in mode-major blocks: element ``b * m + s`` is mode
     ``modes[b]`` at row s, with target ``target[b * m + s]``.  Each block
-    goes to its own mode's generator (``scalar._blockwise``); one mode is
-    the one-block case."""
+    goes to its own mode's generator (``scalar._blockwise``); one mode
+    calls its generator directly."""
     dt, m = problem.tree.dt, len(rows)
     cols = tuple(rows.T)
+    if len(modes) == 1:   # one block: the generator's own call
+        j, = modes
+        f = problem.generators[j]
+
+        def phi_j(x, idx):
+            return x - f(t, tuple(x if k == j else col[idx]
+                                  for k, col in enumerate(cols))) * dt - target[idx]
+
+        return phi_j
 
     def block(b: int, j: int):
         f = problem.generators[j]
@@ -1092,10 +1151,12 @@ def binding_graph_cycles(
 
     Edge j -> k present when Y^j = Y^k - c[j][k](t) within tol.  Triangle
     costs make these graphs acyclic at every node of a true solution.  The
-    edges are computed for all nodes at once.  A graph on d modes has a
-    cycle exactly when it has a walk of d edges, so the depth-first search
-    runs only at the nodes whose d-th adjacency power is not zero; the
-    first cycle of each node is listed, in node order.
+    edges are computed for all nodes at once, one mode pair at a time.  A
+    cycle needs two edges, and a graph on d modes has a cycle exactly when
+    it has a walk of d edges, so the d-edge walks are sought only at the
+    nodes with two edges or more, and the depth-first search runs only at
+    the nodes that have one; the first cycle of each node is listed, in
+    node order.
 
     The search is kept with the solution, for its problem and tol, so
     that a solver's check and :func:`verify_minimality` of the solution it
@@ -1107,8 +1168,9 @@ def binding_graph_cycles(
         return list(kept[2])
     tree = problem.tree
     edges = _binding_edges(problem.costs, tree.arrays.time, solution.y_columns, tol)
+    paired = np.flatnonzero(np.count_nonzero(edges.reshape(len(edges), -1), axis=1) >= 2)
     out: list[tuple[str, tuple[int, ...]]] = []
-    for u in np.flatnonzero(_has_d_walk(edges)).tolist():
+    for u in paired[_has_d_walk(edges[paired])].tolist():
         cyc = _first_cycle([np.flatnonzero(row).tolist() for row in edges[u]])
         if cyc:
             out.append((tree.ids[u], cyc))
@@ -1178,6 +1240,19 @@ _CHECKS = ("sandwich-lower", "sandwich-upper", "increment-sign", "flat-off-lower
            "flat-off-upper", "identity", "martingale")
 
 
+def _node_rates(problem: ObliqueProblem, y: np.ndarray) -> np.ndarray:
+    """``f^j(t_u, Y_u)`` at every parent u as rows of an ``(n_nodes, d)``
+    array (a leaf's row is left unset): one generator call per mode and
+    time index, at the level's parents in the walk's order."""
+    rates = np.empty(y.shape)
+    for t, parents in enumerate(problem.tree.arrays.parents[:problem.tree.n_steps]):
+        if parents.size:
+            rows = tuple(y[parents].T)
+            for j, f in enumerate(problem.generators):
+                rates[parents, j] = _per_row(f(t, rows), parents.shape)
+    return rates
+
+
 def verify_minimality(
     problem: ObliqueProblem,
     solution: SystemSolution,
@@ -1192,71 +1267,79 @@ def verify_minimality(
     supplied solutions as well as solver output.  A NaN anywhere makes its
     residual NaN, which fails every tolerance and is reported.
 
-    The residuals are computed a level at a time on the tree's arrays, the
-    children of a level added slot by slot in the walk's order.  Violations
-    are listed by node, then mode, then check (``_CHECKS`` order), then
-    child, and the binding cycles after them.
+    Each residual is one array over the whole tree: the sandwich at every
+    node, the pushes and flat-off products at every parent, the identity
+    at every edge, and the martingale sum at every parent, its children
+    added slot by slot in the walk's order.  Violations are listed by
+    node, then mode, then check (``_CHECKS`` order), then child, and the
+    binding cycles after them.
     """
     tree = problem.tree
     arrays = tree.arrays
-    dt = tree.dt
     y, k, a, m = (solution.y_columns, solution.k_columns, solution.a_columns,
                   solution.m_columns)
     upper, v = problem.upper_columns, problem.v_columns
-    h = _by_level(problem, y)
-    sandwich_lower, sandwich_upper = h - y, y - upper
     found = _Findings(tree)
 
-    def note(check: int, nodes: np.ndarray | None, values: np.ndarray,
-             message: Callable[[int, int], str], at: np.ndarray | None = None):
-        """Note the entries of ``values`` (rows ``nodes``, mode columns) above
-        tol; ``at`` holds the node each row's violation names, when not the
+    def note(check: int, values: np.ndarray, message: Callable[[int, int], str],
+             rows: np.ndarray | None = None, at: np.ndarray | None = None) -> float:
+        """Note the entries of ``values`` (node ``rows[i]`` in row i, node i
+        without ``rows``; mode columns) above tol, and return their worst;
+        ``at`` holds the node each row's violation names, when not the
         row's own node."""
-        found.note(check, _CHECKS[check], ~(values <= tol), message, nodes, at)
+        found.note(check, _CHECKS[check], ~(values <= tol), message, rows, at)
+        return _worst(values)
 
-    note(0, None, sandwich_lower,
-         lambda i, j: f"H^{j}(Y) - Y^{j} = {sandwich_lower[i, j]:.3g}")
-    note(1, None, sandwich_upper,
-         lambda i, j: f"Y^{j} - U^{j} = {sandwich_upper[i, j]:.3g}")
+    # every parent, with its first child's pushes (they are predictable)
+    parents = np.flatnonzero(np.diff(arrays.child_ptr))
+    first = arrays.child_ptr[parents]
+    count = arrays.child_ptr[parents + 1] - first
+    kids = arrays.child_index[first]
 
-    worst_id = worst_mart = 0.0
-    worst_neg = worst_fl = worst_fu = 0.0
-    for t in range(tree.n_steps):
-        parents = arrays.parents[t]
-        if not parents.size:
-            continue
-        first = arrays.child_ptr[parents]
-        count = arrays.child_ptr[parents + 1] - first
-        kids = arrays.child_index[first]
-        dk, da = k[kids], a[kids]
-        neg = np.where((-da > -dk) | (-da != -da), -da, -dk)   # _worse(-dk, -da)
-        flat_lower = np.abs(dk * (y[parents] - h[parents]))
-        flat_upper = np.abs(da * (upper[parents] - y[parents]))
-        note(2, parents, neg,
-             lambda i, j: f"negative increment {min(dk[i, j], da[i, j]):.3g}")
-        note(3, parents, flat_lower,
-             lambda i, j: f"dK * (Y - H(Y)) = {flat_lower[i, j]:.3g}")
-        note(4, parents, flat_upper,
-             lambda i, j: f"dA * (U - Y) = {flat_upper[i, j]:.3g}")
-        rows = tuple(y[parents].T)
-        rates = np.column_stack([np.broadcast_to(f(t, rows), parents.shape)
-                                 for f in problem.generators])
-        mart = np.zeros(y[parents].shape)
-        for slot in range(count.max()):
-            at = np.flatnonzero(count > slot)
-            edge = first[at] + slot
-            c = arrays.child_index[edge]
-            resid = y[parents[at]] - (y[c] + rates[at] * dt + v[c] + k[c] - a[c] - m[c])
-            note(5, parents[at], np.abs(resid),
-                 lambda i, j: f"backward identity residual {resid[i, j]:.3g}", c)
-            worst_id = _worse(worst_id, _worst(np.abs(resid)))
-            mart[at] += arrays.child_prob[edge, None] * m[c]
-        note(6, parents, np.abs(mart),
-             lambda i, j: f"E[dM | parent] = {mart[i, j]:.3g}")
-        worst_mart = _worse(worst_mart, _worst(np.abs(mart)))
-        worst_neg = _worse(worst_neg, _worst(neg))
-        worst_fl = _worse(worst_fl, _worst(flat_lower))
-        worst_fu = _worse(worst_fu, _worst(flat_upper))
+    h = _node_obstacle(problem, y)
+    gap = h - y
+    worst_lower = note(0, gap, lambda i, j: f"H^{j}(Y) - Y^{j} = {gap[i, j]:.3g}")
+    off_lower = y[parents] - h[parents]
+    del h   # each whole-tree array is freed once read, to keep the peak low
+    np.subtract(y, upper, out=gap)
+    worst_upper = note(1, gap, lambda i, j: f"Y^{j} - U^{j} = {gap[i, j]:.3g}")
+    del gap
+
+    dk, da = k[kids], a[kids]
+    worst_neg = note(2, np.where((-da > -dk) | (-da != -da), -da, -dk),   # _worse(-dk, -da)
+                     lambda i, j: f"negative increment {min(dk[i, j], da[i, j]):.3g}",
+                     parents)
+    flat = np.abs(dk * off_lower)
+    worst_flat_lower = note(3, flat, lambda i, j: f"dK * (Y - H(Y)) = {flat[i, j]:.3g}",
+                            parents)
+    flat = np.abs(da * (upper[parents] - y[parents]))
+    worst_flat_upper = note(4, flat, lambda i, j: f"dA * (U - Y) = {flat[i, j]:.3g}",
+                            parents)
+    del off_lower, dk, da, flat
+
+    # the identity at every edge, y[owner] - (y[c] + f dt + v[c] + k[c] - a[c]
+    # - m[c]), its terms added in that order into one array
+    owner, c = arrays.child_owner, arrays.child_index
+    resid = _node_rates(problem, y)[owner]
+    resid *= tree.dt
+    np.add(y[c], resid, out=resid)
+    resid += v[c]
+    resid += k[c]
+    resid -= a[c]
+    resid -= m[c]
+    np.subtract(y[owner], resid, out=resid)
+    worst_identity = note(5, np.abs(resid),
+                          lambda i, j: f"backward identity residual {resid[i, j]:.3g}",
+                          owner, c)
+    del resid
+
+    mart = np.zeros((parents.size, problem.d))
+    for slot in range(count.max(initial=0)):
+        at = np.flatnonzero(count > slot)
+        edge = first[at] + slot
+        mart[at] += arrays.child_prob[edge, None] * m[arrays.child_index[edge]]
+    worst_mart = note(6, np.abs(mart), lambda i, j: f"E[dM | parent] = {mart[i, j]:.3g}",
+                      parents)
 
     violations = found.take()
     cycles = (
@@ -1269,12 +1352,12 @@ def verify_minimality(
             Violation("binding-cycle", f"modes {list(cyc)} bind in a cycle", nid)
         )
     return MinimalityReport(
-        worst_identity=worst_id,
+        worst_identity=worst_identity,
         worst_martingale=worst_mart,
-        worst_sandwich_lower=_worst(sandwich_lower),
-        worst_sandwich_upper=_worst(sandwich_upper),
-        worst_flat_off_lower=worst_fl,
-        worst_flat_off_upper=worst_fu,
+        worst_sandwich_lower=worst_lower,
+        worst_sandwich_upper=worst_upper,
+        worst_flat_off_lower=worst_flat_lower,
+        worst_flat_off_upper=worst_flat_upper,
         worst_negative_increment=worst_neg,
         binding_cycles=cycles,
         violations=tuple(violations),

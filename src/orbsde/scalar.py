@@ -234,9 +234,15 @@ def _root_find_batch(
     def retire(done, x, *active):
         """Store ``x`` as the root of the done elements and return the
         ``active`` arrays cut to the elements still running (the arrays
-        themselves when none is done)."""
+        themselves when none is done, or when all are: then no element
+        runs on and nothing is cut)."""
         nonlocal idx
-        if not done.any():
+        finished = np.count_nonzero(done)
+        if not finished:
+            return active
+        if finished == done.size:
+            root[idx] = x
+            idx = idx[:0]
             return active
         root[idx[done]] = x[done]
         keep = ~done
@@ -472,8 +478,12 @@ def _note_non_finite(
     ``columns`` at every node, the increments ``dv`` (on the edge into each
     node) at the parent that decides them, and the terminal rows ``xi`` at
     the leaves ``given``.  One argwhere, in (node, mode, datum) order; the
-    message is ``name^j = value``, or ``name = value`` without modes."""
+    message is ``name^j = value``, or ``name = value`` without modes.
+    Finite data, the common case, are seen by one check per datum."""
     arrays, n = tree.arrays, tree.n_nodes
+    if (all(np.isfinite(col).all() for col in columns.values())
+            and np.isfinite(dv[arrays.child_first]).all() and np.isfinite(xi).all()):
+        return
     decided, at_leaves = np.zeros(dv.shape), np.zeros(dv.shape)
     decided[arrays.child_owner] = dv[arrays.child_first]   # a parent's first child
     at_leaves[given] = xi
@@ -694,9 +704,12 @@ def _project(
     dK = phi(lo)^+, and otherwise a root above ``hi`` is lowered to it
     with dA = (-phi(hi))^+, the pushes that make the step's identity exact
     at the projected value."""
-    below = np.flatnonzero(y < lo)
-    above = np.flatnonzero((y > hi) & ~(y < lo))
+    low = y < lo
+    high = (y > hi) & ~low
     dk, da = np.zeros(y.size), np.zeros(y.size)
+    if not (low.any() or high.any()):   # every root inside: nothing to project
+        return y, dk, da
+    below, above = np.flatnonzero(low), np.flatnonzero(high)
     if below.size:
         dk[below] = _positive(phi(lo[below], below))
     if above.size:

@@ -13,7 +13,10 @@ The invocations run in process through ``orbsde.cli.main``: ``solve``,
 benchmark's shapes (``perfbench/workloads.py``) at several seeds and
 sizes and on an explicit tree (terminal table or price-affine),
 ``verify --solution`` on solution files edited in every way the loader
-must either read exactly as before or refuse with the same message,
+must either read exactly as before or refuse with the same message, and
+on switch2x2 files edited to break each minimality check (and all of
+them at once) and an oracle-binomial file whose two modes bind in a
+cycle, so that the violation messages and their order are digested,
 scenarios the commands refuse, oracle-chain with each input of the
 scenario-to-problem path edited (accepted or refused), the oracle shapes
 with start mode 1 refused (not mode 0) under ``brute-force`` and
@@ -35,6 +38,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -119,6 +123,51 @@ def _edits(text: str) -> dict[str, str]:
         "header-only": header,
         "empty": "",
     }
+
+
+def _set_cells(text: str, changes: list[tuple[list[str], int, str, Callable]]) -> str:
+    """A solution file with, for each ``(nodes, mode, column, change)``,
+    the column (y, dk, da or dm) of each node's row of the mode replaced
+    by ``change`` of its value."""
+    header, *rows = text.splitlines(keepends=True)
+    cells = [row.rstrip("\n").split(",") for row in rows]
+    at = {(fields[0], int(fields[3])): fields for fields in cells}
+    for nodes, mode, column, change in changes:
+        col = ("y", "dk", "da", "dm").index(column) + 4
+        for node in nodes:
+            at[node, mode][col] = repr(change(float(at[node, mode][col])))
+    return header + "".join(",".join(fields) + "\n" for fields in cells)
+
+
+def _minimality_edits(text: str) -> dict[str, str]:
+    """switch2x2 solution files edited to break each check of
+    ``verify_minimality`` (a push edited on both children of a parent, so
+    that the loader reads it), and all of these edits at once."""
+    checks = {
+        "sandwich-lower": (["r"], 0, "y", lambda y: -5.0),
+        "sandwich-upper": (["ru"], 1, "y", lambda y: 5.0),
+        "increment-sign": (["rd", "ru"], 0, "dk", lambda dk: -0.25),
+        "flat-off-lower": (["rd", "ru"], 1, "dk", lambda dk: 0.25),
+        "flat-off-upper": (["rd", "ru"], 0, "da", lambda da: 0.25),
+        "identity": (["rdd"], 0, "y", lambda y: y + 0.01),
+        "martingale": (["rdd", "rdu"], 1, "dm", lambda dm: dm + 0.125),
+    }
+    edits = {name: _set_cells(text, [change]) for name, change in checks.items()}
+    edits["all-minimality"] = _set_cells(text, list(checks.values()))
+    return edits
+
+
+def _binding_cycle() -> tuple[str, dict, dict]:
+    """(label, scenario, edited scenario) of oracle-binomial and of the
+    same with switching costs of 1e-11 and one terminal for both modes
+    (valid: d = 2 has no triangle).  The edited scenario runs under
+    ``verify --solution`` with the first one's solution, its root row
+    made equal in both modes, where the two modes then bind in a cycle."""
+    spec = dict(workloads.oracle_small(1))["oracle-binomial"]
+    edited = copy.deepcopy(spec)
+    edited["costs"] = [[0.0, 1e-11], [1e-11, 0.0]]
+    edited["terminal"] = {"kind": "price-affine", "a": [0.0, 0.0], "b": [1.0, 1.0]}
+    return "oracle-binomial-binding-cycle", spec, edited
 
 
 def _explicit() -> list[tuple[str, dict]]:
@@ -297,6 +346,8 @@ def main_digests() -> None:
             edits = (_edits(solved.read_text()) if label in (
                 "switch2x2", "picard-coupled-s1", "oracle-chain-s1")
                 else {"as-written": solved.read_text()})
+            if label == "switch2x2":
+                edits.update(_minimality_edits(solved.read_text()))
             for name, text in edits.items():
                 edited = work / f"e{i}-{name}.csv"
                 edited.write_bytes(text.encode())
@@ -318,6 +369,17 @@ def main_digests() -> None:
             lines.append(invoke(f"{label} verify --solution",
                                 ["verify", path, "--solution", solved / "solution.csv"],
                                 work / f"mo{i}-verify"))
+        label, spec, edited = _binding_cycle()
+        base, path = work / "c-base.json", work / "c.json"
+        base.write_text(json.dumps(spec))
+        path.write_text(json.dumps(edited))
+        main(["solve", str(base), "--out", str(work / "co-solve")])
+        text = (work / "co-solve" / "solution.csv").read_text()
+        root_y = next(row.split(",")[4] for row in text.splitlines()[1:])
+        cyclic = work / "c-solution.csv"
+        cyclic.write_text(_set_cells(text, [(["r"], 1, "y", lambda y: float(root_y))]))
+        lines.append(invoke(f"{label} verify --solution", ["verify", path, "--solution", cyclic],
+                            work / "co-verify"))
     print("\n".join(lines))
 
 

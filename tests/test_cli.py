@@ -1014,6 +1014,35 @@ def test_refused_arguments_exit_2_with_a_diagnostic(scenarios_dir, tmp_path,
     assert read_json(tmp_path / "orbsde_out" / "diagnostic.json") == payload
 
 
+def test_one_parser_serves_refused_and_accepted_calls_alike(scenarios_dir, tmp_path,
+                                                            monkeypatch, capsys):
+    # main builds its parser once per process; a refused call before or
+    # after an accepted one writes what each writes alone
+    scenario = scenarios_dir / "switch2x2.json"
+    calls = {"refused": ["solve", scenario, "--max-sweeps", "1.5"],
+             "accepted": ["solve", scenario]}
+
+    def written(name: str, out: Path) -> tuple:
+        code = run(*calls[name], "--out", out)
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return code, capsys.readouterr().err, files
+
+    alone = {}
+    for name in calls:
+        orbsde.cli._parser.cache_clear()
+        alone[name] = written(name, tmp_path / f"alone-{name}")
+    built = []
+    monkeypatch.setattr(orbsde.cli, "build_parser", lambda build=orbsde.cli.build_parser: (
+        built.append(1) or build()))
+    orbsde.cli._parser.cache_clear()
+    for order in (("refused", "accepted"), ("accepted", "refused")):
+        for name in order:
+            assert written(name, tmp_path / f"{'-'.join(order)}-{name}") == alone[name]
+    assert alone["refused"][0] == 2 and alone["accepted"][0] == 0
+    assert "usage: orbsde" in alone["refused"][1]
+    assert len(built) == 1
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as done:
         run("solve", "-h")
