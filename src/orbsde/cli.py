@@ -56,6 +56,7 @@ from .reporting import (
 from .scalar import (
     ScalarSolution,
     _penalized_solve,
+    _stopping_times_by_start,
     _worse,
     verify_snell_representation,
 )
@@ -275,11 +276,12 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
         # there first; checked before the d mode problems are built
         _check_stopping_caps(tree, tree.root, depth_cap, count_cap)
         worst_gap = 0.0
+        times = _stopping_times_by_start(tree, depth_cap, count_cap)   # shared by the modes
         for j in range(d):
             column = ScalarSolution(solution.y[j], solution.m_increments[j],
                                     solution.k[j], solution.a[j])
             gap = verify_snell_representation(
-                mode_problem(problem, solution, j), column, depth_cap, count_cap
+                mode_problem(problem, solution, j), column, depth_cap, count_cap, times
             )
             worst_gap = _worse(worst_gap, gap)
         results["checks"]["snell_representation_gap"] = worst_gap

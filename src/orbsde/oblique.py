@@ -102,7 +102,9 @@ from .scalar import (
     _leaf_array,
     _leaf_entries,
     _note_non_finite,
+    _per_index,
     _project,
+    _restricted,
     _root_find_batch,
     _worse,
 )
@@ -393,9 +395,11 @@ def _probe_table(problem: ObliqueProblem,
     midpoint, with the pairs where f^j rises in y^j or falls in another
     y^k; line d is the diagonal at each grid point and CONTINUITY_STEP
     above it.  The verdicts of every line come from one array comparison
-    over all (mode, time index, line) at once (:func:`_line_verdicts`).
-    ``xi`` is the terminal rows the validator has gathered; without them,
-    they are gathered here."""
+    over all (mode, time index, line) at once (:func:`_line_verdicts`);
+    the values array and those verdicts (by (mode, time index, line), only
+    for the lines that have one) are kept in ``problem._verdicts["probe
+    values"]`` for the validator.  ``xi`` is the terminal rows the
+    validator has gathered; without them, they are gathered here."""
     if "probes" not in problem._verdicts:
         d, n_steps = problem.d, problem.tree.n_steps
         if xi is None:
@@ -426,6 +430,7 @@ def _probe_table(problem: ObliqueProblem,
         table = {key: [(line, *verdicts.get((*key, k), (None, [])))
                        for k, line in enumerate(rows)] for key, rows in lines.items()}
         problem._verdicts["probes"] = grid, table
+        problem._verdicts["probe values"] = values, verdicts
     return problem._verdicts["probes"]
 
 
@@ -525,34 +530,50 @@ def validate_problem(problem: ObliqueProblem) -> list[Violation]:
         f"xi^{j} = {xi[i, j]:.17g} > U^{j}_T = {upper_t[i, j]:.17g}"), rows=given)
     out.extend(found.take())
 
-    grid, probes = _probe_table(problem, xi)
-    non_finite = [Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
-                            time_index=t, mode=j)
-                  for (j, t), lines in probes.items()
-                  if (bad := [b for _, b, _ in lines if b is not None])]
+    grid, _ = _probe_table(problem, xi)
+    values, verdicts = problem._verdicts["probe values"]
+    # the first non-finite value of each (mode, time index), in line order
+    non_finite = {}
+    for (j, t, _), (bad, _) in sorted(verdicts.items()):
+        if bad is not None:
+            non_finite.setdefault((j, t), Violation(
+                "non-finite", f"f^{j} = {bad} at a probe point", time_index=t, mode=j))
     if non_finite:
-        return out + non_finite
-    readers = _readers(problem)
-    unread = [[k for k in range(d) if k != j and j not in readers[k]] for j in range(d)]
-    for (j, t), (*moved, (diagonal, _, _)) in probes.items():
-        for k, (_, _, against) in enumerate(moved):
+        return out + list(non_finite.values())
+    # by (mode, time index): the monotonicity pairs of each moved line,
+    # then the jumps over the continuity step at each grid point, then the
+    # components read that the declared reads leave out
+    found = []
+    for (j, t, k), (_, pairs) in verdicts.items():
+        if k < d:
             code, how = (
                 ("generator-on-diagonal", "increases in its own component")
                 if k == j else
                 ("generator-off-diagonal", f"decreases in component {k}")
             )
-            out.extend(Violation(code, f"f^{j} {how} between {lo_y} and {hi_y}",
-                                 time_index=t, mode=j) for lo_y, hi_y in against)
-        out.extend(
-            Violation("generator-continuity", f"f^{j} jumps by {abs(above - at):.3g} "
-                      f"over step {CONTINUITY_STEP} near {y0}", time_index=t, mode=j)
-            for y0, at, above in zip(grid, diagonal[0::2], diagonal[1::2])
-            if abs(above - at) > 1.0
-        )
-        out.extend(Violation("generator-reads", f"f^{j} reads component {k}, "
-                             "which its declared reads leave out", time_index=t, mode=j)
-                   for k in _seen_reading(moved, unread[j]))
-    return out
+            found.extend(((j, t, 0, k, i), Violation(
+                code, f"f^{j} {how} between {lo_y} and {hi_y}", time_index=t, mode=j))
+                for i, (lo_y, hi_y) in enumerate(pairs))
+    n = len(grid)
+    diagonal, moved = values[:, :, d * n:], values[:, :, :d * n].reshape(d, -1, d, n)
+    with np.errstate(all="ignore"):   # a difference may overflow, as floats do
+        jumps = np.abs(diagonal[..., 1::2] - diagonal[..., 0::2])
+        spread = moved.max(axis=-1) - moved.min(axis=-1)
+    for j, t, g in np.argwhere(jumps > 1.0).tolist():
+        found.append(((j, t, 1, g), Violation(
+            "generator-continuity", f"f^{j} jumps by {jumps[j, t, g]:.3g} over step "
+            f"{CONTINUITY_STEP} near {grid[g]}", time_index=t, mode=j)))
+    # f^j is seen to read component k when its line k moves it by more
+    # than PROBE_TOL (every value is finite here)
+    readers = _readers(problem)
+    unread = np.array([[k != j and j not in readers[k] for k in range(d)]
+                       for j in range(d)])
+    reads = (spread > PROBE_TOL) & unread[:, None, :]
+    for j, t, k in np.argwhere(reads).tolist():
+        found.append(((j, t, 2, k), Violation(
+            "generator-reads", f"f^{j} reads component {k}, "
+            "which its declared reads leave out", time_index=t, mode=j)))
+    return out + [violation for _, violation in sorted(found, key=lambda f: f[0])]
 
 
 # the start rule: the corner, then lowered tenfold at most seven times
@@ -605,32 +626,31 @@ def _mode_residual(
     ``rows``, in mode-major blocks: element ``b * m + s`` is mode
     ``modes[b]`` at row s, with target ``target[b * m + s]``.  Each block
     goes to its own mode's generator (``scalar._blockwise``); one mode
-    calls its generator directly."""
+    calls its generator directly.  The targets and the other components
+    are gathered once per index object (``scalar._per_index``)."""
     dt, m = problem.tree.dt, len(rows)
     cols = tuple(rows.T)
-    if len(modes) == 1:   # one block: the generator's own call
-        j, = modes
-        f = problem.generators[j]
-
-        def phi_j(x, idx):
-            return x - f(t, tuple(x if k == j else col[idx]
-                                  for k, col in enumerate(cols))) * dt - target[idx]
-
-        return phi_j
 
     def block(b: int, j: int):
         f = problem.generators[j]
 
-        def fj(x, idx):
+        @_per_index
+        def frozen(idx):   # the other components at the elements' rows
             at = idx - b * m if b else idx
-            return f(t, tuple(x if k == j else col[at] for k, col in enumerate(cols)))
+            return (tuple(col[at] for col in cols[:j]),
+                    tuple(col[at] for col in cols[j + 1:]))
+
+        def fj(x, idx):
+            before, after = frozen(idx)
+            return f(t, (*before, x, *after))
 
         return fj
 
-    fns = [block(b, j) for b, j in enumerate(modes)]
+    values = _blockwise([block(b, j) for b, j in enumerate(modes)], m)
+    at = _per_index(target.__getitem__)
 
     def phi(x, idx):
-        return x - _blockwise(fns, m, x, idx) * dt - target[idx]
+        return x - values(x, idx) * dt - at(idx)
 
     return phi
 
@@ -974,8 +994,8 @@ def _level_rounds(
                 roots[:, j] = _root_find_batch(phi, tg[:, j], RESIDUAL_TOL)
             elif stale[:, j].any():
                 find = np.flatnonzero(stale[:, j])
-                roots[find, j] = _root_find_batch(lambda x, i: phi(x, find[i]),
-                                                  tg[find, j], RESIDUAL_TOL)
+                roots[find, j] = _root_find_batch(_restricted(phi, find), tg[find, j],
+                                                  RESIDUAL_TOL)
             stale[:, j] = False
             val, pk[:, j], pa[:, j] = _project(phi, roots[:, j].copy(),
                                                _obstacle_column(problem, t, rows, j), up[:, j])
@@ -1029,7 +1049,7 @@ def _find_ahead(problem: ObliqueProblem, t: int, live: list, modes: Sequence[int
     phi = _mode_residual(problem, t, rows, modes, target)
     try:
         found = (_root_find_batch(phi, target, RESIDUAL_TOL) if find.size == target.size
-                 else _root_find_batch(lambda x, i: phi(x, find[i]), target[find],
+                 else _root_find_batch(_restricted(phi, find), target[find],
                                        RESIDUAL_TOL))
     except Exception:
         return

@@ -222,14 +222,29 @@ def _root_find_batch(
     loop's own step on each element (the mid, its exit tests and the new
     bracket), with no tree to build or walk.  ``idx`` is therefore
     non-decreasing but may repeat an element, once per point of its tree,
-    and ``phi`` sees points beyond where an element stops.
+    and ``phi`` sees points beyond where an element stops.  The ulp-width
+    stall guard is computed only on the steps where some bracket can
+    reach it (:func:`_guard_free_steps`).
+
+    The residual protocol: ``phi`` gets the same ``idx`` object for as long
+    as the elements it stands for are unchanged (every call while no element
+    retires, and a block's repeated indices while the depth stays), and no
+    ``idx`` is written into, so a residual may gather its per-element data
+    once per index object (:func:`_per_index`).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     root = np.empty_like(x0)
     idx = np.arange(x0.size)
 
-    def tight(x):   # fmin/fmax pass over a NaN, as the scalar min/max do
-        return np.fmin(tol, 4e-15 * np.fmax(1.0, np.abs(x)))
+    def exact(f, x):
+        """The scalar exit test |f| <= min(tol, 4e-15 max(1, |x|)), the
+        second bound computed only when some |f| is within tol (fmax
+        passes over a NaN x, as the scalar max does)."""
+        size = np.abs(f)
+        near = size <= tol
+        if near.any():
+            near &= size <= 4e-15 * np.fmax(1.0, np.abs(x))
+        return near
 
     def retire(done, x, *active):
         """Store ``x`` as the root of the done elements and return the
@@ -253,12 +268,12 @@ def _root_find_batch(
     if not np.isfinite(f0).all():
         bad = float(x0[~np.isfinite(f0)][0])
         raise BracketingError(f"residual not finite at {bad}")
-    x0, f0 = retire(np.abs(f0) <= tight(x0), x0, x0, f0)
+    x0, f0 = retire(exact(f0, x0), x0, x0, f0)
     if not idx.size:   # every probe exact: no residual call on empty arrays
         return root
     x1 = x0 - f0
     f1 = phi(x1, idx)
-    x0, f0, x1, f1 = retire(np.abs(f1) <= tight(x1), x1, x0, f0, x1, f1)
+    x0, f0, x1, f1 = retire(exact(f1, x1), x1, x0, f0, x1, f1)
     if not idx.size:
         return root
     # the secant step where f1 != f0, elsewhere (x2, f2) = (x1, f1); with
@@ -271,8 +286,7 @@ def _root_find_batch(
         f2, sec = f1.copy(), np.flatnonzero(sec)
         if sec.size:
             f2[sec] = phi(x2[sec], idx[sec])
-    x0, f0, x1, f1, x2, f2 = retire(np.abs(f2) <= tight(x2), x2,
-                                    x0, f0, x1, f1, x2, f2)
+    x0, f0, x1, f1, x2, f2 = retire(exact(f2, x2), x2, x0, f0, x1, f1, x2, f2)
     if not idx.size:
         return root
 
@@ -303,27 +317,37 @@ def _root_find_batch(
         hi[seek[take]], has_hi[seek[take]] = probe[take], True
         step *= 2.0
 
+    # the halvings ahead on which no bracket's stall guard can fire
+    free = _guard_free_steps(hi - lo, _guard_bound(lo, hi))
+    repeated = None   # a block's indices, (idx, depth, array)
     while idx.size:
         depth = _block_depth(idx.size)
         if depth == 1:   # one halving per call: the scalar loop's own step
             mid = 0.5 * (lo + hi)
             fm = phi(mid, idx)
-            # the bracket's larger magnitude is max(-lo, hi) when lo <= hi;
-            # otherwise hi - lo < 0 and the stall guard holds either way
-            stop = (np.abs(fm) <= tight(mid)) | (
-                hi - lo <= 4e-16 * np.fmax(np.fmax(1.0, -lo), hi))
+            stop = exact(fm, mid)
+            if free:
+                free -= 1
+            else:
+                width, bound = hi - lo, _guard_bound(lo, hi)
+                stop |= width <= 4e-16 * bound
+                free = max(0, _guard_free_steps(width, bound, ~stop) - 1)
             down = fm > 0.0
             lo, hi = retire(stop, mid, np.where(down, lo, mid), np.where(down, mid, hi))
             continue
         edges = _bisection_edges(lo, hi, depth)
         mids = edges[:, 1:-1]
-        fs = phi(mids.ravel(), np.repeat(idx, mids.shape[1])).reshape(mids.shape)
+        if repeated is None or repeated[0] is not idx or repeated[1] != depth:
+            repeated = idx, depth, np.repeat(idx, mids.shape[1])
+        fs = phi(mids.ravel(), repeated[2]).reshape(mids.shape)
         # the scalar loop's exit tests and its step at every mid, by column
-        below, above = _node_brackets(depth)
-        tree_lo, tree_hi = edges[:, below], edges[:, above]
         stop, down = np.zeros(edges.shape, bool), np.zeros(edges.shape, bool)
-        stop[:, 1:-1] = (np.abs(fs) <= tight(mids)) | (tree_hi - tree_lo <= 4e-16 * (
-            np.fmax(np.fmax(1.0, np.abs(tree_lo)), np.abs(tree_hi))))
+        stop[:, 1:-1] = exact(fs, mids)
+        if free < depth:
+            below, above = _node_brackets(depth)
+            tree_lo, tree_hi = edges[:, below], edges[:, above]
+            stop[:, 1:-1] |= tree_hi - tree_lo <= 4e-16 * (
+                np.fmax(np.fmax(1.0, np.abs(tree_lo)), np.abs(tree_hi)))
         # f > 0 takes the lower half; anything else, NaN included, the upper
         down[:, 1:-1] = fs > 0.0
         stop, down, flat = stop.ravel(), down.ravel(), edges.ravel()
@@ -336,6 +360,8 @@ def _root_find_batch(
         stops = stop[path]   # an element ends at the first mid on its path that stops
         end = path[stops.argmax(axis=0), np.arange(idx.size)]
         lo, hi = retire(stops.any(axis=0), flat[end], flat[left], flat[left + 1])
+        free = (free - depth if free >= depth
+                else _guard_free_steps(hi - lo, _guard_bound(lo, hi)))
     return root
 
 
@@ -350,6 +376,40 @@ def _block_depth(n: int) -> int:
     """The largest k <= _BLOCK_DEPTH with n (2^k - 1) <= _BLOCK_POINTS, and
     at least 1."""
     return max(1, min(_BLOCK_DEPTH, (_BLOCK_POINTS // n + 1).bit_length() - 1))
+
+
+# The stall guard fires on a bracket [lo, hi] when hi - lo <= 4e-16 B, B =
+# max(1, |lo|, |hi|).  Take ends that are finite, below 1e307 in magnitude
+# (so lo + hi does not overflow and each mid lies in its bracket) and
+# lo < hi.  Brackets only shrink, so B never grows.  A halving's mid
+# 0.5 * (lo + hi) is within 2^-53 B of the true midpoint, so the exact
+# width w_j after j halvings is at least w / 2^j - 2^-52 B, and the computed
+# width hi - lo is within a factor 1 - 2^-53 of the exact one.  So the guard
+# cannot fire on the j-th bracket after this one while
+#     w / 2^j > (4e-16 + 2^-52) (1 + 4 * 2^-53) B = 6.2205e-16 B,
+# and _GUARD_FREE is above that factor by 0.5%, a margin for the rounding
+# of w / B and of the count's own test.
+_GUARD_FREE = 6.25e-16
+
+
+def _guard_bound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The stall guard's bound max(1, -lo, hi): max(1, |lo|, |hi|) when lo
+    <= hi; otherwise hi - lo < 0 and the guard fires whatever it is."""
+    return np.fmax(np.fmax(1.0, -lo), hi)
+
+
+def _guard_free_steps(width: np.ndarray, bound: np.ndarray, where=True) -> int:
+    """The number of halvings, starting with the brackets' own step, on
+    which the stall guard ``width <= 4e-16 * bound`` fires for none of the
+    brackets (those ``where`` is true) of widths ``hi - lo`` and bounds
+    :func:`_guard_bound`: the steps j >= 0 with 2^j < min(width / bound) /
+    _GUARD_FREE (comment above).  0 when some bracket has a non-positive or
+    NaN width, or an end of magnitude 1e307 or more."""
+    ratio = float(np.min(width / bound, initial=np.inf, where=where))
+    if not (ratio > _GUARD_FREE and float(bound.max(initial=0.0, where=where)) < 1e307):
+        return 0
+    mantissa, exponent = math.frexp(ratio / _GUARD_FREE)   # a 2^(e - 1) < ... < 2^e
+    return exponent if mantissa > 0.5 else exponent - 1
 
 
 def _bisection_edges(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
@@ -379,21 +439,53 @@ def _node_brackets(depth: int) -> tuple[np.ndarray, np.ndarray]:
     return below, above
 
 
-def _blockwise(fns: Sequence[Callable], block: int, x: np.ndarray,
-               idx: np.ndarray) -> np.ndarray:
+def _per_index(gather: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """``gather(idx)``, computed again only when a call passes another
+    ``idx`` object than the last one: under :func:`_root_find_batch`'s
+    residual protocol, once per active set.  The last ``idx`` is held, so
+    no new array can take its identity."""
+    held, value = None, None
+
+    def at(idx):
+        nonlocal held, value
+        if idx is not held:
+            held, value = idx, gather(idx)
+        return value
+
+    return at
+
+
+def _restricted(phi: Callable, find: np.ndarray) -> Callable:
+    """The residual of ``phi``'s elements ``find`` (ascending): element i
+    is ``phi``'s element ``find[i]``.  The indices are mapped once per
+    index object, so ``phi``'s own gathers are too."""
+    at = _per_index(find.__getitem__)
+    return lambda x, idx: phi(x, at(idx))
+
+
+def _blockwise(fns: Sequence[Callable], block: int) -> Callable:
     """A residual's values over elements in contiguous blocks of ``block``,
     block b (elements ``b * block`` to ``(b + 1) * block - 1``) owned by
     ``fns[b]``: ``fns[b](x, idx)`` at the ascending ``idx`` in that block,
-    one call per block that has any, as one array (a lone block's own
-    result)."""
+    one call per block that has any, as one array; a lone function is
+    returned as it is.  The blocks' bounds and index slices are found once
+    per index object (:func:`_per_index`), so each ``fns[b]`` gets one
+    index object per active set too."""
     if len(fns) == 1:
-        return fns[0](x, idx)
-    out = np.empty(x.size)
-    at = np.searchsorted(idx, np.arange(len(fns) + 1) * block).tolist()
-    for fn, a, b in zip(fns, at, at[1:]):
-        if b > a:
-            out[a:b] = fn(x[a:b], idx[a:b])
-    return out
+        return fns[0]
+
+    @_per_index
+    def blocks(idx):
+        at = np.searchsorted(idx, np.arange(len(fns) + 1) * block).tolist()
+        return [(fn, a, b, idx[a:b]) for fn, a, b in zip(fns, at, at[1:]) if b > a]
+
+    def values(x, idx):
+        out = np.empty(x.size)
+        for fn, a, b, part in blocks(idx):
+            out[a:b] = fn(x[a:b], part)
+        return out
+
+    return values
 
 
 def implicit_step(
@@ -647,18 +739,13 @@ def _backward_walk(
     y[arrays.leaves] = terminal
     for t in range(tree.n_steps - 1, -1, -1):
         parents = arrays.parents[t]
-        first = arrays.child_ptr[parents]
-        count = arrays.child_ptr[parents + 1] - first
+        first, slots = tree.child_slots[t]   # the k-th children, slot by slot
         e = np.zeros((parents.size, cols))
-        slots = []   # the k-th children of the parents that have one
-        for slot in range(count.max(initial=0)):
-            rows = np.flatnonzero(count > slot)
-            kids = arrays.child_index[first[rows] + slot]
-            e[rows] += arrays.child_prob[first[rows] + slot, None] * y[kids]
-            slots.append((rows, kids))
-        level_y, dk, da = step(t, parents, e + dv[arrays.child_index[first]])
+        for rows, kids, prob in slots:
+            e[rows] += prob * y[kids]
+        level_y, dk, da = step(t, parents, e + dv[first])
         y[parents] = level_y
-        for rows, kids in slots:
+        for rows, kids, _ in slots:
             k[kids], a[kids], m[kids] = dk[rows], da[rows], y[kids] - e[rows]
     _read_only(y, m, k, a)
     return y, m, k, a
@@ -868,11 +955,16 @@ def _penalized_solve(
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
         # column-major: element (b * pairs + i) * size + s is pair i of
         # problem b at parents[s]; its barriers and weights are gathered
-        # once here, so that a residual call reads them at its indices
+        # once here, and a residual call's share of them once per active set
         size = parents.size
         nodes = np.tile(parents, cols)
         target = targets.T.ravel()
-        level_generators = [lambda x, idx, g=g: g(t, nodes[idx], x) for g in generators]
+
+        def on_nodes(g):
+            at = _per_index(nodes.__getitem__)
+            return lambda x, idx: g(t, at(idx), x)
+
+        generator = _blockwise([on_nodes(g) for g in generators], pairs * size)
 
         def by_element(barriers, weights):
             if barriers is None:
@@ -883,18 +975,27 @@ def _penalized_solve(
         low, p_el = by_element(lower, p_col)
         high, q_el = by_element(upper, q_col)
 
-        def penalized(x, idx):
-            val = _blockwise(level_generators, pairs * size, x, idx)
-            if low is not None:
-                term = val + p_el[idx] * _positive(low[idx] - x)
-                val = term if p_all else np.where(p_el[idx] > 0, term, val)
-            if high is not None:
-                term = val - q_el[idx] * _positive(x - high[idx])
-                val = term if q_all else np.where(q_el[idx] > 0, term, val)
-            return val
+        @_per_index
+        def at(idx):
+            """The elements' targets, and for each penalty term its
+            barriers, weights and (unless every weight is positive) the
+            mask of the positive ones; None for a term no problem has."""
+            return [target[idx]] + [
+                None if b is None else (b[idx], w[idx], None if every else w[idx] > 0)
+                for b, w, every in ((low, p_el, p_all), (high, q_el, q_all))]
 
         def phi(x, idx):
-            return x - penalized(x, idx) * dt - target[idx]
+            tg, lower_term, upper_term = at(idx)
+            val = generator(x, idx)
+            if lower_term is not None:
+                b, w, on = lower_term
+                term = val + w * _positive(b - x)
+                val = term if on is None else np.where(on, term, val)
+            if upper_term is not None:
+                b, w, on = upper_term
+                term = val - w * _positive(x - b)
+                val = term if on is None else np.where(on, term, val)
+            return x - val * dt - tg
 
         y = _root_find_batch(phi, target, RESIDUAL_TOL)
         dk = (np.where(p_el > 0, p_el * _positive(low - y) * dt, 0.0)
@@ -914,6 +1015,7 @@ def verify_snell_representation(
     solution: ScalarSolution,
     max_depth: int = 4,
     max_count: int = 10**6,
+    stopping_times: Callable[[int], Sequence] | None = None,
 ) -> float:
     """Check the optimal-stopping representation of a reflected solution.
 
@@ -928,11 +1030,17 @@ def verify_snell_representation(
     over nodes, NaN if a stopped payoff is NaN; exact up to roundoff for
     solver output.  One mode of a coupled system is checked through its
     :func:`orbsde.oblique.mode_problem`, whose generator reads the other
-    components at the node.
+    components at the node.  ``stopping_times(u)`` gives the stopping
+    times from node u; by default they are enumerated here, and the checks
+    of several problems on one tree can share one enumeration per start
+    node (:func:`_stopping_times_by_start`).
     """
     if problem.lower is None:
         raise ValueError("representation check needs a lower barrier")
     tree = problem.tree
+    if stopping_times is None:
+        stopping_times = functools.partial(enumerate_stopping_times, tree,
+                                           max_depth=max_depth, max_count=max_count)
     dt = tree.dt
     g = problem.generator
     y = solution.y.values.tolist()
@@ -962,9 +1070,18 @@ def verify_snell_representation(
 
     worst = 0.0
     for start in range(tree.n_nodes):
-        best = functools.reduce(_worse, (
-            stopped_value(st, start)
-            for st in enumerate_stopping_times(tree, start, max_depth, max_count)
-        ))
+        best = functools.reduce(_worse, (stopped_value(st, start)
+                                         for st in stopping_times(start)))
         worst = _worse(worst, abs(best - y[start]))
     return worst
+
+
+def _stopping_times_by_start(tree: EventTree, max_depth: int = 4,
+                            max_count: int = 10**6) -> Callable[[int], list]:
+    """``times(u)``: :func:`orbsde.tree.enumerate_stopping_times` from
+    node u, enumerated on the first call for u and kept, so that the
+    representation checks of several problems on ``tree`` (the modes of a
+    system) enumerate each start node once.  A start node over the caps
+    raises EnumerationCapError on every call."""
+    return functools.cache(functools.partial(enumerate_stopping_times, tree,
+                                             max_depth=max_depth, max_count=max_count))

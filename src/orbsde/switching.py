@@ -76,6 +76,7 @@ from .oblique import (
 from .scalar import (
     RESIDUAL_TOL,
     _blockwise,
+    _per_index,
     _root_find,
     _root_find_batch,
     _worse,
@@ -236,10 +237,12 @@ def _implicit_step(
     problem, t = ctx.problem, ctx.times[i]
     d, dt = problem.d, problem.tree.dt
     size = target.size // len(modes)
-    steps = [lambda y, idx, f=problem.generators[m]: f(t, (y,) * d) for m in modes]
+    values = _blockwise([lambda y, idx, f=problem.generators[m]: f(t, (y,) * d)
+                         for m in modes], size)
+    at = _per_index(target.__getitem__)
 
     def phi(y, idx):
-        return y - _blockwise(steps, size, y, idx) * dt - target[idx]
+        return y - values(y, idx) * dt - at(idx)
 
     ystar = _root_find_batch(phi, target, RESIDUAL_TOL)
     cap = np.repeat(ctx.upper[modes, i], size)

@@ -262,6 +262,27 @@ class EventTree:
         return tuple(tuple(probs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @functools.cached_property
+    def child_slots(self) -> tuple[tuple[np.ndarray, tuple], ...]:
+        """Per time index t, for a backward walk over ``arrays.parents[t]``:
+        each parent's first child, and slot k by slot k the rows (positions
+        in ``parents[t]``) of the parents that have a k-th child, those
+        children and their edge probabilities as a column.  Made on first
+        use and kept, so the walks after the first one reuse them."""
+        arrays = self._arrays
+        out = []
+        for parents in arrays.parents:
+            first = arrays.child_ptr[parents]
+            count = arrays.child_ptr[parents + 1] - first
+            slots = []
+            for slot in range(count.max(initial=0)):
+                rows = np.flatnonzero(count > slot)
+                at = first[rows] + slot
+                slots.append((rows, arrays.child_index[at], arrays.child_prob[at, None]))
+                _read_only(*slots[-1])
+            out.append((_read_only(arrays.child_index[first]), tuple(slots)))
+        return tuple(out)
+
+    @functools.cached_property
     def _parent_of(self) -> tuple[int | None, ...]:
         """Each node's parent, None at the root."""
         return tuple(None if p < 0 else p for p in self._cols.parent.tolist())

@@ -1607,6 +1607,18 @@ def test_non_finite_json_values_are_strings(scenarios_dir, tmp_path, monkeypatch
         "v": ["Infinity", "-Infinity", [1.5, "NaN"]]}
 
 
+def test_verify_enumerates_each_start_nodes_stopping_times_once(scenarios_dir, tmp_path,
+                                                               record):
+    # the d modes' representation checks share one enumeration per start
+    # node (7 nodes, 2 modes: 7 enumerations, where each mode made its own)
+    import orbsde.scalar
+
+    enumerations = record(orbsde.scalar, "enumerate_stopping_times")
+    checks = record(orbsde.cli, "verify_snell_representation")
+    assert run("verify", scenarios_dir / "switch2x2.json", "--out", tmp_path / "v") == 0
+    assert len(checks) == 2 and len(enumerations) == 7
+
+
 def test_nan_representation_gap_is_a_mismatch(scenarios_dir, tmp_path, monkeypatch):
     import math
 

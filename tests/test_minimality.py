@@ -14,6 +14,11 @@
   ``min`` and ``max``.
 - ``CostMatrix.validate`` lists the violations of a loop over time
   indices, in its order.
+- ``validate_problem``'s generator findings (first non-finite value,
+  monotonicity pairs, continuity jumps, components read that the
+  declared reads leave out) are those of the loop over the probe table's
+  (mode, time index) entries it replaced, ``loop_generator_report``,
+  message by message and in its order.
 - The check holds no ``(n_nodes, d, d)`` float array: its traced peak
   stays below a few ``(n_nodes, d)`` arrays.
 """
@@ -33,6 +38,7 @@ from orbsde.errors import Violation
 from orbsde.oblique import (
     _CHECKS,
     BINDING_TOL,
+    CONTINUITY_STEP,
     CostMatrix,
     SystemSolution,
     _first_cycle,
@@ -40,7 +46,10 @@ from orbsde.oblique import (
     _obstacle,
     _probe_box,
     _probe_table,
+    _readers,
+    _seen_reading,
     _worst,
+    validate_problem,
     binding_graph_cycles,
 )
 from orbsde.scalar import _Findings, _probe, _worse
@@ -422,3 +431,78 @@ def test_minimality_check_holds_no_d_by_d_float_array():
         tracemalloc.stop()
     # one (n_nodes, d, d) float array is 3 of these
     assert peak < 6 * solution.y_columns.nbytes
+
+
+def loop_generator_report(problem) -> list[Violation]:
+    """The generator findings of ``validate_problem`` as a loop over the
+    probe table's (mode, time index) entries."""
+    grid, probes = _probe_table(problem)
+    d = problem.d
+    non_finite = [Violation("non-finite", f"f^{j} = {bad[0]} at a probe point",
+                            time_index=t, mode=j)
+                  for (j, t), lines in probes.items()
+                  if (bad := [b for _, b, _ in lines if b is not None])]
+    if non_finite:
+        return non_finite
+    out = []
+    readers = _readers(problem)
+    unread = [[k for k in range(d) if k != j and j not in readers[k]] for j in range(d)]
+    for (j, t), (*moved, (diagonal, _, _)) in probes.items():
+        for k, (_, _, against) in enumerate(moved):
+            code, how = (
+                ("generator-on-diagonal", "increases in its own component")
+                if k == j else
+                ("generator-off-diagonal", f"decreases in component {k}")
+            )
+            out.extend(Violation(code, f"f^{j} {how} between {lo_y} and {hi_y}",
+                                 time_index=t, mode=j) for lo_y, hi_y in against)
+        out.extend(
+            Violation("generator-continuity", f"f^{j} jumps by {abs(above - at):.3g} "
+                      f"over step {CONTINUITY_STEP} near {y0}", time_index=t, mode=j)
+            for y0, at, above in zip(grid, diagonal[0::2], diagonal[1::2])
+            if abs(above - at) > 1.0
+        )
+        out.extend(Violation("generator-reads", f"f^{j} reads component {k}, "
+                             "which its declared reads leave out", time_index=t, mode=j)
+                   for k in _seen_reading(moved, unread[j]))
+    return out
+
+
+def _finite_line(rng: random.Random, size: int) -> list[float]:
+    """Values with ties, jumps above 1 and huge entries, all finite."""
+    line = [rng.uniform(-2.0, 2.0) for _ in range(size)]
+    for i in range(size):
+        roll = rng.random()
+        if roll < 0.2:
+            line[i] = rng.choice([0.0, -0.0, 1e308, -1e308, 5.0, -5.0])
+        elif i and roll < 0.5:
+            line[i] = line[i - 1] + rng.choice([0.0, 0.0, 1e-13, 0.5])
+    return line
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generator_findings_are_the_loop_over_the_probe_table(seed):
+    rng = random.Random(seed)
+    d = 2 + seed % 2
+    problem = random_oblique_problem(rng, d=d, tree=EventTree.binary(3, 0.25))
+    reads = [None, tuple(tuple(k for k in range(d) if k != j and rng.random() < 0.5)
+                         for j in range(d))][seed % 2 == 0 or seed > 5]
+    tables = {}
+
+    def generator(j):
+        def f(t, y):
+            size = len(y[0])
+            if (j, t) not in tables:
+                tables[j, t] = (_random_line(rng, size) if seed == 9 else
+                                [rng.choice([0.5, -0.5])] * size if (j + t) % 4 == 0 else
+                                _finite_line(rng, size))
+            return np.array(tables[j, t])
+        return f
+
+    problem = dataclasses.replace(problem, generators=tuple(map(generator, range(d))),
+                                  reads=reads)
+    expected = loop_generator_report(dataclasses.replace(problem))
+    got = validate_problem(problem)
+    assert got == expected
+    assert {v.code for v in got} >= ({"non-finite"} if seed == 9 else {
+        "generator-continuity", "generator-on-diagonal"})

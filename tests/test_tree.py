@@ -733,3 +733,31 @@ def test_expectations_read_the_csr_slots_and_make_no_node(seed):
         assert list(by_node) == list(nodes.level(s))
         assert _bits(list(by_node.values())) == _bits(
             [_node_expectation(nodes, xs.tolist(), u) for u in nodes.level(s)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_child_slots_are_made_on_the_first_walk_and_read_the_csr_arrays(seed):
+    # the backward walk's slots are made on first use, once per tree: a
+    # built tree has none, and each level's slot k lists the parents with
+    # a k-th child, that child and its edge probability
+    from orbsde.scalar import ScalarRBSDEProblem, solve_penalized, PenalizationParams
+
+    tree = (EventTree.binary(4, 0.25) if seed == 0 else
+            random_tree(random.Random(seed), max_depth=4, max_branching=3))
+    assert "child_slots" not in vars(tree)
+    terminal = {leaf: 0.1 * leaf for leaf in tree.leaves}
+    problem = ScalarRBSDEProblem(tree, terminal, lambda t, nodes, y: -0.5 * y)
+    solve_penalized(problem, PenalizationParams())
+    slots = vars(tree)["child_slots"]
+    solve_penalized(problem, PenalizationParams())
+    assert vars(tree)["child_slots"] is slots
+    arrays = tree.arrays
+    for parents, (first, by_slot) in zip(arrays.parents, slots):
+        assert first.tolist() == [tree.children(u)[0] for u in parents.tolist()]
+        for k, (rows, kids, prob) in enumerate(by_slot):
+            have = [i for i, u in enumerate(parents.tolist()) if len(tree.children(u)) > k]
+            assert rows.tolist() == have
+            assert kids.tolist() == [tree.children(parents[i])[k] for i in have]
+            assert prob.ravel().tolist() == [
+                arrays.child_prob[arrays.child_ptr[parents[i]] + k] for i in have]
+        assert all(not a.flags.writeable for slot in by_slot for a in slot)
