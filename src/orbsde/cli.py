@@ -64,7 +64,7 @@ from .scenario import PENALTY_LADDER, Scenario, ScenarioError
 from .switching import (
     _brute_force_all,
     _decoupling_verdict,
-    brute_force_value,
+    brute_force_value,   # unused here; the benchmark's switching.brute_force span binds it
     check_switched_martingale,
     construct_optimal_strategy,
     solve_for_strategy,
@@ -211,18 +211,6 @@ def _require_valid(problem) -> None:
         raise InvalidProblemError(report)
 
 
-def _brute_force(problem, cap: int):
-    """``best(j)``, the root's ``brute_force_value`` in start mode j, each
-    read off one enumeration of every start mode (``_brute_force_all``).
-    If that enumeration raises, ``best(j)`` is start mode j's own
-    ``brute_force_value`` instead, so that an error surfaces at the mode,
-    and with the message, that the per-mode enumerations give it."""
-    try:
-        return _brute_force_all(problem, problem.tree.root, cap)
-    except Exception:
-        return functools.partial(brute_force_value, problem, problem.tree.root, cap=cap)
-
-
 def _cmd_solve(scenario, problem, tol, max_sweeps, out: Path) -> int:
     solution = solve_system(problem, tol, max_sweeps)
     minimality = verify_minimality(problem, solution)
@@ -297,7 +285,7 @@ def _cmd_verify(scenario, problem, tol, max_sweeps, out: Path,
     else:
         try:
             bf_results = []
-            best = _brute_force(problem, scenario.solver["strategy_cap"])
+            best = _brute_force_all(problem, tree.root, scenario.solver["strategy_cap"])
             for j in range(d):
                 value, _ = best(j)
                 reachable = unconstrained_start_value(problem, solution, tree.root, j)
@@ -386,7 +374,7 @@ def _cmd_brute_force(scenario, problem, out: Path) -> int:
     _require_valid(problem)
     tree = problem.tree
     payload = {"scenario": scenario.name, "modes": []}
-    best = _brute_force(problem, scenario.solver["strategy_cap"])
+    best = _brute_force_all(problem, tree.root, scenario.solver["strategy_cap"])
     for j in range(problem.d):
         value, strategy = best(j)
         payload["modes"].append(

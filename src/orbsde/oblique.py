@@ -28,19 +28,18 @@ every node at once (``H(U)`` and the check's ``H(Y)``) is one pass over
 the tree, each cost a column gathered by time index, with the bits of
 the level-at-a-time formula.
 
-Two solvers share the package's one backward walk
-``scalar._backward_walk`` over the d modes (:func:`_backward_solve`, whose
-arrays are the :class:`SystemSolution`'s), one implicit step (the
-residual of one or more modes at a level's parents, ``_mode_residual``,
-in mode-major blocks, each block's generator its own mode's, solved by
-one ``_root_find_batch`` and projected into the barriers by
-``scalar._project``) and one start
-rule (``_level_start``): at each parent, the low corner of the state box,
-lowered tenfold (at most seven times) until every mode's upper-only step
-with the generator frozen there lies at or above it.  The lowered corner
-is the same row at every parent, so each drop is one generator call per
-mode and a comparison with the level's targets.  Each solver is the walk
-with its own level step:
+Two solvers share the package's one backward walk ``scalar._backward_walk``
+over the d modes (:func:`_backward_solve`, whose arrays are the
+:class:`SystemSolution`'s), one implicit step (the residual of one or more
+modes at a level's parents, ``_mode_residual``, in mode-major blocks, each
+block's generator and failure its own mode's, solved by one
+``_root_find_batch`` and projected into the barriers by
+``scalar._project``) and one start rule (``_level_start``): at each parent,
+the low corner of the state box, lowered tenfold (at most seven times)
+until every mode's upper-only step with the generator frozen there lies at
+or above it.  The lowered corner is the same row at every parent, so each
+drop is one generator call per mode and a comparison with the level's
+targets.  Each solver is the walk with its own level step:
 
 * :func:`solve_system` is the production path, the discretely reflected
   scheme of Chassagneux, Elie & Kharroubi.  Since Y_u depends on the tree
@@ -53,20 +52,20 @@ with its own level step:
   found again only where a component its generator reads
   (``ObliqueProblem.reads``) has moved; between, the kept root is
   projected again.  The modes that read no mode before them in a round
-  find their stale roots in one batch at the start of the round.  A
-  failing parent is
-  named as a node-by-node walk (descending index order) would name it:
-  the highest-index failing parent of the first failing level, whatever
-  round it failed in.
+  find their stale roots in one batch at the start of the round; a mode
+  that fails there keeps its roots stale and meets its error at its own
+  turn.  A failing parent is named as a node-by-node walk (descending
+  index order) would name it: the highest-index failing parent of the
+  first failing level, whatever round it failed in.
 * :func:`picard_solve` is the independent oracle: a monotone Picard
   iteration over the whole tree.  The subsolution and every sweep are one
   walk each with the frozen step (``_jacobi_step``: every mode projected
-  with the generator frozen at the level's rows, all modes in one root
-  find and one projection), frozen at the start rows
-  with no lower barrier for the subsolution, and at the previous sweep's
-  rows with lower barrier ``H(t, previous rows)`` for a sweep.  By
-  off-diagonal monotonicity every sweep rises, to the least solution; a
-  sweep that decreases anywhere is a fault.
+  with the generator frozen at the level's rows, all modes in one root find
+  and one projection, raising the first failing mode's own error), frozen
+  at the start rows with no lower barrier for the subsolution, and at the
+  previous sweep's rows with lower barrier ``H(t, previous rows)`` for a
+  sweep.  By off-diagonal monotonicity every sweep rises, to the least
+  solution; a sweep that decreases anywhere is a fault.
 
 :func:`verify_minimality` and :func:`binding_graph_cycles` recompute their
 residuals on the same arrays, each one array over the whole tree (the
@@ -106,6 +105,7 @@ from .scalar import (
     _project,
     _restricted,
     _root_find_batch,
+    _roots,
     _worse,
 )
 from . import scalar
@@ -655,27 +655,6 @@ def _mode_residual(
     return phi
 
 
-def _by_mode(columns: np.ndarray, modes: Sequence[int]) -> np.ndarray:
-    """The ``modes`` columns of an ``(m, d)`` array in mode-major order, the
-    element order of :func:`_mode_residual`."""
-    return columns[:, modes].T.ravel()
-
-
-def _projected_steps(
-    problem: ObliqueProblem, t: int, targets: np.ndarray, rows: np.ndarray,
-    lower: np.ndarray, upper: np.ndarray, modes: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The steps of ``modes`` at a level's parents with the generator
-    frozen at ``rows``, projected into [``lower``, ``upper``]: one root
-    find and one projection over their mode-major elements.  Returns the
-    ``(m, len(modes))`` arrays Y, dK and dA."""
-    target = _by_mode(targets, modes)
-    phi = _mode_residual(problem, t, rows, modes, target)
-    steps = _project(phi, _root_find_batch(phi, target, RESIDUAL_TOL),
-                     _by_mode(lower, modes), _by_mode(upper, modes))
-    return tuple(a.reshape(len(modes), -1).T for a in steps)
-
-
 def _jacobi_step(
     problem: ObliqueProblem, t: int, targets: np.ndarray, rows: np.ndarray,
     lower: np.ndarray, upper: np.ndarray,
@@ -683,17 +662,14 @@ def _jacobi_step(
     """Every mode's step at a level's parents with the generator frozen at
     ``rows``, projected into [``lower``, ``upper``] (``(m, d)`` arrays,
     -inf for no lower barrier): the modes are independent within the step,
-    as in a Jacobi sweep, so one batched root find and one projection
-    serve them all.  If that raises, the modes run one by one in order, so
-    that the error is the one the first failing mode meets.  Returns the
-    ``(m, d)`` arrays Y, dK and dA."""
-    try:
-        return _projected_steps(problem, t, targets, rows, lower, upper,
-                                range(problem.d))
-    except Exception:
-        steps = [_projected_steps(problem, t, targets, rows, lower, upper, [j])
-                 for j in range(problem.d)]
-        return tuple(np.hstack(parts) for parts in zip(*steps))
+    as in a Jacobi sweep, so one root find, a block per mode (raising the
+    first failing mode's error), and one projection serve them all.
+    Returns the ``(m, d)`` arrays Y, dK and dA."""
+    target = targets.T.ravel()   # mode-major
+    phi = _mode_residual(problem, t, rows, range(problem.d), target)
+    found = _root_find_batch(phi, target, RESIDUAL_TOL, [len(rows)] * problem.d)
+    steps = _project(phi, _roots(found), lower.T.ravel(), upper.T.ravel())
+    return tuple(a.reshape(problem.d, -1).T for a in steps)
 
 
 def _backward_solve(
@@ -944,14 +920,14 @@ def _level_rounds(
     before it and reads no component they move, so its roots at its turn
     are those at the start of the round: when two or more such modes have
     stale roots, a round starts by finding them all in one batch
-    (``_find_ahead``).  Each mode update finds the stale roots left (one
-    ``_root_find_batch``), projects the
-    kept roots into [H^j(row), U^j] (``scalar._project``), and marks
-    stale, wherever y_j's bit pattern changed (0.0 to -0.0 and NaN
-    included), the root of every mode that reads component j.  Every root
-    is the one a new root find would give, bit for bit.  A parent leaves
-    the rounds after the first round that changes no component by more
-    than ``tol``.  A parent that fails (a round lowers one of its
+    (``_find_ahead``), where a mode that fails keeps its roots stale.  Each
+    mode update finds the stale roots left (one ``_root_find_batch``),
+    projects the kept roots into [H^j(row), U^j] (``scalar._project``),
+    and marks stale, wherever y_j's bit pattern changed (0.0 to -0.0 and
+    NaN included), the root of every mode that reads component j.  Every
+    root is the one a new root find would give, bit for bit.  A parent
+    leaves the rounds after the first round that changes no component by
+    more than ``tol``.  A parent that fails (a round lowers one of its
     components, or ``max_rounds`` rounds are not enough) leaves them too,
     with every parent after it in the walk's order, whose failures a
     node-by-node walk would not reach; once the rounds are over, the error
@@ -991,11 +967,11 @@ def _level_rounds(
                 break
             phi = _mode_residual(problem, t, rows, [j], tg[:, j])
             if stale[:, j].all():
-                roots[:, j] = _root_find_batch(phi, tg[:, j], RESIDUAL_TOL)
+                roots[:, j] = _roots(_root_find_batch(phi, tg[:, j], RESIDUAL_TOL))
             elif stale[:, j].any():
                 find = np.flatnonzero(stale[:, j])
-                roots[find, j] = _root_find_batch(_restricted(phi, find), tg[find, j],
-                                                  RESIDUAL_TOL)
+                roots[find, j] = _roots(_root_find_batch(_restricted(phi, find), tg[find, j],
+                                                         RESIDUAL_TOL))
             stale[:, j] = False
             val, pk[:, j], pa[:, j] = _project(phi, roots[:, j].copy(),
                                                _obstacle_column(problem, t, rows, j), up[:, j])
@@ -1036,29 +1012,23 @@ def _find_ahead(problem: ObliqueProblem, t: int, live: list, modes: Sequence[int
                 ) -> None:
     """At the start of a round, find the stale roots of ``modes`` (the
     modes that read no mode before them) at the rows of the parents still
-    in the rounds (``live``), in one ``_root_find_batch`` over their
-    mode-major elements, and mark them found.  Nothing is done when fewer
-    than two of them have stale roots, or when the batch raises: the roots
-    stay stale, and each mode's own find at its turn raises what that turn
-    meets."""
+    in the rounds (``live``) when two or more have any, in one
+    ``_root_find_batch`` over their mode-major elements, a block per mode,
+    and mark them found.  A failing mode's roots stay stale, for its own
+    find at its turn to raise what that turn meets."""
     _, rows, _, _, targets, _, roots, stale = live
     modes = [j for j in modes if stale[:, j].any()]
     if len(modes) < 2:
         return
-    target, find = _by_mode(targets, modes), np.flatnonzero(_by_mode(stale, modes))
+    target, find = targets[:, modes].T.ravel(), np.flatnonzero(stale[:, modes].T)
     phi = _mode_residual(problem, t, rows, modes, target)
-    try:
-        found = (_root_find_batch(phi, target, RESIDUAL_TOL) if find.size == target.size
-                 else _root_find_batch(_restricted(phi, find), target[find],
-                                       RESIDUAL_TOL))
-    except Exception:
-        return
-    at = 0
-    for j in modes:
-        n = np.count_nonzero(stale[:, j])
-        roots[stale[:, j], j] = found[at:at + n]
-        at += n
-        stale[:, j] = False
+    if find.size < target.size:
+        phi, target = _restricted(phi, find), target[find]
+    sizes = np.count_nonzero(stale[:, modes], axis=0).tolist()
+    found, errors = _root_find_batch(phi, target, RESIDUAL_TOL, sizes)
+    for j, part, error in zip(modes, np.split(found, np.cumsum(sizes)[:-1]), errors):
+        if error is None:
+            roots[stale[:, j], j], stale[:, j] = part, False
 
 
 def _readers(problem: ObliqueProblem) -> list[list[int]]:

@@ -46,15 +46,15 @@ modes at once with its own level steps.  The scalar ``_root_find``
 remains for :func:`implicit_step` and the strategy oracle's start-node
 steps.
 
-The batched finder bisects in blocks: while few elements are left
-bisecting, one residual call evaluates the next (up to six) halvings of
-each at the mids of its bracket's bisection tree, and each element then
-walks down its tree as the scalar loop would; while many are, a call is
-one halving of each, the scalar loop's own step.  A residual therefore gets
-repeated indices and points past an element's root, and must be
-elementwise.  ``_blockwise`` gives each problem's (or mode's) contiguous
-block of elements to its own generator, for the residuals that span
-several.
+While few elements are left bisecting, one residual call of the batched
+finder evaluates the next (up to six) halvings of each at the mids of its
+bracket's bisection tree, and each element then walks down its tree as
+the scalar loop would; while many are, a call is one halving of each, the
+scalar loop's own step.  A residual therefore gets repeated indices and
+points past an element's root, and must be elementwise.  ``_blockwise``
+gives each problem's (or mode's) contiguous block of elements to its own
+generator, for the residuals that span several; the finder returns each
+block's failure, and a failing block stops no other.
 
 ``_probe`` is the package's one generator probe; it reads values the
 caller has taken.  :meth:`ScalarRBSDEProblem.validate` gives it g's values
@@ -104,6 +104,8 @@ GeneratorFn = Callable[[int, np.ndarray, np.ndarray], "np.ndarray | float"]
 RESIDUAL_TOL = 1e-12
 PROBE_TOL = 1e-12
 _MONOTONE_PROBE_YS = (-7.3, -1.0, -0.25, 0.0, 0.5, 2.0, 9.1)
+_NO_SIGN_CHANGE = ("no sign change after 64 interval expansions; "
+                   "generator is likely not decreasing in y")
 
 
 def _worse(worst: float, value: float) -> float:
@@ -169,10 +171,7 @@ def _root_find(phi: Callable[[float], float], x0: float, tol: float) -> float:
     expansions = 0
     while lo is None or hi is None:
         if expansions >= 64:
-            raise BracketingError(
-                "no sign change after 64 interval expansions; "
-                "generator is likely not decreasing in y"
-            )
+            raise BracketingError(_NO_SIGN_CHANGE)
         expansions += 1
         if lo is None:
             probe = (hi if hi is not None else anchor) - step
@@ -199,42 +198,50 @@ def _root_find(phi: Callable[[float], float], x0: float, tol: float) -> float:
 
 @np.errstate(all="ignore")   # quiet like float arithmetic: overflow gives inf
 def _root_find_batch(
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray, tol: float
-) -> np.ndarray:
+    phi: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray, tol: float,
+    blocks: Sequence[int] | None = None,
+) -> tuple[np.ndarray, list[BracketingError | None]]:
     """:func:`_root_find` on every element of the 1-D float64 array ``x0``.
 
     ``phi(x, idx)`` returns the residuals of the elements ``idx`` (an index
     array into ``x0``) at the points ``x``.  Each element takes the scalar
     finder's path, with the same probe, secant step, bracket expansion,
     bisection and stall guard, so every root equals the scalar root bit for
-    bit; an element leaves the active set as soon as it is done.  Raises
-    BracketingError wherever the scalar finder would raise for some element.
+    bit; an element leaves the active set as soon as it is done.
 
-    Bisection runs in blocks: one ``phi`` call evaluates the next k
-    halvings of every element still bisecting, at the 2^k - 1 mids of its
-    bracket's depth-k bisection tree in ascending order
-    (:func:`_bisection_edges`), and each
-    element then walks down its tree as the scalar loop would, finishing
-    at the node where the scalar loop returns.  k is the deepest tree, at
-    most 6 levels, that keeps a call at 1,024 points (:func:`_block_depth`),
-    so a long tail of few elements costs about a sixth of the calls.  With
-    more than 341 elements bisecting k is 1, and a call is the scalar
-    loop's own step on each element (the mid, its exit tests and the new
-    bracket), with no tree to build or walk.  ``idx`` is therefore
-    non-decreasing but may repeat an element, once per point of its tree,
-    and ``phi`` sees points beyond where an element stops.  The ulp-width
-    stall guard is computed only on the steps where some bracket can
-    reach it (:func:`_guard_free_steps`).
+    The elements form contiguous ``blocks`` (their sizes; one block if
+    None), and each block's error comes back with the roots: None, or the
+    BracketingError of its first failing stage, a non-finite residual at
+    the first probe (named at its first such element) or no sign change
+    after 64 expansions.  A failing block drops out at once, with NaN roots,
+    so each block gets its lone find's roots and error, bit for bit.
+
+    Bisection takes several halvings per call: one ``phi`` call evaluates
+    the next k halvings of every element still bisecting, at the 2^k - 1
+    mids of its bracket's depth-k bisection tree in ascending order
+    (:func:`_bisection_edges`), and each element then walks down its tree
+    as the scalar loop would, finishing at the node where the scalar loop
+    returns.  k is the deepest tree, at most 6 levels, that keeps a call at
+    1,024 points (:func:`_block_depth`), so a long tail of few elements
+    costs about a sixth of the calls.  With more than 341 elements
+    bisecting k is 1, and a call is the scalar loop's own step on each
+    element (the mid, its exit tests and the new bracket), with no tree to
+    build or walk.  ``idx`` is therefore non-decreasing but may repeat an
+    element, once per point of its tree, and ``phi`` sees points beyond
+    where an element stops.  The ulp-width stall guard is computed only on
+    the steps where some bracket can reach it (:func:`_guard_free_steps`).
 
     The residual protocol: ``phi`` gets the same ``idx`` object for as long
     as the elements it stands for are unchanged (every call while no element
-    retires, and a block's repeated indices while the depth stays), and no
+    retires, and a tree's repeated indices while the depth stays), and no
     ``idx`` is written into, so a residual may gather its per-element data
     once per index object (:func:`_per_index`).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     root = np.empty_like(x0)
     idx = np.arange(x0.size)
+    blocks = [x0.size] if blocks is None else blocks
+    errors: list[BracketingError | None] = [None] * len(blocks)
 
     def exact(f, x):
         """The scalar exit test |f| <= min(tol, 4e-15 max(1, |x|)), the
@@ -264,18 +271,29 @@ def _root_find_batch(
         idx = idx[keep]
         return [a[keep] for a in active]
 
+    def fail(bad, message, *active):
+        """Give each block with a ``bad`` active element the error
+        ``message(i)``, i its first one, and NaN roots, and retire it."""
+        ends = np.cumsum(blocks)
+        owner = np.searchsorted(ends, idx, side="right")
+        failed, first = np.unique(owner[bad], return_index=True)
+        for b, i in zip(failed.tolist(), np.flatnonzero(bad)[first].tolist()):
+            errors[b] = BracketingError(message(i))
+            root[ends[b] - blocks[b]:ends[b]] = np.nan
+        return retire(np.isin(owner, failed), root[idx], *active)
+
     f0 = phi(x0, idx)
-    if not np.isfinite(f0).all():
-        bad = float(x0[~np.isfinite(f0)][0])
-        raise BracketingError(f"residual not finite at {bad}")
-    x0, f0 = retire(exact(f0, x0), x0, x0, f0)
-    if not idx.size:   # every probe exact: no residual call on empty arrays
-        return root
+    x0, f0 = retire(exact(f0, x0), x0, x0, f0)   # a non-finite f0 is not exact
+    finite = np.isfinite(f0)
+    if not finite.all():
+        x0, f0 = fail(~finite, lambda i: f"residual not finite at {float(x0[i])}", x0, f0)
+    if not idx.size:   # every probe exact or failed: no residual call on empty arrays
+        return root, errors
     x1 = x0 - f0
     f1 = phi(x1, idx)
     x0, f0, x1, f1 = retire(exact(f1, x1), x1, x0, f0, x1, f1)
     if not idx.size:
-        return root
+        return root, errors
     # the secant step where f1 != f0, elsewhere (x2, f2) = (x1, f1); with
     # every element stepping (the common case) the points are not copied
     sec = f1 != f0
@@ -288,7 +306,7 @@ def _root_find_batch(
             f2[sec] = phi(x2[sec], idx[sec])
     x0, f0, x1, f1, x2, f2 = retire(exact(f2, x2), x2, x0, f0, x1, f1, x2, f2)
     if not idx.size:
-        return root
+        return root, errors
 
     # f0 is finite, so each element has one end of its bracket already
     lo, hi = np.zeros(x0.size), np.zeros(x0.size)
@@ -299,15 +317,10 @@ def _root_find_batch(
         take = (f >= 0.0) & (~has_hi | (x < hi))
         hi[take], has_hi[take] = x[take], True
     step = np.fmax(1.0, np.abs(x0)) * 0.5
-    for expansions in range(65):
+    for _ in range(64):
         seek = np.flatnonzero(~(has_lo & has_hi))
         if not seek.size:
             break
-        if expansions == 64:
-            raise BracketingError(
-                "no sign change after 64 interval expansions; "
-                "generator is likely not decreasing in y"
-            )
         down = ~has_lo[seek]
         probe = np.where(down, hi[seek] - step[seek], lo[seek] + step[seek])
         f = phi(probe, idx[seek])
@@ -316,10 +329,12 @@ def _root_find_batch(
         take = ~down & (f >= 0.0)
         hi[seek[take]], has_hi[seek[take]] = probe[take], True
         step *= 2.0
+    else:
+        lo, hi = fail(~(has_lo & has_hi), lambda i: _NO_SIGN_CHANGE, lo, hi)
 
     # the halvings ahead on which no bracket's stall guard can fire
     free = _guard_free_steps(hi - lo, _guard_bound(lo, hi))
-    repeated = None   # a block's indices, (idx, depth, array)
+    repeated = None   # a tree's indices, (idx, depth, array)
     while idx.size:
         depth = _block_depth(idx.size)
         if depth == 1:   # one halving per call: the scalar loop's own step
@@ -362,7 +377,14 @@ def _root_find_batch(
         lo, hi = retire(stops.any(axis=0), flat[end], flat[left], flat[left + 1])
         free = (free - depth if free >= depth
                 else _guard_free_steps(hi - lo, _guard_bound(lo, hi)))
-    return root
+    return root, errors
+
+
+def _roots(found: tuple[np.ndarray, list]) -> np.ndarray:
+    """The roots of a :func:`_root_find_batch`, or its first error raised."""
+    for error in filter(None, found[1]):
+        raise error
+    return found[0]
 
 
 # halvings per residual call while bisecting: the deepest bisection tree of
@@ -825,7 +847,7 @@ def _solve_projected(problem: ScalarRBSDEProblem) -> ScalarSolution:
         def phi(x, idx):
             return x - g(t, parents[idx], x) * dt - target[idx]
 
-        y, dk, da = _project(phi, _root_find_batch(phi, target, RESIDUAL_TOL),
+        y, dk, da = _project(phi, _roots(_root_find_batch(phi, target, RESIDUAL_TOL)),
                              lower[parents], upper[parents])
         return y[:, None], dk[:, None], da[:, None]
 
@@ -997,7 +1019,7 @@ def _penalized_solve(
                 val = term if on is None else np.where(on, term, val)
             return x - val * dt - tg
 
-        y = _root_find_batch(phi, target, RESIDUAL_TOL)
+        y = _roots(_root_find_batch(phi, target, RESIDUAL_TOL))
         dk = (np.where(p_el > 0, p_el * _positive(low - y) * dt, 0.0)
               if low is not None else np.zeros(y.size))
         da = (np.where(q_el > 0, q_el * _positive(y - high) * dt, 0.0)

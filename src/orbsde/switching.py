@@ -30,7 +30,9 @@ every strategy, and only the start compares them.  Each element's root is
 its own, so one walk with every mode allowed at the start
 (``_brute_force_all``, which ``verify`` and ``brute-force`` use) gives
 each start mode's values in its own row, bit for bit those of a walk
-pinned to that mode (:func:`brute_force_value`, the one-mode case).
+pinned to that mode (:func:`brute_force_value`, the one-mode case), and
+so are its errors: below the start both walks run the same root finds,
+and at the start each mode is a block of the find, failing on its own.
 
 The oracle needs the cost-form obstacle and generators that ignore the
 other modes' components; :func:`decoupling_violations` reads the latter
@@ -60,6 +62,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    BracketingError,
     EnumerationCapError,
     InternalConsistencyError,
     InvalidProblemError,
@@ -79,6 +82,7 @@ from .scalar import (
     _per_index,
     _root_find,
     _root_find_batch,
+    _roots,
     _worse,
 )
 from .tree import EventTree
@@ -228,12 +232,13 @@ def _subtree_ctx(problem: ObliqueProblem, start: int) -> _SubtreeCtx:
 
 
 def _implicit_step(
-    ctx: _SubtreeCtx, i: int, modes: list[int], target: np.ndarray, push: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    ctx: _SubtreeCtx, i: int, modes: list[int], target: np.ndarray, single: bool
+) -> tuple[np.ndarray, np.ndarray, list[BracketingError | None]]:
     """Position i's steps in each of ``modes`` at the continuations
     ``target``, mode by mode in equal contiguous blocks, as one root find:
-    R = min(U^m, y*) with y* = target + f^m(t, y*) dt, and the dD the cap
-    takes (computed only if ``push``; zero otherwise)."""
+    R = min(U^m, y*) with y* = target + f^m(t, y*) dt, the dD the cap
+    takes (for a ``single`` strategy; zero otherwise), and at the start of
+    an enumeration each mode's error (elsewhere one block's is raised)."""
     problem, t = ctx.problem, ctx.times[i]
     d, dt = problem.d, problem.tree.dt
     size = target.size // len(modes)
@@ -244,20 +249,22 @@ def _implicit_step(
     def phi(y, idx):
         return y - values(y, idx) * dt - at(idx)
 
-    ystar = _root_find_batch(phi, target, RESIDUAL_TOL)
+    apart = not (i or single)
+    found = _root_find_batch(phi, target, RESIDUAL_TOL, [size] * len(modes) if apart else None)
+    ystar, errors = found if apart else (_roots(found), [])
     cap = np.repeat(ctx.upper[modes, i], size)
     over = np.flatnonzero(ystar > cap)
     ystar[over] = cap[over]
     dd = np.zeros(target.size)
-    if push and over.size:
+    if single and over.size:
         lack = -phi(cap[over], over)
         dd[over] = np.where(lack > 0.0, lack, 0.0)
-    return ystar, dd
+    return ystar, dd, errors
 
 
 def _eval_strategy(
     ctx: _SubtreeCtx, allowed: list[list[int]], single: bool = False
-) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray, dict[int, BracketingError]]:
     """Values of every mode assignment of each position's subtree, solved
     bottom-up, each position once over all its modes.
 
@@ -269,11 +276,14 @@ def _eval_strategy(
     that strategy's own value.  A child's values are dropped once its
     parent is solved, unless ``single`` (one mode per position): then every
     position keeps its value, and the dM and dD of the edge into each later
-    position are returned too (zero otherwise).
+    position are returned too (zero otherwise).  A failing root find raises,
+    except at the start of an enumeration: there each mode's first failure
+    is returned by start mode, which is not solved further (NaN values).
     """
     n = len(ctx.nodes)
     values: list[np.ndarray | None] = [None] * n
     dm, dd = np.zeros(n), np.zeros(n)
+    failures: dict[int, BracketingError] = {}
 
     def solve(i: int, modes: list[int], kids: tuple[int, ...]) -> np.ndarray:
         t = ctx.times[i]
@@ -287,19 +297,23 @@ def _eval_strategy(
         if not single:
             for c in kids:
                 values[c] = None
-        out = np.empty((len(modes), grid))
+        out = np.full((len(modes), grid), np.nan)
         for lo in range(0, grid, _BLOCK):
+            run = [j for j, m in enumerate(modes) if m not in failures]
+            if not run:
+                break
             flat = np.arange(lo, min(lo + _BLOCK, grid))
             picks = [flat // s % z for s, z in zip(strides, sizes)]
             conts = []   # each mode's continuation, the children in child order
-            for j, m in enumerate(modes):
+            for j in run:
                 e = np.zeros(flat.size)
                 for p, arrive, pick in zip(ctx.probs[i], arrivals[j], picks):
                     e += p * arrive[pick]
                 conts.append(e)
-            r, push = _implicit_step(ctx, i, modes, np.concatenate(
-                [e + ctx.dv_out[m, i] for m, e in zip(modes, conts)]), single)
-            out[:, lo:lo + flat.size] = r.reshape(len(modes), flat.size)
+            r, push, errors = _implicit_step(ctx, i, [modes[j] for j in run], np.concatenate(
+                [e + ctx.dv_out[modes[j], i] for j, e in zip(run, conts)]), single)
+            out[run, lo:lo + flat.size] = r.reshape(len(run), flat.size)
+            failures.update((modes[j], e) for j, e in zip(run, errors) if e is not None)
             if single:
                 for c, arrive in zip(kids, arrivals[0]):
                     dm[c], dd[c] = arrive[0] - conts[0][0], push[0]
@@ -308,7 +322,7 @@ def _eval_strategy(
     for i in range(n - 1, -1, -1):
         kids = ctx.children[i]
         values[i] = solve(i, allowed[i], kids) if kids else ctx.xi[allowed[i], i]
-    return values, dm, dd
+    return values, dm, dd, failures
 
 
 def _digit_exponents(ctx: _SubtreeCtx) -> np.ndarray:
@@ -339,7 +353,7 @@ def solve_for_strategy(
     """
     _require_cost_form(problem)
     ctx = _subtree_ctx(problem, strategy.start)
-    values, dm, dd = _eval_strategy(
+    values, dm, dd, _ = _eval_strategy(
         ctx, [[strategy.modes[u]] for u in ctx.nodes], single=True)
     r, dm, dd = np.concatenate(values).tolist(), dm.tolist(), dd.tolist()
     later = range(1, len(ctx.nodes))   # position 0 is the start
@@ -381,10 +395,13 @@ def enumerate_strategies(
     return list(iter_strategies(problem, start, start_mode, cap))
 
 
-def _best_strategy(ctx: _SubtreeCtx, value: np.ndarray, start_mode: int
-                   ) -> tuple[float, SwitchingStrategy]:
+def _best_strategy(ctx: _SubtreeCtx, value: np.ndarray, start_mode: int,
+                   failure: BracketingError | None) -> tuple[float, SwitchingStrategy]:
     """The maximum of one start mode's strategy values ``value`` (product
-    order) and its first maximizer in enumeration order."""
+    order) and its first maximizer in enumeration order, or its ``failure``
+    at the start raised."""
+    if failure is not None:
+        raise failure
     problem, nodes, start = ctx.problem, ctx.nodes, ctx.nodes[0]
     d, free = problem.d, len(nodes) - 1
     score = np.where(np.isnan(value), -math.inf, value)
@@ -418,7 +435,7 @@ def brute_force_value(
     When no start value is above -inf (data whose sums overflow), raises
     InvalidProblemError with one ``strategy-values`` finding at the start
     node and mode.  ``_brute_force_all`` gives every start mode's answer
-    from one enumeration.
+    (or BracketingError) from one enumeration.
     """
     return _brute_force_all(problem, start, cap, [start_mode])(start_mode)
 
@@ -433,16 +450,18 @@ def _brute_force_all(
     ``best(j)`` is start mode j's :func:`brute_force_value`, read off its
     own row of the values (each root is its element's own, so the row is
     bit for bit an enumeration pinned to j), and raises j's
-    ``strategy-values`` refusal only when asked for j.  The checks that
-    refuse the whole enumeration (the cost form, decoupling and the cap)
+    ``strategy-values`` refusal or start-node BracketingError only when
+    asked for j.  The checks that refuse the whole enumeration (the cost
+    form, decoupling and the cap) and a failing root find below the start
     raise here."""
     _require_cost_form(problem)
     nodes = _check_cap(problem, start, cap)
     ctx = _subtree_ctx(problem, start)
     modes = list(range(problem.d) if start_modes is None else start_modes)
     allowed = [modes] + [list(range(problem.d))] * (len(nodes) - 1)
-    rows = _eval_strategy(ctx, allowed)[0][0].reshape(len(modes), -1)
-    return lambda j: _best_strategy(ctx, rows[modes.index(j)], j)
+    values, _, _, failures = _eval_strategy(ctx, allowed)
+    rows = values[0].reshape(len(modes), -1)
+    return lambda j: _best_strategy(ctx, rows[modes.index(j)], j, failures.get(j))
 
 
 def construct_optimal_strategy(

@@ -3,7 +3,9 @@
 ``scalar._root_find_batch`` is bound by name in every module that calls
 it, so a span around one binding misses the others.  ``counting_finds``
 wraps each binding for the duration of a ``with`` block and records one
-``(calls, points)`` pair per root find, in the order the finds run::
+``(calls, points)`` pair per root find, in the order the finds run, and
+passes the finder's block layout and its ``(roots, errors)`` on as they
+are::
 
     with counting_finds() as finds:
         scalar._penalized_solve(problems, p, q)
@@ -27,7 +29,7 @@ def counting_finds() -> Iterator[list[tuple[int, int]]]:
     finds: list[tuple[int, int]] = []
     original = scalar._root_find_batch
 
-    def counted(phi, x0, tol):
+    def counted(phi, x0, tol, blocks=None):
         tally = [0, 0]
 
         def residual(x, idx):   # passes idx on as it is, so gathers still hit
@@ -36,7 +38,7 @@ def counting_finds() -> Iterator[list[tuple[int, int]]]:
             return phi(x, idx)
 
         try:
-            return original(residual, x0, tol)
+            return original(residual, x0, tol, blocks)
         finally:
             finds.append((tally[0], tally[1]))
 

@@ -47,9 +47,9 @@ Core claims:
     - the outputs of the commands the benchmark times keep pinned sha256
       digests on three-step scenarios of the benchmark's shape
     - verify and brute-force value every start mode in one enumeration
-      (verify then walks the d greedy strategies); when it raises, each
-      start mode's own enumeration gives the same files and refusals, and
-      a refusal of start mode 1 comes after start mode 0's checks
+      (verify then walks the d greedy strategies), each start mode's
+      answer and refusal those of its own enumeration, and a refusal of
+      start mode 1 comes after start mode 0's checks
     - arguments the parser refuses exit 2 with kind usage and a diagnostic
       in the --out directory they name, or in orbsde_out; -h exits 0
     - the bundled no-solution discretization exits 2 pinpointing every node
@@ -1145,10 +1145,6 @@ def test_brute_force_refuses_strategy_values_that_overflow(tmp_path):
         "node_id": "n0", "time_index": 0, "mode": 1}]
 
 
-def _outputs(out: Path) -> dict[str, bytes]:
-    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-
-
 @pytest.mark.parametrize("command", ["verify", "brute-force"])
 def test_one_enumeration_serves_every_start_mode(tmp_path, monkeypatch, command):
     # verify and brute-force value every start mode's strategies in one
@@ -1171,27 +1167,33 @@ def test_one_enumeration_serves_every_start_mode(tmp_path, monkeypatch, command)
 
 
 @pytest.mark.parametrize("command", ["verify", "brute-force"])
-def test_a_failing_joint_enumeration_gives_way_to_each_modes_own(
-        tmp_path, monkeypatch, command):
-    # when the one enumeration of every start mode raises, each start mode
-    # runs its own brute_force_value at its turn: the same files, and the
-    # same refusal of start mode 1 (a drift of -1e308 into its first edge)
+def test_the_joint_enumeration_gives_each_start_modes_own_answer(tmp_path, command):
+    # verify and brute-force read every start mode's answer off one
+    # enumeration: each mode's brute_force_value, and start mode 1's own
+    # refusal (a drift of -1e308 into its first edge) with its findings
+    from orbsde import InvalidProblemError, brute_force_value
+
     spec = oracle_chain_scenario()
     path, refused = tmp_path / "chain.json", tmp_path / "refused.json"
     path.write_text(json.dumps(spec))
+    problem = Scenario.from_dict(spec).build_problem()
     spec["v_increments"][1]["n0"] = -1e308
     refused.write_text(json.dumps(spec))
     assert run(command, path, "--out", tmp_path / "joint") == 0
+    root = problem.tree.root
+    own = [brute_force_value(problem, root, j) for j in range(problem.d)]
+    if command == "verify":
+        checks = read_json(tmp_path / "joint" / "verification.json")["checks"]
+        assert [c["brute_force"] for c in checks["brute_force"]] == [v for v, _ in own]
+    else:
+        modes = read_json(tmp_path / "joint" / "brute_force.json")["modes"]
+        assert [(m["value"], m["argmax_strategy"]) for m in modes] == [
+            (v, strategy.as_id_dict()) for v, strategy in own]
     assert run("brute-force", refused, "--out", tmp_path / "joint-refused") == 2
-
-    def fails(*args, **kwargs):
-        raise RuntimeError("joint enumeration")
-
-    monkeypatch.setattr(orbsde.cli, "_brute_force_all", fails)
-    assert run(command, path, "--out", tmp_path / "own") == 0
-    assert run("brute-force", refused, "--out", tmp_path / "own-refused") == 2
-    assert _outputs(tmp_path / "own") == _outputs(tmp_path / "joint")
-    assert _outputs(tmp_path / "own-refused") == _outputs(tmp_path / "joint-refused")
+    with pytest.raises(InvalidProblemError) as err:
+        brute_force_value(Scenario.from_dict(spec).build_problem(), root, 1)
+    diag = read_json(tmp_path / "joint-refused" / "diagnostic.json")
+    assert diag["violations"] == [v.as_dict() for v in err.value.violations]
 
 
 def test_verify_refuses_start_mode_1_after_mode_0s_checks(tmp_path, record):
@@ -1547,7 +1549,7 @@ def test_solve_finds_one_root_per_mode_per_level(tmp_path, record):
     solutions = record(orbsde.cli, "solve_system")
     assert run("solve", path, "--out", tmp_path / "out") == 0
     assert solutions[0].sweeps > 1
-    assert [roots.size for roots in finds] == [12, 6, 3]
+    assert [roots.size for roots, _ in finds] == [12, 6, 3]
 
 
 def test_scenario_declares_what_each_generator_reads():

@@ -40,8 +40,8 @@ Core claims:
       solver's output raises InternalConsistencyError with its node
     - a Picard level step is one batched root find over every mode; the
       rounds find the modes that read no mode before them in one batch;
-      a batch that raises leaves the error to the first mode that meets
-      it one mode at a time
+      a failing mode's error is the one it meets one mode at a time, and
+      both batches run at a level of 128 parents (384 elements)
     - the d-walk search, one middle mode at a time, gives the one-array
       join's verdict; mode_problem gathers only the components a generator
       declares
@@ -1200,7 +1200,7 @@ def test_a_move_from_zero_to_negative_zero_marks_its_readers_stale(record):
     # mode before it), mode 0 again in round 2; undeclared: mode 1 reads
     # mode 0, so each mode finds at its own turn, in rounds 1 and 2
     assert len(finds) == 2 + 4
-    assert [roots.size for roots in finds] == [2, 1] + [1, 1, 1, 1]
+    assert [roots.size for roots, _ in finds] == [2, 1] + [1, 1, 1, 1]
 
 
 def test_binding_cycle_is_an_internal_consistency_error(monkeypatch):
@@ -1225,7 +1225,24 @@ def test_picard_finds_every_modes_roots_in_one_batch_per_level_step(record):
     sizes = [problem.d * parents.size for parents in problem.tree.arrays.parents[::-1]
              if parents.size]
     assert solution.sweeps > 1
-    assert [roots.size for roots in finds] == sizes * (1 + solution.sweeps)
+    assert [roots.size for roots, _ in finds] == sizes * (1 + solution.sweeps)
+
+
+def test_picard_and_the_rounds_agree_on_a_level_of_128_parents(record):
+    # an 8-step binomial with d = 3 and no generator reading another mode:
+    # each Jacobi step at the deepest level is one root find over 384
+    # (mode, parent) elements, and round 1 there finds as many in one
+    # batch, so a batch that fails only at such sizes is seen here
+    problem = random_oblique_problem(random.Random(83), d=3,
+                                     tree=EventTree.binary(8, 0.125),
+                                     cost_band=(0.05, 0.3), drift_scale=0.8)
+    assert problem.reads == ((), (), ())
+    finds = record(orbsde.oblique, "_root_find_batch")
+    rounds = solve_system(problem, tol=1e-13)
+    picard = picard_solve(problem, tol=1e-13)
+    assert picard.sweeps > 1
+    assert np.abs(rounds.y_columns - picard.y_columns).max() <= 1e-12
+    assert max(roots.size for roots, _ in finds) == 384
 
 
 def _failing_modes(tree: EventTree, generators, reads) -> ObliqueProblem:

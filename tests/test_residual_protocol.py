@@ -35,6 +35,7 @@ from orbsde.scalar import (
     _restricted,
     _root_find,
     _root_find_batch,
+    _roots,
 )
 from orbsde.scenario import PENALTY_LADDER, Scenario
 
@@ -123,9 +124,9 @@ def test_gathers_once_per_index_object_keep_the_scalar_roots(cases, blocks, subs
         return
     if BracketingError in expected:
         with pytest.raises(BracketingError):
-            _root_find_batch(phi, x0, RESIDUAL_TOL)
+            _roots(_root_find_batch(phi, x0, RESIDUAL_TOL))
     else:
-        assert _root_find_batch(phi, x0, RESIDUAL_TOL).tolist() == expected
+        assert _roots(_root_find_batch(phi, x0, RESIDUAL_TOL)).tolist() == expected
 
 
 def test_the_explicit_example_retires_between_calls_of_equal_size():
@@ -243,7 +244,8 @@ def test_counting_finds_restores_every_binding():
     before = [m._root_find_batch for m in (scalar, oblique)]
     with counting_finds() as finds:
         assert scalar._root_find_batch is not before[0]
-        assert scalar._root_find_batch(lambda x, idx: x - 1.0, np.array([0.0, 1.0]),
-                                       RESIDUAL_TOL).tolist() == [1.0, 1.0]
+        roots, errors = scalar._root_find_batch(lambda x, idx: x - 1.0,
+                                                np.array([0.0, 1.0]), RESIDUAL_TOL)
+        assert (roots.tolist(), errors) == ([1.0, 1.0], [None])
     assert finds == [(2, 3)]
     assert [m._root_find_batch for m in (scalar, oblique)] == before

@@ -17,7 +17,9 @@ Core claims:
     - the level walk's conditional expectations are the tree's
       one_step_expectation, bit for bit
     - the batched root finder gives the scalar finder's roots bit for bit,
-      element by element, through every branch, and raises where it raises
+      element by element, through every branch, and raises where it raises;
+      each block of a batch gets the roots, the error and (until it
+      bisects) the residual points of a find over it alone
     - results are bit-identical under permuted input node order
     - validation rejects NaN or infinite data and generator values with
       the node and time index, before any comparison a NaN would pass, and
@@ -32,7 +34,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbsde import (
@@ -59,6 +61,7 @@ from orbsde.scalar import (
     _penalized_solve,
     _root_find,
     _root_find_batch,
+    _roots,
 )
 from orbsde.tree import enumerate_stopping_times, one_step_expectation
 
@@ -208,7 +211,7 @@ def _batch_roots(cases):
         return _residual(y, *columns[:, idx])
 
     x0 = np.array([x0 for _, x0 in cases])
-    return _root_find_batch(phi, x0, RESIDUAL_TOL).tolist()
+    return _roots(_root_find_batch(phi, x0, RESIDUAL_TOL)).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,6 +223,75 @@ def test_batched_root_finder_equals_the_scalar_one(cases):
             _batch_roots(cases)
     else:
         assert _batch_roots(cases) == scalar
+
+
+# planted failures: a residual NaN at the first probe, and one below zero
+# everywhere (y - 2 (y - kink)^+ - target peaks at kink - target = -1), which
+# no expansion brackets
+_FAILS_AT = {"probe": ((1.0, 0.0, 0.0, 0.0, 0.0, math.nan, 0.5), 0.0),
+             "expansion": ((1.0, 0.0, -4.0, 0.0, 0.3, 1.3, 0.5), 1.3)}
+
+
+@st.composite
+def _block_layout(draw):
+    """Cases in contiguous blocks of unequal sizes, with a failure planted
+    in each of up to two blocks: at the probe and at the expansion, in
+    either order."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    cases = draw(st.lists(_residual_case(), min_size=sum(sizes), max_size=sum(sizes)))
+    starts = np.cumsum([0] + sizes).tolist()
+    stages = draw(st.permutations(list(_FAILS_AT)))
+    for b, stage in zip(draw(st.lists(st.integers(0, len(sizes) - 1), max_size=2)),
+                        stages):
+        cases[draw(st.integers(starts[b], starts[b + 1] - 1))] = _FAILS_AT[stage]
+    return cases, sizes
+
+
+def _found(cases, sizes=None):
+    """One find over ``cases``: its roots' bits, each block's error message
+    (None where it has none) and each element's points, in call order."""
+    columns = np.array([params for params, _ in cases]).T
+    points = [[] for _ in cases]
+
+    def phi(y, idx):
+        for i, x in zip(idx.tolist(), y.tolist()):
+            points[i].append(x)
+        return _residual(y, *columns[:, idx])
+
+    roots, errors = _root_find_batch(phi, np.array([x0 for _, x0 in cases]),
+                                     RESIDUAL_TOL, sizes)
+    return (roots.view(np.int64).tolist(), [e if e is None else str(e) for e in errors],
+            points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_block_layout())
+@example(   # no sign change in block 0, a NaN probe in block 1, block 2 bisects
+    layout=([_FAILS_AT["expansion"], ((2.4, 0.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5),
+             _FAILS_AT["probe"], ((1.0, 2.0, 0.0, 0.0, 0.0, 1.5, 0.5), 1.5),
+             ((1.0, 0.0, 1e6, 0.0, 0.2, 1.5, 0.5), -30.0)], [2, 1, 2]))
+def test_each_block_of_a_batch_finds_as_its_own_find(layout):
+    # every block gets the roots and the error of a find over it alone (a
+    # failing one NaN roots); it drops out at once, so its points (probes,
+    # secant steps and expansions: it never bisects) are its lone find's;
+    # with at most 16 elements every bisecting call takes six halvings of
+    # each, so every block's points are its lone find's too
+    cases, sizes = layout
+    roots, errors, points = _found(cases, sizes)
+    at = 0
+    for size, error in zip(sizes, errors):
+        block = slice(at, at + size)
+        lone_roots, (lone_error,), lone_points = _found(cases[block])
+        assert (roots[block], error) == (lone_roots, lone_error)
+        if error is not None:
+            assert np.isnan(np.array(roots[block]).view(np.float64)).all()
+        if error is not None or len(cases) <= 16:
+            assert points[block] == lone_points
+        at += size
+    for stage, (params, x0) in _FAILS_AT.items():   # the plants fail where named
+        with pytest.raises(BracketingError, match="not finite" if stage == "probe"
+                           else "no sign change"):
+            _root_find(lambda y: _residual(y, *params), x0, RESIDUAL_TOL)
 
 
 def _branches(params, x0):
@@ -290,8 +362,8 @@ def test_block_bisection_tails_equal_the_scalar_finder(tail):
     assert all(_branches(*case) == {"bisection"} for case in cases)
     columns = np.array([params for params, _ in cases]).T
     log = []
-    roots = _root_find_batch(_logged(lambda y, idx: _residual(y, *columns[:, idx]), log),
-                             np.array([x0 for _, x0 in cases]), RESIDUAL_TOL)
+    roots, _ = _root_find_batch(_logged(lambda y, idx: _residual(y, *columns[:, idx]), log),
+                                np.array([x0 for _, x0 in cases]), RESIDUAL_TOL)
     assert roots.tolist() == _scalar_roots(cases)
     # after the probe and the secant, every call bisects: a whole tree per
     # element still bisecting, the first one over every element
@@ -322,7 +394,7 @@ def test_block_bisection_takes_the_upper_half_at_a_nan_inside_a_block():
 
     expected = _root_find(scalar_phi, x0, RESIDUAL_TOL)
     assert math.isnan(scalar_phi(xs[3 + 8]))
-    got = _root_find_batch(lambda y, idx: nan_band(y), np.array([x0]), RESIDUAL_TOL)
+    got, _ = _root_find_batch(lambda y, idx: nan_band(y), np.array([x0]), RESIDUAL_TOL)
     assert got.tolist() == [expected]
 
 
@@ -334,8 +406,8 @@ def test_block_bisection_stall_guard_finishes_part_way_through_a_block():
     halvings = len(_scalar_points(params, x0)) - 3
     assert (halvings, halvings % 6) == (58, 4)
     log = []
-    got = _root_find_batch(_logged(lambda y, idx: _residual(y, *params), log),
-                           np.array([x0]), RESIDUAL_TOL)
+    got, _ = _root_find_batch(_logged(lambda y, idx: _residual(y, *params), log),
+                              np.array([x0]), RESIDUAL_TOL)
     assert got.tolist() == [_root_find(lambda y: _residual(y, *params), x0,
                                        RESIDUAL_TOL)]
     assert [idx.size for idx in log] == [1, 1, 1] + [63] * 10
@@ -365,8 +437,8 @@ def test_one_halving_per_call_ends_on_the_stall_guard_as_the_scalar_finder():
     assert len(stalled) == 422
     columns = np.array([params for params, _ in cases]).T
     log = []
-    roots = _root_find_batch(_logged(lambda y, idx: _residual(y, *columns[:, idx]), log),
-                             np.array([x0 for _, x0 in cases]), RESIDUAL_TOL)
+    roots, _ = _root_find_batch(_logged(lambda y, idx: _residual(y, *columns[:, idx]), log),
+                                np.array([x0 for _, x0 in cases]), RESIDUAL_TOL)
     assert roots.tolist() == _scalar_roots(cases)
     assert np.array_equal(log[3], stalled)   # the first halving of each
     assert len(set(stalled) & _retired_in_one_halving_calls(log)) > 422 // 2
@@ -398,8 +470,8 @@ def test_one_halving_per_call_takes_the_upper_half_at_a_nan_as_the_scalar_finder
         assert math.isnan(scalar_phi(bands[i]))
         expected.append(_root_find(scalar_phi, x0, RESIDUAL_TOL))
     log = []
-    got = _root_find_batch(_logged(nan_band, log), np.array([x0 for _, x0 in cases]),
-                           RESIDUAL_TOL)
+    got, _ = _root_find_batch(_logged(nan_band, log), np.array([x0 for _, x0 in cases]),
+                              RESIDUAL_TOL)
     assert got.tolist() == expected
     assert np.array_equal(log[3 + 8], np.arange(400))   # the NaN mids' call
 
@@ -416,7 +488,7 @@ def test_kinked_table_batch_bisects_in_few_residual_calls():
         return x - np.interp(x, grid, table) * dt - target[idx]
 
     log = []
-    roots = _root_find_batch(_logged(phi, log), target, RESIDUAL_TOL)
+    roots, _ = _root_find_batch(_logged(phi, log), target, RESIDUAL_TOL)
     assert len(log) <= 15
     assert roots.tolist() == [
         _root_find(lambda y: float(phi(np.array([y]), np.array([i]))[0]), x0,

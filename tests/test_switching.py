@@ -6,7 +6,9 @@ Core claims:
     - enumeration is exhaustive with the pinned start (d^(nodes-1)),
       refuses above the cap and runs at it
     - one enumeration of every start mode gives each start mode's brute
-      force value and first maximizer bit for bit, ties included
+      force value and first maximizer bit for bit, ties included, and a
+      root find failing at the start fails its own start mode alone, in
+      its own chunk, with its own message
     - brute force values every strategy as a one-strategy recursion does,
       bit for bit, and returns the first maximum in enumeration order;
       its traced memory stays bounded at a cap of 2^18
@@ -37,6 +39,7 @@ from hypothesis import strategies as st
 
 from orbsde import (
     AdaptedProcess,
+    BracketingError,
     EnumerationCapError,
     EventTree,
     ObliqueProblem,
@@ -52,7 +55,7 @@ from orbsde import (
     solve_upper,
     unconstrained_start_value,
 )
-from orbsde.oblique import CostMatrix
+from orbsde.oblique import CostMatrix, validate_problem
 from orbsde.scalar import RESIDUAL_TOL, _root_find
 from orbsde.switching import _brute_force_all, _eval_strategy, _subtree_ctx
 from gen import random_oblique_problem, random_tree
@@ -765,3 +768,76 @@ def test_each_start_modes_brute_force_is_its_row_of_the_joint_enumeration(
             joint.start, joint.start_mode, joint.modes)
         if quantile == 0.0:
             assert joint.modes == {u: j if u == root else 0 for u in range(tree.n_nodes)}
+
+
+def _failing_at_the_start(steps: int, drift: dict[str, float]) -> ObliqueProblem:
+    """Two modes on a chain of ``steps`` steps with linear generators that
+    are NaN, at the start (t = 0) only, for y in (500, 2000): a window the
+    validator's probe grid (-5001, 0, 5000, 10000 and 15001 here) misses.
+    ``drift`` maps "mode:node" to the one nonzero v increment out of that
+    node, which puts the continuations there in the window."""
+    tree = EventTree.chain(steps, 0.125)
+
+    def generator(j):
+        def f(t, y):
+            inside = (t == 0) & (y[j] > 500.0) & (y[j] < 2000.0)
+            return np.where(inside, np.nan, 0.1 * j - (0.2 + 0.1 * j) * y[j])
+        return f
+
+    v = [{tree.index_of(key[2:]): value for key, value in drift.items()
+          if key.startswith(f"{j}:")} for j in range(2)]
+    return ObliqueProblem(
+        tree=tree,
+        d=2,
+        terminal={tree.leaves[0]: (1.0, 1.02)},
+        generators=(generator(0), generator(1)),
+        v=tuple(PredictableIncrements.from_parent_values(tree, vj) for vj in v),
+        upper=(AdaptedProcess.constant(tree, 10000.0),) * 2,
+        costs=CostMatrix.constant(steps, [[0.0, 0.1], [0.1, 0.0]]),
+    )
+
+
+def _answer(best, j):
+    try:
+        value, strategy = best(j)
+    except Exception as err:
+        return type(err), str(err)
+    return struct.pack("<d", value), strategy.modes
+
+
+def test_a_failing_start_find_fails_its_start_mode_alone():
+    # start mode 1's continuations at the start lie in its generator's NaN
+    # window (a drift of 1000 into its first edge), so its root find there
+    # fails at the probe; start mode 0's does not.  On the 11-step chain
+    # (2^11 strategies, two chunks of _BLOCK) the drift of 1000 into mode
+    # 1's second edge also puts start mode 0's continuations in its window
+    # where n1 is in mode 1: the second chunk, after start mode 1 failed
+    # in the first.  The joint enumeration gives each start mode the answer
+    # or the error of its own.
+    one_mode = _failing_at_the_start(3, {"1:n0": 1000.0})
+    later_chunk = _failing_at_the_start(11, {"1:n0": 1000.0, "1:n1": 1000.0})
+    answers = []
+    for problem in (one_mode, later_chunk):
+        root = problem.tree.root
+        assert validate_problem(problem) == []
+        best = _brute_force_all(problem, root)
+        answers.append([_answer(best, j) for j in range(2)])
+        assert answers[-1] == [
+            _answer(lambda j: brute_force_value(problem, root, j), j) for j in range(2)]
+    (ok, failed), (first, second) = answers
+    assert ok[0] is not BracketingError
+    assert failed[0] is first[0] is second[0] is BracketingError
+    # each start mode's block fails at its first element: strategy 1024 (n1
+    # in mode 1, the rest in mode 0) for start mode 0, strategy 0 (every
+    # node in mode 0) for start mode 1; each continuation is n1's value
+    # less the cost of switching into n1's mode, plus the start's drift
+    tree = later_chunk.tree
+    n1 = tree.index_of("n1")
+
+    def at_n1(mode):
+        modes = {u: 0 for u in tree.subtree(n1)} | {n1: mode}
+        strategy = SwitchingStrategy(tree, n1, mode, modes)
+        return solve_for_strategy(later_chunk, strategy).r[n1]
+
+    assert first[1] == f"residual not finite at {at_n1(1) - 0.1}"
+    assert second[1] == f"residual not finite at {at_n1(0) - 0.1 + 1000.0}"
