@@ -177,7 +177,8 @@ class CostMatrix:
                 for t, j, k in bad
             ]
         # the orderings as array comparisons; the violations in the order of
-        # a loop over t, then (j: diagonal, then k), then triangles (i, j, k)
+        # a loop over t, then (j: diagonal, then k), then triangles (i, j, k),
+        # then pairs j < k
         c = self.values
         d = self.d
         off = ~np.eye(d, dtype=bool)
@@ -195,6 +196,18 @@ class CostMatrix:
             found.append(((t, 1, i, j, k), Violation(
                 "cost-triangle", f"c[{i}][{j}] + c[{j}][{k}] = "
                 f"{c[t, i, j] + c[t, j, k]} <= c[{i}][{k}] = {c[t, i, k]}", time_index=t)))
+        # a binding cycle of L modes needs costs summing to at most L *
+        # BINDING_TOL, and under the triangle condition every longer cycle
+        # costs more than some 2-cycle; so 2-cycles above d * BINDING_TOL
+        # leave no cycle that can bind (pairs of positive costs only: a
+        # nonpositive one is already a finding)
+        both = c + c.transpose(0, 2, 1)
+        close = (c > 0.0) & (c.transpose(0, 2, 1) > 0.0) & (both <= d * BINDING_TOL)
+        for t, j, k in np.argwhere(close & np.triu(off)).tolist():
+            found.append(((t, 2, j, k), Violation(
+                "cost-cycle", f"c[{j}][{k}] + c[{k}][{j}] = {both[t, j, k]} <= "
+                f"{d * BINDING_TOL} (d times the binding tolerance): modes {j} and "
+                f"{k} can bind in a cycle", time_index=t, mode=j)))
         return [violation for _, violation in sorted(found, key=lambda f: f[0])]
 
 
@@ -1046,21 +1059,26 @@ def mode_problem(
     components frozen at ``solution``: terminal column j, the generator
     ``c -> f^j(t_u, Y_u with c in slot j)`` (f^j gets a d-tuple of arrays:
     the solution's columns at the nodes for the components ``reads[j]``
-    declares, and c in slot j and every slot it leaves out), drift
+    declares, and c in slot j and every slot it leaves out; f^j is called
+    with ``(c,) * d`` directly when it reads no other component), drift
     ``v[j]``, lower barrier ``H^j(t_u, Y_u)`` and upper barrier ``U^j``.
     On a solution of the system, its two-barrier solve gives back
     ``solution.y[j]``.
     """
     tree, f = problem.tree, problem.generators[j]
     rows = solution.y_columns
-    read = [(k, rows[:, k]) for k in range(problem.d)
+    d = problem.d
+    read = [(k, rows[:, k]) for k in range(d)
             if k != j and (problem.reads is None or k in problem.reads[j])]
 
     def generator(t: int, nodes: np.ndarray, c: np.ndarray):
-        y = [c] * problem.d
+        y = [c] * d
         for k, col in read:
             y[k] = col[nodes]
         return f(t, tuple(y))
+
+    def reads_none(t: int, nodes: np.ndarray, c: np.ndarray):
+        return f(t, (c,) * d)
 
     lower = np.empty(tree.n_nodes)
     for t, nodes in _level_slices(tree):
@@ -1068,7 +1086,7 @@ def mode_problem(
     return ScalarRBSDEProblem(
         tree=tree,
         terminal=LeafRows(tree, problem.terminal_rows[:, j]),
-        generator=generator,
+        generator=generator if read else reads_none,   # no row to gather
         v_increments=problem.v[j],
         lower=AdaptedProcess(tree, lower),
         upper=problem.upper[j],

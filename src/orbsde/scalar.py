@@ -52,9 +52,10 @@ bracket's bisection tree, and each element then walks down its tree as
 the scalar loop would; while many are, a call is one halving of each, the
 scalar loop's own step.  A residual therefore gets repeated indices and
 points past an element's root, and must be elementwise.  ``_blockwise``
-gives each problem's (or mode's) contiguous block of elements to its own
-generator, for the residuals that span several; the finder returns each
-block's failure, and a failing block stops no other.
+gives each mode's contiguous block of elements to its own generator, for
+the residuals that span several (the penalized residual adds each
+problem's block of generator values in place itself); the finder returns
+each block's failure, and a failing block stops no other.
 
 ``_probe`` is the package's one generator probe; it reads values the
 caller has taken.  :meth:`ScalarRBSDEProblem.validate` gives it g's values
@@ -218,24 +219,29 @@ def _root_find_batch(
 
     Bisection takes several halvings per call: one ``phi`` call evaluates
     the next k halvings of every element still bisecting, at the 2^k - 1
-    mids of its bracket's depth-k bisection tree in ascending order
-    (:func:`_bisection_edges`), and each element then walks down its tree
-    as the scalar loop would, finishing at the node where the scalar loop
-    returns.  k is the deepest tree, at most 6 levels, that keeps a call at
-    1,024 points (:func:`_block_depth`), so a long tail of few elements
-    costs about a sixth of the calls.  With more than 341 elements
-    bisecting k is 1, and a call is the scalar loop's own step on each
-    element (the mid, its exit tests and the new bracket), with no tree to
-    build or walk.  ``idx`` is therefore non-decreasing but may repeat an
+    mids of its bracket's depth-k bisection tree in ascending order, and
+    each element then walks down its tree as the scalar loop would,
+    finishing at the node where the scalar loop returns.  The trees are
+    built as one ``(2^k + 1, n)`` array, a contiguous row per position in
+    the tree (:func:`_bisection_edges`); their mids go to ``phi`` element
+    by element, and the exit tests and directions are taken over these
+    points alone.  k is the deepest tree, at most 6 levels, that keeps a
+    call at 1,024 points (:func:`_block_depth`), so a long tail of few
+    elements costs about a sixth of the calls.  With more than 341
+    elements bisecting k is 1, and a call is the scalar loop's own step on
+    each element (the mid, its exit tests and the new bracket), with no
+    tree to build or walk.  ``idx`` is therefore non-decreasing but may repeat an
     element, once per point of its tree, and ``phi`` sees points beyond
     where an element stops.  The ulp-width stall guard is computed only on
     the steps where some bracket can reach it (:func:`_guard_free_steps`).
 
-    The residual protocol: ``phi`` gets the same ``idx`` object for as long
-    as the elements it stands for are unchanged (every call while no element
-    retires, and a tree's repeated indices while the depth stays), and no
-    ``idx`` is written into, so a residual may gather its per-element data
-    once per index object (:func:`_per_index`).
+    The residual protocol: the first call's ``idx`` is every element in
+    order, ``phi`` gets the same ``idx`` object for as long as the elements
+    it stands for are unchanged (every call while no element retires, and a
+    tree's repeated indices while the depth stays), and no ``idx`` is
+    written into, so a residual may gather its per-element data once per
+    index object (:func:`_per_index`) and read the first set's data where
+    it lies.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     root = np.empty_like(x0)
@@ -351,30 +357,35 @@ def _root_find_batch(
             lo, hi = retire(stop, mid, np.where(down, lo, mid), np.where(down, mid, hi))
             continue
         edges = _bisection_edges(lo, hi, depth)
-        mids = edges[:, 1:-1]
+        width, size = 2**depth - 1, idx.size
+        mids = edges[1:-1].T.ravel()   # element by element, each tree's mids ascending
         if repeated is None or repeated[0] is not idx or repeated[1] != depth:
-            repeated = idx, depth, np.repeat(idx, mids.shape[1])
-        fs = phi(mids.ravel(), repeated[2]).reshape(mids.shape)
-        # the scalar loop's exit tests and its step at every mid, by column
-        stop, down = np.zeros(edges.shape, bool), np.zeros(edges.shape, bool)
-        stop[:, 1:-1] = exact(fs, mids)
+            repeated = idx, depth, np.repeat(idx, width)
+        fs = phi(mids, repeated[2])
+        # the scalar loop's exit tests and its step at every mid; element
+        # i's mid column q (1 <= q <= width) is entry i * width + q - 1
+        stop = exact(fs, mids)
         if free < depth:
             below, above = _node_brackets(depth)
-            tree_lo, tree_hi = edges[:, below], edges[:, above]
-            stop[:, 1:-1] |= tree_hi - tree_lo <= 4e-16 * (
-                np.fmax(np.fmax(1.0, np.abs(tree_lo)), np.abs(tree_hi)))
+            tree_lo, tree_hi = edges[below], edges[above]
+            stop |= (tree_hi - tree_lo <= 4e-16 * (
+                np.fmax(np.fmax(1.0, np.abs(tree_lo)), np.abs(tree_hi)))).T.ravel()
         # f > 0 takes the lower half; anything else, NaN included, the upper
-        down[:, 1:-1] = fs > 0.0
-        stop, down, flat = stop.ravel(), down.ravel(), edges.ravel()
-        # each element down its tree, its bracket's lower end a flat column
-        left = np.arange(idx.size) * edges.shape[1]
-        path = np.empty((depth, idx.size), dtype=np.intp)
+        down = fs > 0.0
+        # each element down its tree, its bracket's lower end column q as
+        # the entry i * width + q - 1 (column 0, lo, is first[i])
+        elements = np.arange(size)
+        first = elements * width - 1
+        left = first
+        path = np.empty((depth, size), dtype=np.intp)
         for level in range(depth):
             path[level] = mid = left + 2 ** (depth - 1 - level)
             left = np.where(down[mid], left, mid)
         stops = stop[path]   # an element ends at the first mid on its path that stops
-        end = path[stops.argmax(axis=0), np.arange(idx.size)]
-        lo, hi = retire(stops.any(axis=0), flat[end], flat[left], flat[left + 1])
+        end = path[stops.argmax(axis=0), elements]
+        ends = (left - first) * size + elements   # row q of edges, flat
+        flat = edges.ravel()
+        lo, hi = retire(stops.any(axis=0), mids[end], flat[ends], flat[ends + size])
         free = (free - depth if free >= depth
                 else _guard_free_steps(hi - lo, _guard_bound(lo, hi)))
     return root, errors
@@ -435,26 +446,27 @@ def _guard_free_steps(width: np.ndarray, bound: np.ndarray, where=True) -> int:
 
 
 def _bisection_edges(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """Each bracket's depth-``depth`` bisection tree as the ``(n, 2^depth +
-    1)`` array of its nodes' ends and mids in ascending order: column 0 is
-    lo, column 2^depth is hi, and column q between them is the mid of the
-    node bracketed by columns q - h and q + h, h the lowest set bit of q,
-    computed as ``0.5 * (lo + hi)`` of that bracket.  The node's lower half
-    is the node at q - h/2 and its upper half the node at q + h/2."""
-    edges = np.empty((lo.size, 2**depth + 1))
-    edges[:, 0], edges[:, -1] = lo, hi
+    """Each bracket's depth-``depth`` bisection tree as the ``(2^depth + 1,
+    n)`` array of its nodes' ends and mids in ascending order, one
+    contiguous row per position: row 0 is lo, row 2^depth is hi, and row q
+    between them holds the mid of the node bracketed by rows q - h and
+    q + h, h the lowest set bit of q, computed as ``0.5 * (lo + hi)`` of
+    that bracket, a whole level of rows per step.  The node's lower half is
+    the node at q - h/2 and its upper half the node at q + h/2."""
+    edges = np.empty((2**depth + 1, lo.size))
+    edges[0], edges[-1] = lo, hi
     for level in range(depth):
         step = 2 ** (depth - level)   # the width of a level's brackets
-        mid = edges[:, step // 2::step]
-        np.add(edges[:, :-1:step], edges[:, step::step], out=mid)
+        mid = edges[step // 2::step]
+        np.add(edges[:-1:step], edges[step::step], out=mid)
         np.multiply(0.5, mid, out=mid)
     return edges
 
 
 @functools.lru_cache(maxsize=None)
 def _node_brackets(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of the lower and upper end of the bracket of the node
-    at each mid column 1, ..., 2^depth - 1 of :func:`_bisection_edges`."""
+    """The rows of the lower and upper end of the bracket of the node at
+    each mid row 1, ..., 2^depth - 1 of :func:`_bisection_edges`."""
     q = np.arange(1, 2**depth)
     below, above = q - (q & -q), q + (q & -q)
     below.flags.writeable = above.flags.writeable = False
@@ -947,83 +959,100 @@ def _penalized_solve(
     go problem by problem, then pair by pair (column ``b * len(p) + i`` is
     pair i of problem b).  Each level's implicit steps are one
     :func:`_root_find_batch`, whose residual hands each problem's
-    contiguous block of elements to that problem's generator and reads
-    each element's barriers and weights from arrays gathered once per
-    level.  A weight of zero drops its penalty term, and a barrier the
-    problem lacks drops it too.  The masses are computed only when a
-    column is asked for as a PenalizedSolution.
+    contiguous block of elements to that problem's generator.  A weight
+    that is not positive drops its penalty term, and a barrier the problem
+    lacks drops it too: the term's weight is then 0 and its barrier -inf
+    (lower) or +inf (upper), so that every element takes one formula.
+
+    With ``L <= U`` (the ``barrier-order`` check) at most one of ``L - x``
+    and ``x - U`` is positive, so the two penalty terms
+    ``g + p (L - x)^+ - q (x - U)^+`` are taken as one sum
+    ``g + (p fmax(L - x, 0) + q fmin(U - x, 0))``: fmax and fmin return 0
+    for NaN as the positive part does, ``U - x`` is ``-(x - U)`` exactly,
+    and the term that is not positive is a zero, so the residual is the
+    two-term one up to the sign of a zero, which no decision of the finder
+    reads.  A dropped term is ``0 * fmax(-inf - x, 0)``, a zero for every
+    x, infinite or NaN included.
+
+    The residual reads its per-element data (targets, barriers, weights,
+    each block's node ids) from the level's arrays for the finder's first,
+    full active set, and gathers them once per later active set.  The
+    masses are computed only when a column is asked for as a
+    PenalizedSolution.
     """
     tree, dt = problems[0].tree, problems[0].tree.dt
     pairs, cols = len(p), len(problems) * len(p)
 
-    def by_problem(barriers: list, weights: Sequence[float]) -> tuple:
-        """The barriers as a ``(problems, n_nodes)`` array and each column's
-        weight, zero where its problem lacks the barrier; None and None if
-        no problem has one."""
-        if all(b is None for b in barriers):
-            return None, None
+    def by_problem(barriers: list, weights: Sequence[float], fill: float) -> tuple:
+        """The barriers as a ``(problems, n_nodes)`` array (``fill`` for a
+        problem that lacks one), each column's weight (0 where it is not
+        positive or its problem lacks the barrier) and the mask of the
+        columns whose weight is 0."""
         weights = np.asarray(weights, dtype=np.float64)
-        return (np.stack([np.zeros(tree.n_nodes) if b is None else b.values
-                          for b in barriers]),
-                np.concatenate([np.zeros(pairs) if b is None else weights
-                                for b in barriers]))
+        weights = np.where(weights > 0, weights, 0.0)
+        col = np.concatenate([np.zeros(pairs) if b is None else weights for b in barriers])
+        return (np.stack([np.full(tree.n_nodes, fill) if b is None else b.values
+                          for b in barriers]), col, col == 0.0)
 
-    lower, p_col = by_problem([pb.lower for pb in problems], p)
-    upper, q_col = by_problem([pb.upper for pb in problems], q)
-    # with every weight positive (as on the sweep's ladder) no term is dropped
-    p_all, q_all = (w is not None and bool((w > 0).all()) for w in (p_col, q_col))
+    lower, p_col, p_off = by_problem([pb.lower for pb in problems], p, -np.inf)
+    upper, q_col, q_off = by_problem([pb.upper for pb in problems], q, np.inf)
     generators = [pb.generator for pb in problems]
 
     def step(t: int, parents: np.ndarray, targets: np.ndarray):
         # column-major: element (b * pairs + i) * size + s is pair i of
-        # problem b at parents[s]; its barriers and weights are gathered
-        # once here, and a residual call's share of them once per active set
+        # problem b at parents[s]
         size = parents.size
-        nodes = np.tile(parents, cols)
+        block = pairs * size   # a problem's elements
         target = targets.T.ravel()
 
-        def on_nodes(g):
-            at = _per_index(nodes.__getitem__)
-            return lambda x, idx: g(t, at(idx), x)
+        def by_element(barriers, fill, off):
+            out = np.repeat(barriers[:, parents], pairs, axis=0)
+            out[off] = fill   # a dropped term's barrier
+            return out.ravel()
 
-        generator = _blockwise([on_nodes(g) for g in generators], pairs * size)
-
-        def by_element(barriers, weights):
-            if barriers is None:
-                return None, None
-            return (np.repeat(barriers[:, parents], pairs, axis=0).ravel(),
-                    np.repeat(weights, size))
-
-        low, p_el = by_element(lower, p_col)
-        high, q_el = by_element(upper, q_col)
+        low, high = by_element(lower, -np.inf, p_off), by_element(upper, np.inf, q_off)
+        p_el, q_el = np.repeat(p_col, size), np.repeat(q_col, size)
+        nodes = np.tile(parents, pairs)   # each problem's elements' nodes
+        ends = np.arange(len(problems) + 1) * block
+        bounds = ends.tolist()
+        first = True
 
         @_per_index
         def at(idx):
-            """The elements' targets, and for each penalty term its
-            barriers, weights and (unless every weight is positive) the
-            mask of the positive ones; None for a term no problem has."""
-            return [target[idx]] + [
-                None if b is None else (b[idx], w[idx], None if every else w[idx] > 0)
-                for b, w, every in ((low, p_el, p_all), (high, q_el, q_all))]
+            """The elements' targets, barriers and weights, and each
+            problem's generator with its slice of the elements and their
+            nodes.  The finder's first index object is every element in
+            order, so the first set reads the level's arrays; every later
+            one gathers."""
+            nonlocal first
+            if first:
+                first = False
+                return target, low, p_el, high, q_el, [
+                    (g, a, b, nodes) for g, a, b in zip(generators, bounds, bounds[1:])]
+            cuts = np.searchsorted(idx, ends).tolist()
+            return target[idx], low[idx], p_el[idx], high[idx], q_el[idx], [
+                (g, a, b, nodes[idx[a:b] - start])
+                for g, start, a, b in zip(generators, bounds, cuts, cuts[1:]) if b > a]
 
         def phi(x, idx):
-            tg, lower_term, upper_term = at(idx)
-            val = generator(x, idx)
-            if lower_term is not None:
-                b, w, on = lower_term
-                term = val + w * _positive(b - x)
-                val = term if on is None else np.where(on, term, val)
-            if upper_term is not None:
-                b, w, on = upper_term
-                term = val - w * _positive(x - b)
-                val = term if on is None else np.where(on, term, val)
-            return x - val * dt - tg
+            tg, lo, p, hi, q, parts = at(idx)
+            val = np.subtract(lo, x)
+            np.fmax(val, 0.0, out=val)
+            val *= p
+            upper_term = np.subtract(hi, x)
+            np.fmin(upper_term, 0.0, out=upper_term)
+            upper_term *= q
+            val += upper_term
+            for g, a, b, on in parts:
+                val[a:b] += g(t, on, x[a:b])
+            val *= dt
+            np.subtract(x, val, out=val)
+            val -= tg
+            return val
 
         y = _roots(_root_find_batch(phi, target, RESIDUAL_TOL))
-        dk = (np.where(p_el > 0, p_el * _positive(low - y) * dt, 0.0)
-              if low is not None else np.zeros(y.size))
-        da = (np.where(q_el > 0, q_el * _positive(y - high) * dt, 0.0)
-              if high is not None else np.zeros(y.size))
+        dk = p_el * _positive(low - y) * dt
+        da = q_el * _positive(y - high) * dt
         return (a.reshape(cols, size).T for a in (y, dk, da))
 
     y, m, k, a = _backward_walk(tree, np.repeat(

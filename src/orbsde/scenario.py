@@ -482,6 +482,10 @@ def _reads(spec: dict, mode: int) -> tuple[int, ...]:
 
 
 def _make_generator(spec: dict, mode: int, dt: float):
+    """Mode ``mode``'s generator ``gen(t, y)`` of a parsed spec, for a time
+    index t and a d-tuple y of floats or of equal-length arrays.  A table
+    finds the segment of time ``t * dt`` once per time index, and each call
+    interpolates in y only the one or two rows that segment reads."""
     fam = spec["family"]
     if fam == "constant":
         a = spec["a"]
@@ -503,19 +507,25 @@ def _make_generator(spec: dict, mode: int, dt: float):
     times = spec["times"]
     grid = np.asarray(spec["grid"])
     values = np.asarray(spec["values"])
+    segments: dict = {}   # time index -> its segment, found on first use
 
-    def table_gen(t, y, _m=mode):
-        # np.interp in y, for a float or an array alike; in time, numpy's
-        # own segment and slope formula (its NaN fallback never applies to
-        # a finite table)
-        rows = [np.interp(y[_m], grid, row) for row in values]
+    def segment(t) -> tuple:
+        """The rows time t * dt reads: (row,) at or outside the table's
+        times, else (r0, r1, width, offset) of its segment."""
         time = t * dt
         j = bisect_right(times, time) - 1
         if j < 0 or j == len(times) - 1 or times[j] == time:
-            out = rows[max(j, 0)]
-        else:
-            slope = (rows[j + 1] - rows[j]) / (times[j + 1] - times[j])
-            out = slope * (time - times[j]) + rows[j]
+            return (values[max(j, 0)],)
+        return values[j], values[j + 1], times[j + 1] - times[j], time - times[j]
+
+    def table_gen(t, y, _m=mode):
+        # np.interp in y, for a float or an array alike, of the segment's
+        # rows only; in time, numpy's own formula (r1 - r0) / width *
+        # offset + r0 (its NaN fallback never applies to a finite table)
+        seg = segments.get(t) or segments.setdefault(t, segment(t))
+        out = np.interp(y[_m], grid, seg[0])
+        if len(seg) > 1:
+            out = (np.interp(y[_m], grid, seg[1]) - out) / seg[2] * seg[3] + out
         return out if isinstance(out, np.ndarray) else float(out)
 
     return table_gen

@@ -29,7 +29,9 @@ Core claims:
       an infinite or overflowing dt under a linear barrier exits 2 with no
       numpy warning
     - a failed solver invariant (binding cycle, binding obstacle with no
-      attaining mode) exits 3 with kind internal-consistency and its node
+      attaining mode) exits 3 with kind internal-consistency and its node;
+      costs that could bind in a cycle (two modes whose costs both ways sum
+      to at most d * 1e-10) exit 2 with a cost-cycle finding per time index
     - a sweep budget below 1 or a NaN or negative tolerance, from a flag
       or the scenario, exits 2 with kind usage; the removed solver option
       subsolution_slack exits 2 as unknown; a NaN, infinite or descending
@@ -1237,6 +1239,26 @@ def test_verify_refuses_costs_whose_worst_case_total_overflows(tmp_path):
     assert run("verify", path, "--out", tmp_path / "fits") == 0
     report = read_json(tmp_path / "fits" / "verification.json")
     assert report["worst_case_switching_cost"] == 3e307
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "brute-force"])
+def test_costs_that_could_bind_in_a_cycle_are_refused(tmp_path, command):
+    # costs of 1e-11 both ways are positive and two modes have no triangle,
+    # but with one terminal for both modes the components are equal at the
+    # leaves, where each mode's obstacle binds the other within the binding
+    # tolerance 1e-10; a pair summing to at most d * 1e-10 is refused
+    spec = oracle_binomial_scenario()
+    spec["costs"] = [[0.0, 1e-11], [1e-11, 0.0]]
+    spec["terminal"] = {"kind": "price-affine", "a": [0.0, 0.0], "b": [1.0, 1.0]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(spec))
+    assert run(command, path, "--out", tmp_path / "out") == 2
+    diag = read_json(tmp_path / "out" / "diagnostic.json")
+    assert diag["error"]["kind"] == "problem-validation"
+    message = ("c[0][1] + c[1][0] = 2e-11 <= 2e-10 (d times the binding tolerance): "
+               "modes 0 and 1 can bind in a cycle")
+    assert diag["violations"] == [{"code": "cost-cycle", "message": message,
+                                   "time_index": t, "mode": 0} for t in range(4)]
 
 
 def test_overflowing_binomial_price_warns_nothing(tmp_path):

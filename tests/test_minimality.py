@@ -13,7 +13,8 @@
   ``scalar._probe``'s, line by line, and its grid's ends are Python's
   ``min`` and ``max``.
 - ``CostMatrix.validate`` lists the violations of a loop over time
-  indices, in its order.
+  indices, in its order, pairs of modes whose costs both ways sum to at
+  most d * BINDING_TOL (``cost-cycle``) included.
 - ``validate_problem``'s generator findings (first non-finite value,
   monotonicity pairs, continuity jumps, components read that the
   declared reads leave out) are those of the loop over the probe table's
@@ -400,6 +401,13 @@ def _cost_violations_by_loop(values: np.ndarray) -> list[tuple]:
                     if len({i, j, k}) == 3 and not c[i, j] + c[j, k] > c[i, k]:
                         out.append(("cost-triangle", f"c[{i}][{j}] + c[{j}][{k}] = "
                                     f"{c[i, j] + c[j, k]} <= c[{i}][{k}] = {c[i, k]}", t))
+        for j in range(d):
+            for k in range(j + 1, d):
+                both = c[j, k] + c[k, j]
+                if c[j, k] > 0.0 and c[k, j] > 0.0 and both <= d * BINDING_TOL:
+                    out.append(("cost-cycle", f"c[{j}][{k}] + c[{k}][{j}] = {both} <= "
+                                f"{d * BINDING_TOL} (d times the binding tolerance): "
+                                f"modes {j} and {k} can bind in a cycle", t))
     return out
 
 
@@ -411,6 +419,29 @@ def test_cost_orderings_are_the_loop_over_time_indices(d):
         report = CostMatrix(values).validate()
         assert [(v.code, v.message, v.time_index) for v in report] == (
             _cost_violations_by_loop(values))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pairs_of_costs_that_could_bind_in_a_cycle_are_the_loops(d):
+    # sums both ways at, just below and just above d * BINDING_TOL, with
+    # positivity and triangle findings among them
+    rng = np.random.default_rng(10 + d)
+    tiny = [0.0, 1e-11, d * BINDING_TOL / 2, d * BINDING_TOL / 2 * (1 + 1e-15), 3e-10, 1.0]
+    seen = set()
+    for _ in range(60):
+        values = rng.choice(tiny, size=(3, d, d))
+        values[:, np.arange(d), np.arange(d)] = 0.0
+        report = CostMatrix(values).validate()
+        seen |= {v.code for v in report}
+        assert [(v.code, v.message, v.time_index) for v in report] == (
+            _cost_violations_by_loop(values))
+        assert all(v.mode == int(v.message[2]) for v in report if v.code == "cost-cycle")
+    assert {"cost-cycle", "cost-positivity"} <= seen
+    # a sum of exactly d * BINDING_TOL is refused, one ulp above it is not
+    at = CostMatrix.constant(1, np.where(np.eye(d), 0.0, d * BINDING_TOL / 2))
+    assert {v.code for v in at.validate()} == {"cost-cycle"}
+    above = np.nextafter(d * BINDING_TOL / 2, 1.0)
+    assert CostMatrix.constant(1, np.where(np.eye(d), 0.0, above)).validate() == []
 
 
 # -- memory -------------------------------------------------------------------
